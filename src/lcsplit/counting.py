@@ -364,12 +364,11 @@ def min_max_degree_rep(tag: str, n_list: Sequence[int]) -> tuple[RepSpec, ...]:
         candidates.append(_case_assignment(1, None, k))
         candidates.append(_case_assignment(2, j, k, extra_c=(t,)))
         candidates.append(_case_assignment(3, j, k))
-        case_ids = [(1, None), (2, j), (3, j)]
     else:
         candidates.append(_case_assignment(1, None, k, extra_c=(j,)))
         candidates.append(_case_assignment(2, j, k))
         candidates.append(_case_assignment(3, j, k, extra_c=(t,)))
-        case_ids = [(1, None), (2, j), (3, j)]
+    case_ids = [(1, None), (2, j), (3, j)]
     specs = []
     for (cid, jj), (q0, kinds, I) in zip(case_ids, candidates):
         value = max_degree_from_assignment(n_list, q0, kinds)

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InvalidVertexError, NotAnEdgeError, SizeLimitError
+from .errors import (
+    InvalidSpecError,
+    InvalidVertexError,
+    LcsplitError,
+    NotAnEdgeError,
+    SizeLimitError,
+)
 
 LcSequence = Sequence[int]
 
@@ -258,7 +264,12 @@ def to_json_dict(g: SimpleGraph) -> dict:
 
 
 def from_json_dict(data: dict) -> SimpleGraph:
-    return SimpleGraph(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+    try:
+        return SimpleGraph(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+    except LcsplitError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc
 
 
 def to_dot(g: SimpleGraph) -> str:

@@ -9,7 +9,14 @@ quotients plus the pairing losslessly encode the original graph.
 
 Quotient nodes are either original vertex ids (leaf-nodes, plain ints) or
 :class:`SplitNode` markers.  ``SplitNode(i, j)`` lives in quotient ``i``
-and is paired with ``SplitNode(j, i)`` in quotient ``j``.
+and is paired with ``SplitNode(j, i)`` in quotient ``j``.  Each quotient
+is an adjacency-set graph over these nodes (:class:`QuotientGraph`).
+
+Every tree is built in place by one primitive, :meth:`Qasst.split_off`,
+which moves one side of a split of a quotient into a new quotient.  The
+decomposition applies it to the strong splits of prime quotients; a
+one-vertex extension applies it to {anchor, new}.  Merging a split-node
+pair back (``qasst_ops.induced_qasst``) is its inverse.
 """
 
 from __future__ import annotations
@@ -70,52 +77,70 @@ class QuotientKind:
 
 
 class QuotientGraph:
-    """A small graph over leaf-nodes and split-nodes."""
+    """A small graph over leaf-nodes and split-nodes.
 
-    def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[frozenset] = ()):
-        self.nodes: set[Node] = set(nodes)
-        self.edges: set[frozenset] = {frozenset(e) for e in edges}
-        for e in self.edges:
-            if len(e) != 2 or not e <= self.nodes:
+    Stored as adjacency sets: ``adj`` maps every node to the set of its
+    neighbours.  ``nodes`` and ``edges`` are read-only views of it.
+    """
+
+    __slots__ = ("adj",)
+
+    def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Iterable[Node]] = ()):
+        self.adj: dict[Node, set[Node]] = {v: set() for v in nodes}
+        for e in edges:
+            e = frozenset(e)
+            if len(e) != 2 or not all(v in self.adj for v in e):
                 raise MalformedQasstError(f"bad quotient edge {set(e)}")
+            self.add_edge(*e)
+
+    @property
+    def nodes(self):
+        return self.adj.keys()
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(frozenset((a, b)) for a, nb in self.adj.items() for b in nb)
 
     def copy(self) -> "QuotientGraph":
         g = QuotientGraph.__new__(QuotientGraph)
-        g.nodes = set(self.nodes)
-        g.edges = set(self.edges)
+        g.adj = {v: nb.copy() for v, nb in self.adj.items()}
         return g
 
     def has_edge(self, a: Node, b: Node) -> bool:
-        return frozenset((a, b)) in self.edges
+        return b in self.adj.get(a, ())
 
     def add_edge(self, a: Node, b: Node) -> None:
         if a == b:
             raise MalformedQasstError("quotient self-loop")
-        self.edges.add(frozenset((a, b)))
+        self.adj[a].add(b)
+        self.adj[b].add(a)
 
     def neighbors(self, node: Node) -> set[Node]:
-        return {next(iter(e - {node})) for e in self.edges if node in e}
+        return set(self.adj[node])
 
     def remove_node(self, node: Node) -> None:
-        self.nodes.discard(node)
-        self.edges = {e for e in self.edges if node not in e}
+        for w in self.adj.pop(node, ()):
+            self.adj[w].discard(node)
+
+    def rename(self, mapping: dict) -> None:
+        """Rename nodes in place through ``mapping``; unmapped nodes keep their names."""
+        self.adj = {
+            mapping.get(v, v): {mapping.get(w, w) for w in nb} for v, nb in self.adj.items()
+        }
 
     def toggle_edges_among(self, group: Iterable[Node]) -> None:
-        for a, b in itertools.combinations(sorted(group, key=node_sort_key), 2):
-            e = frozenset((a, b))
-            if e in self.edges:
-                self.edges.discard(e)
-            else:
-                self.edges.add(e)
+        for a, b in itertools.combinations(list(group), 2):
+            self.adj[a] ^= {b}
+            self.adj[b] ^= {a}
 
     def local_complement_at(self, node: Node) -> None:
-        self.toggle_edges_among(self.neighbors(node))
+        self.toggle_edges_among(self.adj[node])
 
     def leaf_nodes(self) -> set[int]:
-        return {v for v in self.nodes if isinstance(v, int)}
+        return {v for v in self.adj if isinstance(v, int)}
 
     def split_nodes(self) -> set[SplitNode]:
-        return {v for v in self.nodes if isinstance(v, SplitNode)}
+        return {v for v in self.adj if isinstance(v, SplitNode)}
 
     def __repr__(self) -> str:
         ns = sorted(self.nodes, key=node_sort_key)
@@ -144,10 +169,52 @@ class Qasst:
         return out
 
     def leaf_quotient(self, v: int) -> int:
-        for i, q in self.quotients.items():
-            if v in q.leaf_nodes():
-                return i
+        if isinstance(v, int):
+            for i, q in self.quotients.items():
+                if v in q.adj:
+                    return i
         raise MalformedQasstError(f"vertex {v} is not a leaf-node of any quotient")
+
+    def split_off(self, i: int, side: Iterable[Node]) -> int:
+        """Move ``side`` of quotient i into a new quotient m; returns m.
+
+        ``side`` must be a split of quotient i with at least one node left
+        behind.  The new split-node pair stands in for each side's
+        boundary: s_i^m is joined to the nodes outside ``side`` that touch
+        it, s_m^i to the nodes of ``side`` that touch the rest.  Split-nodes
+        moved with ``side`` are re-homed to m, partners included.
+        """
+        quot = self.quotients[i]
+        side = set(side)
+        m = max(self.quotients) + 1
+        s_im, s_mi = SplitNode(i, m), SplitNode(m, i)
+        part = QuotientGraph([s_mi])
+        part.adj.update((v, quot.adj[v] & side) for v in side)
+        across: set[Node] = set()
+        for v in side:
+            if quot.adj[v] - side:
+                across |= quot.adj[v] - side
+                part.add_edge(s_mi, v)
+        for v in side:
+            quot.remove_node(v)
+        quot.adj[s_im] = set()
+        for w in across:
+            quot.add_edge(s_im, w)
+        self.quotients[m] = part
+        self.rehome(part, m)
+        return m
+
+    def rehome(self, quot: QuotientGraph, i: int) -> dict:
+        """Rename the split-nodes of ``quot`` to live in quotient i.
+
+        Each moved split-node's partner is renamed to match, so the pairing
+        survives when nodes move between quotients.  Returns the renaming.
+        """
+        moves = {s: SplitNode(i, s.j) for s in quot.split_nodes() if s.i != i}
+        for s, t in moves.items():
+            self.quotients[s.j].rename({s.partner: t.partner})
+        quot.rename(moves)
+        return moves
 
     def tree_edges(self) -> list[tuple[SplitNode, SplitNode]]:
         out = []
@@ -245,34 +312,27 @@ class Qasst:
                 raise MalformedQasstError("quotient tree is disconnected")
 
     def normalize(self) -> "Qasst":
-        """Renumber quotients deterministically.
+        """Renumber quotients canonically, independent of the input numbering.
 
-        Quotients without leaf-nodes come first (ordered by the least
-        vertex behind any of their split-nodes); leaf-bearing quotients
-        follow in ascending order of their least leaf.
+        Quotients without leaf-nodes come first, ordered by the sorted
+        tuple of the least vertex behind each of their split-nodes (no two
+        leafless quotients share that tuple); leaf-bearing quotients follow
+        in ascending order of their least leaf.
         """
         def order_key(i: int):
             q = self.quotients[i]
             leaves = q.leaf_nodes()
             if leaves:
                 return (1, min(leaves))
-            fars = sorted(min(self.far_leaves(s)) for s in q.split_nodes())
-            return (0, fars[0] if fars else 0)
+            return (0, tuple(sorted(min(self.far_leaves(s)) for s in q.split_nodes())))
 
         old_order = sorted(self.quotients, key=order_key)
         remap = {old: new for new, old in enumerate(old_order)}
-
-        def remap_node(node: Node) -> Node:
-            if isinstance(node, SplitNode):
-                return SplitNode(remap[node.i], remap[node.j])
-            return node
-
         quotients = {}
         for old, q in self.quotients.items():
-            quotients[remap[old]] = QuotientGraph(
-                (remap_node(v) for v in q.nodes),
-                (frozenset(remap_node(v) for v in e) for e in q.edges),
-            )
+            q = q.copy()
+            q.rename({s: SplitNode(remap[s.i], remap[s.j]) for s in q.split_nodes()})
+            quotients[remap[old]] = q
         return Qasst(quotients)
 
     def __repr__(self) -> str:
@@ -372,12 +432,7 @@ def reconstruct(q: Qasst) -> SimpleGraph:
     q.validate()
     adj: dict[Node, set[Node]] = {}
     for quot in q.quotients.values():
-        for v in quot.nodes:
-            adj.setdefault(v, set())
-        for e in quot.edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
+        adj.update((v, set(nb)) for v, nb in quot.adj.items())
     for sa, sb in q.tree_edges():
         na = adj.pop(sa)
         nb = adj.pop(sb)
@@ -414,7 +469,7 @@ def classify_quotient(q: QuotientGraph, at: Optional[Node] = None) -> QuotientKi
     m = len(q.nodes)
     if m <= 2:
         return QuotientKind(COMPLETE)
-    degs = {v: len(q.neighbors(v)) for v in q.nodes}
+    degs = {v: len(nb) for v, nb in q.adj.items()}
     if all(d == m - 1 for d in degs.values()):
         return QuotientKind(COMPLETE)
     centers = [v for v, d in degs.items() if d == m - 1]
@@ -444,10 +499,6 @@ def join_validity(a: str, b: str) -> bool:
 # -- pendant/twin elimination (reverse one-vertex extensions) -----------------
 
 
-def _graph_adj_dict(g: SimpleGraph) -> dict[int, set[int]]:
-    return {v: neighborhood(g, v) for v in range(1, g.n + 1)}
-
-
 def eliminate_extensions(
     g: SimpleGraph,
 ) -> tuple[dict[int, set[int]], list[tuple[str, int, int]]]:
@@ -458,7 +509,7 @@ def eliminate_extensions(
     Replaying the steps in reverse rebuilds g by one-vertex extensions.
     A graph is distance-hereditary exactly when the kernel is one vertex.
     """
-    adj = _graph_adj_dict(g)
+    adj = {v: neighborhood(g, v) for v in range(1, g.n + 1)}
     trace: list[tuple[str, int, int]] = []
     changed = True
     while changed and len(adj) > 1:
@@ -536,122 +587,54 @@ def dh_definition_oracle(g: SimpleGraph) -> bool:
 # -- decomposition -----------------------------------------------------------
 
 
-def _adj_is_star_or_complete(adj: dict) -> bool:
-    m = len(adj)
-    if m <= 3:
-        # No nontrivial split fits in three nodes; K3/P3/K2/K1 are quotients.
-        return True
-    degs = [len(nb) for nb in adj.values()]
-    if all(d == m - 1 for d in degs):
-        return True
-    return sorted(degs) == [1] * (m - 1) + [m - 1]
-
-
-def _decompose_adj(adj: dict, pair_counter: itertools.count):
-    """Recursive brute-force decomposition of an adjacency dict.
-
-    Nodes are original labels or ("s", pair_id, side) markers.  Returns
-    (components, pairs) where each component is an adjacency dict with no
-    nontrivial strong split and pairs lists matched marker couples.
-    """
-    if _adj_is_star_or_complete(adj):
-        return [adj], []
-    nodes = sorted(adj, key=_marker_sort_key)
-    index = {v: i for i, v in enumerate(nodes)}
-    bit_adj = [0] * len(nodes)
-    for v, nb in adj.items():
-        for w in nb:
-            bit_adj[index[v]] |= 1 << index[w]
+def _strong_side(quot: QuotientGraph) -> Optional[set[Node]]:
+    """One side of the first nontrivial strong split of a quotient, if any."""
+    nodes = sorted(quot.nodes, key=node_sort_key)
+    index = {v: k for k, v in enumerate(nodes)}
+    bit_adj = [sum(1 << index[w] for w in quot.adj[v]) for v in nodes]
     full = (1 << len(nodes)) - 1
     splits = _all_split_masks(bit_adj, full)
-    nontrivial = sorted(
-        a for a in splits
-        if a.bit_count() >= 2 and (full ^ a).bit_count() >= 2
-    )
-    strong = None
-    for a in nontrivial:
+    for a in sorted(splits):
         b = full ^ a
-        if all(
-            not _masks_cross(a, b, t, full ^ t)
-            for t in splits
-            if t != a
+        if a.bit_count() >= 2 and b.bit_count() >= 2 and all(
+            not _masks_cross(a, b, t, full ^ t) for t in splits if t != a
         ):
-            strong = a
-            break
-    if strong is None:
-        return [adj], []
-    amask = strong
-    bmask = full ^ amask
-    side_a = {nodes[i] for i in range(len(nodes)) if amask >> i & 1}
-    side_b = {nodes[i] for i in range(len(nodes)) if bmask >> i & 1}
-    boundary_a = {v for v in side_a if adj[v] & side_b}
-    boundary_b = {v for v in side_b if adj[v] & side_a}
-    pid = next(pair_counter)
-    ma = ("s", pid, 0)
-    mb = ("s", pid, 1)
-    adj_a = {v: (adj[v] & side_a) | ({ma} if v in boundary_a else set()) for v in side_a}
-    adj_a[ma] = set(boundary_a)
-    adj_b = {v: (adj[v] & side_b) | ({mb} if v in boundary_b else set()) for v in side_b}
-    adj_b[mb] = set(boundary_b)
-    comps_a, pairs_a = _decompose_adj(adj_a, pair_counter)
-    comps_b, pairs_b = _decompose_adj(adj_b, pair_counter)
-    return comps_a + comps_b, pairs_a + pairs_b + [(ma, mb)]
+            return {v for k, v in enumerate(nodes) if a >> k & 1}
+    return None
 
 
-def _marker_sort_key(node) -> tuple:
-    if isinstance(node, tuple):
-        return (1, node[1], node[2])
-    return (0, node, 0)
+def _split_primes(q: Qasst) -> None:
+    """Split every quotient along nontrivial strong splits until none is left.
 
-
-def _qasst_from_adj_components(components: list[dict], pairs: list[tuple]) -> Qasst:
-    """Assemble a Qasst from decomposed components and marker pairs."""
-    marker_home = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            if isinstance(v, tuple):
-                marker_home[v] = ci
-
-    def comp_order_key(ci: int):
-        leaves = [v for v in components[ci] if isinstance(v, int)]
-        if leaves:
-            return (1, min(leaves))
-        return (0, ci)
-
-    order = sorted(range(len(components)), key=comp_order_key)
-    newindex = {ci: i for i, ci in enumerate(order)}
-    marker_name: dict[tuple, SplitNode] = {}
-    for ma, mb in pairs:
-        qa = newindex[marker_home[ma]]
-        qb = newindex[marker_home[mb]]
-        marker_name[ma] = SplitNode(qa, qb)
-        marker_name[mb] = SplitNode(qb, qa)
-
-    def rename(v) -> Node:
-        return marker_name[v] if isinstance(v, tuple) else v
-
-    quotients = {}
-    for ci, comp in enumerate(components):
-        edges = set()
-        for v, nb in comp.items():
-            for w in nb:
-                edges.add(frozenset((rename(v), rename(w))))
-        quotients[newindex[ci]] = QuotientGraph((rename(v) for v in comp), edges)
-    return Qasst(quotients)
+    Only prime quotients can hold one: a star or complete quotient is
+    final.  The search is the brute-force enumeration of
+    :func:`_all_split_masks`, exponential in the quotient size.
+    """
+    work = list(q.quotients)
+    while work:
+        i = work.pop()
+        quot = q.quotients[i]
+        if classify_quotient(quot).kind != PRIME:
+            continue
+        side = _strong_side(quot)
+        if side is not None:
+            work += [i, q.split_off(i, side)]
 
 
 def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
     """Reference decomposition by explicit strong-split search.
 
     Exponential in the component sizes; used as the independent oracle in
-    tests and on the small irreducible kernels of the production path.
+    tests.  The production path runs the same search on the irreducible
+    kernel only.
     """
     if g.n < 1:
         raise ValueError("decomposition needs n >= 1")
     if not is_connected(g):
         raise NotConnectedError("decomposition requires a connected graph")
-    components, pairs = _decompose_adj(_graph_adj_dict(g), itertools.count())
-    q = _qasst_from_adj_components(components, pairs)
+    q = single_quotient_qasst(g)
+    _split_primes(q)
+    q = q.normalize()
     q.validate()
     return q
 
@@ -659,28 +642,23 @@ def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
 def compute_qasst(g: SimpleGraph) -> Qasst:
     """The unique minimal split decomposition of a connected graph.
 
-    Fast path: strip pendants/twins down to an irreducible kernel, decompose
-    the kernel by explicit split search, then replay the stripped
-    extensions forward through the quotient tree.  For distance-hereditary
-    graphs the kernel is a single vertex and no split search happens.
+    Fast path: strip pendants/twins down to an irreducible kernel, split
+    the kernel by explicit strong-split search, then replay the stripped
+    extensions forward, in place on the one tree.  Every quotient is
+    created by :meth:`Qasst.split_off`.  For distance-hereditary graphs
+    the kernel is a single vertex and no split search happens.
     """
     if g.n < 1:
         raise ValueError("decomposition needs n >= 1")
     if not is_connected(g):
         raise NotConnectedError("decomposition requires a connected graph")
-    if g.n <= 2:
-        return single_quotient_qasst(g)
     kernel, trace = eliminate_extensions(g)
-    if len(kernel) == 1:
-        root = next(iter(kernel))
-        q = Qasst({0: QuotientGraph([root])})
-    else:
-        comps, pairs = _decompose_adj(kernel, itertools.count())
-        q = _qasst_from_adj_components(comps, pairs)
+    q = Qasst({0: QuotientGraph(kernel, ((u, v) for u in kernel for v in kernel[u] if u < v))})
+    _split_primes(q)
     from . import qasst_ops  # deferred: qasst_ops builds on this module
 
     for kind, anchor, removed in reversed(trace):
-        q = qasst_ops.extend_with_label(q, kind, anchor, removed)
+        qasst_ops._extend_in_place(q, kind, anchor, removed)
     q = q.normalize()
     q.validate()
     return q
@@ -734,14 +712,16 @@ def _node_from_json(nj) -> Node:
 
 def from_json_dict(data: dict) -> Qasst:
     quotients = {}
-    for i, qd in enumerate(data["quotients"]):
-        nodes: list[Node] = [int(v) for v in qd["leaf_nodes"]]
-        nodes += [SplitNode(int(s["i"]), int(s["j"])) for s in qd["split_nodes"]]
-        edges = {
-            frozenset((_node_from_json(a), _node_from_json(b)))
-            for a, b in qd["edges"]
-        }
-        quotients[i] = QuotientGraph(nodes, edges)
+    try:
+        for i, qd in enumerate(data["quotients"]):
+            nodes: list[Node] = [int(v) for v in qd["leaf_nodes"]]
+            nodes += [SplitNode(int(s["i"]), int(s["j"])) for s in qd["split_nodes"]]
+            edges = [(_node_from_json(a), _node_from_json(b)) for a, b in qd["edges"]]
+            quotients[i] = QuotientGraph(nodes, edges)
+    except MalformedQasstError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedQasstError(f"malformed QASST JSON: {type(exc).__name__}: {exc}") from exc
     q = Qasst(quotients)
     q.validate()
     return q

@@ -7,8 +7,8 @@ Three ways a quotient tree evolves without being recomputed from scratch:
 - :func:`induced_qasst`: deleting vertices, then re-merging quotient pairs
   whose connecting split stopped being strong.
 - :func:`extend`: one-vertex extensions (pendant / false twin / true twin),
-  where the anchor's quotient either grows in place or splits off a fresh
-  three-node quotient.
+  where the new vertex joins the anchor's quotient, and {anchor, new} is
+  split off into a fresh three-node quotient if that quotient turned prime.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidVertexError, MalformedQasstError, NotConnectedError
+from .errors import InvalidVertexError, NotConnectedError
 from .graphs import SimpleGraph, induced_subgraph, is_connected, neighborhood
 from .qasst import (
     COMPLETE,
     PRIME,
-    STAR,
     STAR_CENTER,
     STAR_SPOKE,
     Qasst,
-    QuotientGraph,
     SplitNode,
     classify_quotient,
     join_validity,
@@ -130,40 +128,19 @@ def _first_merge_edge(q: Qasst):
 
 
 def _merge_tree_edge(q: Qasst, edge) -> None:
+    """Merge quotient sb.i into sa.i across the pair; inverse of ``split_off``."""
     sa, sb = edge
-    i, j = sa.i, sb.i
-    qa = q.quotients[i]
-    qb = q.quotients[j]
+    qa = q.quotients[sa.i]
+    qb = q.quotients.pop(sb.i)
     na = qa.neighbors(sa)
     nb = qb.neighbors(sb)
     qa.remove_node(sa)
     qb.remove_node(sb)
-    # Re-home quotient j's remaining split-nodes (and their partners) to i.
-    rename = {s: SplitNode(i, s.j) for s in qb.split_nodes()}
-    for old, new in rename.items():
-        partner_quot = q.quotients[old.j]
-        _rename_node(partner_quot, old.partner, new.partner)
-    _apply_rename(qb, rename)
-    nb = {rename.get(v, v) for v in nb}
-    qa.nodes |= qb.nodes
-    qa.edges |= qb.edges
+    moves = q.rehome(qb, sa.i)
+    qa.adj.update(qb.adj)
     for u in na:
         for w in nb:
-            qa.add_edge(u, w)
-    del q.quotients[j]
-
-
-def _rename_node(quot: QuotientGraph, old, new) -> None:
-    quot.nodes.discard(old)
-    quot.nodes.add(new)
-    quot.edges = {
-        frozenset(new if v == old else v for v in e) for e in quot.edges
-    }
-
-
-def _apply_rename(quot: QuotientGraph, rename: dict) -> None:
-    quot.nodes = {rename.get(v, v) for v in quot.nodes}
-    quot.edges = {frozenset(rename.get(v, v) for v in e) for e in quot.edges}
+            qa.add_edge(u, moves.get(w, w))
 
 
 # -- one-vertex extensions ---------------------------------------------------
@@ -178,121 +155,52 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
     return out
 
 
-def extend_with_label(q: Qasst, kind: str, anchor: int, new_label: int) -> Qasst:
-    """Extension with an arbitrary (unused) new leaf label; internal."""
-    out, _ = extend_with_subcase(q, kind, anchor, new_label)
-    return out
-
-
 def extend_with_subcase(
     q: Qasst, kind: str, anchor: int, new: int
 ) -> tuple[Qasst, str]:
-    """Apply one extension subcase; returns the tree and the subcase id.
+    """Apply one extension to a copy of q; returns the tree and the subcase id.
 
     Subcase ids follow the quotient shape at the anchor: 1 = star center,
     2 = star spoke, 3 = complete, 4 = prime; a/b/c = pendant / false twin /
     true twin.  One- and two-node quotients (necessarily the whole tree)
-    grow in place.
+    give ``degenerate-1`` / ``degenerate-2``.
+    """
+    out = q.copy()
+    return out, _extend_in_place(out, kind, anchor, new)
+
+
+_SHAPE_DIGIT = {STAR_CENTER: "1", STAR_SPOKE: "2", COMPLETE: "3", PRIME: "4"}
+
+
+def _extend_in_place(q: Qasst, kind: str, anchor: int, new: int) -> str:
+    """Add leaf ``new`` to q as a pendant/twin of ``anchor``; returns the subcase id.
+
+    ``new`` joins the anchor's quotient.  If that quotient turns prime,
+    {anchor, new} is a nontrivial strong split of it (Bandelt & Mulder
+    1986) and is split off into a new three-node quotient.
     """
     if kind not in EXTENSION_KINDS:
         raise ValueError(f"unknown extension kind {kind!r}")
-    out = q.copy()
-    if new in out.leaves():
+    if any(new in quot.adj for quot in q.quotients.values()):
         raise InvalidVertexError(f"vertex {new} already present")
-    i = out.leaf_quotient(anchor)
-    quot = out.quotients[i]
-    m = len(quot.nodes)
-
-    if m == 1:
-        if kind == FALSE_TWIN:
-            raise NotConnectedError("false twin of an isolated vertex disconnects")
-        quot.nodes.add(new)
-        quot.add_edge(anchor, new)
-        return out, "degenerate-1"
-    if m == 2:
-        other = next(iter(quot.nodes - {anchor}))
-        quot.nodes.add(new)
-        if kind == PENDANT:
-            quot.add_edge(anchor, new)
-        elif kind == FALSE_TWIN:
-            quot.add_edge(other, new)
-        else:
-            quot.add_edge(anchor, new)
-            quot.add_edge(other, new)
-        return out, "degenerate-2"
-
-    shape = classify_quotient(quot)
-    if shape.kind == STAR and anchor == shape.center:
-        if kind == PENDANT:  # 1a: grow a spoke
-            quot.nodes.add(new)
-            quot.add_edge(anchor, new)
-            return out, "1a"
-        if kind == FALSE_TWIN:  # 1b: split off an sc triple {anchor, new}
-            _split_off(out, i, anchor, new, "sc")
-            return out, "1b"
-        _split_off(out, i, anchor, new, "k3")  # 1c
-        return out, "1c"
-    if shape.kind == STAR:
-        if kind == PENDANT:  # 2a: split off an ss triple centered at anchor
-            _split_off(out, i, anchor, new, "ss")
-            return out, "2a"
-        if kind == FALSE_TWIN:  # 2b: grow a spoke
-            quot.nodes.add(new)
-            quot.add_edge(shape.center, new)
-            return out, "2b"
-        _split_off(out, i, anchor, new, "k3")  # 2c
-        return out, "2c"
-    if shape.kind == COMPLETE:
-        if kind == PENDANT:  # 3a
-            _split_off(out, i, anchor, new, "ss")
-            return out, "3a"
-        if kind == FALSE_TWIN:  # 3b
-            _split_off(out, i, anchor, new, "sc")
-            return out, "3b"
-        existing = sorted(quot.nodes, key=lambda v: (isinstance(v, SplitNode), str(v)))
-        quot.nodes.add(new)  # 3c: grow a fully connected vertex
-        for w in existing:
-            quot.add_edge(w, new)
-        return out, "3c"
-    # Prime quotient: always splits.
-    if kind == PENDANT:
-        _split_off(out, i, anchor, new, "ss")
-        return out, "4a"
-    if kind == FALSE_TWIN:
-        _split_off(out, i, anchor, new, "sc")
-        return out, "4b"
-    _split_off(out, i, anchor, new, "k3")
-    return out, "4c"
-
-
-def _split_off(q: Qasst, i: int, anchor: int, new: int, shape: str) -> None:
-    """Replace the anchor by a split-node and attach a 3-node quotient.
-
-    The new quotient holds {anchor, new, split-node} shaped as star-spoke
-    ("ss", center anchor), star-center ("sc", center split-node), or a
-    triangle ("k3").
-    """
-    m = max(q.quotients) + 1
-    s_im = SplitNode(i, m)
-    s_mi = SplitNode(m, i)
+    i = q.leaf_quotient(anchor)
     quot = q.quotients[i]
-    nbrs = quot.neighbors(anchor)
-    quot.remove_node(anchor)
-    quot.nodes.add(s_im)
-    for w in nbrs:
-        quot.add_edge(s_im, w)
-    q2 = QuotientGraph([anchor, new, s_mi])
-    if shape == "ss":
-        q2.add_edge(anchor, new)
-        q2.add_edge(anchor, s_mi)
-    elif shape == "sc":
-        q2.add_edge(s_mi, anchor)
-        q2.add_edge(s_mi, new)
+    if len(quot.nodes) <= 2:
+        subcase = f"degenerate-{len(quot.nodes)}"
     else:
-        q2.add_edge(anchor, new)
-        q2.add_edge(anchor, s_mi)
-        q2.add_edge(new, s_mi)
-    q.quotients[m] = q2
+        shape = classify_quotient(quot, anchor).kind
+        subcase = _SHAPE_DIGIT[shape] + "abc"[EXTENSION_KINDS.index(kind)]
+    nbrs = {anchor} if kind == PENDANT else quot.neighbors(anchor)
+    if kind == TRUE_TWIN:
+        nbrs.add(anchor)
+    if not nbrs:
+        raise NotConnectedError("false twin of an isolated vertex disconnects")
+    quot.adj[new] = set()
+    for w in nbrs:
+        quot.add_edge(new, w)
+    if classify_quotient(quot).kind == PRIME:
+        q.split_off(i, {anchor, new})
+    return subcase
 
 
 def extend_graph(g: SimpleGraph, kind: str, anchor: int) -> SimpleGraph:

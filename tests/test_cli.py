@@ -148,3 +148,26 @@ class TestBudgetEnv:
         monkeypatch.setenv("LCSPLIT_BUDGET", "zero")
         code, _ = run(capsys, "orbit", "size", "--input", str(path))
         assert code == cli.EXIT_USAGE
+
+
+_BAD_GRAPHS = ['{}', '{"n": 3}', '[1, 2]', '{"n": "x", "edges": []}', '{"n": 3, "edges": [[1]]}']
+_BAD_TREES = [
+    '{}',
+    '{"quotients": [{"leaf_nodes": [1], "edges": []}], "tree_edges": []}',
+    '{"quotients": [{"leaf_nodes": [1], "split_nodes": [{"i": 0}], "edges": []}]}',
+    '{"quotients": [{"leaf_nodes": ["a"], "split_nodes": [], "edges": []}]}',
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, text",
+        [("decompose", t) for t in _BAD_GRAPHS] + [("reconstruct", t) for t in _BAD_TREES],
+    )
+    def test_usage_error_not_traceback(self, tmp_path, capsys, command, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code = cli.main([command, "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("lcsplit: ")

@@ -15,6 +15,7 @@ from lcsplit.families import (
     star_graph,
 )
 from lcsplit.graphs import SimpleGraph, apply_sequence, local_complement
+from lcsplit.qasst_ops import random_dh
 from lcsplit.qasst import (
     COMPLETE,
     PRIME,
@@ -128,6 +129,35 @@ class TestComputeQasst:
             sides = compute_qasst(g).strong_split_sides()
             h = apply_sequence(g, [rng.randint(1, g.n) for _ in range(4)])
             assert compute_qasst(h).strong_split_sides() == sides
+
+
+class TestNormalize:
+    @staticmethod
+    def sample_graphs():
+        rng = random.Random(77)
+        for seed in range(40):
+            yield random_dh(rng.randint(8, 14), seed)[0]
+        for _ in range(40):
+            yield random_connected_graph(rng.randint(6, 10), rng, rng.uniform(0.2, 0.7))
+
+    def test_both_decompositions_serialize_identically(self):
+        for g in self.sample_graphs():
+            assert to_json_dict(compute_qasst(g)) == to_json_dict(compute_qasst_by_splits(g))
+
+    def test_ignores_quotient_numbering(self):
+        rng = random.Random(78)
+        for g in self.sample_graphs():
+            q = compute_qasst(g)
+            labels = rng.sample(range(100), len(q.quotients))
+            relabel = dict(zip(q.quotients, labels))
+            shuffled = {}
+            for i, quot in q.quotients.items():
+                quot = quot.copy()
+                quot.rename({s: SplitNode(relabel[s.i], relabel[s.j]) for s in quot.split_nodes()})
+                shuffled[relabel[i]] = quot
+            renumbered = Qasst(shuffled)
+            renumbered.validate()
+            assert to_json_dict(renumbered.normalize()) == to_json_dict(q)
 
 
 class TestClassification:

@@ -14,7 +14,7 @@ from lcsplit.graphs import (
     local_complement,
     neighborhood,
 )
-from lcsplit.qasst import compute_qasst, reconstruct
+from lcsplit.qasst import compute_qasst, reconstruct, to_json_dict
 from lcsplit.qasst_ops import (
     EXTENSION_KINDS,
     FALSE_TWIN,
@@ -165,6 +165,29 @@ class TestExtend:
         q = compute_qasst(path_graph(3))
         with pytest.raises(InvalidVertexError):
             extend(q, ExtensionKind(PENDANT, 1), 3)
+
+
+class TestInputUnchanged:
+    def test_operations_leave_input_tree_alone(self):
+        rng = random.Random(47)
+        for trial in range(60):
+            if trial % 2:
+                g = random_connected_graph(rng.randint(3, 9), rng, rng.uniform(0.2, 0.8))
+            else:
+                g, _ = random_dh(rng.randint(3, 12), rng.random())
+            q = compute_qasst(g)
+            before = (to_json_dict(q), repr(q))
+            v = rng.randint(1, g.n)
+            lc_propagate(q, v)
+            for kind in EXTENSION_KINDS:
+                if kind == FALSE_TWIN and not neighborhood(g, v):
+                    continue
+                extend(q, ExtensionKind(kind, v), g.n + 1)
+                extend_with_subcase(q, kind, v, g.n + 1)
+            keep = [u for u in range(1, g.n + 1) if u != v]
+            if is_connected(induced_subgraph(g, keep)[0]):
+                induced_qasst(q, keep)
+            assert (to_json_dict(q), repr(q)) == before
 
 
 class TestRandomDh:
