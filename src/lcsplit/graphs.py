@@ -22,6 +22,9 @@ LcSequence = Sequence[int]
 
 _ISO_MAX_VERTICES = 16
 
+# Largest n accepted from JSON, checked before the per-vertex table is allocated.
+MAX_VERTICES = 100_000
+
 
 class SimpleGraph:
     """Undirected simple graph on vertex set {1..n}."""
@@ -106,11 +109,11 @@ def degree(g: SimpleGraph, v: int) -> int:
 
 
 def max_degree(g: SimpleGraph) -> int:
-    return max((degree(g, v) for v in range(1, g.n + 1)), default=0)
+    return max(mask.bit_count() for mask in g._adj)
 
 
 def edge_count(g: SimpleGraph) -> int:
-    return sum(degree(g, v) for v in range(1, g.n + 1)) // 2
+    return sum(mask.bit_count() for mask in g._adj) // 2
 
 
 def is_connected(g: SimpleGraph) -> bool:
@@ -148,13 +151,21 @@ def induced_subgraph(g: SimpleGraph, keep: Iterable[int]) -> tuple[SimpleGraph, 
 # -- local complementation -------------------------------------------------
 
 
+def _lc_adj(adj: tuple, v: int) -> tuple:
+    """The adjacency tuple with every edge among the neighbors of v toggled."""
+    nb = rest = adj[v]
+    out = list(adj)
+    while rest:
+        low = rest & -rest
+        out[low.bit_length() - 1] ^= nb ^ low
+        rest ^= low
+    return tuple(out)
+
+
 def local_complement(g: SimpleGraph, v: int) -> SimpleGraph:
     """Toggle every edge among the neighbors of v."""
-    nb = g.neighborhood_mask(v)
-    adj = list(g._adj)
-    for u in _bits(nb):
-        adj[u] ^= nb & ~(1 << u)
-    return SimpleGraph._from_adj(g.n, adj)
+    g._check_vertex(v)
+    return SimpleGraph._from_adj(g.n, _lc_adj(g._adj, v))
 
 
 def apply_sequence(g: SimpleGraph, f: LcSequence) -> SimpleGraph:
@@ -185,29 +196,33 @@ def canonical_key(g: SimpleGraph) -> bytes:
     return ";".join(parts).encode("ascii")
 
 
-def _iso_invariant(g: SimpleGraph, v: int) -> tuple:
-    nbr_degs = sorted(degree(g, u) for u in _bits(g.neighborhood_mask(v)))
-    return (degree(g, v), tuple(nbr_degs))
+def _iso_invariants(g: SimpleGraph) -> list[tuple]:
+    """(degree, sorted neighbor degrees) per vertex; entry 0 is (0, ()) in every graph."""
+    deg = [mask.bit_count() for mask in g._adj]
+    return [(d, tuple(sorted(deg[u] for u in _bits(mask)))) for d, mask in zip(deg, g._adj)]
 
 
 def find_isomorphism(g: SimpleGraph, h: SimpleGraph) -> Optional[dict[int, int]]:
     """An edge-preserving bijection g -> h, or None.
 
-    Backtracking with a degree / neighbor-degree pre-filter; inputs above
-    16 vertices are rejected.
+    Backtracking with a degree / neighbor-degree pre-filter; a search on
+    more than 16 vertices is rejected.
     """
     if g.n != h.n:
         return None
+    g_inv, h_inv = _iso_invariants(g), _iso_invariants(h)
+    if sorted(g_inv) != sorted(h_inv):
+        return None
+    return _match(g, g_inv, h, h_inv)
+
+
+def _match(g: SimpleGraph, g_inv: list, h: SimpleGraph, h_inv: list) -> Optional[dict[int, int]]:
+    """find_isomorphism's search, given both invariant tables with equal sorted values."""
     if g.n > _ISO_MAX_VERTICES:
         raise SizeLimitError(
             f"isomorphism search limited to {_ISO_MAX_VERTICES} vertices, got {g.n}"
         )
-    if edge_count(g) != edge_count(h):
-        return None
-    g_inv = {v: _iso_invariant(g, v) for v in range(1, g.n + 1)}
-    h_inv = {v: _iso_invariant(h, v) for v in range(1, h.n + 1)}
-    if sorted(g_inv.values()) != sorted(h_inv.values()):
-        return None
+    g_adj, h_adj = g._adj, h._adj
 
     # Order g's vertices so each one (after the first) touches an already
     # mapped vertex when possible; rarest invariant first breaks ties.
@@ -215,8 +230,7 @@ def find_isomorphism(g: SimpleGraph, h: SimpleGraph) -> Optional[dict[int, int]]
     placed = 0
     remaining = set(range(1, g.n + 1))
     while remaining:
-        adjacent = [v for v in remaining if g.neighborhood_mask(v) & placed]
-        pool = adjacent if adjacent else list(remaining)
+        pool = [v for v in remaining if g_adj[v] & placed] or list(remaining)
         v = min(pool, key=lambda v: (g_inv[v], v))
         order.append(v)
         remaining.discard(v)
@@ -229,15 +243,12 @@ def find_isomorphism(g: SimpleGraph, h: SimpleGraph) -> Optional[dict[int, int]]
         if i == len(order):
             return True
         v = order[i]
+        gv = g_adj[v]
         for w in range(1, h.n + 1):
             if used[w] or h_inv[w] != g_inv[v]:
                 continue
-            ok = True
-            for u, x in mapping.items():
-                if g.has_edge(v, u) != h.has_edge(w, x):
-                    ok = False
-                    break
-            if not ok:
+            hw = h_adj[w]
+            if any((gv >> u & 1) != (hw >> x & 1) for u, x in mapping.items()):
                 continue
             mapping[v] = w
             used[w] = True
@@ -247,9 +258,7 @@ def find_isomorphism(g: SimpleGraph, h: SimpleGraph) -> Optional[dict[int, int]]
             used[w] = False
         return False
 
-    if backtrack(0):
-        return dict(mapping)
-    return None
+    return dict(mapping) if backtrack(0) else None
 
 
 def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -265,10 +274,13 @@ def to_json_dict(g: SimpleGraph) -> dict:
 
 def from_json_dict(data: dict) -> SimpleGraph:
     try:
-        return SimpleGraph(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+        n = int(data["n"])
+        if n > MAX_VERTICES:
+            raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices")
+        return SimpleGraph(n, [(int(u), int(v)) for u, v in data["edges"]])
     except LcsplitError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpecError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc
 
 

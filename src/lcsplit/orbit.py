@@ -2,25 +2,26 @@
 
 The orbit of a graph is its closure under the n primitive local
 complements.  Enumeration is a breadth-first search over labeled graphs,
-de-duplicated by canonical key, and serves as the ground-truth oracle for
-every closed-form count in :mod:`lcsplit.counting`.
+de-duplicated on the adjacency tuple ``SimpleGraph._adj`` and keyed by
+canonical key once closed, and serves as the ground-truth oracle for every
+closed-form count in :mod:`lcsplit.counting`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceededError, NotEquivalentError
+from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError
 from .graphs import (
-    LcSequence,
     SimpleGraph,
+    _iso_invariants,
+    _lc_adj,
+    _match,
     apply_sequence,
     canonical_key,
     edge_count,
-    find_isomorphism,
-    local_complement,
     max_degree,
 )
 
@@ -31,9 +32,9 @@ DEFAULT_BUDGET = 10**6
 class Orbit:
     """A fully enumerated LC orbit.
 
-    ``members`` maps canonical key -> graph.  ``parent`` (kept only when
-    requested) maps a member's key to (predecessor key, pivot vertex) for
-    transformation extraction; the base maps to None.
+    ``members`` maps canonical key -> graph, in BFS order.  ``parent`` (kept
+    only when requested) maps a member's key to (predecessor key, pivot
+    vertex) for transformation extraction; the base maps to None.
     """
 
     base: SimpleGraph
@@ -44,7 +45,7 @@ class Orbit:
         return len(self.members)
 
     def __contains__(self, g: SimpleGraph) -> bool:
-        return canonical_key(g) in self.members
+        return g in self.members.values()
 
     def sorted_members(self) -> list[SimpleGraph]:
         return [self.members[k] for k in sorted(self.members)]
@@ -60,28 +61,31 @@ def enumerate_orbit(
     would exceed ``limit``.
     """
     if g.n < 1:
-        raise ValueError("orbit enumeration needs n >= 1")
+        raise InvalidSpecError("orbit enumeration needs n >= 1")
     if limit < 1:
         raise ValueError("budget must be >= 1")
-    base_key = canonical_key(g)
-    members: dict[bytes, SimpleGraph] = {base_key: g}
-    parent: Optional[dict[bytes, Optional[tuple[bytes, int]]]] = (
-        {base_key: None} if track_parents else None
-    )
-    queue: deque[tuple[bytes, SimpleGraph]] = deque([(base_key, g)])
+    # adjacency tuple -> (predecessor tuple, pivot) or None, in BFS order
+    seen: dict[tuple, Optional[tuple]] = {g._adj: None}
+    queue = deque(seen)
     while queue:
-        key, cur = queue.popleft()
+        cur = queue.popleft()
         for v in range(1, g.n + 1):
-            nxt = local_complement(cur, v)
-            nkey = canonical_key(nxt)
-            if nkey in members:
-                continue
-            if len(members) >= limit:
-                raise BudgetExceededError(len(members), limit)
-            members[nkey] = nxt
-            if parent is not None:
-                parent[nkey] = (key, v)
-            queue.append((nkey, nxt))
+            nxt = _lc_adj(cur, v)
+            if nxt not in seen:
+                if len(seen) >= limit:
+                    raise BudgetExceededError(len(seen), limit)
+                seen[nxt] = (cur, v) if track_parents else None
+                queue.append(nxt)
+    members: dict[bytes, SimpleGraph] = {}
+    parent = {} if track_parents else None
+    for adj, entry in seen.items():
+        member = SimpleGraph._from_adj(g.n, adj)
+        key = canonical_key(member)
+        members[key] = member
+        if parent is not None:
+            # Predecessors come first, so seen[pred] already holds pred's key.
+            parent[key] = None if entry is None else (seen[entry[0]], entry[1])
+            seen[adj] = key
     return Orbit(base=g, members=members, parent=parent)
 
 
@@ -93,10 +97,7 @@ def are_lc_equivalent(g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGE
     """
     if g.n != h.n:
         return False
-    target = canonical_key(h)
-    if target == canonical_key(g):
-        return True
-    return target in enumerate_orbit(g, limit=limit).members
+    return g == h or h in enumerate_orbit(g, limit=limit)
 
 
 def transformation_between(
@@ -106,16 +107,12 @@ def transformation_between(
     if g.n != h.n:
         raise NotEquivalentError("graphs have different vertex counts")
     orbit = enumerate_orbit(g, limit=limit, track_parents=True)
-    target = canonical_key(h)
-    if target not in orbit.members:
+    key = next((k for k, member in orbit.members.items() if member == h), None)
+    if key is None:
         raise NotEquivalentError("graphs are not LC-equivalent")
     assert orbit.parent is not None
     steps: list[int] = []
-    key = target
-    while True:
-        entry = orbit.parent[key]
-        if entry is None:
-            break
+    while (entry := orbit.parent[key]) is not None:
         key, v = entry
         steps.append(v)
     steps.reverse()
@@ -129,25 +126,21 @@ def orbit_iso_classes(o: Orbit) -> list[tuple[SimpleGraph, int]]:
     Returns (representative, multiplicity) pairs; representatives are the
     canonical-key-least member of each class, listed in key order.
     """
-    buckets: dict[tuple, list[SimpleGraph]] = {}
-    for g in o.sorted_members():
-        degs = sorted(
-            g.neighborhood_mask(v).bit_count() for v in range(1, g.n + 1)
-        )
-        buckets.setdefault((g.n, tuple(degs)), []).append(g)
-    classes: list[tuple[SimpleGraph, int]] = []
-    for _, graphs in buckets.items():
-        reps: list[tuple[SimpleGraph, int]] = []
-        for g in graphs:
-            for i, (rep, count) in enumerate(reps):
-                if find_isomorphism(rep, g) is not None:
-                    reps[i] = (rep, count + 1)
-                    break
-            else:
-                reps.append((g, 1))
-        classes.extend(reps)
-    classes.sort(key=lambda pair: canonical_key(pair[0]))
-    return classes
+    # One invariant table per member; members with different sorted tables
+    # are never isomorphic.  A class is [key, rep, rep's table, count].
+    buckets: dict[tuple, list[list]] = {}
+    for key in sorted(o.members):
+        g = o.members[key]
+        inv = _iso_invariants(g)
+        reps = buckets.setdefault(tuple(sorted(inv)), [])
+        for rep in reps:
+            if _match(rep[1], rep[2], g, inv) is not None:
+                rep[3] += 1
+                break
+        else:
+            reps.append([key, g, inv, 1])
+    classes = sorted((rep for reps in buckets.values() for rep in reps), key=lambda rep: rep[0])
+    return [(rep, count) for _, rep, _, count in classes]
 
 
 def min_edge_member(o: Orbit) -> tuple[SimpleGraph, int]:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import (
+    InvalidSpecError,
     MalformedQasstError,
     NotConnectedError,
     SizeLimitError,
@@ -629,7 +630,7 @@ def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
     kernel only.
     """
     if g.n < 1:
-        raise ValueError("decomposition needs n >= 1")
+        raise InvalidSpecError("decomposition needs n >= 1")
     if not is_connected(g):
         raise NotConnectedError("decomposition requires a connected graph")
     q = single_quotient_qasst(g)
@@ -649,7 +650,7 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
     the kernel is a single vertex and no split search happens.
     """
     if g.n < 1:
-        raise ValueError("decomposition needs n >= 1")
+        raise InvalidSpecError("decomposition needs n >= 1")
     if not is_connected(g):
         raise NotConnectedError("decomposition requires a connected graph")
     kernel, trace = eliminate_extensions(g)

@@ -1,10 +1,15 @@
 """End-to-end tests of the lcsplit command-line interface."""
 
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcsplit import cli
+from lcsplit import cli, graphs
 from lcsplit.graphs import SimpleGraph, from_json_dict
 
 
@@ -171,3 +176,68 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == cli.EXIT_USAGE
         assert err.startswith("lcsplit: ")
+
+
+class TestSizeCap:
+    def test_over_limit_graph_exits_two_before_allocation(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SimpleGraph built for an over-limit n")
+
+        monkeypatch.setattr(graphs, "SimpleGraph", refuse)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**15, "edges": [[1, 2]]}))
+        for command in (["decompose"], ["orbit", "size"]):
+            assert cli.main(command + ["--input", str(path)]) == cli.EXIT_USAGE
+            assert f"limited to {graphs.MAX_VERTICES} vertices" in capsys.readouterr().err
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=9)
+    | st.sampled_from([10**15, -(10**15), 2**64])
+    | st.floats(min_value=-20, max_value=20)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e300])
+    | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "edges", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+_PAIRS = st.lists(st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=2), max_size=12)
+_GRAPHISH = st.fixed_dictionaries(
+    {"n": st.integers(min_value=-1, max_value=6) | _JSON,
+     "edges": _PAIRS | st.lists(st.lists(_SCALARS, max_size=3), max_size=6) | _JSON}
+)
+_WELL_FORMED = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {"n": st.just(n),
+         "edges": st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2), max_size=12)}
+    )
+)
+_GARBAGE = st.one_of(
+    _WELL_FORMED.map(json.dumps),
+    _GRAPHISH.map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(max_size=30),
+)
+
+
+class TestGarbageGraphFuzz:
+    """decompose / orbit size on garbage graph JSON exit 0, 2 or 3, never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GARBAGE, st.sampled_from([["decompose"], ["orbit", "size", "--limit", "10"]]))
+    def test_exit_code_is_in_contract(self, text, command):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            stdin, sys.stdin = sys.stdin, io.StringIO(text)
+            try:
+                code = cli.main(command + ["--input", "-"])
+            finally:
+                sys.stdin = stdin
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_BUDGET)
+        if code != cli.EXIT_OK:
+            assert err.getvalue().startswith("lcsplit: ")

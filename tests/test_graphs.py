@@ -1,5 +1,6 @@
 """Graph core: local complements, pivots, canonical keys, isomorphism."""
 
+import itertools
 import json
 import random
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_connected_graph
-from lcsplit.errors import InvalidVertexError, NotAnEdgeError
+from lcsplit import graphs
+from lcsplit.errors import InvalidVertexError, NotAnEdgeError, SizeLimitError
 from lcsplit.graphs import (
+    MAX_VERTICES,
     SimpleGraph,
     apply_sequence,
     canonical_key,
@@ -165,3 +168,36 @@ class TestSerialization:
         g = SimpleGraph(3, [(1, 2), (2, 3)])
         dot = to_dot(g)
         assert "1 -- 2" in dot and "2 -- 3" in dot
+
+
+class TestAdjacencyReads:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=2**36 - 1))
+    def test_local_complement_matches_edge_set_definition(self, n, bits):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        g = SimpleGraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+        for v in range(1, n + 1):
+            toggled = set(itertools.combinations(sorted(neighborhood(g, v)), 2))
+            assert local_complement(g, v) == SimpleGraph(n, set(g.edges()) ^ toggled)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=2**36 - 1))
+    def test_degree_counts_match_the_edge_list(self, n, bits):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        g = SimpleGraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+        assert edge_count(g) == len(g.edges())
+        assert max_degree(g) == max((len(neighborhood(g, v)) for v in range(1, n + 1)), default=0)
+
+
+class TestSizeCap:
+    def test_huge_n_is_refused_before_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SimpleGraph built for an over-limit n")
+
+        monkeypatch.setattr(graphs, "SimpleGraph", refuse)
+        for n in (MAX_VERTICES + 1, 10**15, "1" * 400, 1e300):
+            with pytest.raises(SizeLimitError):
+                from_json_dict({"n": n, "edges": []})
+
+    def test_limit_itself_is_accepted(self):
+        assert from_json_dict({"n": MAX_VERTICES, "edges": [[1, MAX_VERTICES]]}).n == MAX_VERTICES

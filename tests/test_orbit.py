@@ -1,21 +1,27 @@
 """Brute-force orbit oracle: enumeration, equivalence, representatives."""
 
+import itertools
 import random
+from collections import deque
 
 import pytest
 
-from helpers import random_connected_graph
+from helpers import all_connected_graphs, random_connected_graph
 from lcsplit.errors import BudgetExceededError, NotEquivalentError
 from lcsplit.families import complete_bipartite_graph, complete_graph, star_graph
 from lcsplit.graphs import (
     SimpleGraph,
+    _iso_invariants,
+    _match,
     apply_sequence,
     canonical_key,
     edge_count,
+    find_isomorphism,
     is_isomorphic,
     local_complement,
     max_degree,
 )
+from lcsplit.qasst import is_distance_hereditary
 from lcsplit.orbit import (
     are_lc_equivalent,
     enumerate_orbit,
@@ -102,3 +108,151 @@ class TestRepresentatives:
         best, edges = min_edge_member(o)
         candidates = [g for g in o.sorted_members() if edge_count(g) == edges]
         assert canonical_key(best) == min(canonical_key(g) for g in candidates)
+
+
+def _key_bfs(g, limit=10**6):
+    """Reference orbit BFS de-duplicated by canonical key: (members, parent)."""
+    base = canonical_key(g)
+    members, parent = {base: g}, {base: None}
+    queue = deque([(base, g)])
+    while queue:
+        key, cur = queue.popleft()
+        for v in range(1, g.n + 1):
+            nxt = local_complement(cur, v)
+            nkey = canonical_key(nxt)
+            if nkey not in members:
+                if len(members) >= limit:
+                    raise BudgetExceededError(len(members), limit)
+                members[nkey], parent[nkey] = nxt, (key, v)
+                queue.append((nkey, nxt))
+    return members, parent
+
+
+def _random_graphs(seed, sizes, per_size):
+    rng = random.Random(seed)
+    return [
+        random_connected_graph(n, rng, rng.choice([0.2, 0.4, 0.6]))
+        for n in sizes
+        for _ in range(per_size)
+    ]
+
+
+def _path_to(parent, key):
+    steps = []
+    while parent[key] is not None:
+        key, v = parent[key]
+        steps.append(v)
+    return steps[::-1]
+
+
+class TestAdjKeyedBfs:
+    """The adjacency-keyed BFS against a canonical-key BFS oracle."""
+
+    @staticmethod
+    def _check(g, rng):
+        members, parent = _key_bfs(g)
+        o = enumerate_orbit(g, track_parents=True)
+        assert list(o.members) == list(members)
+        assert list(o.members.values()) == list(members.values())
+        assert o.parent == parent
+        assert list(enumerate_orbit(g).members) == list(members)
+        keys = list(members)
+        for key in (keys[-1], rng.choice(keys)):
+            assert transformation_between(g, members[key]) == _path_to(parent, key)
+        limit = max(1, len(members) // 2)
+        if limit < len(members):
+            with pytest.raises(BudgetExceededError) as expected:
+                _key_bfs(g, limit)
+            with pytest.raises(BudgetExceededError) as got:
+                enumerate_orbit(g, limit=limit)
+            assert got.value.partial_count == expected.value.partial_count
+
+    def test_every_connected_graph_up_to_five_vertices(self):
+        rng = random.Random(0)
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                self._check(g, rng)
+
+    def test_seeded_random_graphs_six_to_eight_vertices(self):
+        rng = random.Random(1)
+        graphs = _random_graphs(2, (6, 7, 8), 2)
+        assert not all(is_distance_hereditary(g) for g in graphs)
+        for g in graphs:
+            self._check(g, rng)
+
+    def test_membership_is_by_adjacency(self):
+        o = enumerate_orbit(complete_bipartite_graph(2, 3))
+        for g in o.members.values():
+            assert g in o and SimpleGraph(g.n, g.edges()) in o
+        assert complete_graph(5) not in o
+        assert complete_graph(4) not in o
+
+
+def _is_isomorphism(g, h, phi):
+    """Whether phi is an edge-preserving bijection from g onto h."""
+    images = {(min(phi[a], phi[b]), max(phi[a], phi[b])) for a, b in g.edges()}
+    return sorted(phi.values()) == list(range(1, h.n + 1)) and images == set(h.edges())
+
+
+class TestIsoClassesDifferential:
+    """orbit_iso_classes against a pairwise is_isomorphic partition."""
+
+    @staticmethod
+    def _orbits():
+        """Two seeded orbits of at most 400 members for each n = 6, 7, 8."""
+        rng = random.Random(3)
+        orbits = []
+        for n in (6, 7, 8):
+            found = 0
+            while found < 2:
+                g = random_connected_graph(n, rng, rng.choice([0.2, 0.4, 0.6]))
+                try:
+                    orbits.append(enumerate_orbit(g, limit=400))
+                except BudgetExceededError:
+                    continue
+                found += 1
+        assert not all(is_distance_hereditary(o.base) for o in orbits)
+        return orbits
+
+    def test_matches_pairwise_partition(self):
+        for o in self._orbits():
+            classes: list[list] = []
+            for g in o.sorted_members():
+                for cls in classes:
+                    phi = find_isomorphism(cls[0], g)
+                    if phi is not None:
+                        assert _is_isomorphism(cls[0], g, phi)
+                        cls[1] += 1
+                        break
+                else:
+                    classes.append([g, 1])
+            classes.sort(key=lambda cls: canonical_key(cls[0]))
+            assert orbit_iso_classes(o) == [tuple(cls) for cls in classes]
+
+    def test_matches_brute_force_forms_on_six_vertices(self):
+        perms = list(itertools.permutations(range(1, 7)))
+        for o in self._orbits()[:2]:
+            forms: dict[bytes, list] = {}
+            for key in sorted(o.members):
+                g = o.members[key]
+                form = min(
+                    canonical_key(SimpleGraph(6, [(p[a - 1], p[b - 1]) for a, b in g.edges()]))
+                    for p in perms
+                )
+                forms.setdefault(form, [g, 0])[1] += 1
+            expected = sorted(forms.values(), key=lambda cls: canonical_key(cls[0]))
+            assert orbit_iso_classes(o) == [tuple(cls) for cls in expected]
+
+    def test_cached_invariants_give_the_same_mapping(self):
+        rng = random.Random(4)
+        for o in self._orbits():
+            members = list(o.members.values())
+            tables = {g: _iso_invariants(g) for g in members}
+            for _ in range(40):
+                g, h = rng.choice(members), rng.choice(members)
+                phi = find_isomorphism(g, h)
+                if sorted(tables[g]) == sorted(tables[h]):
+                    assert phi == _match(g, tables[g], h, tables[h])
+                    assert phi is None or _is_isomorphism(g, h, phi)
+                else:
+                    assert phi is None
