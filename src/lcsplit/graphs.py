@@ -272,15 +272,26 @@ def to_json_dict(g: SimpleGraph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
+def json_int(x) -> int:
+    """``x`` itself if it is a JSON integer; bools, floats and strings raise TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def from_json_dict(data: dict) -> SimpleGraph:
     try:
-        n = int(data["n"])
-        if n > MAX_VERTICES:
+        n = data["n"]
+        # The cap is checked before the type: a count above it is refused as
+        # too large even when it is not an integer.
+        size = n if type(n) is int else float(n) if isinstance(n, (float, str)) else 0
+        if size > MAX_VERTICES:
             raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices")
-        return SimpleGraph(n, [(int(u), int(v)) for u, v in data["edges"]])
+        n = json_int(n)
+        return SimpleGraph(n, [(json_int(u), json_int(v)) for u, v in data["edges"]])
     except LcsplitError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpecError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc
 
 

@@ -13,10 +13,16 @@ and is paired with ``SplitNode(j, i)`` in quotient ``j``.  Each quotient
 is an adjacency-set graph over these nodes (:class:`QuotientGraph`).
 
 Every tree is built in place by one primitive, :meth:`Qasst.split_off`,
-which moves one side of a split of a quotient into a new quotient.  The
-decomposition applies it to the strong splits of prime quotients; a
-one-vertex extension applies it to {anchor, new}.  Merging a split-node
-pair back (``qasst_ops.induced_qasst``) is its inverse.
+which moves one side of a split of a quotient into a new quotient, and
+taken apart by its inverse, :meth:`Qasst.merge`.  The decomposition splits
+a prime quotient along any nontrivial split, found in polynomial time by
+:func:`_split_side`, until every quotient is complete, a star or has no
+split, then merges back across every tree edge that is not a strong split
+(:func:`_reduce`).  By Cunningham's uniqueness theorem (1982) the result
+is the strong split tree.  A one-vertex extension splits off {anchor, new};
+``qasst_ops.induced_qasst`` re-splits and reduces the quotients a deletion
+touched.  Brute-force strong-split search (:func:`_strong_side`) is kept
+only as the reference decomposition :func:`compute_qasst_by_splits`.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .graphs import (
     SimpleGraph,
     induced_subgraph,
     is_connected,
+    json_int,
     neighborhood,
 )
 
@@ -204,6 +211,24 @@ class Qasst:
         self.quotients[m] = part
         self.rehome(part, m)
         return m
+
+    def merge(self, s: SplitNode) -> None:
+        """Merge quotient s.j into s.i across the pair (s, s.partner).
+
+        The inverse of :meth:`split_off`: the pair is dropped and every
+        neighbour of s is joined to every neighbour of its partner.
+        """
+        qa = self.quotients[s.i]
+        qb = self.quotients.pop(s.j)
+        na = qa.neighbors(s)
+        nb = qb.neighbors(s.partner)
+        qa.remove_node(s)
+        qb.remove_node(s.partner)
+        moves = self.rehome(qb, s.i)
+        qa.adj.update(qb.adj)
+        for u in na:
+            for w in nb:
+                qa.add_edge(u, moves.get(w, w))
 
     def rehome(self, quot: QuotientGraph, i: int) -> dict:
         """Rename the split-nodes of ``quot`` to live in quotient i.
@@ -604,37 +629,142 @@ def _strong_side(quot: QuotientGraph) -> Optional[set[Node]]:
     return None
 
 
-def _split_primes(q: Qasst) -> None:
-    """Split every quotient along nontrivial strong splits until none is left.
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Only prime quotients can hold one: a star or complete quotient is
-    final.  The search is the brute-force enumeration of
-    :func:`_all_split_masks`, exponential in the quotient size.
+
+def _close_side(adj: list[int], a: int, b: int, seed: int) -> int:
+    """The least split side A holding ``seed`` (which holds a) but not b, for an edge a–b.
+
+    For a crossing edge a–b, (A, B) is a split iff every w in B has
+    N(w) & A equal to N(b) & A when w ~ a, and empty otherwise.  A node u
+    in A rules out exactly the w in N(u) ^ N(a) when u ~ b, and in N(u)
+    when not; every ruled-out node must join A, so each node of the
+    closure is visited once.  Stops once only b is left outside, the
+    trivial split that always holds.
     """
-    work = list(q.quotients)
+    na = adj[a]
+    full = (1 << len(adj)) - 1
+    rest = full ^ seed ^ (1 << b)
+    todo = seed
+    while todo and rest:
+        low = todo & -todo
+        todo ^= low
+        nu = adj[low.bit_length() - 1]
+        new = (nu ^ na if nu >> b & 1 else nu) & rest
+        rest ^= new
+        todo |= new
+    return full ^ rest ^ (1 << b)
+
+
+def _split_side(bit_adj: list[int], k: int) -> int:
+    """One side of some nontrivial split (both sides >= 2 nodes), or 0.
+
+    ``bit_adj`` is a connected quotient on local nodes 0..k-1.  For any
+    nontrivial split take its side A holding node 0 and a crossing edge
+    a–b with a in A.  A contains the closure of {a, 0} when a != 0, and of
+    {0, x} for every other x in A when a = 0, so closing those seeds finds
+    a split whenever one exists: O((m + k * deg 0) * k) bit operations
+    for m edges.
+    """
+    if k < 4:
+        return 0
+    seeds = itertools.chain(
+        ((a, b, 1 | 1 << a) for a in range(1, k) for b in _bits(bit_adj[a] & ~1)),
+        ((0, b, 1 | 1 << x) for b in _bits(bit_adj[0]) for x in range(1, k) if x != b),
+    )
+    for a, b, seed in seeds:
+        side = _close_side(bit_adj, a, b, seed)
+        if side.bit_count() <= k - 2:
+            return side
+    return 0
+
+
+def _any_split(quot: QuotientGraph) -> Optional[set[Node]]:
+    """One side of some nontrivial split of a quotient, if any (:func:`_split_side`)."""
+    nodes = sorted(quot.nodes, key=node_sort_key)
+    index = {v: k for k, v in enumerate(nodes)}
+    side = _split_side([sum(1 << index[w] for w in quot.adj[v]) for v in nodes], len(nodes))
+    return {v for k, v in enumerate(nodes) if side >> k & 1} or None
+
+
+def _split_primes(q: Qasst, find, work: Optional[Iterable[int]] = None) -> set[int]:
+    """Split prime quotients until every quotient is complete, a star or unsplittable.
+
+    ``find(quot)`` returns one side of a nontrivial split or None: the
+    brute-force :func:`_strong_side` for the reference decomposition, whose
+    strong splits give the strong split tree directly, or the polynomial
+    :func:`_any_split`, whose result :func:`_reduce` must then merge back
+    across the splits that were not strong.  ``work`` limits the search to
+    the given quotients and the pieces split off them (default: all).
+    Returns the quotients that were split or split off.
+    """
+    work = list(q.quotients if work is None else work)
+    changed: set[int] = set()
     while work:
         i = work.pop()
         quot = q.quotients[i]
         if classify_quotient(quot).kind != PRIME:
             continue
-        side = _strong_side(quot)
+        side = find(quot)
         if side is not None:
-            work += [i, q.split_off(i, side)]
+            m = q.split_off(i, side)
+            work += [i, m]
+            changed |= {i, m}
+    return changed
+
+
+def _not_strong(q: Qasst, s: SplitNode) -> bool:
+    """Whether the tree edge at split-node s is not a strong split.
+
+    That is an edge joining c–c or sc–ss quotients, or a quotient of one or
+    two nodes (what is left of one after deletions).
+    """
+    qa, qb = q.quotients[s.i], q.quotients[s.j]
+    if len(qa.nodes) <= 2 or len(qb.nodes) <= 2:
+        return True
+    return not join_validity(classify_quotient(qa, s).kind, classify_quotient(qb, s.partner).kind)
+
+
+def _reduce(q: Qasst, around: Iterable[int]) -> set[int]:
+    """Merge across tree edges that are not strong splits until none is left.
+
+    Only the edges at the quotients in ``around``, and at each quotient
+    that absorbs a merge, are checked: every other edge must already be a
+    strong split.  When every quotient is complete, a star or has no
+    nontrivial split, the result is the unique reduced split tree
+    (Cunningham 1982), the strong split tree.  Returns the quotients that
+    absorbed a merge.
+    """
+    todo = set(around)
+    grown: set[int] = set()
+    while todo:
+        i = todo.pop()
+        if i not in q.quotients:
+            continue
+        s = next((s for s in sorted(q.quotients[i].split_nodes()) if _not_strong(q, s)), None)
+        if s is not None:
+            q.merge(s)
+            todo.add(i)
+            grown.add(i)
+    return grown
 
 
 def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
     """Reference decomposition by explicit strong-split search.
 
-    Exponential in the component sizes; used as the independent oracle in
-    tests.  The production path runs the same search on the irreducible
-    kernel only.
+    Exponential in the component sizes (limited to 18 vertices); used as
+    the independent oracle in tests.
     """
     if g.n < 1:
         raise InvalidSpecError("decomposition needs n >= 1")
     if not is_connected(g):
         raise NotConnectedError("decomposition requires a connected graph")
     q = single_quotient_qasst(g)
-    _split_primes(q)
+    _split_primes(q, _strong_side)
     q = q.normalize()
     q.validate()
     return q
@@ -643,8 +773,9 @@ def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
 def compute_qasst(g: SimpleGraph) -> Qasst:
     """The unique minimal split decomposition of a connected graph.
 
-    Fast path: strip pendants/twins down to an irreducible kernel, split
-    the kernel by explicit strong-split search, then replay the stripped
+    Strip pendants/twins down to an irreducible kernel; split the kernel
+    along any nontrivial splits (:func:`_split_side`, polynomial) and
+    reduce the result to the strong split tree; then replay the stripped
     extensions forward, in place on the one tree.  Every quotient is
     created by :meth:`Qasst.split_off`.  For distance-hereditary graphs
     the kernel is a single vertex and no split search happens.
@@ -655,7 +786,7 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
         raise NotConnectedError("decomposition requires a connected graph")
     kernel, trace = eliminate_extensions(g)
     q = Qasst({0: QuotientGraph(kernel, ((u, v) for u in kernel for v in kernel[u] if u < v))})
-    _split_primes(q)
+    _reduce(q, _split_primes(q, _any_split))
     from . import qasst_ops  # deferred: qasst_ops builds on this module
 
     for kind, anchor, removed in reversed(trace):
@@ -707,16 +838,16 @@ def _json_node_key(nj) -> tuple:
 
 def _node_from_json(nj) -> Node:
     if isinstance(nj, dict):
-        return SplitNode(int(nj["i"]), int(nj["j"]))
-    return int(nj)
+        return SplitNode(json_int(nj["i"]), json_int(nj["j"]))
+    return json_int(nj)
 
 
 def from_json_dict(data: dict) -> Qasst:
     quotients = {}
     try:
         for i, qd in enumerate(data["quotients"]):
-            nodes: list[Node] = [int(v) for v in qd["leaf_nodes"]]
-            nodes += [SplitNode(int(s["i"]), int(s["j"])) for s in qd["split_nodes"]]
+            nodes: list[Node] = [json_int(v) for v in qd["leaf_nodes"]]
+            nodes += [SplitNode(json_int(s["i"]), json_int(s["j"])) for s in qd["split_nodes"]]
             edges = [(_node_from_json(a), _node_from_json(b)) for a, b in qd["edges"]]
             quotients[i] = QuotientGraph(nodes, edges)
     except MalformedQasstError:

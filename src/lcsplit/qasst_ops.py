@@ -4,8 +4,9 @@ Three ways a quotient tree evolves without being recomputed from scratch:
 
 - :func:`lc_propagate`: a local complement at an original vertex touches
   its quotient and is transmitted across split-node pairs to neighbors.
-- :func:`induced_qasst`: deleting vertices, then re-merging quotient pairs
-  whose connecting split stopped being strong.
+- :func:`induced_qasst`: deleting vertices, then re-splitting the prime
+  quotients that lost a node and re-merging quotient pairs whose
+  connecting split stopped being strong.
 - :func:`extend`: one-vertex extensions (pendant / false twin / true twin),
   where the new vertex joins the anchor's quotient, and {anchor, new} is
   split off into a fresh three-node quotient if that quotient turned prime.
@@ -25,8 +26,10 @@ from .qasst import (
     STAR_SPOKE,
     Qasst,
     SplitNode,
+    _any_split,
+    _reduce,
+    _split_primes,
     classify_quotient,
-    join_validity,
     reconstruct,
 )
 
@@ -81,14 +84,14 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
 def induced_qasst(q: Qasst, keep) -> Qasst:
     """Quotient tree of the induced subgraph on ``keep``.
 
-    Deletes excluded leaf-nodes, then repeatedly merges across tree edges
-    that are no longer strong splits: quotient pairs classifying c-c,
-    sc-ss or ss-sc, and any quotient reduced to one or two nodes.  Merge
-    order is ascending by quotient index pair; the result is unique
-    regardless (asserted against recomputation in the tests).
-
-    Intended for trees whose quotients are stars or completes (the
-    distance-hereditary case); a pruned prime quotient is kept as-is.
+    Deletes excluded leaf-nodes and reduces: merging across tree edges
+    that are no longer strong splits also folds away what is left of
+    emptied subtrees, which must happen before anything is split again.  A
+    prime quotient that lost a node may now have a split, so every quotient
+    that lost a node or absorbed a merge is split by the polynomial finder
+    and the tree reduced once more.  The result is the strong split tree
+    of the induced subgraph (asserted against the reference decomposition
+    in the tests); quotients are not renumbered.
     """
     keep_set = set(keep)
     leaves = q.leaves()
@@ -102,45 +105,15 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
         raise NotConnectedError("induced subgraph is not connected")
 
     out = q.copy()
-    for quot in out.quotients.values():
+    touched: set[int] = set()
+    for i, quot in out.quotients.items():
         for v in sorted(quot.leaf_nodes()):
             if v not in keep_set:
                 quot.remove_node(v)
-    while len(out.quotients) > 1:
-        edge = _first_merge_edge(out)
-        if edge is None:
-            break
-        _merge_tree_edge(out, edge)
+                touched.add(i)
+    touched |= _reduce(out, touched)
+    _reduce(out, _split_primes(out, _any_split, touched & out.quotients.keys()))
     return out
-
-
-def _first_merge_edge(q: Qasst):
-    for sa, sb in q.tree_edges():
-        qa = q.quotients[sa.i]
-        qb = q.quotients[sb.i]
-        if len(qa.nodes) <= 2 or len(qb.nodes) <= 2:
-            return (sa, sb)
-        ka = classify_quotient(qa, sa).kind
-        kb = classify_quotient(qb, sb).kind
-        if not join_validity(ka, kb):
-            return (sa, sb)
-    return None
-
-
-def _merge_tree_edge(q: Qasst, edge) -> None:
-    """Merge quotient sb.i into sa.i across the pair; inverse of ``split_off``."""
-    sa, sb = edge
-    qa = q.quotients[sa.i]
-    qb = q.quotients.pop(sb.i)
-    na = qa.neighbors(sa)
-    nb = qb.neighbors(sb)
-    qa.remove_node(sa)
-    qb.remove_node(sb)
-    moves = q.rehome(qb, sa.i)
-    qa.adj.update(qb.adj)
-    for u in na:
-        for w in nb:
-            qa.add_edge(u, moves.get(w, w))
 
 
 # -- one-vertex extensions ---------------------------------------------------

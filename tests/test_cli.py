@@ -155,12 +155,19 @@ class TestBudgetEnv:
         assert code == cli.EXIT_USAGE
 
 
-_BAD_GRAPHS = ['{}', '{"n": 3}', '[1, 2]', '{"n": "x", "edges": []}', '{"n": 3, "edges": [[1]]}']
+_BAD_GRAPHS = ['{}', '{"n": 3}', '[1, 2]', '{"n": "x", "edges": []}', '{"n": 3, "edges": [[1]]}',
+               # Non-integer numbers are refused, not truncated.
+               '{"n": 3.7, "edges": [[1, 2], [2, 3]]}', '{"n": true, "edges": []}',
+               '{"n": 3, "edges": [[1.9, 2], [2, 3]]}', '{"n": 2, "edges": [["1", 2]]}']
 _BAD_TREES = [
     '{}',
     '{"quotients": [{"leaf_nodes": [1], "edges": []}], "tree_edges": []}',
     '{"quotients": [{"leaf_nodes": [1], "split_nodes": [{"i": 0}], "edges": []}]}',
     '{"quotients": [{"leaf_nodes": ["a"], "split_nodes": [], "edges": []}]}',
+    '{"quotients": [{"leaf_nodes": [1.5, 2], "split_nodes": [], "edges": [[1, 2]]}]}',
+    '{"quotients": [{"leaf_nodes": [1, 2], "split_nodes": [], "edges": [[true, 2]]}]}',
+    '{"quotients": [{"leaf_nodes": [1, 2], "split_nodes": [{"i": 0.0, "j": 1}], "edges": [[1, 2]]},'
+    ' {"leaf_nodes": [3, 4], "split_nodes": [{"i": 1, "j": 0}], "edges": [[3, 4]]}]}',
 ]
 
 

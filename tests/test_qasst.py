@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from lcsplit.families import (
     path_graph,
     star_graph,
 )
+from lcsplit import cli
 from lcsplit.graphs import SimpleGraph, apply_sequence, local_complement
 from lcsplit.qasst_ops import random_dh
 from lcsplit.qasst import (
@@ -36,6 +38,9 @@ from lcsplit.qasst import (
     is_strong,
     join_validity,
     reconstruct,
+    _all_split_masks,
+    _mask_is_split,
+    _split_side,
     to_dot,
     to_json_dict,
 )
@@ -248,3 +253,130 @@ class TestSerialization:
         )
         with pytest.raises(MalformedQasstError):
             broken.validate()
+
+
+def _bit_adjacency(g):
+    return [g.neighborhood_mask(v) >> 1 for v in range(1, g.n + 1)]
+
+
+def _random_reduced_tree(rng, count, primes):
+    """A random reduced split tree of ``count`` quotients: ``primes``, complete graphs and stars.
+
+    No two complete quotients and no star center and star spoke are joined,
+    and every quotient has three or more nodes, so by Cunningham's theorem
+    it is the strong split tree of the graph it reconstructs.
+    """
+    shapes = [lambda: rng.choice(primes)] * 2
+    shapes += [lambda: complete_graph(rng.randint(3, 5)), lambda: star_graph(rng.randint(2, 4))]
+    pieces, names = [], []
+    for i in range(count):
+        g = rng.choice(shapes)() if i else rng.choice(primes)
+        pieces.append(QuotientGraph(range(1, g.n + 1), g.edges()))
+        names.append({})
+        if i:
+            joins = [
+                (j, x, y)
+                for j in range(i)
+                for x in pieces[j].nodes
+                if x not in names[j]
+                for y in pieces[i].nodes
+                if join_validity(classify_quotient(pieces[j], x).kind, classify_quotient(pieces[i], y).kind)
+            ]
+            j, x, y = rng.choice(joins)
+            names[j][x], names[i][y] = SplitNode(j, i), SplitNode(i, j)
+    free = [(i, v) for i, piece in enumerate(pieces) for v in piece.nodes if v not in names[i]]
+    for (i, v), label in zip(free, rng.sample(range(1, len(free) + 1), len(free))):
+        names[i][v] = label
+    for piece, mapping in zip(pieces, names):
+        piece.rename(mapping)
+    tree = Qasst(dict(enumerate(pieces)))
+    tree.validate()
+    return tree
+
+
+_CYCLES = [cycle_graph(5), cycle_graph(6), cycle_graph(7)]
+
+
+class TestPolynomialSplitSearch:
+    """The production split search against brute force: finder, then whole trees."""
+
+    def test_finder_finds_a_split_iff_one_exists(self):
+        rng = random.Random(500)
+        graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng.randint(6, 10), rng, rng.uniform(0.15, 0.7)) for _ in range(150)]
+        for g in graphs:
+            adj, full = _bit_adjacency(g), (1 << g.n) - 1
+            exists = any(2 <= a.bit_count() <= g.n - 2 for a in _all_split_masks(adj, full))
+            side = _split_side(adj, g.n)
+            assert bool(side) == exists, g.edges()
+            if side:
+                assert 2 <= side.bit_count() <= g.n - 2
+                assert _mask_is_split(adj, side, full ^ side)
+
+    def test_all_small_graphs_match_oracle(self):
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                fast, brute = compute_qasst(g), compute_qasst_by_splits(g)
+                assert fast.structure_key() == brute.structure_key()
+                assert to_json_dict(fast) == to_json_dict(brute)
+
+    def test_random_graphs_match_oracle(self):
+        rng = random.Random(501)
+        for _ in range(200):
+            g = random_connected_graph(rng.randint(6, 12), rng, rng.uniform(0.15, 0.7))
+            fast, brute = compute_qasst(g), compute_qasst_by_splits(g)
+            assert fast.structure_key() == brute.structure_key()
+            assert to_json_dict(fast) == to_json_dict(brute)
+
+    def test_prime_cores_joined_across_splits(self):
+        # Complete and star quotients between prime ones hold splits that are
+        # not strong; the search may split along them, and the reduction
+        # must merge them back.
+        rng = random.Random(502)
+        primes = list(_CYCLES)
+        while len(primes) < 8:
+            g = random_connected_graph(rng.randint(5, 7), rng, 0.5)
+            tree = compute_qasst_by_splits(g)
+            if len(tree.quotients) == 1 and classify_quotient(tree.quotients[0]).kind == PRIME:
+                primes.append(g)
+        for _ in range(40):
+            built = _random_reduced_tree(rng, rng.randint(2, 10), primes)
+            g = reconstruct(built)
+            fast = compute_qasst(g)
+            assert fast.structure_key() == built.structure_key()
+            if g.n <= 12:
+                assert to_json_dict(fast) == to_json_dict(compute_qasst_by_splits(g))
+
+
+class TestLargePrimeKernels:
+    """Kernels far beyond brute force (2^(k-1) bipartitions): a floor, never to be loosened."""
+
+    def test_large_kernels_within_time_budget(self):
+        start = time.monotonic()
+        for n in (25, 60, 120):
+            g = cycle_graph(n)
+            q = compute_qasst(g)
+            assert len(q.quotients) == 1
+            assert classify_quotient(q.quotients[0]).kind == PRIME
+            assert reconstruct(q) == g
+        rng = random.Random(60)
+        g = random_connected_graph(60, rng, 0.1)
+        q = compute_qasst(g)
+        q.validate()
+        assert reconstruct(q) == g
+        # The tree does not depend on the vertex order the split search sees.
+        perm = dict(zip(range(1, 61), rng.sample(range(1, 61), 60)))
+        h = SimpleGraph(60, [(perm[u], perm[v]) for u, v in g.edges()])
+        sides = {frozenset(perm[v] for v in side) for side in q.strong_split_sides()}
+        assert compute_qasst(h).strong_split_sides() == sides
+        for _ in range(3):
+            built = _random_reduced_tree(rng, 15, _CYCLES)
+            assert compute_qasst(reconstruct(built)).structure_key() == built.structure_key()
+        assert time.monotonic() - start < 10.0
+
+    def test_decompose_cli_on_c25(self, tmp_path, capsys):
+        path = tmp_path / "c25.json"
+        assert cli.main(["gen", "cycle", "--params", "25", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["decompose", "--input", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["quotients"]) == 1

@@ -14,7 +14,7 @@ from lcsplit.graphs import (
     local_complement,
     neighborhood,
 )
-from lcsplit.qasst import compute_qasst, reconstruct, to_json_dict
+from lcsplit.qasst import compute_qasst, compute_qasst_by_splits, reconstruct, to_json_dict
 from lcsplit.qasst_ops import (
     EXTENSION_KINDS,
     FALSE_TWIN,
@@ -207,3 +207,39 @@ class TestRandomDh:
             cur = extend_graph(cur, kind, anchor)
             assert cur.n == new
         assert cur == g
+
+
+class TestInducedQasstNonDh:
+    """Deletions from non-DH trees, against the reference decomposition of the induced graph."""
+
+    @staticmethod
+    def assert_matches_oracle(q, g, keep):
+        sub, mapping = induced_subgraph(g, keep)
+        out = induced_qasst(q, keep)
+        out.validate(expect_full_range=False)
+        want = _relabel_leaves(compute_qasst_by_splits(sub), mapping)
+        assert out.structure_key() == want.structure_key()
+        assert to_json_dict(out) == to_json_dict(want)
+
+    def test_single_vertex_deletions(self):
+        rng = random.Random(404)
+        for _ in range(60):
+            g = random_connected_graph(rng.randint(7, 9), rng, rng.uniform(0.2, 0.6))
+            q = compute_qasst(g)
+            for v in range(1, g.n + 1):
+                keep = [u for u in range(1, g.n + 1) if u != v]
+                if is_connected(induced_subgraph(g, keep)[0]):
+                    self.assert_matches_oracle(q, g, keep)
+
+    def test_multi_vertex_deletions(self):
+        # Deleting several vertices can empty a whole subtree; its remains
+        # are merged away before the touched prime quotients are re-split.
+        rng = random.Random(405)
+        done = 0
+        while done < 150:
+            g = random_connected_graph(rng.randint(7, 11), rng, rng.uniform(0.15, 0.5))
+            keep = sorted(rng.sample(range(1, g.n + 1), rng.randint(2, g.n - 1)))
+            if is_connected(induced_subgraph(g, keep)[0]):
+                self.assert_matches_oracle(compute_qasst(g), g, keep)
+                done += 1
+
