@@ -19,10 +19,8 @@ from .qasst import (
     COMPLETE,
     PRIME,
     Qasst,
-    SplitNode,
     classify_quotient,
     join_validity,
-    node_sort_key,
 )
 
 # -- path and cycle orbit formulas -------------------------------------------
@@ -76,8 +74,9 @@ def phi_count(q: Qasst) -> int:
     Counts assignments of orbit members to quotients (a star/complete
     quotient on m >= 3 nodes has m+1 members: the complete graph plus one
     star per choice of center) such that every tree edge joins a valid kind
-    pair.  Computed by dynamic programming over the tree.  Prime quotients
-    are rejected: their orbit sizes have no closed form here.
+    pair.  Computed by dynamic programming over the tree, children before
+    parents, each child's table once.  Prime quotients are rejected: their
+    orbit sizes have no closed form here.
     """
     quots = q.quotients
     for quot in quots.values():
@@ -87,34 +86,37 @@ def phi_count(q: Qasst) -> int:
         m = len(next(iter(quots.values())).nodes)
         return m + 1 if m >= 3 else 1
 
-    def member_kind(member, s: SplitNode) -> str:
-        if member is None:  # the complete member
-            return "c"
-        return "sc" if member == s else "ss"
-
-    def subtree(i: int, entry: Optional[SplitNode]) -> dict:
+    # Pre-order from the root, with each quotient's entry split-node.
+    order, stack = [], [(min(quots), None)]
+    while stack:
+        i, entry = stack.pop()
+        order.append((i, entry))
+        stack.extend((s.j, s.partner) for s in quots[i].split_nodes() if s != entry)
+    # valid[i][a]: ways to fill quotient i's subtree when its parent's
+    # member has kind a at the split-node facing i; children come first.
+    valid: dict[int, dict[str, int]] = {}
+    for i, entry in reversed(order):
         quot = quots[i]
-        members = [None] + sorted(quot.nodes, key=node_sort_key)
-        out: dict = {"c": 0, "sc": 0, "ss": 0, None: 0}
-        for member in members:
-            ways = 1
-            for s in quot.split_nodes():
-                if s == entry:
-                    continue
-                child = subtree(s.j, s.partner)
-                a = member_kind(member, s)
-                ways *= sum(
-                    cnt for b, cnt in child.items()
-                    if b is not None and join_validity(a, b)
-                )
-                if ways == 0:
-                    break
-            key = member_kind(member, entry) if entry is not None else None
-            out[key] += ways
-        return out
-
-    root = min(quots)
-    return subtree(root, None)[None]
+        children = [s for s in quot.split_nodes() if s != entry]
+        c_ways = math.prod(valid[s.j]["c"] for s in children)
+        ss_ways = math.prod(valid[s.j]["ss"] for s in children)  # every factor > 0
+        # Members: the complete graph, then one star per center.  A center
+        # that is a leaf-node or the entry sees every child as star-spoke; a
+        # child's split-node as center sees that child as star-center.
+        leaves = len(quot.nodes) - len(children) - (entry is not None)
+        at_entry = {
+            "c": c_ways,
+            "sc": ss_ways,
+            "ss": leaves * ss_ways + sum(
+                ss_ways // valid[s.j]["ss"] * valid[s.j]["sc"] for s in children
+            ),
+        }
+        if entry is None:  # the root: no entry, every member counts
+            return at_entry["c"] + at_entry["ss"]
+        valid[i] = {
+            a: sum(cnt for b, cnt in at_entry.items() if join_validity(a, b))
+            for a in ("c", "sc", "ss")
+        }
 
 
 def kpartite_phi(n_list: Sequence[int]) -> int:

@@ -14,15 +14,19 @@ is an adjacency-set graph over these nodes (:class:`QuotientGraph`).
 
 Every tree is built in place by one primitive, :meth:`Qasst.split_off`,
 which moves one side of a split of a quotient into a new quotient, and
-taken apart by its inverse, :meth:`Qasst.merge`.  The decomposition splits
-a prime quotient along any nontrivial split, found in polynomial time by
-:func:`_split_side`, until every quotient is complete, a star or has no
-split, then merges back across every tree edge that is not a strong split
-(:func:`_reduce`).  By Cunningham's uniqueness theorem (1982) the result
-is the strong split tree.  A one-vertex extension splits off {anchor, new};
-``qasst_ops.induced_qasst`` re-splits and reduces the quotients a deletion
-touched.  Brute-force strong-split search (:func:`_strong_side`) is kept
-only as the reference decomposition :func:`compute_qasst_by_splits`.
+taken apart by its inverse, :meth:`Qasst.merge`.  The decomposition
+(:func:`compute_qasst`) starts from the whole graph as one quotient and
+splits every prime quotient along any nontrivial split, found in
+polynomial time by :func:`_split_side`, until every quotient is complete,
+a star or has no split, then merges back across every tree edge that is
+not a strong split (:func:`_reduce`).  By Cunningham's uniqueness theorem
+(1982) the result is the strong split tree.  Distance-hereditary graphs
+take the same path; pendant/twin elimination (:func:`eliminate_extensions`)
+serves only :func:`is_distance_hereditary`.  A one-vertex extension splits
+off {anchor, new}; ``qasst_ops.induced_qasst`` re-splits and reduces the
+quotients a deletion touched.  Brute-force strong-split search
+(:func:`_strong_side`) is kept only as the reference decomposition
+:func:`compute_qasst_by_splits`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     InvalidSpecError,
@@ -57,8 +61,7 @@ PRIME = "prime"
 _SPLIT_ENUM_MAX = 18
 
 
-@dataclass(frozen=True, order=True)
-class SplitNode:
+class SplitNode(NamedTuple):
     """Marker node s_i^j: lives in quotient i, paired with s_j^i."""
 
     i: int
@@ -131,10 +134,16 @@ class QuotientGraph:
             self.adj[w].discard(node)
 
     def rename(self, mapping: dict) -> None:
-        """Rename nodes in place through ``mapping``; unmapped nodes keep their names."""
-        self.adj = {
-            mapping.get(v, v): {mapping.get(w, w) for w in nb} for v, nb in self.adj.items()
-        }
+        """Rename nodes in place through ``mapping``; unmapped nodes keep their names.
+
+        Touches only the renamed nodes and their neighbours; all renamed
+        nodes are taken out first, so a permutation renames correctly.
+        """
+        moved = {v: self.adj.pop(v) for v in mapping if v in self.adj}
+        for w in set().union(*moved.values()) - moved.keys():
+            self.adj[w] = {mapping.get(x, x) for x in self.adj[w]}
+        for v, nb in moved.items():
+            self.adj[mapping[v]] = {mapping.get(w, w) for w in nb}
 
     def toggle_edges_among(self, group: Iterable[Node]) -> None:
         for a, b in itertools.combinations(list(group), 2):
@@ -366,9 +375,8 @@ class Qasst:
 
 
 def single_quotient_qasst(g: SimpleGraph) -> Qasst:
-    quotient = QuotientGraph(
-        range(1, g.n + 1), (frozenset(e) for e in g.edges())
-    )
+    quotient = QuotientGraph()
+    quotient.adj = {v: neighborhood(g, v) for v in range(1, g.n + 1)}
     return Qasst({0: quotient})
 
 
@@ -434,17 +442,17 @@ def _masks_cross(a1: int, b1: int, a2: int, b2: int) -> bool:
 
 
 def is_strong(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[int]) -> bool:
-    """A strong split is crossed by no other split (trivial splits always are)."""
-    amask, bmask = _check_bipartition(g, side_a, side_b)
-    adj = [g.neighborhood_mask(v) if 1 <= v <= g.n else 0 for v in range(g.n + 1)]
-    if not _mask_is_split(adj, amask, bmask):
+    """A strong split is crossed by no other split (trivial splits always are).
+
+    A nontrivial split is strong exactly when one of its sides lies behind
+    a tree edge of the split decomposition, so this reads the tree.
+    """
+    if not is_connected(g):
+        raise NotConnectedError("strong-split test requires a connected graph")
+    a, b = frozenset(side_a), frozenset(side_b)
+    if not is_split(g, a, b):
         return False
-    full = amask | bmask
-    for other_a in _all_split_masks(adj, full):
-        other_b = full ^ other_a
-        if _masks_cross(amask, bmask, other_a, other_b):
-            return False
-    return True
+    return min(len(a), len(b)) == 1 or bool({a, b} & compute_qasst(g).strong_split_sides())
 
 
 # -- reconstruction ----------------------------------------------------------
@@ -495,14 +503,11 @@ def classify_quotient(q: QuotientGraph, at: Optional[Node] = None) -> QuotientKi
     m = len(q.nodes)
     if m <= 2:
         return QuotientKind(COMPLETE)
-    degs = {v: len(nb) for v, nb in q.adj.items()}
-    if all(d == m - 1 for d in degs.values()):
+    degs = [len(nb) for nb in q.adj.values()]
+    if degs.count(m - 1) == m:
         return QuotientKind(COMPLETE)
-    centers = [v for v, d in degs.items() if d == m - 1]
-    if len(centers) == 1 and all(
-        degs[v] == 1 for v in q.nodes if v != centers[0]
-    ):
-        center = centers[0]
+    if degs.count(m - 1) == 1 and degs.count(1) == m - 1:
+        center = next(v for v, nb in q.adj.items() if len(nb) == m - 1)
         if at is None:
             return QuotientKind(STAR, center=center)
         if at == center:
@@ -613,11 +618,16 @@ def dh_definition_oracle(g: SimpleGraph) -> bool:
 # -- decomposition -----------------------------------------------------------
 
 
+def _local_bits(quot: QuotientGraph) -> tuple[list[Node], list[int]]:
+    """The nodes in sorted order, and each one's neighbours as a bitmask over that order."""
+    nodes = sorted(quot.nodes, key=node_sort_key)
+    bit = {v: 1 << k for k, v in enumerate(nodes)}
+    return nodes, [sum(map(bit.__getitem__, quot.adj[v])) for v in nodes]
+
+
 def _strong_side(quot: QuotientGraph) -> Optional[set[Node]]:
     """One side of the first nontrivial strong split of a quotient, if any."""
-    nodes = sorted(quot.nodes, key=node_sort_key)
-    index = {v: k for k, v in enumerate(nodes)}
-    bit_adj = [sum(1 << index[w] for w in quot.adj[v]) for v in nodes]
+    nodes, bit_adj = _local_bits(quot)
     full = (1 << len(nodes)) - 1
     splits = _all_split_masks(bit_adj, full)
     for a in sorted(splits):
@@ -685,9 +695,8 @@ def _split_side(bit_adj: list[int], k: int) -> int:
 
 def _any_split(quot: QuotientGraph) -> Optional[set[Node]]:
     """One side of some nontrivial split of a quotient, if any (:func:`_split_side`)."""
-    nodes = sorted(quot.nodes, key=node_sort_key)
-    index = {v: k for k, v in enumerate(nodes)}
-    side = _split_side([sum(1 << index[w] for w in quot.adj[v]) for v in nodes], len(nodes))
+    nodes, bit_adj = _local_bits(quot)
+    side = _split_side(bit_adj, len(nodes))
     return {v for k, v in enumerate(nodes) if side >> k & 1} or None
 
 
@@ -699,8 +708,9 @@ def _split_primes(q: Qasst, find, work: Optional[Iterable[int]] = None) -> set[i
     strong splits give the strong split tree directly, or the polynomial
     :func:`_any_split`, whose result :func:`_reduce` must then merge back
     across the splits that were not strong.  ``work`` limits the search to
-    the given quotients and the pieces split off them (default: all).
-    Returns the quotients that were split or split off.
+    the given quotients and the pieces split off them (default: all).  The
+    smaller side of each split is the one moved.  Returns the quotients
+    that were split or split off.
     """
     work = list(q.quotients if work is None else work)
     changed: set[int] = set()
@@ -711,6 +721,8 @@ def _split_primes(q: Qasst, find, work: Optional[Iterable[int]] = None) -> set[i
             continue
         side = find(quot)
         if side is not None:
+            if 2 * len(side) > len(quot.adj):
+                side = quot.adj.keys() - side
             m = q.split_off(i, side)
             work += [i, m]
             changed |= {i, m}
@@ -773,24 +785,18 @@ def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
 def compute_qasst(g: SimpleGraph) -> Qasst:
     """The unique minimal split decomposition of a connected graph.
 
-    Strip pendants/twins down to an irreducible kernel; split the kernel
-    along any nontrivial splits (:func:`_split_side`, polynomial) and
-    reduce the result to the strong split tree; then replay the stripped
-    extensions forward, in place on the one tree.  Every quotient is
-    created by :meth:`Qasst.split_off`.  For distance-hereditary graphs
-    the kernel is a single vertex and no split search happens.
+    Starts from the graph as one quotient, splits every prime quotient
+    along any nontrivial split (:func:`_split_side`, polynomial) until each
+    is complete, a star or unsplittable, then reduces the tree to the
+    strong split tree (:func:`_reduce`).  Distance-hereditary and other
+    graphs take the same path.
     """
     if g.n < 1:
         raise InvalidSpecError("decomposition needs n >= 1")
     if not is_connected(g):
         raise NotConnectedError("decomposition requires a connected graph")
-    kernel, trace = eliminate_extensions(g)
-    q = Qasst({0: QuotientGraph(kernel, ((u, v) for u in kernel for v in kernel[u] if u < v))})
+    q = single_quotient_qasst(g)
     _reduce(q, _split_primes(q, _any_split))
-    from . import qasst_ops  # deferred: qasst_ops builds on this module
-
-    for kind, anchor, removed in reversed(trace):
-        qasst_ops._extend_in_place(q, kind, anchor, removed)
     q = q.normalize()
     q.validate()
     return q

@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidVertexError, NotConnectedError
-from .graphs import SimpleGraph, induced_subgraph, is_connected, neighborhood
+from .errors import InvalidSpecError, InvalidVertexError, NotConnectedError
+from .graphs import SimpleGraph, induced_subgraph, is_connected
 from .qasst import (
     COMPLETE,
     PRIME,
@@ -96,7 +96,7 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
     keep_set = set(keep)
     leaves = q.leaves()
     if not keep_set:
-        raise ValueError("keep set must be nonempty")
+        raise InvalidSpecError("keep set must be nonempty")
     if not keep_set <= leaves:
         raise InvalidVertexError(f"keep set contains non-vertices: {sorted(keep_set - leaves)}")
     g = reconstruct(q)
@@ -128,6 +128,9 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
     return out
 
 
+_SHAPE_DIGIT = {STAR_CENTER: "1", STAR_SPOKE: "2", COMPLETE: "3", PRIME: "4"}
+
+
 def extend_with_subcase(
     q: Qasst, kind: str, anchor: int, new: int
 ) -> tuple[Qasst, str]:
@@ -136,28 +139,17 @@ def extend_with_subcase(
     Subcase ids follow the quotient shape at the anchor: 1 = star center,
     2 = star spoke, 3 = complete, 4 = prime; a/b/c = pendant / false twin /
     true twin.  One- and two-node quotients (necessarily the whole tree)
-    give ``degenerate-1`` / ``degenerate-2``.
-    """
-    out = q.copy()
-    return out, _extend_in_place(out, kind, anchor, new)
-
-
-_SHAPE_DIGIT = {STAR_CENTER: "1", STAR_SPOKE: "2", COMPLETE: "3", PRIME: "4"}
-
-
-def _extend_in_place(q: Qasst, kind: str, anchor: int, new: int) -> str:
-    """Add leaf ``new`` to q as a pendant/twin of ``anchor``; returns the subcase id.
-
-    ``new`` joins the anchor's quotient.  If that quotient turns prime,
-    {anchor, new} is a nontrivial strong split of it (Bandelt & Mulder
-    1986) and is split off into a new three-node quotient.
+    give ``degenerate-1`` / ``degenerate-2``.  If the anchor's quotient
+    turns prime, {anchor, new} is a strong split of it (Bandelt & Mulder
+    1986) and is split off.
     """
     if kind not in EXTENSION_KINDS:
         raise ValueError(f"unknown extension kind {kind!r}")
     if any(new in quot.adj for quot in q.quotients.values()):
         raise InvalidVertexError(f"vertex {new} already present")
-    i = q.leaf_quotient(anchor)
-    quot = q.quotients[i]
+    out = q.copy()
+    i = out.leaf_quotient(anchor)
+    quot = out.quotients[i]
     if len(quot.nodes) <= 2:
         subcase = f"degenerate-{len(quot.nodes)}"
     else:
@@ -172,25 +164,24 @@ def _extend_in_place(q: Qasst, kind: str, anchor: int, new: int) -> str:
     for w in nbrs:
         quot.add_edge(new, w)
     if classify_quotient(quot).kind == PRIME:
-        q.split_off(i, {anchor, new})
-    return subcase
+        out.split_off(i, {anchor, new})
+    return out, subcase
 
 
 def extend_graph(g: SimpleGraph, kind: str, anchor: int) -> SimpleGraph:
     """Graph-level one-vertex extension; the new vertex is n+1."""
     g._check_vertex(anchor)
     p = g.n + 1
-    edges = g.edges()
     if kind == PENDANT:
-        edges.append((anchor, p))
+        nbrs = 1 << anchor
     elif kind == FALSE_TWIN:
-        edges.extend((w, p) for w in sorted(neighborhood(g, anchor)))
+        nbrs = g.neighborhood_mask(anchor)
     elif kind == TRUE_TWIN:
-        edges.extend((w, p) for w in sorted(neighborhood(g, anchor)))
-        edges.append((anchor, p))
+        nbrs = g.neighborhood_mask(anchor) | 1 << anchor
     else:
         raise ValueError(f"unknown extension kind {kind!r}")
-    return SimpleGraph(p, edges)
+    adj = [mask | (nbrs >> v & 1) << p for v, mask in enumerate(g._adj)]
+    return SimpleGraph._from_adj(p, adj + [nbrs])
 
 
 def random_dh(n: int, seed) -> tuple[SimpleGraph, list[tuple[str, int, int]]]:
@@ -208,7 +199,7 @@ def random_dh(n: int, seed) -> tuple[SimpleGraph, list[tuple[str, int, int]]]:
     for p in range(2, n + 1):
         anchor = rng.randint(1, g.n)
         kinds = [PENDANT, TRUE_TWIN]
-        if neighborhood(g, anchor):
+        if g.neighborhood_mask(anchor):
             kinds.append(FALSE_TWIN)
         kind = rng.choice(kinds)
         g = extend_graph(g, kind, anchor)

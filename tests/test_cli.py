@@ -93,6 +93,25 @@ class TestPipelines:
         assert code == 0
         assert "quotients" in json.loads(out)
 
+    def test_qasst_induce_empty_keep_is_usage_error(self, tmp_path, capsys):
+        src = self.graph_file(tmp_path, capsys, "gen", "path", "--params", "4")
+        qpath = tmp_path / "q.json"
+        assert cli.main(["decompose", "--input", src, "--output", str(qpath)]) == 0
+        capsys.readouterr()
+        code = cli.main(["qasst", "induce", "--keep", "", "--input", str(qpath)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("lcsplit: ")
+
+    def test_count_phi_on_long_path(self, tmp_path, capsys):
+        # A tree of 1098 quotients: no recursion-depth failure.
+        src = self.graph_file(tmp_path, capsys, "gen", "path", "--params", "1100")
+        code, out = run(capsys, "count", "phi", "--input", src)
+        assert code == 0
+        a = {4: 11, 5: 30}  # phi(P_n), then a(n) = 2a(n-1) + 2a(n-2)
+        for n in range(6, 1101):
+            a[n] = 2 * a[n - 1] + 2 * a[n - 2]
+        assert int(out) == a[1100]
+
 
 class TestCounts:
     def test_count_orbit(self, capsys):

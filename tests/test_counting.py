@@ -1,6 +1,7 @@
 """Closed-form counts against the brute-force oracle."""
 
 import itertools
+import time
 
 import pytest
 
@@ -72,6 +73,22 @@ class TestPhi:
         for n_list in ((2, 2, 2), (2, 3, 2), (2, 2, 2, 2)):
             q = compute_qasst(complete_multipartite_graph(n_list))
             assert phi_count(q) == kpartite_phi(n_list)
+
+    def test_path_values(self):
+        want = [612, 1672, 4568, 12480, 34096, 93152]
+        assert [phi_count(compute_qasst(path_graph(n))) for n in range(8, 14)] == want
+
+    def test_path_recurrence_within_time_floor(self):
+        # phi(P_n) follows a(n) = 2a(n-1) + 2a(n-2); long paths are deep
+        # trees (n - 2 quotients), so the count must neither recompute
+        # subtrees nor recurse.  A floor, never to be loosened.
+        start = time.monotonic()
+        a = {n: phi_count(compute_qasst(path_graph(n))) for n in (4, 5)}
+        for n in range(6, 1101):
+            a[n] = 2 * a[n - 1] + 2 * a[n - 2]
+        for n in list(range(6, 61)) + [300, 1100]:
+            assert phi_count(compute_qasst(path_graph(n))) == a[n], n
+        assert time.monotonic() - start < 10.0
 
     def test_orbit_sizes_sum_to_phi(self):
         for k in range(3, 7):

@@ -1,5 +1,6 @@
 """Split decomposition, quotient trees, and distance-hereditary recognition."""
 
+import itertools
 import json
 import random
 import time
@@ -40,6 +41,7 @@ from lcsplit.qasst import (
     reconstruct,
     _all_split_masks,
     _mask_is_split,
+    _masks_cross,
     _split_side,
     to_dot,
     to_json_dict,
@@ -75,6 +77,36 @@ class TestSplits:
         assert is_split(k4, {1, 2}, {3, 4}) and is_split(k4, {1, 3}, {2, 4})
         assert not is_strong(k4, {1, 2}, {3, 4})
         assert not is_strong(k4, {1, 3}, {2, 4})
+
+    def test_strong_split_of_long_path(self):
+        # 2^19 bipartitions: beyond brute force, read off the tree instead.
+        p20 = path_graph(20)
+        assert is_strong(p20, set(range(1, 11)), set(range(11, 21)))
+        assert not is_strong(p20, set(range(1, 20, 2)), set(range(2, 21, 2)))
+
+    def test_strong_agrees_with_brute_force(self):
+        def brute(g, a, b):
+            adj = [g.neighborhood_mask(v) if v else 0 for v in range(g.n + 1)]
+            amask, bmask = sum(1 << v for v in a), sum(1 << v for v in b)
+            full = amask | bmask
+            return _mask_is_split(adj, amask, bmask) and not any(
+                _masks_cross(amask, bmask, t, full ^ t) for t in _all_split_masks(adj, full)
+            )
+
+        rng = random.Random(503)
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng.randint(6, 8), rng, rng.uniform(0.2, 0.7)) for _ in range(30)]
+        for g in graphs:
+            verts = range(1, g.n + 1)
+            for r in range(1, g.n):
+                for a in itertools.combinations(verts, r):
+                    if 1 in a:
+                        b = set(verts) - set(a)
+                        assert is_strong(g, a, b) == brute(g, a, b), (g.edges(), a)
+
+    def test_strong_requires_connected(self):
+        with pytest.raises(NotConnectedError):
+            is_strong(SimpleGraph(4, [(1, 2), (3, 4)]), {1, 2}, {3, 4})
 
     def test_rejects_bad_partition(self):
         g = path_graph(4)
@@ -163,6 +195,29 @@ class TestNormalize:
             renumbered = Qasst(shuffled)
             renumbered.validate()
             assert to_json_dict(renumbered.normalize()) == to_json_dict(q)
+
+
+class TestRename:
+    S1, S2, S3 = SplitNode(0, 1), SplitNode(0, 2), SplitNode(0, 3)
+
+    def chain(self, a, b, c):
+        """1 - a - b - c - 2 over leaf-nodes 1, 2 and split-nodes a, b, c."""
+        return QuotientGraph([1, 2, a, b, c], [(1, a), (a, b), (b, c), (c, 2)])
+
+    def test_swap(self):
+        quot = self.chain(self.S1, self.S2, self.S3)
+        quot.rename({self.S1: self.S2, self.S2: self.S1})
+        assert quot.adj == self.chain(self.S2, self.S1, self.S3).adj
+
+    def test_three_cycle(self):
+        quot = self.chain(self.S1, self.S2, self.S3)
+        quot.rename({self.S1: self.S2, self.S2: self.S3, self.S3: self.S1})
+        assert quot.adj == self.chain(self.S2, self.S3, self.S1).adj
+
+    def test_leaves_unnamed_nodes_alone(self):
+        quot = self.chain(self.S1, self.S2, self.S3)
+        quot.rename({self.S2: SplitNode(5, 6), 7: 8})
+        assert quot.adj == self.chain(self.S1, SplitNode(5, 6), self.S3).adj
 
 
 class TestClassification:

@@ -1,6 +1,7 @@
 """Dynamic quotient-tree updates: LC propagation, induction, extensions."""
 
 import random
+import time
 
 import pytest
 
@@ -207,6 +208,28 @@ class TestRandomDh:
             cur = extend_graph(cur, kind, anchor)
             assert cur.n == new
         assert cur == g
+
+    def test_extension_replay_matches_decomposition(self):
+        # An independent construction of large DH trees: one extension at a
+        # time from the one-vertex tree, against split-and-reduce.
+        for n in (30, 100, 300):
+            for seed in range(3):
+                g, trace = random_dh(n, seed)
+                q = compute_qasst(SimpleGraph(1))
+                for kind, anchor, new in trace:
+                    q = extend(q, ExtensionKind(kind, anchor), new)
+                want = compute_qasst(g)
+                assert q.structure_key() == want.structure_key()
+                assert to_json_dict(q) == to_json_dict(want)
+
+    def test_large_dh_within_time_floor(self):
+        # A floor, never to be loosened.
+        for seed in range(2):
+            g, _ = random_dh(1000, seed)
+            start = time.monotonic()
+            q = compute_qasst(g)
+            assert time.monotonic() - start < 10.0
+            assert reconstruct(q) == g
 
 
 class TestInducedQasstNonDh:
