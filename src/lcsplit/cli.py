@@ -13,6 +13,7 @@ orbit budget of 10**6 members.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -633,8 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "limit", 0) is None:

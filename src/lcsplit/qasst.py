@@ -26,12 +26,16 @@ serves only :func:`is_distance_hereditary`.  A one-vertex extension splits
 off {anchor, new}; ``qasst_ops.induced_qasst`` re-splits and reduces the
 quotients a deletion touched.  Brute-force strong-split search
 (:func:`_strong_side`) is kept only as the reference decomposition
-:func:`compute_qasst_by_splits`.
+:func:`compute_qasst_by_splits`.  Whatever is read from the whole tree
+(the leaves behind each split-node, their least one, the canonical
+numbering) comes from one rooted pass, :func:`_orient`, in linear time
+rather than one subtree walk per split-node.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
@@ -286,7 +290,8 @@ class Qasst:
 
     def strong_split_sides(self) -> set[frozenset]:
         """One side (the far side, per tree edge) of each collapsed split."""
-        return {self.far_leaves(s) for s, _ in self.tree_edges()}
+        far = _far_sides(self)
+        return {far[s] for s, _ in self.tree_edges()}
 
     def structure_key(self):
         """Canonical encoding, independent of quotient numbering.
@@ -294,57 +299,58 @@ class Qasst:
         Split-nodes are identified by the original-vertex set behind them,
         which determines the decomposition uniquely.
         """
-        def label(i: int, node: Node):
-            if isinstance(node, SplitNode):
-                return ("S", tuple(sorted(self.far_leaves(node))))
-            return ("L", node)
-
+        label = {s: ("S", tuple(sorted(side))) for s, side in _far_sides(self).items()}
         quots = []
-        for i, q in self.quotients.items():
-            nodes = frozenset(label(i, v) for v in q.nodes)
+        for q in self.quotients.values():
+            nodes = frozenset(label.get(v, ("L", v)) for v in q.nodes)
             edges = frozenset(
-                frozenset((label(i, a), label(i, b)))
+                frozenset((label.get(a, ("L", a)), label.get(b, ("L", b))))
                 for a, b in (tuple(e) for e in q.edges)
             )
             quots.append((nodes, edges))
         return frozenset(quots)
 
     def validate(self, expect_full_range: bool = True) -> None:
+        """Raise :class:`MalformedQasstError` unless this is a well-formed tree.
+
+        Every split-node lives in its own quotient and is matched by its
+        partner in another one, the leaf-nodes are distinct (and cover
+        1..n unless ``expect_full_range`` is false), and the pairs join the
+        quotients into one tree.  One pass over the nodes, then one BFS.
+        """
         seen_leaves: list[int] = []
-        indices = set(self.quotients)
+        bare: list[int] = []
+        pairs = 0
         for i, q in self.quotients.items():
-            for s in q.split_nodes():
+            splits = 0
+            for s in q.adj:
+                if not isinstance(s, SplitNode):
+                    seen_leaves.append(s)
+                    continue
+                splits += 1
                 if s.i != i:
                     raise MalformedQasstError(f"split-node {s} stored in quotient {i}")
-                if s.j not in indices:
+                if s.j == i:
+                    raise MalformedQasstError(f"split-node {s} is paired with itself")
+                if s.j not in self.quotients:
                     raise MalformedQasstError(f"split-node {s} has no partner quotient")
-                if s.partner not in self.quotients[s.j].nodes:
+                if s.partner not in self.quotients[s.j].adj:
                     raise MalformedQasstError(f"split-node {s} is unmatched")
-            seen_leaves.extend(q.leaf_nodes())
+                pairs += s.i < s.j
+            if not splits:
+                bare.append(i)
         if len(seen_leaves) != len(set(seen_leaves)):
             raise MalformedQasstError("a vertex appears in two quotients")
         if expect_full_range and set(seen_leaves) != set(range(1, len(seen_leaves) + 1)):
             raise MalformedQasstError("leaf-nodes do not cover 1..n")
-        if len(self.quotients) > 1:
-            for i, q in self.quotients.items():
-                if not q.split_nodes():
-                    raise MalformedQasstError(f"quotient {i} has no split-node")
-        # Tree check: connected with exactly m-1 edges.
         m = len(self.quotients)
-        edges = self.tree_edges()
-        if m > 0 and len(edges) != m - 1:
+        if m > 1 and bare:
+            raise MalformedQasstError(f"quotient {bare[0]} has no split-node")
+        # Tree check: connected with exactly m-1 edges.
+        if m > 0 and pairs != m - 1:
             raise MalformedQasstError("tree-edge count is not (quotients - 1)")
-        if m > 1:
-            seen = {next(iter(indices))}
-            stack = [next(iter(seen))]
-            while stack:
-                i = stack.pop()
-                for s in self.quotients[i].split_nodes():
-                    if s.j not in seen:
-                        seen.add(s.j)
-                        stack.append(s.j)
-            if seen != indices:
-                raise MalformedQasstError("quotient tree is disconnected")
+        if len(_orient(self)[0]) != m:
+            raise MalformedQasstError("quotient tree is disconnected")
 
     def normalize(self) -> "Qasst":
         """Renumber quotients canonically, independent of the input numbering.
@@ -354,12 +360,13 @@ class Qasst:
         leafless quotients share that tuple); leaf-bearing quotients follow
         in ascending order of their least leaf.
         """
+        leaves = {i: q.leaf_nodes() for i, q in self.quotients.items()}
+        low = {} if all(leaves.values()) else _far_minima(self)
+
         def order_key(i: int):
-            q = self.quotients[i]
-            leaves = q.leaf_nodes()
-            if leaves:
-                return (1, min(leaves))
-            return (0, tuple(sorted(min(self.far_leaves(s)) for s in q.split_nodes())))
+            if leaves[i]:
+                return (1, min(leaves[i]))
+            return (0, tuple(sorted(low[s] for s in self.quotients[i].split_nodes())))
 
         old_order = sorted(self.quotients, key=order_key)
         remap = {old: new for new, old in enumerate(old_order)}
@@ -372,6 +379,78 @@ class Qasst:
 
     def __repr__(self) -> str:
         return f"Qasst({self.quotients})"
+
+
+def _orient(q: Qasst) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
+    """Root the quotient tree at its least quotient, in one breadth-first pass.
+
+    Returns the quotients in BFS order (reversed, every quotient comes
+    after its children) and, for each quotient, its split-node that points
+    to its parent (None at the root).  Every other split-node ``s`` of a
+    quotient points down, to the child ``s.j``.
+    """
+    order = [min(q.quotients)] if q.quotients else []
+    up: dict[int, Optional[SplitNode]] = dict.fromkeys(order)
+    for i in order:
+        for s in q.quotients[i].adj:
+            if isinstance(s, SplitNode) and s.j not in up:
+                up[s.j] = s.partner
+                order.append(s.j)
+    return order, up
+
+
+def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
+    """Every split-node's :meth:`Qasst.far_leaves`, from one post-order pass.
+
+    Below a downward split-node lies its child's subtree; behind an upward
+    one, every leaf outside its own quotient's subtree.
+    """
+    order, up = _orient(q)
+    below: dict[int, frozenset] = {}
+    for i in reversed(order):
+        sub: set[int] = set()
+        for v in q.quotients[i].adj:
+            if not isinstance(v, SplitNode):
+                sub.add(v)
+            elif v != up[i]:
+                sub |= below[v.j]
+        below[i] = frozenset(sub)
+    far: dict[SplitNode, frozenset] = {}
+    for i in order[1:]:
+        far[up[i].partner] = below[i]
+        far[up[i]] = below[order[0]] - below[i]
+    return far
+
+
+def _far_minima(q: Qasst) -> dict[SplitNode, float]:
+    """The least leaf behind every split-node, in linear time.
+
+    A post-order pass takes the least leaf of each subtree; a top-down pass
+    gives each child's upward split-node the least value among the other
+    nodes of its parent quotient.  Values at distinct nodes of one quotient
+    come from disjoint leaf sets, so the two least suffice.  An empty side
+    (only in malformed trees) reads as infinity.
+    """
+    order, up = _orient(q)
+    low: dict[SplitNode, float] = {}
+    sub_min: dict[int, float] = {}
+    for i in reversed(order):
+        sub_min[i] = min(
+            (sub_min[v.j] if isinstance(v, SplitNode) else v
+             for v in q.quotients[i].adj if v != up[i]),
+            default=math.inf,
+        )
+    for i in order:
+        values = [
+            (low[v] if v == up[i] else sub_min[v.j]) if isinstance(v, SplitNode) else v
+            for v in q.quotients[i].adj
+        ]
+        first, second = (sorted(values) + [math.inf, math.inf])[:2]
+        for s in q.quotients[i].adj:
+            if isinstance(s, SplitNode) and s != up[i]:
+                low[s] = sub_min[s.j]
+                low[s.partner] = second if sub_min[s.j] == first else first
+    return low
 
 
 def single_quotient_qasst(g: SimpleGraph) -> Qasst:

@@ -6,7 +6,11 @@ Three ways a quotient tree evolves without being recomputed from scratch:
   its quotient and is transmitted across split-node pairs to neighbors.
 - :func:`induced_qasst`: deleting vertices, then re-splitting the prime
   quotients that lost a node and re-merging quotient pairs whose
-  connecting split stopped being strong.
+  connecting split stopped being strong.  Whether the kept vertices induce
+  a connected graph is read off the tree: a node of a quotient is live if
+  it is a kept leaf or a split-node with a kept leaf behind it, and the
+  kept set is connected iff the live nodes of every quotient induce a
+  connected subgraph.
 - :func:`extend`: one-vertex extensions (pendant / false twin / true twin),
   where the new vertex joins the anchor's quotient, and {anchor, new} is
   split off into a fresh three-node quotient if that quotient turned prime.
@@ -18,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidSpecError, InvalidVertexError, NotConnectedError
-from .graphs import SimpleGraph, induced_subgraph, is_connected
+from .graphs import SimpleGraph
 from .qasst import (
     COMPLETE,
     PRIME,
@@ -27,10 +31,10 @@ from .qasst import (
     Qasst,
     SplitNode,
     _any_split,
+    _orient,
     _reduce,
     _split_primes,
     classify_quotient,
-    reconstruct,
 )
 
 PENDANT = "pendant"
@@ -81,17 +85,59 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
 # -- induced subgraph --------------------------------------------------------
 
 
+def _keeps_connected(q: Qasst, keep: set[int]) -> bool:
+    """Whether the kept leaves of a valid tree induce a connected graph.
+
+    One post-order pass counts the kept leaves below every quotient, so a
+    downward split-node has its child's count behind it and an upward one
+    the total minus its own quotient's.  A node is live if it is a kept
+    leaf or a split-node with a kept leaf behind it.  Two kept leaves are
+    adjacent exactly when the tree path between them alternates through
+    adjacent nodes, all of them live, so the kept set is connected iff the
+    live nodes of every quotient induce a connected subgraph (the
+    connectivity of a graph-labelled tree: Gioan, Paul, Tedder & Corneil
+    2014).  Linear in the size of the tree.
+    """
+    order, up = _orient(q)
+    below: dict[int, int] = {}
+    for i in reversed(order):
+        below[i] = sum(
+            below[v.j] if isinstance(v, SplitNode) else v in keep
+            for v in q.quotients[i].adj if v != up[i]
+        )
+    total = below[order[0]]
+    for i in order:
+        adj = q.quotients[i].adj
+        live = {
+            v for v in adj
+            if ((total - below[i] if v == up[i] else below[v.j])
+                if isinstance(v, SplitNode) else v in keep)
+        }
+        if len(live) > 1:
+            todo = [live.pop()]
+            while todo and live:
+                new = adj[todo.pop()] & live
+                live -= new
+                todo += new
+            if live:
+                return False
+    return True
+
+
 def induced_qasst(q: Qasst, keep) -> Qasst:
     """Quotient tree of the induced subgraph on ``keep``.
 
-    Deletes excluded leaf-nodes and reduces: merging across tree edges
-    that are no longer strong splits also folds away what is left of
-    emptied subtrees, which must happen before anything is split again.  A
-    prime quotient that lost a node may now have a split, so every quotient
-    that lost a node or absorbed a merge is split by the polynomial finder
-    and the tree reduced once more.  The result is the strong split tree
-    of the induced subgraph (asserted against the reference decomposition
-    in the tests); quotients are not renumbered.
+    The tree is validated, and whether ``keep`` induces a connected graph
+    is read off it (:func:`_keeps_connected`) without rebuilding the graph.
+    Then the excluded leaf-nodes are deleted and the tree is reduced:
+    merging across tree edges that are no longer strong splits also folds
+    away what is left of emptied subtrees, which must happen before
+    anything is split again.  A prime quotient that lost a node may now
+    have a split, so every quotient that lost a node or absorbed a merge
+    is split by the polynomial finder and the tree reduced once more.  The
+    result is the strong split tree of the induced subgraph (asserted
+    against the reference decomposition in the tests); quotients are not
+    renumbered.
     """
     keep_set = set(keep)
     leaves = q.leaves()
@@ -99,9 +145,8 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
         raise InvalidSpecError("keep set must be nonempty")
     if not keep_set <= leaves:
         raise InvalidVertexError(f"keep set contains non-vertices: {sorted(keep_set - leaves)}")
-    g = reconstruct(q)
-    sub, _ = induced_subgraph(g, keep_set)
-    if not is_connected(sub):
+    q.validate()
+    if not _keeps_connected(q, keep_set):
         raise NotConnectedError("induced subgraph is not connected")
 
     out = q.copy()

@@ -174,6 +174,39 @@ class TestBudgetEnv:
         assert code == cli.EXIT_USAGE
 
 
+class TestParserReuse:
+    """The parser is built once per process; each call still parses afresh."""
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "gen", "path", "--params", "3")[0] == cli.EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_calls_share_no_parsed_state(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.json"
+        cli.main(["gen", "complete_bipartite", "--params", "2,2", "--output", str(path)])
+        capsys.readouterr()
+        monkeypatch.delenv("LCSPLIT_BUDGET", raising=False)
+        size = ["orbit", "size", "--input", str(path)]
+        assert run(capsys, *size, "--limit", "3")[0] == cli.EXIT_BUDGET
+        code, out = run(capsys, *size)
+        assert code == cli.EXIT_OK and out
+        # LCSPLIT_BUDGET is read again on every call.
+        monkeypatch.setenv("LCSPLIT_BUDGET", "3")
+        assert run(capsys, *size)[0] == cli.EXIT_BUDGET
+        monkeypatch.setenv("LCSPLIT_BUDGET", "zero")
+        assert run(capsys, *size)[0] == cli.EXIT_USAGE
+        monkeypatch.delenv("LCSPLIT_BUDGET")
+        assert run(capsys, *size) == (code, out)
+
+
 _BAD_GRAPHS = ['{}', '{"n": 3}', '[1, 2]', '{"n": "x", "edges": []}', '{"n": 3, "edges": [[1]]}',
                # Non-integer numbers are refused, not truncated.
                '{"n": 3.7, "edges": [[1, 2], [2, 3]]}', '{"n": true, "edges": []}',

@@ -18,7 +18,7 @@ from lcsplit.families import (
 )
 from lcsplit import cli
 from lcsplit.graphs import SimpleGraph, apply_sequence, local_complement
-from lcsplit.qasst_ops import random_dh
+from lcsplit.qasst_ops import induced_qasst, lc_propagate, random_dh
 from lcsplit.qasst import (
     COMPLETE,
     PRIME,
@@ -195,6 +195,97 @@ class TestNormalize:
             renumbered = Qasst(shuffled)
             renumbered.validate()
             assert to_json_dict(renumbered.normalize()) == to_json_dict(q)
+
+
+def _shuffled(q, rng):
+    """The same tree with its quotients renumbered at random."""
+    relabel = dict(zip(q.quotients, rng.sample(range(1000), len(q.quotients))))
+    out = {}
+    for i, quot in q.quotients.items():
+        quot = quot.copy()
+        quot.rename({s: SplitNode(relabel[s.i], relabel[s.j]) for s in quot.split_nodes()})
+        out[relabel[i]] = quot
+    return Qasst(out)
+
+
+def _normalized_by_far_leaves(q):
+    """Reference ``normalize``: one ``far_leaves`` walk per split-node of a leafless quotient."""
+    def order_key(i):
+        leaves = q.quotients[i].leaf_nodes()
+        if leaves:
+            return (1, min(leaves))
+        return (0, tuple(sorted(min(q.far_leaves(s)) for s in q.quotients[i].split_nodes())))
+
+    remap = {old: new for new, old in enumerate(sorted(q.quotients, key=order_key))}
+    out = {}
+    for old, quot in q.quotients.items():
+        quot = quot.copy()
+        quot.rename({s: SplitNode(remap[s.i], remap[s.j]) for s in quot.split_nodes()})
+        out[remap[old]] = quot.adj
+    return out
+
+
+def _structure_key_by_far_leaves(q):
+    labels = {
+        s: ("S", tuple(sorted(q.far_leaves(s))))
+        for quot in q.quotients.values()
+        for s in quot.split_nodes()
+    }
+
+    def label(node):
+        return labels.get(node, ("L", node))
+
+    return frozenset(
+        (frozenset(map(label, quot.nodes)), frozenset(frozenset(map(label, e)) for e in quot.edges))
+        for quot in q.quotients.values()
+    )
+
+
+class TestTreeReadsAgainstFarLeaves:
+    """normalize, structure_key and strong_split_sides against per-split-node ``far_leaves`` walks."""
+
+    @staticmethod
+    def sample_trees():
+        rng = random.Random(91)
+        for n in (10, 20, 40, 80, 150, 300):
+            for seed in range(4):
+                yield compute_qasst(random_dh(n, seed)[0])
+        for n in (3, 4, 5, 8, 13, 30, 60):
+            yield compute_qasst(cycle_graph(n))
+            yield compute_qasst(path_graph(n))
+        for _ in range(40):
+            yield compute_qasst(random_connected_graph(rng.randint(6, 14), rng, rng.uniform(0.1, 0.6)))
+        yield Qasst({0: QuotientGraph([1])})
+
+    def test_reads_match(self):
+        rng = random.Random(92)
+        leafless_counts = []
+        for q in self.sample_trees():
+            leafless_counts.append(sum(not quot.leaf_nodes() for quot in q.quotients.values()))
+            for tree in (q, _shuffled(q, rng)):
+                normalized = tree.normalize()
+                assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
+                assert tree.structure_key() == _structure_key_by_far_leaves(tree)
+                assert tree.strong_split_sides() == {tree.far_leaves(s) for s, _ in tree.tree_edges()}
+        assert sum(count >= 2 for count in leafless_counts) >= 5
+
+    def test_reads_match_after_dynamic_ops(self):
+        # lc_propagate and induced_qasst leave quotients unnumbered.
+        rng = random.Random(93)
+        for n in (30, 120):
+            for seed in range(3):
+                g = random_dh(n, seed)[0]
+                q = lc_propagate(compute_qasst(g), rng.randint(1, n))
+                trees = [q]
+                for v in rng.sample(range(1, n + 1), 5):
+                    try:
+                        trees.append(induced_qasst(q, [u for u in range(1, n + 1) if u != v]))
+                    except NotConnectedError:
+                        pass
+                for tree in trees:
+                    normalized = tree.normalize()
+                    assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
+                    assert tree.structure_key() == _structure_key_by_far_leaves(tree)
 
 
 class TestRename:

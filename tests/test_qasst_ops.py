@@ -1,12 +1,13 @@
 """Dynamic quotient-tree updates: LC propagation, induction, extensions."""
 
+import itertools
 import random
 import time
 
 import pytest
 
-from helpers import random_connected_graph
-from lcsplit.errors import InvalidVertexError, NotConnectedError
+from helpers import all_connected_graphs, random_connected_graph
+from lcsplit.errors import InvalidVertexError, MalformedQasstError, NotConnectedError
 from lcsplit.families import cycle_graph, path_graph
 from lcsplit.graphs import (
     SimpleGraph,
@@ -15,7 +16,13 @@ from lcsplit.graphs import (
     local_complement,
     neighborhood,
 )
-from lcsplit.qasst import compute_qasst, compute_qasst_by_splits, reconstruct, to_json_dict
+from lcsplit.qasst import (
+    SplitNode,
+    compute_qasst,
+    compute_qasst_by_splits,
+    reconstruct,
+    to_json_dict,
+)
 from lcsplit.qasst_ops import (
     EXTENSION_KINDS,
     FALSE_TWIN,
@@ -110,6 +117,101 @@ class TestInducedQasst:
             induced_qasst(q, [1, 2, 9])
         with pytest.raises(ValueError):
             induced_qasst(q, [])
+
+
+def _graph_says_connected(q, keep):
+    """Reference: rebuild the graph and test its induced subgraph."""
+    sub, _ = induced_subgraph(reconstruct(q), keep)
+    return is_connected(sub)
+
+
+def _tree_says_connected(q, keep):
+    try:
+        induced_qasst(q, keep)
+    except NotConnectedError:
+        return False
+    return True
+
+
+def _connected_without(g, v):
+    """Whether g minus vertex v is connected, by a search over neighbourhood bitmasks."""
+    rest = ((1 << (g.n + 1)) - 2) & ~(1 << v)
+    seen = todo = rest & -rest
+    while todo:
+        low = todo & -todo
+        new = g.neighborhood_mask(low.bit_length() - 1) & rest & ~seen
+        seen |= new
+        todo = (todo ^ low) | new
+    return seen == rest
+
+
+class TestConnectivityFromTree:
+    """``induced_qasst`` refuses exactly the keep sets whose induced graph is disconnected."""
+
+    def test_every_keep_set_of_small_graphs(self):
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                q = compute_qasst(g)
+                for r in range(1, n + 1):
+                    for keep in itertools.combinations(range(1, n + 1), r):
+                        assert _tree_says_connected(q, keep) == _graph_says_connected(q, keep), (g, keep)
+
+    def test_random_graphs_and_keep_sets(self):
+        rng = random.Random(606)
+        outcomes = []
+        for trial in range(320):
+            n = rng.randint(6, 14)
+            if trial % 2:
+                g, _ = random_dh(n, rng.random())
+            else:
+                g = random_connected_graph(n, rng, rng.uniform(0.05, 0.5))
+            q = compute_qasst(g)
+            for _ in range(6):
+                keep = rng.sample(range(1, n + 1), rng.randint(1, n))
+                want = _graph_says_connected(q, keep)
+                assert _tree_says_connected(q, keep) == want, (g, keep)
+                outcomes.append(want)
+        assert outcomes.count(False) >= 300 and outcomes.count(True) >= 300
+
+    def test_malformed_tree_is_refused(self):
+        # Validation used to come with rebuilding the graph; it must stay.
+        def broken(edit):
+            q = compute_qasst(path_graph(6))
+            edit(q)
+            return q
+
+        def unmatched(q):
+            _, t = q.tree_edges()[0]
+            q.quotients[t.i].remove_node(t)
+
+        def vertex_twice(q):
+            q.quotients[max(q.quotients)].adj[1] = set()
+
+        def paired_with_itself(q):
+            q.quotients[0].adj[SplitNode(0, 0)] = set()
+
+        for edit, message in (
+            (unmatched, "is unmatched"),
+            (vertex_twice, "appears in two quotients"),
+            (paired_with_itself, "paired with itself"),
+        ):
+            with pytest.raises(MalformedQasstError, match=message):
+                induced_qasst(broken(edit), [1, 2, 3])
+
+    def test_deletions_from_large_tree_within_time_floor(self):
+        # A floor, never to be loosened.
+        g, _ = random_dh(3000, 0)
+        q = compute_qasst(g)
+        start = time.monotonic()
+        refused = []
+        for v in range(1, 41):
+            try:
+                induced_qasst(q, [u for u in range(1, g.n + 1) if u != v])
+            except NotConnectedError:
+                refused.append(v)
+        assert time.monotonic() - start < 10.0
+        assert 0 < len(refused) < 40
+        assert refused == [v for v in range(1, 41) if not _connected_without(g, v)]
 
 
 class TestExtend:
