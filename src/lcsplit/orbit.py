@@ -2,8 +2,10 @@
 
 The orbit of a graph is its closure under the n primitive local
 complements.  Enumeration is a breadth-first search over labeled graphs,
-de-duplicated on the adjacency tuple ``SimpleGraph._adj`` and keyed by
-canonical key once closed, and serves as the ground-truth oracle for every
+each held as one flat integer (row u of the adjacency matrix at bit
+``u*(n+1)``) and de-duplicated on that integer.  Once the search closes,
+every member is decoded to a :class:`SimpleGraph` and given its canonical
+key exactly once.  The search serves as the ground-truth oracle for every
 closed-form count in :mod:`lcsplit.counting`.
 """
 
@@ -16,11 +18,11 @@ from typing import Optional
 from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError
 from .graphs import (
     SimpleGraph,
+    _bits,
     _iso_invariants,
-    _lc_adj,
     _match,
     apply_sequence,
-    canonical_key,
+    canonical_key,  # noqa: F401  (members are keyed by it; callers look it up here too)
     edge_count,
     max_degree,
 )
@@ -59,34 +61,82 @@ def enumerate_orbit(
     Deterministic: the frontier is FIFO and pivots are tried in ascending
     vertex order.  Raises :class:`BudgetExceededError` if the member count
     would exceed ``limit``.
+
+    Each graph is one integer with row u at bit ``u*(n+1)``.  A local
+    complement at v reads N(v) with one shift and mask and xors in the
+    clique mask of N(v), cached per call; a pivot with fewer than two
+    neighbours is the identity and is skipped.  After the search, each
+    member is decoded once (row integers are shared between members) and
+    its canonical key is joined from cached per-row byte fragments, equal
+    to :func:`lcsplit.graphs.canonical_key` of the member.
     """
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise InvalidSpecError("orbit enumeration needs n >= 1")
     if limit < 1:
         raise ValueError("budget must be >= 1")
-    # adjacency tuple -> (predecessor tuple, pivot) or None, in BFS order
-    seen: dict[tuple, Optional[tuple]] = {g._adj: None}
+    width = n + 1
+    row = (1 << width) - 1
+    shifts = [(v, v * width) for v in range(1, n + 1)]
+    start = 0
+    for v, shift in shifts:
+        start |= g._adj[v] << shift
+    cliques: dict[int, int] = {}
+    # flat graph -> (predecessor, pivot) or None, in BFS order
+    seen: dict[int, Optional[tuple[int, int]]] = {start: None}
     queue = deque(seen)
     while queue:
         cur = queue.popleft()
-        for v in range(1, g.n + 1):
-            nxt = _lc_adj(cur, v)
+        for v, shift in shifts:
+            nb = cur >> shift & row
+            if not nb & (nb - 1):
+                continue
+            clique = cliques.get(nb)
+            if clique is None:
+                clique = cliques[nb] = _clique_mask(nb, width)
+            nxt = cur ^ clique
             if nxt not in seen:
                 if len(seen) >= limit:
                     raise BudgetExceededError(len(seen), limit)
                 seen[nxt] = (cur, v) if track_parents else None
                 queue.append(nxt)
+
+    # Per vertex u: row integer -> (shared row, key fragment for its edges u-w, w > u).
+    rows: dict[int, int] = {}
+    decode = [(u, shift, {}) for u, shift in shifts]
+    head = str(n).encode("ascii")
     members: dict[bytes, SimpleGraph] = {}
     parent = {} if track_parents else None
-    for adj, entry in seen.items():
-        member = SimpleGraph._from_adj(g.n, adj)
-        key = canonical_key(member)
-        members[key] = member
+    for flat, entry in seen.items():
+        adj = [0]
+        parts = [head]
+        for u, shift, cache in decode:
+            r = flat >> shift & row
+            hit = cache.get(r)
+            if hit is None:
+                hit = cache[r] = (rows.setdefault(r, r), _key_fragment(u, r))
+            adj.append(hit[0])
+            parts.append(hit[1])
+        key = b"".join(parts)
+        members[key] = SimpleGraph._from_adj(n, adj)
         if parent is not None:
             # Predecessors come first, so seen[pred] already holds pred's key.
             parent[key] = None if entry is None else (seen[entry[0]], entry[1])
-            seen[adj] = key
+            seen[flat] = key
     return Orbit(base=g, members=members, parent=parent)
+
+
+def _clique_mask(nb: int, width: int) -> int:
+    """The flat mask toggling every edge among the vertices of bitmask nb."""
+    mask = 0
+    for u in _bits(nb):
+        mask |= (nb ^ 1 << u) << (u * width)
+    return mask
+
+
+def _key_fragment(u: int, mask: int) -> bytes:
+    """The part of canonical_key listing the edges u-w with w > u in mask."""
+    return "".join(f";{u}-{w}" for w in _bits(mask >> (u + 1) << (u + 1))).encode("ascii")
 
 
 def are_lc_equivalent(g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGET) -> bool:

@@ -137,7 +137,8 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
     is split by the polynomial finder and the tree reduced once more.  The
     result is the strong split tree of the induced subgraph (asserted
     against the reference decomposition in the tests); quotients are not
-    renumbered.
+    renumbered and vertices keep their labels, so the result can be
+    induced again.
     """
     keep_set = set(keep)
     leaves = q.leaves()
@@ -145,7 +146,7 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
         raise InvalidSpecError("keep set must be nonempty")
     if not keep_set <= leaves:
         raise InvalidVertexError(f"keep set contains non-vertices: {sorted(keep_set - leaves)}")
-    q.validate()
+    q.validate(expect_full_range=False)
     if not _keeps_connected(q, keep_set):
         raise NotConnectedError("induced subgraph is not connected")
 

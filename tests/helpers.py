@@ -25,10 +25,13 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Simple
     return g
 
 
-def all_connected_graphs(n: int):
-    """Every labeled connected graph on vertices 1..n."""
+def all_graphs(n: int):
+    """Every labeled graph on vertices 1..n, connected or not."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for bits in range(1 << len(pairs)):
-        g = SimpleGraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
-        if is_connected(g):
-            yield g
+        yield SimpleGraph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+
+
+def all_connected_graphs(n: int):
+    """Every labeled connected graph on vertices 1..n."""
+    return (g for g in all_graphs(n) if is_connected(g))

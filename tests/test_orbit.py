@@ -2,13 +2,15 @@
 
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
 
-from helpers import all_connected_graphs, random_connected_graph
+from helpers import all_connected_graphs, all_graphs, random_connected_graph
+from lcsplit.counting import bouchet_cycle_count
 from lcsplit.errors import BudgetExceededError, NotEquivalentError
-from lcsplit.families import complete_bipartite_graph, complete_graph, star_graph
+from lcsplit.families import complete_bipartite_graph, complete_graph, cycle_graph, star_graph
 from lcsplit.graphs import (
     SimpleGraph,
     _iso_invariants,
@@ -17,6 +19,7 @@ from lcsplit.graphs import (
     canonical_key,
     edge_count,
     find_isomorphism,
+    is_connected,
     is_isomorphic,
     local_complement,
     max_degree,
@@ -60,6 +63,13 @@ class TestEnumeration:
             enumerate_orbit(complete_bipartite_graph(3, 3), limit=5)
         assert info.value.partial_count >= 5
         assert info.value.limit == 5
+
+    def test_twelve_cycle_within_time_floor(self):
+        # A floor, never to be loosened.
+        start = time.monotonic()
+        size = len(enumerate_orbit(cycle_graph(12)))
+        assert time.monotonic() - start < 10.0
+        assert size == bouchet_cycle_count(12) == 170196
 
 
 class TestEquivalence:
@@ -186,6 +196,92 @@ class TestAdjKeyedBfs:
             assert g in o and SimpleGraph(g.n, g.edges()) in o
         assert complete_graph(5) not in o
         assert complete_graph(4) not in o
+
+
+def _assert_matches_key_bfs(g, cap=3000):
+    """enumerate_orbit against _key_bfs; an orbit above ``cap`` is compared at the cap only.
+
+    Returns whether the whole orbit was compared.
+    """
+    try:
+        members, parent = _key_bfs(g, cap)
+    except BudgetExceededError as overrun:
+        with pytest.raises(BudgetExceededError) as got:
+            enumerate_orbit(g, limit=cap)
+        assert got.value.partial_count == overrun.partial_count
+        return False
+    o = enumerate_orbit(g, track_parents=True)
+    assert list(o.members) == list(members)
+    assert o.parent == parent
+    assert list(enumerate_orbit(g).members) == list(members)
+    for key, member in o.members.items():
+        assert member._adj == members[key]._adj
+        assert canonical_key(member) == key
+    size = len(members)
+    for limit in (1, max(1, size // 2), max(1, size - 1)):
+        if limit >= size:
+            assert len(enumerate_orbit(g, limit=limit)) == size
+            continue
+        with pytest.raises(BudgetExceededError) as expected:
+            _key_bfs(g, limit)
+        with pytest.raises(BudgetExceededError) as got:
+            enumerate_orbit(g, limit=limit)
+        assert got.value.partial_count == expected.value.partial_count
+    return True
+
+
+class TestFlatBfsDifferential:
+    """The flat-integer BFS against the canonical-key BFS oracle, beyond connected graphs."""
+
+    def test_every_disconnected_graph_up_to_five_vertices(self):
+        checked = 0
+        for n in range(2, 6):
+            for g in all_graphs(n):
+                if not is_connected(g):
+                    assert _assert_matches_key_bfs(g)
+                    checked += 1
+        assert checked == 1 + 4 + 26 + 296
+
+    def test_disconnected_unions(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            a, b = rng.randint(2, 5), rng.randint(1, 4)
+            left = random_connected_graph(a, rng, 0.4)
+            right = random_connected_graph(b, rng, 0.4)
+            g = SimpleGraph(a + b, left.edges() + [(u + a, v + a) for u, v in right.edges()])
+            assert not is_connected(g)
+            assert _assert_matches_key_bfs(g)
+
+    def test_isolated_and_pendant_vertices(self):
+        # Pivots at isolated and pendant vertices are identities, skipped by the search.
+        rng = random.Random(12)
+        for _ in range(12):
+            k = rng.randint(3, 6)
+            edges = random_connected_graph(k, rng, 0.5).edges()
+            n = k + rng.randint(2, 4)
+            for p in range(k + 1, n):
+                edges.append((rng.randint(1, p - 1), p))
+            # The last vertex is isolated; relabel so that it and the pendants are interleaved.
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            g = SimpleGraph(n, [(order[u - 1], order[v - 1]) for u, v in edges])
+            degrees = [mask.bit_count() for mask in g._adj[1:]]
+            assert 0 in degrees and 1 in degrees
+            assert _assert_matches_key_bfs(g)
+        assert _assert_matches_key_bfs(SimpleGraph(6))
+
+    def test_seeded_random_graphs_nine_to_eleven_vertices(self):
+        # Two-digit labels in the keys; each flat graph spans more than 64 bits.
+        rng = random.Random(13)
+        graphs = _random_graphs(14, (9, 10, 11), 3) + [
+            random_connected_graph(n, rng, p) for n in (9, 10, 11) for p in (0.0, 0.1)
+        ]
+        assert not all(is_distance_hereditary(g) for g in graphs)
+        whole = 0
+        for g in graphs:
+            assert (g.n + 1) ** 2 > 64
+            whole += _assert_matches_key_bfs(g)
+        assert whole >= 4
 
 
 def _is_isomorphism(g, h, phi):

@@ -118,6 +118,41 @@ class TestInducedQasst:
         with pytest.raises(ValueError):
             induced_qasst(q, [])
 
+    def test_induced_tree_can_be_induced_again(self):
+        q = compute_qasst(path_graph(4))
+        twice = induced_qasst(induced_qasst(q, [2, 3, 4]), [2, 3])
+        assert twice.structure_key() == induced_qasst(q, [2, 3]).structure_key()
+
+    def test_chained_induce_matches_one_shot(self):
+        # Labels outside 1..k survive the first induce; the second must accept them.
+        rng = random.Random(707)
+        for trial in range(60):
+            n = rng.randint(6, 40)
+            if trial % 2:
+                g, _ = random_dh(n, rng.random())
+            else:
+                g = random_connected_graph(n, rng, rng.uniform(0.05, 0.3))
+            first = _connected_subset(g, rng.randint(2, n - 1), range(1, n + 1), rng)
+            final = _connected_subset(g, rng.randint(1, len(first) - 1), first, rng)
+            q = compute_qasst(g)
+            chained = induced_qasst(induced_qasst(q, first), final)
+            chained.validate(expect_full_range=False)
+            one_shot = induced_qasst(q, final)
+            assert chained.structure_key() == one_shot.structure_key()
+            assert to_json_dict(chained) == to_json_dict(one_shot)
+
+
+def _connected_subset(g, size, within, rng):
+    """A random vertex set of ``size`` inducing a connected subgraph of g inside ``within``."""
+    pool = set(within)
+    grown = {rng.choice(sorted(pool))}
+    while len(grown) < size:
+        frontier = sorted(
+            v for v in pool - grown if any(g.has_edge(u, v) for u in grown)
+        )
+        grown.add(rng.choice(frontier))
+    return sorted(grown)
+
 
 def _graph_says_connected(q, keep):
     """Reference: rebuild the graph and test its induced subgraph."""
