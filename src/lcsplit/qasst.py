@@ -42,6 +42,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
     InvalidSpecError,
+    InvalidVertexError,
     MalformedQasstError,
     NotConnectedError,
     SizeLimitError,
@@ -171,17 +172,41 @@ class QuotientGraph:
 
 
 class Qasst:
-    """Quotient-augmented strong split tree."""
+    """Quotient-augmented strong split tree.
+
+    Trees derived from one another share every quotient they have in
+    common: :meth:`copy` copies only the ``quotients`` dict, and from then
+    on neither tree owns the quotients in it.  Quotients are edited in
+    place only through ``Qasst`` methods, and each of those takes the
+    quotient from :meth:`_edit`, which first swaps one the tree does not
+    own for a copy of its own (copy-on-write).  A tree built from a dict of
+    quotients owns them all; code that edits ``quotients[i]`` directly is
+    safe only on such a tree, before it is copied.
+    """
 
     def __init__(self, quotients: dict[int, QuotientGraph]):
         self.quotients: dict[int, QuotientGraph] = quotients
+        self._owned: set[int] = set(quotients)
 
     @property
     def n(self) -> int:
-        return sum(len(q.leaf_nodes()) for q in self.quotients.values())
+        """The number of leaf-nodes, counted over every quotient."""
+        return sum(isinstance(v, int) for q in self.quotients.values() for v in q.adj)
 
     def copy(self) -> "Qasst":
-        return Qasst({i: q.copy() for i, q in self.quotients.items()})
+        """A tree sharing every quotient with this one until either tree edits it."""
+        out = Qasst.__new__(Qasst)
+        out.quotients = dict(self.quotients)
+        out._owned = set()
+        self._owned.clear()
+        return out
+
+    def _edit(self, i: int) -> QuotientGraph:
+        """Quotient i, to be edited in place: first made this tree's own if it may be shared."""
+        if i not in self._owned:
+            self.quotients[i] = self.quotients[i].copy()
+            self._owned.add(i)
+        return self.quotients[i]
 
     def leaves(self) -> set[int]:
         out: set[int] = set()
@@ -194,7 +219,7 @@ class Qasst:
             for i, q in self.quotients.items():
                 if v in q.adj:
                     return i
-        raise MalformedQasstError(f"vertex {v} is not a leaf-node of any quotient")
+        raise InvalidVertexError(f"vertex {v} is not a leaf-node of any quotient")
 
     def split_off(self, i: int, side: Iterable[Node]) -> int:
         """Move ``side`` of quotient i into a new quotient m; returns m.
@@ -205,7 +230,7 @@ class Qasst:
         it, s_m^i to the nodes of ``side`` that touch the rest.  Split-nodes
         moved with ``side`` are re-homed to m, partners included.
         """
-        quot = self.quotients[i]
+        quot = self._edit(i)
         side = set(side)
         m = max(self.quotients) + 1
         s_im, s_mi = SplitNode(i, m), SplitNode(m, i)
@@ -222,6 +247,7 @@ class Qasst:
         for w in across:
             quot.add_edge(s_im, w)
         self.quotients[m] = part
+        self._owned.add(m)
         self.rehome(part, m)
         return m
 
@@ -231,8 +257,10 @@ class Qasst:
         The inverse of :meth:`split_off`: the pair is dropped and every
         neighbour of s is joined to every neighbour of its partner.
         """
-        qa = self.quotients[s.i]
-        qb = self.quotients.pop(s.j)
+        qa = self._edit(s.i)
+        qb = self._edit(s.j)
+        del self.quotients[s.j]
+        self._owned.discard(s.j)
         na = qa.neighbors(s)
         nb = qb.neighbors(s.partner)
         qa.remove_node(s)
@@ -244,14 +272,14 @@ class Qasst:
                 qa.add_edge(u, moves.get(w, w))
 
     def rehome(self, quot: QuotientGraph, i: int) -> dict:
-        """Rename the split-nodes of ``quot`` to live in quotient i.
+        """Rename the split-nodes of ``quot``, which this tree must own, to live in quotient i.
 
         Each moved split-node's partner is renamed to match, so the pairing
         survives when nodes move between quotients.  Returns the renaming.
         """
         moves = {s: SplitNode(i, s.j) for s in quot.split_nodes() if s.i != i}
         for s, t in moves.items():
-            self.quotients[s.j].rename({s.partner: t.partner})
+            self._edit(s.j).rename({s.partner: t.partner})
         quot.rename(moves)
         return moves
 
@@ -310,13 +338,16 @@ class Qasst:
             quots.append((nodes, edges))
         return frozenset(quots)
 
-    def validate(self, expect_full_range: bool = True) -> None:
+    def validate(
+        self, expect_full_range: bool = True
+    ) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
         """Raise :class:`MalformedQasstError` unless this is a well-formed tree.
 
         Every split-node lives in its own quotient and is matched by its
         partner in another one, the leaf-nodes are distinct (and cover
         1..n unless ``expect_full_range`` is false), and the pairs join the
-        quotients into one tree.  One pass over the nodes, then one BFS.
+        quotients into one tree.  One pass over the nodes, then one BFS,
+        :func:`_orient`, whose result is returned.
         """
         seen_leaves: list[int] = []
         bare: list[int] = []
@@ -349,8 +380,10 @@ class Qasst:
         # Tree check: connected with exactly m-1 edges.
         if m > 0 and pairs != m - 1:
             raise MalformedQasstError("tree-edge count is not (quotients - 1)")
-        if len(_orient(self)[0]) != m:
+        oriented = _orient(self)
+        if len(oriented[0]) != m:
             raise MalformedQasstError("quotient tree is disconnected")
+        return oriented
 
     def normalize(self) -> "Qasst":
         """Renumber quotients canonically, independent of the input numbering.

@@ -14,6 +14,13 @@ Three ways a quotient tree evolves without being recomputed from scratch:
 - :func:`extend`: one-vertex extensions (pendant / false twin / true twin),
   where the new vertex joins the anchor's quotient, and {anchor, new} is
   split off into a fresh three-node quotient if that quotient turned prime.
+
+Each op leaves its input tree as it was and returns a new tree that shares
+every quotient the op did not change (:meth:`Qasst.copy`): ``lc_propagate``
+copies the quotients it complements, ``extend`` the anchor's, and
+``induced_qasst`` those that lose a leaf or take part in a merge or split.
+Quotients are edited only through ``Qasst`` methods, which copy a shared
+quotient before its first edit.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .qasst import (
     Qasst,
     SplitNode,
     _any_split,
-    _orient,
     _reduce,
     _split_primes,
     classify_quotient,
@@ -73,7 +79,7 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
         if (i, node) in visited:
             continue
         visited.add((i, node))
-        quot = out.quotients[i]
+        quot = out._edit(i)
         nbrs = quot.neighbors(node)
         quot.local_complement_at(node)
         for s in nbrs:
@@ -85,20 +91,21 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
 # -- induced subgraph --------------------------------------------------------
 
 
-def _keeps_connected(q: Qasst, keep: set[int]) -> bool:
+def _keeps_connected(q: Qasst, keep: set[int], order: list[int], up: dict) -> bool:
     """Whether the kept leaves of a valid tree induce a connected graph.
 
-    One post-order pass counts the kept leaves below every quotient, so a
-    downward split-node has its child's count behind it and an upward one
-    the total minus its own quotient's.  A node is live if it is a kept
-    leaf or a split-node with a kept leaf behind it.  Two kept leaves are
+    ``order`` and ``up`` root the tree (:func:`_orient`, as returned by
+    :meth:`Qasst.validate`).  One post-order pass counts the kept leaves
+    below every quotient, so a downward split-node has its child's count
+    behind it and an upward one the total minus its own quotient's.  A
+    node is live if it is a kept leaf or a split-node with a kept leaf
+    behind it.  Two kept leaves are
     adjacent exactly when the tree path between them alternates through
     adjacent nodes, all of them live, so the kept set is connected iff the
     live nodes of every quotient induce a connected subgraph (the
     connectivity of a graph-labelled tree: Gioan, Paul, Tedder & Corneil
     2014).  Linear in the size of the tree.
     """
-    order, up = _orient(q)
     below: dict[int, int] = {}
     for i in reversed(order):
         below[i] = sum(
@@ -141,22 +148,20 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
     induced again.
     """
     keep_set = set(keep)
-    leaves = q.leaves()
+    home = {v: i for i, quot in q.quotients.items() for v in quot.adj if isinstance(v, int)}
     if not keep_set:
         raise InvalidSpecError("keep set must be nonempty")
-    if not keep_set <= leaves:
-        raise InvalidVertexError(f"keep set contains non-vertices: {sorted(keep_set - leaves)}")
-    q.validate(expect_full_range=False)
-    if not _keeps_connected(q, keep_set):
+    if not keep_set <= home.keys():
+        raise InvalidVertexError(f"keep set contains non-vertices: {sorted(keep_set - home.keys())}")
+    order, up = q.validate(expect_full_range=False)
+    if not _keeps_connected(q, keep_set, order, up):
         raise NotConnectedError("induced subgraph is not connected")
 
     out = q.copy()
     touched: set[int] = set()
-    for i, quot in out.quotients.items():
-        for v in sorted(quot.leaf_nodes()):
-            if v not in keep_set:
-                quot.remove_node(v)
-                touched.add(i)
+    for v in home.keys() - keep_set:
+        out._edit(home[v]).remove_node(v)
+        touched.add(home[v])
     touched |= _reduce(out, touched)
     _reduce(out, _split_primes(out, _any_split, touched & out.quotients.keys()))
     return out
@@ -180,7 +185,10 @@ _SHAPE_DIGIT = {STAR_CENTER: "1", STAR_SPOKE: "2", COMPLETE: "3", PRIME: "4"}
 def extend_with_subcase(
     q: Qasst, kind: str, anchor: int, new: int
 ) -> tuple[Qasst, str]:
-    """Apply one extension to a copy of q; returns the tree and the subcase id.
+    """Apply one extension; returns the new tree and the subcase id.
+
+    The new tree shares every quotient of q but the anchor's (and adds the
+    split-off {anchor, new} quotient if there is one); q is left as it was.
 
     Subcase ids follow the quotient shape at the anchor: 1 = star center,
     2 = star spoke, 3 = complete, 4 = prime; a/b/c = pendant / false twin /
@@ -195,7 +203,7 @@ def extend_with_subcase(
         raise InvalidVertexError(f"vertex {new} already present")
     out = q.copy()
     i = out.leaf_quotient(anchor)
-    quot = out.quotients[i]
+    quot = out._edit(i)
     if len(quot.nodes) <= 2:
         subcase = f"degenerate-{len(quot.nodes)}"
     else:

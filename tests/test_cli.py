@@ -93,6 +93,15 @@ class TestPipelines:
         assert code == 0
         assert "quotients" in json.loads(out)
 
+    def test_qasst_absent_vertex_is_usage_error(self, tmp_path, capsys):
+        src = self.graph_file(tmp_path, capsys, "gen", "path", "--params", "4")
+        qpath = tmp_path / "q.json"
+        assert cli.main(["decompose", "--input", src, "--output", str(qpath)]) == 0
+        capsys.readouterr()
+        for argv in (["lc", "--vertex", "9"], ["extend", "--kind", "pendant", "--anchor", "9"]):
+            assert cli.main(["qasst", *argv, "--input", str(qpath)]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == "lcsplit: vertex 9 is not a leaf-node of any quotient\n"
+
     def test_qasst_induce_empty_keep_is_usage_error(self, tmp_path, capsys):
         src = self.graph_file(tmp_path, capsys, "gen", "path", "--params", "4")
         qpath = tmp_path / "q.json"

@@ -368,6 +368,26 @@ class TestDistanceHereditary:
         assert len(trace) == 5
 
 
+class TestTreeBookkeeping:
+    def test_n_counts_leaf_nodes_of_malformed_trees(self):
+        # A vertex in two quotients counts twice, as the per-quotient leaf sets do.
+        q = Qasst(
+            {
+                0: QuotientGraph([1, 2, SplitNode(0, 1)], [(1, SplitNode(0, 1))]),
+                1: QuotientGraph([2, 3, SplitNode(1, 5)]),
+                2: QuotientGraph(),
+            }
+        )
+        assert q.n == 4 == sum(len(quot.leaf_nodes()) for quot in q.quotients.values())
+        assert Qasst({}).n == 0
+
+    def test_validate_returns_the_rooted_order(self):
+        q = compute_qasst(path_graph(7))
+        order, up = q.validate()
+        assert sorted(order) == sorted(q.quotients) and up[order[0]] is None
+        assert all(up[i].j in order[:order.index(i)] for i in order[1:])
+
+
 class TestSerialization:
     def test_schema_shape(self):
         data = to_json_dict(compute_qasst(complete_bipartite_graph(2, 2)))

@@ -17,9 +17,12 @@ from lcsplit.graphs import (
     neighborhood,
 )
 from lcsplit.qasst import (
+    PRIME,
     SplitNode,
+    classify_quotient,
     compute_qasst,
     compute_qasst_by_splits,
+    node_sort_key,
     reconstruct,
     to_json_dict,
 )
@@ -60,7 +63,7 @@ class TestLcPropagate:
 
     def test_rejects_non_leaf(self):
         q = compute_qasst(path_graph(4))
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidVertexError, match="vertex 9 is not a leaf-node of any quotient"):
             lc_propagate(q, 9)
 
 
@@ -304,6 +307,12 @@ class TestExtend:
         with pytest.raises(InvalidVertexError):
             extend(q, ExtensionKind(PENDANT, 1), 3)
 
+    def test_rejects_absent_anchor(self):
+        # An absent vertex is a caller's mistake, not a broken tree.
+        q = compute_qasst(path_graph(4))
+        with pytest.raises(InvalidVertexError, match="vertex 9 is not a leaf-node of any quotient"):
+            extend(q, ExtensionKind(PENDANT, 9), 5)
+
 
 class TestInputUnchanged:
     def test_operations_leave_input_tree_alone(self):
@@ -403,3 +412,171 @@ class TestInducedQasstNonDh:
                 self.assert_matches_oracle(compute_qasst(g), g, keep)
                 done += 1
 
+
+
+def _snapshot(q):
+    return to_json_dict(q), repr(q)
+
+
+def _complemented(q, v):
+    """The quotients an LC at v reaches: across each split-node adjacent to the node entered."""
+    start = next(i for i, quot in q.quotients.items() if v in quot.adj)
+    out, todo = set(), [(start, v)]
+    while todo:
+        i, node = todo.pop()
+        out.add(i)
+        todo += [(s.j, s.partner) for s in q.quotients[i].adj[node] if isinstance(s, SplitNode)]
+    return out
+
+
+class TestSharedQuotients:
+    """A derived tree shares every quotient its op leaves unchanged."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        g, _ = random_dh(2000, 1)
+        return g, compute_qasst(g)
+
+    def test_lc_copies_exactly_the_complemented_quotients(self, big):
+        g, q = big
+        for v in (1, 2, 777, 1500, 2000):
+            want = _complemented(q, v)
+            out = lc_propagate(q, v)
+            assert out.quotients.keys() == q.quotients.keys()
+            assert {i for i in q.quotients if out.quotients[i] is not q.quotients[i]} == want
+            assert len(want) < len(q.quotients)
+
+    def test_extend_copies_only_the_anchor_quotient(self, big):
+        g, q = big
+        for kind in EXTENSION_KINDS:
+            for anchor in (1, 999, 2000):
+                home = q.leaf_quotient(anchor)
+                out = extend(q, ExtensionKind(kind, anchor), g.n + 1)
+                assert out.quotients[home] is not q.quotients[home]
+                assert all(out.quotients[i] is quot for i, quot in q.quotients.items() if i != home)
+
+    def test_one_vertex_induce_shares_most_quotients(self, big):
+        g, q = big
+        done = 0
+        for v in range(1, g.n + 1, 97):
+            if not _connected_without(g, v):
+                continue
+            out = induced_qasst(q, [u for u in range(1, g.n + 1) if u != v])
+            shared = sum(out.quotients.get(i) is quot for i, quot in q.quotients.items())
+            assert shared > 0.9 * len(q.quotients)
+            done += 1
+        assert done >= 10
+
+
+class TestDerivedTreesStayApart:
+    """Edits to a tree never show in the trees it shares quotients with."""
+
+    def test_chain_of_ops_leaves_every_tree_alone(self, monkeypatch):
+        from lcsplit.qasst import Qasst
+
+        calls = {"merge": 0, "split_off": 0}
+        in_induce = dict(calls)
+        for name in calls:
+            def counted(self, *args, _name=name, _fn=getattr(Qasst, name)):
+                calls[_name] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(Qasst, name, counted)
+
+        rng = random.Random(808)
+        for trial in range(8):
+            if trial % 2:
+                g = random_connected_graph(rng.randint(10, 16), rng, rng.uniform(0.15, 0.4))
+            else:
+                g, _ = random_dh(rng.randint(10, 30), rng.random())
+            chain = [compute_qasst(g)]
+            snapshots = [_snapshot(chain[0])]
+            while len(chain) < 25:
+                cur = chain[-1]
+                leaves = sorted(cur.leaves())
+                step = len(chain) % 3
+                if step == 0:
+                    nxt = lc_propagate(cur, rng.choice(leaves))
+                elif step == 1 or len(leaves) < 6:
+                    kind = rng.choice(EXTENSION_KINDS)
+                    nxt, _ = extend_with_subcase(cur, kind, rng.choice(leaves), leaves[-1] + 1)
+                else:
+                    drop = rng.sample(leaves, rng.randint(1, 3))
+                    before = dict(calls)
+                    try:
+                        nxt = induced_qasst(cur, [u for u in leaves if u not in drop])
+                    except NotConnectedError:
+                        continue
+                    for name in calls:
+                        in_induce[name] += calls[name] - before[name]
+                nxt.validate(expect_full_range=False)
+                chain.append(nxt)
+                snapshots.append(_snapshot(nxt))
+            assert [_snapshot(t) for t in chain] == snapshots
+        # Deletions merged quotients and split them again.
+        assert in_induce["merge"] > 0 and in_induce["split_off"] > 0
+
+    @staticmethod
+    def _round_trips(q, rng):
+        """Edit q in place and back, yielding after each edit: a merge and its split, then a split and its merge.
+
+        The second round trip splits two non-centre nodes off a complete or
+        star quotient of four or more nodes, when the tree has one.
+        """
+        s = rng.choice(q.tree_edges())[0]
+        side = {
+            SplitNode(s.i, v.j) if isinstance(v, SplitNode) else v
+            for v in q.quotients[s.j].adj
+            if v != s.partner
+        }
+        q.merge(s)
+        yield
+        q.split_off(s.i, side)
+        yield
+        roomy = sorted(
+            i for i, quot in q.quotients.items()
+            if len(quot.adj) >= 4 and classify_quotient(quot).kind != PRIME
+        )
+        if roomy:
+            i = rng.choice(roomy)
+            center = classify_quotient(q.quotients[i]).center
+            rest = sorted((v for v in q.quotients[i].adj if v != center), key=node_sort_key)
+            m = q.split_off(i, rng.sample(rest, 2))
+            yield
+            q.merge(SplitNode(i, m))
+            yield
+
+    def _trees(self, rng):
+        for trial in range(30):
+            if trial % 2:
+                g = random_connected_graph(rng.randint(8, 14), rng, rng.uniform(0.15, 0.4))
+            else:
+                g, _ = random_dh(rng.randint(8, 30), rng.random())
+            q = compute_qasst(g)
+            if len(q.quotients) >= 2:
+                yield q
+
+    def test_edits_to_a_copy_leave_the_source_alone(self):
+        rng = random.Random(809)
+        edits = 0
+        for q in self._trees(rng):
+            before = _snapshot(q)
+            derived = q.copy()
+            for _ in self._round_trips(derived, rng):
+                assert _snapshot(q) == before
+                edits += 1
+            derived.validate()
+            assert to_json_dict(derived) == before[0]
+        assert edits >= 60
+
+    def test_edits_to_the_source_leave_the_copy_alone(self):
+        rng = random.Random(810)
+        edits = 0
+        for q in self._trees(rng):
+            derived = q.copy()
+            before = _snapshot(derived)
+            for _ in self._round_trips(q, rng):
+                assert _snapshot(derived) == before
+                edits += 1
+            q.validate()
+            assert to_json_dict(q) == before[0]
+        assert edits >= 60
