@@ -36,7 +36,7 @@ from .graphs import (
     local_complement,
     max_degree,
 )
-from .families import FamilySpec, build, mlr_orbit_home
+from .families import FamilySpec, build, mlr_orbit_home, orbit_of
 from .orbit import (
     Orbit,
     are_lc_equivalent,

@@ -223,17 +223,15 @@ def cmd_count(args) -> int:
     if args.family is None or args.params is None:
         raise InvalidSpecError(f"count {args.what} needs --family and --params")
     params = _parse_ints(args.params)
+    if args.family == "bipartite" and len(params) != 2:
+        raise InvalidSpecError("bipartite takes exactly two parameters")
     if args.what == "orbit":
         if args.family == "bipartite":
-            if len(params) != 2:
-                raise InvalidSpecError("bipartite takes exactly two parameters")
             value = counting.bipartite_orbit_size(*params)
         else:
             value = counting.orbit_size(_orbit_tag(args.family), params)
     else:  # iso-classes
         if args.family == "bipartite":
-            if len(params) != 2:
-                raise InvalidSpecError("bipartite takes exactly two parameters")
             value = counting.bipartite_iso_class_count(*params)
         else:
             value = counting.iso_class_count(_orbit_tag(args.family), len(params))

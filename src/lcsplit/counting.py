@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidAssignmentError, InvalidSpecError, UnsupportedQasstError
-from .families import CLIQUE_STAR, KPARTITE
+from .families import CLIQUE_STAR, KPARTITE, check_blocks, orbit_of
 from .qasst import (
-    COMPLETE,
     PRIME,
     Qasst,
     classify_quotient,
     join_validity,
 )
+from .symmetry import SymmetryCase, case_assignment, q0_shape
 
 # -- path and cycle orbit formulas -------------------------------------------
 
@@ -121,7 +121,7 @@ def phi_count(q: Qasst) -> int:
 
 def kpartite_phi(n_list: Sequence[int]) -> int:
     """Phi for the complete k-partite QASST: prod(n+1) + 2 sum_j prod_{i!=j}(n+1)."""
-    _check_blocks(n_list)
+    check_blocks(n_list)
     prod = math.prod(n + 1 for n in n_list)
     return prod + 2 * sum(prod // (n + 1) for n in n_list)
 
@@ -142,7 +142,7 @@ def _even_odd_products(n_list: Sequence[int]) -> tuple[int, int]:
 
 def kpartite_orbit_size(n_list: Sequence[int]) -> int:
     """|O(K_{n_1..n_k})|: even subset products plus sum_j prod_{i!=j}(n_i+1)."""
-    _check_blocks(n_list)
+    check_blocks(n_list)
     even, _ = _even_odd_products(n_list)
     prod = math.prod(n + 1 for n in n_list)
     return even + sum(prod // (n + 1) for n in n_list)
@@ -150,7 +150,7 @@ def kpartite_orbit_size(n_list: Sequence[int]) -> int:
 
 def clique_star_orbit_size(n_list: Sequence[int]) -> int:
     """|O(CS^r)|: odd subset products plus the same cross-term sum."""
-    _check_blocks(n_list)
+    check_blocks(n_list)
     _, odd = _even_odd_products(n_list)
     prod = math.prod(n + 1 for n in n_list)
     return odd + sum(prod // (n + 1) for n in n_list)
@@ -201,37 +201,16 @@ def bipartite_min_max_degree(n: int, m: int) -> int:
 # on k split-nodes, and an outer quotient per block with n_i leaf-nodes.
 # An assignment fixes Q0's kind ("c", or ("sc", j) star-center toward Q_j)
 # and each outer quotient's kind at its split-node ("c" | "sc" | "ss").
-
-
-def _check_blocks(n_list: Sequence[int]) -> None:
-    if len(n_list) < 3 or any(n < 2 for n in n_list):
-        raise InvalidSpecError("need k >= 3 blocks with all n_i >= 2")
-
-
-def _q0_edges_and_kinds(q0_kind, k: int):
-    """Q0's edge set over block indices 1..k and its kind at each edge end."""
-    if q0_kind == "c":
-        edges = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-        at = {i: "c" for i in range(1, k + 1)}
-        return edges, at
-    if isinstance(q0_kind, tuple) and len(q0_kind) == 2 and q0_kind[0] == "sc":
-        j = q0_kind[1]
-        if not (1 <= j <= k):
-            raise InvalidAssignmentError(f"Q0 center index {j} out of 1..{k}")
-        edges = [(min(i, j), max(i, j)) for i in range(1, k + 1) if i != j]
-        at = {i: "ss" for i in range(1, k + 1)}
-        at[j] = "sc"
-        return edges, at
-    raise InvalidAssignmentError(f"Q0 kind must be 'c' or ('sc', j), got {q0_kind!r}")
+# The class model (cases, their kinds, Q0's shape) lives in lcsplit.symmetry.
 
 
 def _validate_assignment(n_list, q0_kind, kinds):
     k = len(n_list)
-    _check_blocks(n_list)
+    check_blocks(n_list)
     kinds = tuple(kinds)
     if len(kinds) != k or any(kind not in ("c", "sc", "ss") for kind in kinds):
         raise InvalidAssignmentError("need one of c/sc/ss per block")
-    edges, at = _q0_edges_and_kinds(q0_kind, k)
+    edges, at = q0_shape(q0_kind, k)
     for i in range(1, k + 1):
         if not join_validity(at[i], kinds[i - 1]):
             raise InvalidAssignmentError(
@@ -288,22 +267,20 @@ class RepSpec:
     value: int  # edges or max degree, per the query
 
 
-def _case_assignment(case_id: int, j: Optional[int], k: int, extra_c=()):
-    """kinds/q0 for the three case shapes; ``extra_c`` blocks stay complete."""
-    if case_id == 1:
-        q0 = "c"
-        kinds = ["ss"] * k
-        for b in extra_c:
-            kinds[b - 1] = "sc"  # case 1 fillers are star-center
-        I = frozenset(i for i in range(1, k + 1) if kinds[i - 1] == "ss")
-        return q0, tuple(kinds), I
-    q0 = ("sc", j)
-    kinds = ["ss"] * k
-    kinds[j - 1] = "sc" if case_id == 2 else "c"
-    for b in extra_c:
-        kinds[b - 1] = "c"
-    I = frozenset(i for i in range(1, k + 1) if kinds[i - 1] == "ss")
-    return q0, tuple(kinds), I
+def _blocks_by_size(tag: str, n_list: Sequence[int]) -> list[int]:
+    """Block indices from the smallest block up (ties by index), once the query is checked."""
+    check_blocks(n_list)
+    if tag not in (KPARTITE, CLIQUE_STAR):
+        raise InvalidSpecError(f"unknown orbit tag {tag!r}")
+    return sorted(range(1, len(n_list) + 1), key=lambda i: (n_list[i - 1], i))
+
+
+def _rep_spec(tag: str, n_list: Sequence[int], case_id: int, j, fillers, measure) -> RepSpec:
+    """The symmetry class with pointer j and every other block but the fillers in I."""
+    k = len(n_list)
+    I = frozenset(i for i in range(1, k + 1) if i != j and i not in fillers)
+    q0, kinds = case_assignment(SymmetryCase(tag, case_id, j, I), k)
+    return RepSpec(tag, case_id, j, I, q0, kinds, measure(n_list, q0, kinds))
 
 
 def min_edge_hyperbola(k: int, n_j: int) -> int:
@@ -323,28 +300,21 @@ def min_edge_rep(tag: str, n_list: Sequence[int]) -> tuple[RepSpec, ...]:
     parity uses which case depends on the orbit; when the hyperbola
     f(k, n_j) is zero both candidates tie and both are returned.
     """
-    _check_blocks(n_list)
-    if tag not in (KPARTITE, CLIQUE_STAR):
-        raise InvalidSpecError(f"unknown orbit tag {tag!r}")
+    j = _blocks_by_size(tag, n_list)[0]
     k = len(n_list)
-    j = min(range(1, k + 1), key=lambda i: (n_list[i - 1], i))
     f = min_edge_hyperbola(k, n_list[j - 1])
-    mlr_parity_even = tag == KPARTITE  # case 1 is available when k has this parity
-    if (k % 2 == 0) == mlr_parity_even:
-        if f > 0:
-            case_ids = [(1, None)]
-        elif f < 0:
-            case_ids = [(3, j)]
-        else:
-            case_ids = [(1, None), (3, j)]
-    else:
+    if orbit_of(1, k) != tag:  # case 1 with every block star-spoke lies in the other orbit
         case_ids = [(2, j)]
-    out = []
-    for cid, jj in case_ids:
-        q0, kinds, I = _case_assignment(cid, jj, k)
-        value = edge_count_from_assignment(n_list, q0, kinds)
-        out.append(RepSpec(tag, cid, jj, I, q0, kinds, value))
-    return tuple(out)
+    elif f > 0:
+        case_ids = [(1, None)]
+    elif f < 0:
+        case_ids = [(3, j)]
+    else:
+        case_ids = [(1, None), (3, j)]
+    return tuple(
+        _rep_spec(tag, n_list, cid, jj, (), edge_count_from_assignment)
+        for cid, jj in case_ids
+    )
 
 
 def min_max_degree_rep(tag: str, n_list: Sequence[int]) -> tuple[RepSpec, ...]:
@@ -354,26 +324,14 @@ def min_max_degree_rep(tag: str, n_list: Sequence[int]) -> tuple[RepSpec, ...]:
     smallest block; any filler completes at the second-smallest) and
     returns every case achieving the minimum, ordered by case id.
     """
-    _check_blocks(n_list)
-    if tag not in (KPARTITE, CLIQUE_STAR):
-        raise InvalidSpecError(f"unknown orbit tag {tag!r}")
-    k = len(n_list)
-    by_size = sorted(range(1, k + 1), key=lambda i: (n_list[i - 1], i))
-    j, t = by_size[0], by_size[1]
-    all_ss_parity_even = tag == KPARTITE  # |I| = k allowed when k has this parity
-    candidates = []
-    if (k % 2 == 0) == all_ss_parity_even:
-        candidates.append(_case_assignment(1, None, k))
-        candidates.append(_case_assignment(2, j, k, extra_c=(t,)))
-        candidates.append(_case_assignment(3, j, k))
+    j, t = _blocks_by_size(tag, n_list)[:2]
+    if orbit_of(1, len(n_list)) == tag:  # |I| = k is allowed
+        fillers = [(), (t,), ()]
     else:
-        candidates.append(_case_assignment(1, None, k, extra_c=(j,)))
-        candidates.append(_case_assignment(2, j, k))
-        candidates.append(_case_assignment(3, j, k, extra_c=(t,)))
-    case_ids = [(1, None), (2, j), (3, j)]
-    specs = []
-    for (cid, jj), (q0, kinds, I) in zip(case_ids, candidates):
-        value = max_degree_from_assignment(n_list, q0, kinds)
-        specs.append(RepSpec(tag, cid, jj, I, q0, kinds, value))
+        fillers = [(j,), (), (t,)]
+    specs = [
+        _rep_spec(tag, n_list, cid, jj, fill, max_degree_from_assignment)
+        for (cid, jj), fill in zip([(1, None), (2, j), (3, j)], fillers)
+    ]
     best = min(s.value for s in specs)
     return tuple(s for s in specs if s.value == best)

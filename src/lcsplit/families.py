@@ -173,11 +173,28 @@ def _expect_params(p: tuple[int, ...], count: int) -> None:
         raise InvalidSpecError(f"expected {count} parameter(s), got {len(p)}")
 
 
+def check_blocks(n_list: Sequence[int]) -> None:
+    """The block list of a star-shaped tree: k >= 3 blocks, every n_i >= 2."""
+    if len(n_list) < 3 or any(n < 2 for n in n_list):
+        raise InvalidSpecError("need k >= 3 blocks with all n_i >= 2")
+
+
+def orbit_of(case_id: int, spokes: int) -> str:
+    """The orbit holding a symmetry class, from its case and |I| (star-spoke blocks).
+
+    The parity rule: case 1 or 2 with even |I|, or case 3 with odd |I|,
+    lies in the complete k-partite orbit; every other class lies in the
+    clique-star orbit.
+    """
+    return KPARTITE if (spokes % 2 == 0) == (case_id != 3) else CLIQUE_STAR
+
+
 def mlr_orbit_home(k: int) -> str:
     """Which orbit the multi-leaf repeater MR on k blocks belongs to.
 
-    Even k: the complete k-partite orbit; odd k: the clique-star orbit.
+    MR is case 1 with every block star-spoke, so even k: the complete
+    k-partite orbit; odd k: the clique-star orbit.
     """
     if k < 3:
         raise InvalidSpecError("multi-leaf repeater needs k >= 3")
-    return KPARTITE if k % 2 == 0 else CLIQUE_STAR
+    return orbit_of(1, k)

@@ -22,7 +22,7 @@ from .graphs import (
     _iso_invariants,
     _match,
     apply_sequence,
-    canonical_key,  # noqa: F401  (members are keyed by it; callers look it up here too)
+    canonical_key,
     edge_count,
     max_degree,
 )
@@ -47,7 +47,7 @@ class Orbit:
         return len(self.members)
 
     def __contains__(self, g: SimpleGraph) -> bool:
-        return g in self.members.values()
+        return canonical_key(g) in self.members
 
     def sorted_members(self) -> list[SimpleGraph]:
         return [self.members[k] for k in sorted(self.members)]
@@ -157,8 +157,8 @@ def transformation_between(
     if g.n != h.n:
         raise NotEquivalentError("graphs have different vertex counts")
     orbit = enumerate_orbit(g, limit=limit, track_parents=True)
-    key = next((k for k, member in orbit.members.items() if member == h), None)
-    if key is None:
+    key = canonical_key(h)
+    if key not in orbit.members:
         raise NotEquivalentError("graphs are not LC-equivalent")
     assert orbit.parent is not None
     steps: list[int] = []

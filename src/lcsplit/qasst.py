@@ -49,6 +49,7 @@ from .errors import (
 )
 from .graphs import (
     SimpleGraph,
+    _bits,
     induced_subgraph,
     is_connected,
     json_int,
@@ -121,9 +122,6 @@ class QuotientGraph:
         g = QuotientGraph.__new__(QuotientGraph)
         g.adj = {v: nb.copy() for v, nb in self.adj.items()}
         return g
-
-    def has_edge(self, a: Node, b: Node) -> bool:
-        return b in self.adj.get(a, ())
 
     def add_edge(self, a: Node, b: Node) -> None:
         if a == b:
@@ -290,14 +288,6 @@ class Qasst:
                 if s.i < s.j:
                     out.append((s, s.partner))
         return out
-
-    def leaf_partition(self) -> set[frozenset]:
-        """The partition of original vertices into quotient leaf blocks."""
-        return {
-            frozenset(q.leaf_nodes())
-            for q in self.quotients.values()
-            if q.leaf_nodes()
-        }
 
     def far_leaves(self, s: SplitNode) -> frozenset:
         """Original vertices on the partner side of split-node s."""
@@ -749,13 +739,6 @@ def _strong_side(quot: QuotientGraph) -> Optional[set[Node]]:
         ):
             return {v for k, v in enumerate(nodes) if a >> k & 1}
     return None
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _close_side(adj: list[int], a: int, b: int, seed: int) -> int:

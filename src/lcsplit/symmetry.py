@@ -11,10 +11,14 @@ class fixes the quotient kinds:
 
 The parity of |I| decides the orbit: for the k-partite orbit case 1 and
 case 2 take even |I| and case 3 odd; for the clique-star orbit the
-parities flip.  This module enumerates the classes, realizes them as
-labeled graphs, synthesizes explicit LC sequences from the base graph, and
-classifies how a single local complement moves between classes (the
-closure rules behind the non-equivalence of the two orbits).
+parities flip.  That rule is :func:`lcsplit.families.orbit_of`, and every
+parity test here and in :mod:`lcsplit.counting` goes through it.  This
+module owns the class model (:class:`SymmetryCase`, the case -> kinds map
+:func:`case_assignment` and Q0's shape :func:`q0_shape`), enumerates the
+classes, realizes them as labeled graphs, synthesizes explicit LC
+sequences from the base graph, and classifies how a single local
+complement moves between classes (the closure rules behind the
+non-equivalence of the two orbits).
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidCaseError, InvalidSpecError, MalformedQasstError
-from .families import CLIQUE_STAR, KPARTITE, block_ranges
+from .errors import InvalidAssignmentError, InvalidCaseError, InvalidSpecError, MalformedQasstError
+from .families import CLIQUE_STAR, KPARTITE, block_ranges, check_blocks, orbit_of
 from .graphs import SimpleGraph, apply_sequence
 from .qasst import (
     COMPLETE,
-    PRIME,
     STAR,
     STAR_CENTER,
     STAR_SPOKE,
@@ -68,18 +71,11 @@ class SymmetryCase:
                 raise InvalidCaseError(f"case {self.case_id} needs a pointer index j")
             if self.j in self.I:
                 raise InvalidCaseError("pointer index j must not lie in I")
-        if not _parity_ok(self.tag, self.case_id, len(self.I)):
+        if orbit_of(self.case_id, len(self.I)) != self.tag:
             raise InvalidCaseError(
                 f"|I| = {len(self.I)} has the wrong parity for "
                 f"{self.tag} case {self.case_id}"
             )
-
-
-def _parity_ok(tag: str, case_id: int, size: int) -> bool:
-    even = size % 2 == 0
-    if tag == KPARTITE:
-        return even if case_id in (1, 2) else not even
-    return not even if case_id in (1, 2) else even
 
 
 def case_assignment(case: SymmetryCase, k: int):
@@ -100,6 +96,25 @@ def case_assignment(case: SymmetryCase, k: int):
     return ("sc", case.j), kinds
 
 
+def q0_shape(q0_kind, k: int):
+    """Q0's edges over block indices 1..k, and its kind at each block's end.
+
+    ``q0_kind`` is "c" (complete) or ("sc", j) (a star centred toward Q_j).
+    """
+    if q0_kind == "c":
+        edges = list(itertools.combinations(range(1, k + 1), 2))
+        return edges, {i: "c" for i in range(1, k + 1)}
+    if isinstance(q0_kind, tuple) and len(q0_kind) == 2 and q0_kind[0] == "sc":
+        j = q0_kind[1]
+        if not isinstance(j, int) or not 1 <= j <= k:
+            raise InvalidAssignmentError(f"Q0 center index {j!r} out of 1..{k}")
+        edges = [(min(i, j), max(i, j)) for i in range(1, k + 1) if i != j]
+        at = {i: "ss" for i in range(1, k + 1)}
+        at[j] = "sc"
+        return edges, at
+    raise InvalidAssignmentError(f"Q0 kind must be 'c' or ('sc', j), got {q0_kind!r}")
+
+
 def enumerate_cases(
     tag: str, n_list: Sequence[int]
 ) -> list[tuple[SymmetryCase, int]]:
@@ -108,28 +123,20 @@ def enumerate_cases(
     The multiplicity of a class is prod_{i in I} n_i; summed over all
     classes this equals the orbit-size formula.
     """
-    if len(n_list) < 3 or any(n < 2 for n in n_list):
-        raise InvalidSpecError("need k >= 3 blocks with all n_i >= 2")
+    check_blocks(n_list)
+    if tag not in (KPARTITE, CLIQUE_STAR):
+        raise InvalidCaseError(f"unknown orbit tag {tag!r}")
     k = len(n_list)
     out: list[tuple[SymmetryCase, int]] = []
-
-    def subsets(pool, parity_even):
-        for r in range(len(pool) + 1):
-            if (r % 2 == 0) != parity_even:
-                continue
-            yield from itertools.combinations(pool, r)
-
-    even1 = _parity_ok(tag, 1, 0)
-    for I in subsets(range(1, k + 1), even1):
-        case = SymmetryCase(tag, 1, None, frozenset(I))
-        out.append((case, math.prod(n_list[i - 1] for i in I)))
-    for case_id in (2, 3):
-        even = _parity_ok(tag, case_id, 0)
-        for j in range(1, k + 1):
+    for case_id in (1, 2, 3):
+        for j in [None] if case_id == 1 else range(1, k + 1):
             pool = [i for i in range(1, k + 1) if i != j]
-            for I in subsets(pool, even):
-                case = SymmetryCase(tag, case_id, j, frozenset(I))
-                out.append((case, math.prod(n_list[i - 1] for i in I)))
+            for r in range(len(pool) + 1):
+                if orbit_of(case_id, r) != tag:
+                    continue
+                for I in itertools.combinations(pool, r):
+                    case = SymmetryCase(tag, case_id, j, frozenset(I))
+                    out.append((case, math.prod(n_list[i - 1] for i in I)))
     return out
 
 
@@ -138,17 +145,16 @@ def build_star_qasst(
 ) -> Qasst:
     """The star-shaped QASST for an assignment of quotient kinds."""
     k = len(n_list)
+    kinds = tuple(kinds)
+    if len(kinds) != k:
+        raise InvalidAssignmentError(f"need one quotient kind per block, got {len(kinds)}")
+    edges, _ = q0_shape(q0_kind, k)
     blocks = block_ranges(n_list)
     centers = centers or {}
-    q0 = QuotientGraph(SplitNode(0, i) for i in range(1, k + 1))
-    if q0_kind == "c":
-        for a, b in itertools.combinations(range(1, k + 1), 2):
-            q0.add_edge(SplitNode(0, a), SplitNode(0, b))
-    else:
-        j = q0_kind[1]
-        for i in range(1, k + 1):
-            if i != j:
-                q0.add_edge(SplitNode(0, j), SplitNode(0, i))
+    q0 = QuotientGraph(
+        (SplitNode(0, i) for i in range(1, k + 1)),
+        ((SplitNode(0, a), SplitNode(0, b)) for a, b in edges),
+    )
     quotients = {0: q0}
     for i, (block, kind) in enumerate(zip(blocks, kinds), start=1):
         s = SplitNode(i, 0)
@@ -248,6 +254,29 @@ def synthesize_transformation(
 # -- member classification and closure ----------------------------------------
 
 
+def _block_quotients(
+    q: Qasst, blocks: Sequence[range]
+) -> tuple[list[QuotientGraph], dict[int, QuotientGraph]]:
+    """The leafless quotients of a tree, and the quotient of each vertex block.
+
+    Blocks are numbered from 1; a quotient whose leaf-nodes are not exactly
+    one block is refused.
+    """
+    block_of_leafset = {frozenset(b): i for i, b in enumerate(blocks, start=1)}
+    leafless: list[QuotientGraph] = []
+    outer: dict[int, QuotientGraph] = {}
+    for quot in q.quotients.values():
+        leaves = frozenset(quot.leaf_nodes())
+        if not leaves:
+            leafless.append(quot)
+            continue
+        block = block_of_leafset.get(leaves)
+        if block is None:
+            raise MalformedQasstError(f"leaf block {sorted(leaves)} unexpected")
+        outer[block] = quot
+    return leafless, outer
+
+
 def analyze_star_member(
     g: SimpleGraph, n_list: Sequence[int], tag: Optional[str] = None
 ) -> tuple[SymmetryCase, dict]:
@@ -258,28 +287,16 @@ def analyze_star_member(
     supplied or inferred from the |I| parity.
     """
     k = len(n_list)
-    blocks = block_ranges(n_list)
-    block_of_leafset = {frozenset(b): i for i, b in enumerate(blocks, start=1)}
     q = compute_qasst(g)
     if len(q.quotients) != k + 1:
         raise MalformedQasstError("graph does not have the star-shaped QASST")
-    central = None
-    outer: dict[int, QuotientGraph] = {}
-    for quot in q.quotients.values():
-        leaves = frozenset(quot.leaf_nodes())
-        if not leaves:
-            central = quot
-        else:
-            block = block_of_leafset.get(leaves)
-            if block is None:
-                raise MalformedQasstError(f"leaf block {sorted(leaves)} unexpected")
-            outer[block] = quot
-    if central is None or len(outer) != k:
+    leafless, outer = _block_quotients(q, block_ranges(n_list))
+    if len(leafless) != 1:
         raise MalformedQasstError("graph does not have the star-shaped QASST")
+    (central,) = leafless
 
-    central_index = next(iter(central.split_nodes())).i
     block_of_quotient = {
-        next(iter(outer[b].split_nodes())).i: b for b in outer
+        next(iter(quot.split_nodes())).i: b for b, quot in outer.items()
     }
     roles: dict[int, tuple[str, int]] = {}
     kinds: dict[int, str] = {}
@@ -317,11 +334,7 @@ def analyze_star_member(
     else:
         raise MalformedQasstError("central quotient is neither star nor complete")
     if tag is None:
-        even = len(I) % 2 == 0
-        if case_id in (1, 2):
-            tag = KPARTITE if even else CLIQUE_STAR
-        else:
-            tag = CLIQUE_STAR if even else KPARTITE
+        tag = orbit_of(case_id, len(I))
     return SymmetryCase(tag, case_id, j, I, centers), roles
 
 
@@ -336,16 +349,10 @@ def classify_bipartite_member(g: SimpleGraph, n: int, m: int) -> tuple[str, str]
     q = compute_qasst(g)
     if len(q.quotients) != 2:
         raise MalformedQasstError("graph does not have the two-quotient QASST")
-    blocks = {frozenset(range(1, n + 1)): 0, frozenset(range(n + 1, n + m + 1)): 1}
-    kinds: list[Optional[str]] = [None, None]
-    for quot in q.quotients.values():
-        b = blocks.get(frozenset(quot.leaf_nodes()))
-        if b is None:
-            raise MalformedQasstError("leaf blocks do not match the bipartition")
-        s = next(iter(quot.split_nodes()))
-        kinds[b] = classify_quotient(quot, s).kind
-    assert kinds[0] is not None and kinds[1] is not None
-    return kinds[0], kinds[1]
+    _, outer = _block_quotients(q, block_ranges((n, m)))
+    return tuple(
+        classify_quotient(quot, next(iter(quot.split_nodes()))).kind for quot in (outer[1], outer[2])
+    )
 
 
 def closure_step(tag: str, case: SymmetryCase, role: tuple[str, int]) -> tuple[int, Optional[int]]:

@@ -159,6 +159,13 @@ class TestVerify:
         assert "10/10 checks passed" in out
         assert "FAIL" not in out
 
+    def test_extended_suite_passes(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "extended")
+        assert code == 0
+        assert "15/15 checks passed" in out
+        assert "FAIL" not in out
+        assert all(f"E0{i}" in out for i in range(1, 6))
+
     def test_output_is_deterministic(self, capsys):
         _, out1 = run(capsys, "verify", "--suite", "desk", "--seed", "7")
         _, out2 = run(capsys, "verify", "--suite", "desk", "--seed", "7")

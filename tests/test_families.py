@@ -19,6 +19,7 @@ from lcsplit.families import (
     cycle_graph,
     mlr_orbit_home,
     multi_leaf_repeater_graph,
+    orbit_of,
     path_graph,
     repeater_graph,
     star_graph,
@@ -101,6 +102,13 @@ class TestBlockFamilies:
         assert mlr_orbit_home(3) == CLIQUE_STAR
         assert mlr_orbit_home(4) == KPARTITE
         assert mlr_orbit_home(5) == CLIQUE_STAR
+
+    def test_orbit_of_parity_rule(self):
+        even_first = [KPARTITE, CLIQUE_STAR, KPARTITE, CLIQUE_STAR, KPARTITE]
+        odd_first = [CLIQUE_STAR, KPARTITE, CLIQUE_STAR, KPARTITE, CLIQUE_STAR]
+        assert [orbit_of(1, spokes) for spokes in range(5)] == even_first
+        assert [orbit_of(2, spokes) for spokes in range(5)] == even_first
+        assert [orbit_of(3, spokes) for spokes in range(5)] == odd_first
 
 
 class TestSpecValidation:

@@ -87,6 +87,12 @@ class TestEquivalence:
             seq = transformation_between(g, h)
             assert apply_sequence(g, seq) == h
 
+    def test_transformation_finds_target_by_key(self):
+        g = star_graph(3)
+        assert transformation_between(g, SimpleGraph(4, g.edges())) == []
+        seq = transformation_between(g, SimpleGraph(4, complete_graph(4).edges()))
+        assert apply_sequence(g, seq) == complete_graph(4)
+
     def test_transformation_rejects_non_equivalent(self):
         with pytest.raises(NotEquivalentError):
             transformation_between(

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from lcsplit.counting import orbit_size
-from lcsplit.errors import InvalidCaseError
+from lcsplit.errors import InvalidAssignmentError, InvalidCaseError, MalformedQasstError
 from lcsplit.families import (
     CLIQUE_STAR,
     KPARTITE,
@@ -19,6 +19,7 @@ from lcsplit.orbit import enumerate_orbit
 from lcsplit.symmetry import (
     SymmetryCase,
     analyze_star_member,
+    build_star_qasst,
     classify_bipartite_member,
     classify_star_member,
     closure_step,
@@ -57,6 +58,26 @@ class TestEnumerateCases:
     def test_totals_equal_orbit_size(self, tag, n_list):
         total = sum(mult for _, mult in enumerate_cases(tag, n_list))
         assert total == orbit_size(tag, n_list)
+
+
+class TestBuildStarQasst:
+    @pytest.mark.parametrize("q0_kind", [("sc", 9), ("sc", 0), ("sc", "1"), "x", ("c",), ("ss", 1)])
+    def test_malformed_q0_kind_is_assignment_error(self, q0_kind):
+        with pytest.raises(InvalidAssignmentError, match="Q0"):
+            build_star_qasst((2, 2, 2), q0_kind, ("c", "c", "c"))
+
+    @pytest.mark.parametrize("kinds", [("c", "c"), ("c", "c", "c", "c"), ()])
+    def test_needs_one_kind_per_block(self, kinds):
+        with pytest.raises(InvalidAssignmentError, match="one quotient kind per block"):
+            build_star_qasst((2, 2, 2), ("sc", 1), kinds)
+
+    def test_every_shape_validates(self):
+        n_list = (2, 3, 2)
+        for q0 in ["c"] + [("sc", j) for j in range(1, 4)]:
+            for kinds in itertools.product(("c", "sc", "ss"), repeat=3):
+                q = build_star_qasst(n_list, q0, kinds)
+                q.validate()
+                assert len(q.quotients) == 4
 
 
 class TestRealize:
@@ -111,6 +132,16 @@ class TestClassification:
                         case.I,
                         cdict,
                     )
+
+    def test_bipartite_blocks_must_match(self):
+        with pytest.raises(MalformedQasstError, match="unexpected"):
+            classify_bipartite_member(complete_bipartite_graph(2, 3), 3, 2)
+
+    def test_star_member_refuses_other_trees(self):
+        with pytest.raises(MalformedQasstError, match="star-shaped"):
+            analyze_star_member(complete_bipartite_graph(2, 3), (2, 3))
+        with pytest.raises(MalformedQasstError, match=r"leaf block \[1, 2\] unexpected"):
+            analyze_star_member(complete_multipartite_graph((2, 2, 2)), (3, 2, 1))
 
     def test_bipartite_kind_counts(self):
         orbit = enumerate_orbit(complete_bipartite_graph(2, 3))
