@@ -300,11 +300,33 @@ def cmd_sym(args) -> int:
 # -- verification driver ------------------------------------------------------
 
 
-def _desk_checks(limit: int):
+def _orbit_pair(orbits, n_list):
+    """The orbits of K_{n_1..n_k} and CS^1 on these blocks, checked disjoint."""
+    ok = orbits(families.complete_multipartite_graph(n_list))
+    oc = orbits(families.clique_star_graph(n_list, 1))
+    assert not ok.members.keys() & oc.members.keys(), "orbits intersect"
+    return ok, oc
+
+
+def _reps_vs_oracle(orbits, n_list) -> str:
+    """Both orbits' closed-form optimal representatives against the oracle's best members."""
+    details = []
+    for tag, o in zip((families.KPARTITE, families.CLIQUE_STAR), _orbit_pair(orbits, n_list)):
+        _, edges = orbit.min_edge_member(o)
+        reps = counting.min_edge_rep(tag, n_list)
+        assert reps[0].value == edges, f"{tag} edges {edges} vs {reps[0].value}"
+        _, delta = orbit.min_max_degree_member(o)
+        dreps = counting.min_max_degree_rep(tag, n_list)
+        assert dreps[0].value == delta, f"{tag} degree {delta} vs {dreps[0].value}"
+        details.append(f"{tag}:{edges}e/{delta}d")
+    return " ".join(details)
+
+
+def _desk_checks(orbits):
     def bipartite_sizes():
         details = []
         for n, m in ((2, 2), (2, 3), (3, 3)):
-            got = len(orbit.enumerate_orbit(families.complete_bipartite_graph(n, m), limit))
+            got = len(orbits(families.complete_bipartite_graph(n, m)))
             want = counting.bipartite_orbit_size(n, m)
             assert got == want, f"|O(K_{n},{m})| = {got}, formula {want}"
             details.append(f"K{n},{m}:{got}")
@@ -313,7 +335,7 @@ def _desk_checks(limit: int):
     def bipartite_min_edge():
         details = []
         for n, m in ((2, 2), (2, 3), (3, 3)):
-            o = orbit.enumerate_orbit(families.complete_bipartite_graph(n, m), limit)
+            o = orbits(families.complete_bipartite_graph(n, m))
             best, edges = orbit.min_edge_member(o)
             want = counting.bipartite_min_edge_count(n, m)
             assert edges == want, f"min edges {edges}, formula {want}"
@@ -331,13 +353,11 @@ def _desk_checks(limit: int):
         return " ".join(details)
 
     def k3_orbits():
-        ok = orbit.enumerate_orbit(families.complete_multipartite_graph((2, 2, 2)), limit)
-        oc = orbit.enumerate_orbit(families.clique_star_graph((2, 2, 2), 1), limit)
+        ok, oc = _orbit_pair(orbits, (2, 2, 2))
         assert len(ok) == 40, f"|O(K222)| = {len(ok)}"
         assert len(oc) == 41, f"|O(CS222)| = {len(oc)}"
         phi = counting.kpartite_phi((2, 2, 2))
         assert len(ok) + len(oc) == phi == 81, f"sum {len(ok) + len(oc)}, phi {phi}"
-        assert not set(ok.members) & set(oc.members), "orbits intersect"
         return "40 + 41 = 81, disjoint"
 
     def iso_classes():
@@ -349,7 +369,7 @@ def _desk_checks(limit: int):
             (families.clique_star_graph((2, 2, 2), 1), 5, "CS2,2,2"),
         ]
         for g, want, name in targets:
-            got = len(orbit.orbit_iso_classes(orbit.enumerate_orbit(g, limit)))
+            got = len(orbit.orbit_iso_classes(orbits(g)))
             assert got == want, f"{name}: {got} classes, want {want}"
             details.append(f"{name}:{got}")
         fk = counting.iso_class_count(families.KPARTITE, 3)
@@ -358,34 +378,15 @@ def _desk_checks(limit: int):
         return " ".join(details)
 
     def repeater_membership():
-        o = orbit.enumerate_orbit(families.clique_star_graph((2, 2, 2), 1), limit)
+        o = orbits(families.clique_star_graph((2, 2, 2), 1))
         assert families.repeater_graph(3) in o, "R3 not in O(CS222)"
         assert families.mlr_orbit_home(3) == families.CLIQUE_STAR
         return "R3 in O(CS1_2,2,2)"
 
-    def k3_reps():
-        details = []
-        for tag, base in (
-            (families.KPARTITE, families.complete_multipartite_graph((2, 2, 2))),
-            (families.CLIQUE_STAR, families.clique_star_graph((2, 2, 2), 1)),
-        ):
-            o = orbit.enumerate_orbit(base, limit)
-            _, edges = orbit.min_edge_member(o)
-            reps = counting.min_edge_rep(tag, (2, 2, 2))
-            assert reps[0].value == edges, f"{tag} edges {edges} vs {reps[0].value}"
-            _, delta = orbit.min_max_degree_member(o)
-            dreps = counting.min_max_degree_rep(tag, (2, 2, 2))
-            assert dreps[0].value == delta, f"{tag} degree {delta} vs {dreps[0].value}"
-            details.append(f"{tag}:{edges}e/{delta}d")
-        return " ".join(details)
-
     def closure_tables():
         checks = 0
-        for tag, base in (
-            (families.KPARTITE, families.complete_multipartite_graph((2, 2, 2))),
-            (families.CLIQUE_STAR, families.clique_star_graph((2, 2, 2), 1)),
-        ):
-            o = orbit.enumerate_orbit(base, limit)
+        pair = _orbit_pair(orbits, (2, 2, 2))
+        for tag, o in zip((families.KPARTITE, families.CLIQUE_STAR), pair):
             for g in o.sorted_members():
                 case, roles = symmetry.analyze_star_member(g, (2, 2, 2), tag)
                 for v in range(1, g.n + 1):
@@ -416,8 +417,8 @@ def _desk_checks(limit: int):
         cycles = [counting.bouchet_cycle_count(n) for n in (4, 5)]
         assert paths == [16, 44, 120], f"paths {paths}"
         assert cycles == [44, 132], f"cycles {cycles}"
-        op3 = len(orbit.enumerate_orbit(families.path_graph(3), limit))
-        oc4 = len(orbit.enumerate_orbit(families.cycle_graph(4), limit))
+        op3 = len(orbits(families.path_graph(3)))
+        oc4 = len(orbits(families.cycle_graph(4)))
         return (
             f"paths {paths}, cycles {cycles}; labeled oracle P3={op3}, C4={oc4} "
             "(formula counts a different equivalence, mismatch expected)"
@@ -440,7 +441,8 @@ def _desk_checks(limit: int):
         ("D03", "k=3 orbit sizes, phi sum, disjointness", k3_orbits),
         ("D04", "isomorphism-class counts", iso_classes),
         ("D05", "repeater R3 orbit membership", repeater_membership),
-        ("D06", "k=3 optimal representatives vs oracle", k3_reps),
+        ("D06", "k=3 optimal representatives vs oracle",
+         lambda: _reps_vs_oracle(orbits, (2, 2, 2))),
         ("D07", "closure tables over both k=3 orbits", closure_tables),
         ("D08", "decompose/reconstruct round-trips", round_trips),
         ("D09", "path/cycle count evaluations", bouchet),
@@ -448,45 +450,30 @@ def _desk_checks(limit: int):
     ]
 
 
-def _extended_checks(limit: int, seed: int):
+def _extended_checks(orbits, seed: int):
     def k4_orbits():
-        ok = orbit.enumerate_orbit(families.complete_multipartite_graph((2, 2, 2, 2)), limit)
-        oc = orbit.enumerate_orbit(families.clique_star_graph((2, 2, 2, 2), 1), limit)
+        ok, oc = _orbit_pair(orbits, (2, 2, 2, 2))
         assert len(ok) == 149, f"|O(K2222)| = {len(ok)}"
         assert len(oc) == 148, f"|O(CS2222)| = {len(oc)}"
-        assert not set(ok.members) & set(oc.members), "orbits intersect"
         assert families.repeater_graph(4) in ok, "R4 not in O(K2222)"
         assert families.mlr_orbit_home(4) == families.KPARTITE
         return "149 + 148, disjoint, R4 in the k-partite orbit"
 
     def k4_reps():
-        details = []
-        for tag, base in (
-            (families.KPARTITE, families.complete_multipartite_graph((2, 2, 2, 2))),
-            (families.CLIQUE_STAR, families.clique_star_graph((2, 2, 2, 2), 1)),
-        ):
-            o = orbit.enumerate_orbit(base, limit)
-            _, edges = orbit.min_edge_member(o)
-            reps = counting.min_edge_rep(tag, (2, 2, 2, 2))
-            assert reps[0].value == edges
-            _, delta = orbit.min_max_degree_member(o)
-            dreps = counting.min_max_degree_rep(tag, (2, 2, 2, 2))
-            assert dreps[0].value == delta
-            details.append(f"{tag}:{edges}e/{delta}d")
+        details = _reps_vs_oracle(orbits, (2, 2, 2, 2))
         tie = counting.min_edge_rep(families.KPARTITE, (2, 2, 2, 2))
         assert len(tie) == 2 and {r.case_id for r in tie} == {1, 3}, "expected a case 1/3 tie"
-        return " ".join(details) + "; k=4 edge-count tie confirmed"
+        return details + "; k=4 edge-count tie confirmed"
 
     def k5_degree():
-        o = orbit.enumerate_orbit(families.complete_multipartite_graph((2,) * 5), limit)
+        o = orbits(families.complete_multipartite_graph((2,) * 5))
         _, delta = orbit.min_max_degree_member(o)
         dreps = counting.min_max_degree_rep(families.KPARTITE, (2,) * 5)
         assert delta == 4 and dreps[0].value == 4, f"k=5 degree {delta} vs {dreps[0].value}"
         return "min max-degree 4"
 
     def formula_vs_oracle_223():
-        ok = orbit.enumerate_orbit(families.complete_multipartite_graph((2, 2, 3)), limit)
-        oc = orbit.enumerate_orbit(families.clique_star_graph((2, 2, 3), 1), limit)
+        ok, oc = _orbit_pair(orbits, (2, 2, 3))
         fk = counting.kpartite_orbit_size((2, 2, 3))
         fc = counting.clique_star_orbit_size((2, 2, 3))
         assert (len(ok), len(oc)) == (fk, fc), f"({len(ok)},{len(oc)}) vs ({fk},{fc})"
@@ -521,9 +508,11 @@ def _extended_checks(limit: int, seed: int):
 
 
 def cmd_verify(args) -> int:
-    checks = _desk_checks(args.limit)
+    # One enumeration per distinct graph per run, under the run's budget.
+    orbits = functools.cache(lambda g: orbit.enumerate_orbit(g, args.limit))
+    checks = _desk_checks(orbits)
     if args.suite == "extended":
-        checks += _extended_checks(args.limit, args.seed)
+        checks += _extended_checks(orbits, args.seed)
     rows = []
     failures = 0
     for item_id, description, fn in checks:

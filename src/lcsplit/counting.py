@@ -18,6 +18,7 @@ from .families import CLIQUE_STAR, KPARTITE, check_blocks, orbit_of
 from .qasst import (
     PRIME,
     Qasst,
+    _orient,
     classify_quotient,
     join_validity,
 )
@@ -75,8 +76,10 @@ def phi_count(q: Qasst) -> int:
     quotient on m >= 3 nodes has m+1 members: the complete graph plus one
     star per choice of center) such that every tree edge joins a valid kind
     pair.  Computed by dynamic programming over the tree, children before
-    parents, each child's table once.  Prime quotients are rejected: their
-    orbit sizes have no closed form here.
+    parents, each child's table once: the rooted pass
+    :func:`lcsplit.qasst._orient` gives that order, reversed, and each
+    quotient's entry split-node, the one facing its parent.  Prime
+    quotients are rejected: their orbit sizes have no closed form here.
     """
     quots = q.quotients
     for quot in quots.values():
@@ -86,17 +89,12 @@ def phi_count(q: Qasst) -> int:
         m = len(next(iter(quots.values())).nodes)
         return m + 1 if m >= 3 else 1
 
-    # Pre-order from the root, with each quotient's entry split-node.
-    order, stack = [], [(min(quots), None)]
-    while stack:
-        i, entry = stack.pop()
-        order.append((i, entry))
-        stack.extend((s.j, s.partner) for s in quots[i].split_nodes() if s != entry)
+    order, up = _orient(q)
     # valid[i][a]: ways to fill quotient i's subtree when its parent's
     # member has kind a at the split-node facing i; children come first.
     valid: dict[int, dict[str, int]] = {}
-    for i, entry in reversed(order):
-        quot = quots[i]
+    for i in reversed(order):
+        quot, entry = quots[i], up[i]
         children = [s for s in quot.split_nodes() if s != entry]
         c_ways = math.prod(valid[s.j]["c"] for s in children)
         ss_ways = math.prod(valid[s.j]["ss"] for s in children)  # every factor > 0
@@ -117,6 +115,7 @@ def phi_count(q: Qasst) -> int:
             a: sum(cnt for b, cnt in at_entry.items() if join_validity(a, b))
             for a in ("c", "sc", "ss")
         }
+    raise UnsupportedQasstError("phi requires a nonempty tree")
 
 
 def kpartite_phi(n_list: Sequence[int]) -> int:

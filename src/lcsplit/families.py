@@ -101,9 +101,8 @@ def complete_bipartite_graph(n: int, m: int) -> SimpleGraph:
 
 def clique_star_graph(n_list: Sequence[int], r: int) -> SimpleGraph:
     """CS^r: every block a clique, block r fully joined to all other blocks."""
+    check_blocks(n_list)
     k = len(n_list)
-    if k < 3 or any(n < 2 for n in n_list):
-        raise InvalidSpecError("clique-star needs k >= 3 and all n_i >= 2")
     if not (1 <= r <= k):
         raise InvalidSpecError(f"clique-star center r must be in 1..{k}, got {r}")
     blocks = block_ranges(n_list)
@@ -119,9 +118,7 @@ def clique_star_graph(n_list: Sequence[int], r: int) -> SimpleGraph:
 
 def multi_leaf_repeater_graph(n_list: Sequence[int]) -> SimpleGraph:
     """MR: complete core K_k, plus n_i - 1 leaves on core vertex i."""
-    k = len(n_list)
-    if k < 3 or any(n < 2 for n in n_list):
-        raise InvalidSpecError("multi-leaf repeater needs k >= 3 and all n_i >= 2")
+    check_blocks(n_list)
     blocks = block_ranges(n_list)
     cores = [b[0] for b in blocks]
     edges = [(u, v) for u in cores for v in cores if u < v]

@@ -15,28 +15,28 @@ is an adjacency-set graph over these nodes (:class:`QuotientGraph`).
 Every tree is built in place by one primitive, :meth:`Qasst.split_off`,
 which moves one side of a split of a quotient into a new quotient, and
 taken apart by its inverse, :meth:`Qasst.merge`.  The decomposition
-(:func:`compute_qasst`) starts from the whole graph as one quotient and
-splits every prime quotient along any nontrivial split, found in
+(:func:`compute_qasst`) checks the graph and starts from it as one
+quotient (:func:`single_quotient_qasst`), then re-splits (:func:`_resplit`):
+every prime quotient is split along any nontrivial split, found in
 polynomial time by :func:`_split_side`, until every quotient is complete,
-a star or has no split, then merges back across every tree edge that is
-not a strong split (:func:`_reduce`).  By Cunningham's uniqueness theorem
-(1982) the result is the strong split tree.  Distance-hereditary graphs
-take the same path; pendant/twin elimination (:func:`eliminate_extensions`)
-serves only :func:`is_distance_hereditary`.  A one-vertex extension splits
-off {anchor, new}; ``qasst_ops.induced_qasst`` re-splits and reduces the
-quotients a deletion touched.  Brute-force strong-split search
-(:func:`_strong_side`) is kept only as the reference decomposition
-:func:`compute_qasst_by_splits`.  Whatever is read from the whole tree
-(the leaves behind each split-node, their least one, the canonical
-numbering) comes from one rooted pass, :func:`_orient`, in linear time
-rather than one subtree walk per split-node.
+a star or has no split, then the tree merges back across every tree edge
+that is not a strong split (:func:`_reduce`).  By Cunningham's uniqueness
+theorem (1982) the result is the strong split tree.  Distance-hereditary
+graphs take the same path; pendant/twin elimination
+(:func:`eliminate_extensions`) serves only :func:`is_distance_hereditary`.
+A one-vertex extension splits off {anchor, new}; ``qasst_ops.induced_qasst``
+hands the quotients a deletion touched to :func:`_resplit`.  Brute-force
+strong-split search (:func:`_strong_side`) is kept only as the reference
+decomposition :func:`compute_qasst_by_splits`.  Whatever is read from the
+whole tree (the leaves behind each split-node, their least one, the
+canonical numbering) comes from one rooted pass, :func:`_orient`, in
+linear time rather than one subtree walk per split-node.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -50,7 +50,6 @@ from .errors import (
 from .graphs import (
     SimpleGraph,
     _bits,
-    induced_subgraph,
     is_connected,
     json_int,
     neighborhood,
@@ -148,13 +147,10 @@ class QuotientGraph:
         for v, nb in moved.items():
             self.adj[mapping[v]] = {mapping.get(w, w) for w in nb}
 
-    def toggle_edges_among(self, group: Iterable[Node]) -> None:
-        for a, b in itertools.combinations(list(group), 2):
+    def local_complement_at(self, node: Node) -> None:
+        for a, b in itertools.combinations(self.adj[node], 2):
             self.adj[a] ^= {b}
             self.adj[b] ^= {a}
-
-    def local_complement_at(self, node: Node) -> None:
-        self.toggle_edges_among(self.adj[node])
 
     def leaf_nodes(self) -> set[int]:
         return {v for v in self.adj if isinstance(v, int)}
@@ -164,9 +160,14 @@ class QuotientGraph:
 
     def __repr__(self) -> str:
         ns = sorted(self.nodes, key=node_sort_key)
-        es = sorted((sorted(e, key=node_sort_key) for e in self.edges),
-                    key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1])))
-        return f"QuotientGraph(nodes={ns}, edges={es})"
+        return f"QuotientGraph(nodes={ns}, edges={_sorted_edges(self)})"
+
+
+def _sorted_edges(quot: QuotientGraph) -> list[list[Node]]:
+    """Every edge of a quotient as an ordered pair, in output order (:func:`node_sort_key`)."""
+    key = {v: node_sort_key(v) for v in quot.adj}
+    pairs = ([a, b] for a, nb in quot.adj.items() for b in nb if key[a] < key[b])
+    return sorted(pairs, key=lambda e: (key[e[0]], key[e[1]]))
 
 
 class Qasst:
@@ -477,6 +478,11 @@ def _far_minima(q: Qasst) -> dict[SplitNode, float]:
 
 
 def single_quotient_qasst(g: SimpleGraph) -> Qasst:
+    """A connected graph as one quotient, where every decomposition starts."""
+    if g.n < 1:
+        raise InvalidSpecError("decomposition needs n >= 1")
+    if not is_connected(g):
+        raise NotConnectedError("decomposition requires a connected graph")
     quotient = QuotientGraph()
     quotient.adj = {v: neighborhood(g, v) for v in range(1, g.n + 1)}
     return Qasst({0: quotient})
@@ -490,10 +496,7 @@ def _check_bipartition(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[i
     b = set(side_b)
     if not a or not b or a & b or a | b != set(range(1, g.n + 1)):
         raise ValueError("sides must be disjoint, nonempty, and cover all vertices")
-    amask = 0
-    for v in a:
-        amask |= 1 << v
-    return amask, sum(1 << v for v in b)
+    return sum(1 << v for v in a), sum(1 << v for v in b)
 
 
 def _mask_is_split(adj: list[int], amask: int, bmask: int) -> bool:
@@ -516,8 +519,7 @@ def _mask_is_split(adj: list[int], amask: int, bmask: int) -> bool:
 def is_split(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[int]) -> bool:
     """Crossing edges between the sides form a complete bipartite subgraph."""
     amask, bmask = _check_bipartition(g, side_a, side_b)
-    adj = [g.neighborhood_mask(v) if 1 <= v <= g.n else 0 for v in range(g.n + 1)]
-    return _mask_is_split(adj, amask, bmask)
+    return _mask_is_split(g._adj, amask, bmask)
 
 
 def _all_split_masks(adj: list[int], full: int) -> list[int]:
@@ -682,41 +684,6 @@ def is_distance_hereditary(g: SimpleGraph) -> bool:
     return len(kernel) == 1
 
 
-def dh_definition_oracle(g: SimpleGraph) -> bool:
-    """Literal definition: connected induced subgraphs preserve distances."""
-    if not is_connected(g):
-        raise NotConnectedError("distance-hereditary test requires a connected graph")
-    if g.n > 10:
-        raise SizeLimitError("definition oracle limited to 10 vertices")
-
-    def distances(graph: SimpleGraph) -> dict[tuple[int, int], int]:
-        dist = {}
-        for src in range(1, graph.n + 1):
-            seen = {src: 0}
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for w in neighborhood(graph, u):
-                    if w not in seen:
-                        seen[w] = seen[u] + 1
-                        queue.append(w)
-            for t, d in seen.items():
-                dist[(src, t)] = d
-        return dist
-
-    base = distances(g)
-    verts = list(range(1, g.n + 1))
-    for r in range(2, g.n + 1):
-        for combo in itertools.combinations(verts, r):
-            sub, labels = induced_subgraph(g, combo)
-            if not is_connected(sub):
-                continue
-            for (u, v), d in distances(sub).items():
-                if base[(labels[u], labels[v])] != d:
-                    return False
-    return True
-
-
 # -- decomposition -----------------------------------------------------------
 
 
@@ -860,16 +827,17 @@ def _reduce(q: Qasst, around: Iterable[int]) -> set[int]:
     return grown
 
 
+def _resplit(q: Qasst, work: Optional[Iterable[int]] = None) -> None:
+    """Split quotients ``work`` (default: all) by any split; reduce to the strong split tree."""
+    _reduce(q, _split_primes(q, _any_split, work))
+
+
 def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
     """Reference decomposition by explicit strong-split search.
 
     Exponential in the component sizes (limited to 18 vertices); used as
     the independent oracle in tests.
     """
-    if g.n < 1:
-        raise InvalidSpecError("decomposition needs n >= 1")
-    if not is_connected(g):
-        raise NotConnectedError("decomposition requires a connected graph")
     q = single_quotient_qasst(g)
     _split_primes(q, _strong_side)
     q = q.normalize()
@@ -880,18 +848,15 @@ def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
 def compute_qasst(g: SimpleGraph) -> Qasst:
     """The unique minimal split decomposition of a connected graph.
 
-    Starts from the graph as one quotient, splits every prime quotient
-    along any nontrivial split (:func:`_split_side`, polynomial) until each
-    is complete, a star or unsplittable, then reduces the tree to the
-    strong split tree (:func:`_reduce`).  Distance-hereditary and other
-    graphs take the same path.
+    Starts from the graph as one quotient and re-splits it
+    (:func:`_resplit`): every prime quotient is split along any nontrivial
+    split (:func:`_split_side`, polynomial) until each is complete, a star
+    or unsplittable, then the tree is reduced to the strong split tree
+    (:func:`_reduce`).  Distance-hereditary and other graphs take the same
+    path.
     """
-    if g.n < 1:
-        raise InvalidSpecError("decomposition needs n >= 1")
-    if not is_connected(g):
-        raise NotConnectedError("decomposition requires a connected graph")
     q = single_quotient_qasst(g)
-    _reduce(q, _split_primes(q, _any_split))
+    _resplit(q)
     q = q.normalize()
     q.validate()
     return q
@@ -905,23 +870,14 @@ def to_json_dict(q: Qasst) -> dict:
     quotients = []
     for i in sorted(q.quotients):
         quot = q.quotients[i]
-        edges = sorted(
-            (sorted((_node_json(a), _node_json(b)), key=_json_node_key)
-             for a, b in (tuple(e) for e in quot.edges)),
-            key=lambda e: (_json_node_key(e[0]), _json_node_key(e[1])),
-        )
         quotients.append(
             {
                 "leaf_nodes": sorted(quot.leaf_nodes()),
-                "split_nodes": [
-                    {"i": s.i, "j": s.j} for s in sorted(quot.split_nodes())
-                ],
-                "edges": edges,
+                "split_nodes": [_node_json(s) for s in sorted(quot.split_nodes())],
+                "edges": [[_node_json(a), _node_json(b)] for a, b in _sorted_edges(quot)],
             }
         )
-    tree_edges = [
-        [{"i": a.i, "j": a.j}, {"i": b.i, "j": b.j}] for a, b in q.tree_edges()
-    ]
+    tree_edges = [[_node_json(a), _node_json(b)] for a, b in q.tree_edges()]
     return {"quotients": quotients, "tree_edges": tree_edges}
 
 
@@ -929,12 +885,6 @@ def _node_json(node: Node):
     if isinstance(node, SplitNode):
         return {"i": node.i, "j": node.j}
     return node
-
-
-def _json_node_key(nj) -> tuple:
-    if isinstance(nj, dict):
-        return (1, nj["i"], nj["j"])
-    return (0, nj, 0)
 
 
 def _node_from_json(nj) -> Node:
@@ -971,15 +921,12 @@ def to_dot(q: Qasst) -> str:
         for v in sorted(quot.leaf_nodes()):
             lines.append(f'    q{i}_{v} [label="{v}", shape=circle];')
         for s in sorted(quot.split_nodes()):
-            lines.append(f'    s_{s.i}_{s.j} [label="s{s.i}^{s.j}", shape=box];')
-        for e in sorted((sorted(e, key=node_sort_key) for e in quot.edges),
-                        key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))):
-            lines.append(f"    {_dot_id(i, e[0])} -- {_dot_id(i, e[1])};")
+            lines.append(f'    {_dot_id(i, s)} [label="s{s.i}^{s.j}", shape=box];')
+        for a, b in _sorted_edges(quot):
+            lines.append(f"    {_dot_id(i, a)} -- {_dot_id(i, b)};")
         lines.append("  }")
     for a, b in q.tree_edges():
-        lines.append(
-            f"  s_{a.i}_{a.j} -- s_{b.i}_{b.j} [style=bold, color=red];"
-        )
+        lines.append(f"  {_dot_id(a.i, a)} -- {_dot_id(b.i, b)} [style=bold, color=red];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

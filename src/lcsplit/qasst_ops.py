@@ -37,9 +37,8 @@ from .qasst import (
     STAR_SPOKE,
     Qasst,
     SplitNode,
-    _any_split,
     _reduce,
-    _split_primes,
+    _resplit,
     classify_quotient,
 )
 
@@ -141,7 +140,8 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
     away what is left of emptied subtrees, which must happen before
     anything is split again.  A prime quotient that lost a node may now
     have a split, so every quotient that lost a node or absorbed a merge
-    is split by the polynomial finder and the tree reduced once more.  The
+    is re-split and the tree reduced once more, by the same step as
+    ``compute_qasst`` (``qasst._resplit``).  The
     result is the strong split tree of the induced subgraph (asserted
     against the reference decomposition in the tests); quotients are not
     renumbered and vertices keep their labels, so the result can be
@@ -163,7 +163,7 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
         out._edit(home[v]).remove_node(v)
         touched.add(home[v])
     touched |= _reduce(out, touched)
-    _reduce(out, _split_primes(out, _any_split, touched & out.quotients.keys()))
+    _resplit(out, touched & out.quotients.keys())
     return out
 
 

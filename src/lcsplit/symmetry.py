@@ -215,11 +215,13 @@ def synthesize_transformation(
     The base is K_{n_1..n_k} for the k-partite orbit and CS^r (default
     r = 1) for the clique-star orbit.  Star centers default to the first
     vertex of each block; case 1 of the k-partite orbit chains edge pivots
-    over consecutive pairs of I in ascending order.
+    over consecutive pairs of I in ascending order.  The pointer and every
+    index in I must name a block (:func:`case_assignment` checks them).
     """
     if case.tag != tag:
         raise InvalidCaseError("case belongs to a different orbit")
     k = len(n_list)
+    case_assignment(case, k)
     blocks = block_ranges(n_list)
     centers = dict(case.centers or {})
 

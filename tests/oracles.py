@@ -1,0 +1,44 @@
+"""Test-only oracles: brute-force definitions the library is checked against."""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+
+from lcsplit.errors import NotConnectedError, SizeLimitError
+from lcsplit.graphs import SimpleGraph, induced_subgraph, is_connected, neighborhood
+
+
+def dh_definition_oracle(g: SimpleGraph) -> bool:
+    """Literal definition: connected induced subgraphs preserve distances."""
+    if not is_connected(g):
+        raise NotConnectedError("distance-hereditary test requires a connected graph")
+    if g.n > 10:
+        raise SizeLimitError("definition oracle limited to 10 vertices")
+
+    def distances(graph: SimpleGraph) -> dict[tuple[int, int], int]:
+        dist = {}
+        for src in range(1, graph.n + 1):
+            seen = {src: 0}
+            queue = deque([src])
+            while queue:
+                u = queue.popleft()
+                for w in neighborhood(graph, u):
+                    if w not in seen:
+                        seen[w] = seen[u] + 1
+                        queue.append(w)
+            for t, d in seen.items():
+                dist[(src, t)] = d
+        return dist
+
+    base = distances(g)
+    verts = list(range(1, g.n + 1))
+    for r in range(2, g.n + 1):
+        for combo in itertools.combinations(verts, r):
+            sub, labels = induced_subgraph(g, combo)
+            if not is_connected(sub):
+                continue
+            for (u, v), d in distances(sub).items():
+                if base[(labels[u], labels[v])] != d:
+                    return False
+    return True

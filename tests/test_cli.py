@@ -316,3 +316,86 @@ class TestGarbageGraphFuzz:
         assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_BUDGET)
         if code != cli.EXIT_OK:
             assert err.getvalue().startswith("lcsplit: ")
+
+
+DESK_STDOUT = "\n".join([
+    "id   status  check                                            detail",
+    "---  ------  " + "-" * 47 + "  " + "-" * 125,
+    "D01  pass    bipartite orbit sizes match nm+n+m+3             "
+    "K2,2:11 K2,3:14 K3,3:18",
+    "D02  pass    bipartite minimal representatives (binary star)  "
+    "K2,2:3e/2d K2,3:4e/3d K3,3:5e/3d",
+    "D03  pass    k=3 orbit sizes, phi sum, disjointness           "
+    "40 + 41 = 81, disjoint",
+    "D04  pass    isomorphism-class counts                         "
+    "K2,2:4 K2,3:6 K2,2,2:5 CS2,2,2:5",
+    "D05  pass    repeater R3 orbit membership                     "
+    "R3 in O(CS1_2,2,2)",
+    "D06  pass    k=3 optimal representatives vs oracle            "
+    "KPartite:6e/3d CliqueStar:6e/3d",
+    "D07  pass    closure tables over both k=3 orbits              "
+    "486 vertex steps verified",
+    "D08  pass    decompose/reconstruct round-trips                "
+    "4 graphs",
+    "D09  pass    path/cycle count evaluations                     "
+    "paths [16, 44, 120], cycles [44, 132]; labeled oracle P3=4, C4=11 "
+    "(formula counts a different equivalence, mismatch expected)",
+    "D10  pass    symmetry-class totals equal orbit sizes          "
+    "18 (tag, n_list) pairs",
+    "10/10 checks passed",
+]) + "\n"
+
+
+class TestVerifyContract:
+    """The verify output is pinned byte for byte, and each orbit is enumerated once per run."""
+
+    def test_desk_stdout_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.delenv("LCSPLIT_BUDGET", raising=False)
+        code = cli.main(["verify", "--suite", "desk"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert captured.out == DESK_STDOUT
+        assert captured.err == ""
+
+    def test_extended_over_budget_prints_only_the_budget_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("LCSPLIT_BUDGET", "100")
+        code = cli.main(["verify", "--suite", "extended"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BUDGET
+        assert captured.out == ""
+        assert captured.err == (
+            "lcsplit: orbit budget exceeded: more than 100 members (found 100 before aborting)\n"
+        )
+
+    @pytest.mark.parametrize("suite, graphs_enumerated", [("desk", 7), ("extended", 12)])
+    def test_each_orbit_enumerated_once(self, capsys, monkeypatch, suite, graphs_enumerated):
+        from lcsplit import orbit
+
+        seen = []
+        enumerate_orbit = orbit.enumerate_orbit
+
+        def counting(g, *args, **kwargs):
+            seen.append(g)
+            return enumerate_orbit(g, *args, **kwargs)
+
+        monkeypatch.delenv("LCSPLIT_BUDGET", raising=False)
+        monkeypatch.setattr(orbit, "enumerate_orbit", counting)
+        assert cli.main(["verify", "--suite", suite]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(seen) == len(set(seen)) == graphs_enumerated
+
+
+class TestSymTransformRange:
+    """Every block index given to sym transform must lie in 1..k."""
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--case", "1", "--I", "1,4"], "block index 4 out of 1..3"),
+        (["--case", "2", "--j", "0"], "pointer index 0 out of 1..3"),
+    ])
+    def test_out_of_range_index_is_usage_error(self, capsys, extra, message):
+        argv = ["sym", "transform", "--family", "kpartite", "--params", "2,2,2"] + extra
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"lcsplit: {message}\n"

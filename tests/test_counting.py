@@ -204,3 +204,36 @@ class TestRepresentatives:
     def test_k5_degree_target(self):
         dreps = min_max_degree_rep(KPARTITE, (2,) * 5)
         assert dreps[0].value == 4
+
+
+class TestPhiRooting:
+    """phi_count roots the tree with qasst._orient; the count cannot depend on the root."""
+
+    def test_same_count_from_every_numbering(self):
+        import random
+
+        from lcsplit.qasst import Qasst, SplitNode
+        from lcsplit.qasst_ops import random_dh
+
+        rng = random.Random(3)
+        for n in range(3, 40, 2):
+            q = compute_qasst(random_dh(n, n)[0])
+            want = phi_count(q)
+            for _ in range(3):
+                new = list(q.quotients)
+                rng.shuffle(new)
+                remap = dict(zip(q.quotients, new))
+                renumbered = {}
+                for i, quot in q.quotients.items():
+                    quot = quot.copy()
+                    quot.rename({s: SplitNode(remap[s.i], remap[s.j]) for s in quot.split_nodes()})
+                    renumbered[remap[i]] = quot
+                tree = Qasst(renumbered)
+                tree.validate()
+                assert phi_count(tree) == want
+
+    def test_empty_tree_rejected(self):
+        from lcsplit.qasst import Qasst
+
+        with pytest.raises(UnsupportedQasstError):
+            phi_count(Qasst({}))

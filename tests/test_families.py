@@ -135,3 +135,14 @@ class TestSpecValidation:
     def test_clique_star_requires_center(self):
         with pytest.raises(InvalidSpecError):
             build(FamilySpec("clique_star", (2, 2, 2)))
+
+
+class TestBlockListRule:
+    """Both star-shaped families refuse a bad block list with the one check_blocks message."""
+
+    @pytest.mark.parametrize("n_list", [(2, 2), (2, 1, 2), (3, 3, 3, 0), ()])
+    def test_one_message(self, n_list):
+        for build_family in (lambda n: clique_star_graph(n, 1), multi_leaf_repeater_graph):
+            with pytest.raises(InvalidSpecError) as info:
+                build_family(n_list)
+            assert str(info.value) == "need k >= 3 blocks with all n_i >= 2"

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from helpers import all_connected_graphs, random_connected_graph
+from oracles import dh_definition_oracle
 from lcsplit.errors import MalformedQasstError, NotConnectedError
 from lcsplit.families import (
     complete_bipartite_graph,
@@ -31,7 +32,6 @@ from lcsplit.qasst import (
     classify_quotient,
     compute_qasst,
     compute_qasst_by_splits,
-    dh_definition_oracle,
     eliminate_extensions,
     from_json_dict,
     is_distance_hereditary,
@@ -546,3 +546,47 @@ class TestLargePrimeKernels:
         capsys.readouterr()
         assert cli.main(["decompose", "--input", str(path)]) == 0
         assert len(json.loads(capsys.readouterr().out)["quotients"]) == 1
+
+
+class TestOneCopyOfEachJob:
+    """Jobs the decomposition, the reference decomposition and the outputs share."""
+
+    @pytest.mark.parametrize("decompose", [compute_qasst, compute_qasst_by_splits])
+    def test_input_checks(self, decompose):
+        from lcsplit.errors import InvalidSpecError
+
+        with pytest.raises(InvalidSpecError) as info:
+            decompose(SimpleGraph(0))
+        assert str(info.value) == "decomposition needs n >= 1"
+        with pytest.raises(NotConnectedError) as info:
+            decompose(SimpleGraph(4, [(1, 2), (3, 4)]))
+        assert str(info.value) == "decomposition requires a connected graph"
+
+    def test_json_dot_and_repr_list_edges_in_one_order(self):
+        rng = random.Random(10)
+        graphs = [random_dh(n, n)[0] for n in range(2, 40, 5)]
+        graphs += [random_connected_graph(rng.randint(6, 12), rng, 0.3) for _ in range(10)]
+        for g in graphs:
+            q = compute_qasst(g)
+            data = to_json_dict(q)
+            dot = to_dot(q)
+            for i, quot in q.normalize().quotients.items():
+                edges = data["quotients"][i]["edges"]
+                as_nodes = [
+                    [SplitNode(v["i"], v["j"]) if isinstance(v, dict) else v for v in e]
+                    for e in edges
+                ]
+                assert f"edges={as_nodes})" in repr(quot)
+                dot_ids = [
+                    [f"s_{v['i']}_{v['j']}" if isinstance(v, dict) else f"q{i}_{v}" for v in e]
+                    for e in edges
+                ]
+                lines = [f"    {a} -- {b};" for a, b in dot_ids]
+                assert [line for line in dot.splitlines() if line in lines] == lines
+                keys = [
+                    [(1, v["i"], v["j"]) if isinstance(v, dict) else (0, v, 0) for v in e]
+                    for e in edges
+                ]
+                assert all(a < b for a, b in keys)
+                assert keys == sorted(keys)
+                assert len(edges) == len(quot.edges)

@@ -230,3 +230,21 @@ class TestClosure:
             closure_step(KPARTITE, case1, ("c", 1))
         with pytest.raises(InvalidCaseError):
             closure_step(KPARTITE, case1, ("ss_center", 1))  # 1 not in I
+
+
+class TestSynthesisIndexRange:
+    """A case naming a block outside 1..k is refused, never read from another block."""
+
+    @pytest.mark.parametrize("tag, case_id, j, I, message", [
+        (KPARTITE, 1, None, {1, 4}, "block index 4 out of 1..3"),
+        (KPARTITE, 1, None, {-1, 2}, "block index -1 out of 1..3"),
+        (CLIQUE_STAR, 1, None, {4}, "block index 4 out of 1..3"),
+        (KPARTITE, 2, 0, set(), "pointer index 0 out of 1..3"),
+        (CLIQUE_STAR, 2, 0, {1}, "pointer index 0 out of 1..3"),
+        (CLIQUE_STAR, 3, 4, set(), "pointer index 4 out of 1..3"),
+    ])
+    def test_out_of_range_index(self, tag, case_id, j, I, message):
+        case = SymmetryCase(tag, case_id, j, frozenset(I))
+        with pytest.raises(InvalidCaseError) as info:
+            synthesize_transformation(tag, case, (2, 2, 2))
+        assert str(info.value) == message
