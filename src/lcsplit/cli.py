@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 
 from . import counting, families, graphs, orbit, qasst, qasst_ops, symmetry
@@ -86,8 +87,37 @@ def _load_qasst(path: str) -> qasst.Qasst:
     return qasst.from_json_dict(_load_json(path))
 
 
+# A compact encoding whose strings hold no bracket or comma: every one of
+# those characters in it is structure.
+_PLAIN_STRINGS = re.compile(r'(?:[^"]++|"(?:[^"\\\[\]{},]++|\\.)*+")*+')
+_BRACKET = re.compile(r"([\[\]{}])")
+
+
 def _dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte, from the C encoder.
+
+    ``indent`` sends ``json`` to its pure-Python encoder.  Instead the data
+    is encoded compactly in C and indented by bracket depth: a non-empty
+    container's opening bracket ends a line, its closing bracket starts
+    one, and each comma between its items ends one, the next line indented
+    two spaces per enclosing container.  Empty containers stay ``[]`` and
+    ``{}``.  Data with a bracket or comma inside a string, where that
+    reading fails, takes the pure-Python encoder.
+    """
+    flat = json.dumps(data, sort_keys=True, separators=(",", ": "))
+    if not _PLAIN_STRINGS.fullmatch(flat):
+        return json.dumps(data, indent=2, sort_keys=True)
+    # Control characters never survive JSON encoding unescaped, so they
+    # can stand in for the empty containers.
+    parts = _BRACKET.split(flat.replace("[]", "\0").replace("{}", "\1"))
+    out = [parts[0]]
+    depth = 0
+    for bracket, text in zip(parts[1::2], parts[2::2]):
+        opens = bracket in "[{"
+        depth += 1 if opens else -1
+        pad = "\n" + "  " * depth
+        out += (bracket + pad if opens else pad + bracket, text.replace(",", "," + pad))
+    return "".join(out).replace("\0", "[]").replace("\1", "{}")
 
 
 def _emit_graph(g: graphs.SimpleGraph, fmt: str, out: str) -> None:

@@ -30,7 +30,10 @@ strong-split search (:func:`_strong_side`) is kept only as the reference
 decomposition :func:`compute_qasst_by_splits`.  Whatever is read from the
 whole tree (the leaves behind each split-node, their least one, the
 canonical numbering) comes from one rooted pass, :func:`_orient`, in
-linear time rather than one subtree walk per split-node.
+linear time rather than one subtree walk per split-node.  A tree is
+checked once, where it enters (:func:`compute_qasst`, :func:`from_json_dict`),
+and keeps an index of its leaf-nodes (see :class:`Qasst`), so that an op on
+it need not walk the whole tree.
 """
 
 from __future__ import annotations
@@ -180,16 +183,47 @@ class Qasst:
     quotient from :meth:`_edit`, which first swaps one the tree does not
     own for a copy of its own (copy-on-write).  A tree built from a dict of
     quotients owns them all; code that edits ``quotients[i]`` directly is
-    safe only on such a tree, before it is copied.
+    safe only on such a tree, before it is copied, and only if it adds,
+    moves or deletes no leaf-node, which the leaf index would miss.
+
+    Every tree keeps a leaf index, the quotient that holds each leaf-node
+    (:meth:`leaf_quotient`); its size is the leaf count.  It is built with
+    the tree and kept up to date by :meth:`split_off`, :meth:`merge`,
+    :meth:`rehome`, :meth:`normalize` and the ops of ``qasst_ops``, each of
+    which touches only the leaves it moves, adds or deletes.
+
+    A tree is checked once, where it enters.  Trees from
+    :func:`compute_qasst` and :func:`from_json_dict`, and the trees that
+    ``lc_propagate``, ``extend`` and ``induced_qasst`` derive from them,
+    carry a record (``_checked``) that the tree passed :meth:`validate`,
+    that every quotient is connected and that every quotient has at least
+    three nodes (or the tree is one quotient).  Ops trust it: a one-vertex
+    deletion then tests only the deleted vertex's quotient.  A tree built
+    by hand with ``Qasst(quotients)`` carries no record, and ops check it
+    in full; :meth:`split_off` and :meth:`merge` drop the record, as they
+    can break its premise.  Editing ``quotients[i]`` directly on a checked
+    tree is unsupported: the record would not follow.
     """
 
     def __init__(self, quotients: dict[int, QuotientGraph]):
         self.quotients: dict[int, QuotientGraph] = quotients
         self._owned: set[int] = set(quotients)
+        self._home: dict[int, int] = {
+            v: i for i, q in quotients.items() for v in q.adj if isinstance(v, int)
+        }
+        self._checked = False
+        self._fresh = max(quotients, default=-1) + 1  # past every index the tree has used
 
     @property
     def n(self) -> int:
-        """The number of leaf-nodes, counted over every quotient."""
+        """The number of leaf-nodes.
+
+        A checked tree reads its leaf count.  Any other tree counts each
+        quotient's leaf-nodes, so a malformed one that repeats a vertex
+        counts it twice.
+        """
+        if self._checked:
+            return len(self._home)
         return sum(isinstance(v, int) for q in self.quotients.values() for v in q.adj)
 
     def copy(self) -> "Qasst":
@@ -197,6 +231,9 @@ class Qasst:
         out = Qasst.__new__(Qasst)
         out.quotients = dict(self.quotients)
         out._owned = set()
+        out._home = dict(self._home)
+        out._checked = self._checked
+        out._fresh = self._fresh
         self._owned.clear()
         return out
 
@@ -208,16 +245,11 @@ class Qasst:
         return self.quotients[i]
 
     def leaves(self) -> set[int]:
-        out: set[int] = set()
-        for q in self.quotients.values():
-            out |= q.leaf_nodes()
-        return out
+        return set(self._home)
 
     def leaf_quotient(self, v: int) -> int:
-        if isinstance(v, int):
-            for i, q in self.quotients.items():
-                if v in q.adj:
-                    return i
+        if isinstance(v, int) and v in self._home:
+            return self._home[v]
         raise InvalidVertexError(f"vertex {v} is not a leaf-node of any quotient")
 
     def split_off(self, i: int, side: Iterable[Node]) -> int:
@@ -226,12 +258,13 @@ class Qasst:
         ``side`` must be a split of quotient i with at least one node left
         behind.  The new split-node pair stands in for each side's
         boundary: s_i^m is joined to the nodes outside ``side`` that touch
-        it, s_m^i to the nodes of ``side`` that touch the rest.  Split-nodes
-        moved with ``side`` are re-homed to m, partners included.
+        it, s_m^i to the nodes of ``side`` that touch the rest.  Nodes
+        moved with ``side`` are re-homed to m, split-node partners included.
         """
         quot = self._edit(i)
         side = set(side)
-        m = max(self.quotients) + 1
+        m = self._fresh
+        self._fresh += 1
         s_im, s_mi = SplitNode(i, m), SplitNode(m, i)
         part = QuotientGraph([s_mi])
         part.adj.update((v, quot.adj[v] & side) for v in side)
@@ -248,6 +281,7 @@ class Qasst:
         self.quotients[m] = part
         self._owned.add(m)
         self.rehome(part, m)
+        self._checked = False
         return m
 
     def merge(self, s: SplitNode) -> None:
@@ -269,14 +303,22 @@ class Qasst:
         for u in na:
             for w in nb:
                 qa.add_edge(u, moves.get(w, w))
+        self._checked = False
 
     def rehome(self, quot: QuotientGraph, i: int) -> dict:
-        """Rename the split-nodes of ``quot``, which this tree must own, to live in quotient i.
+        """Make the nodes of ``quot``, which this tree must own, live in quotient i.
 
-        Each moved split-node's partner is renamed to match, so the pairing
+        Leaf-nodes are indexed under i.  Split-nodes are renamed, and each
+        moved split-node's partner is renamed to match, so the pairing
         survives when nodes move between quotients.  Returns the renaming.
         """
-        moves = {s: SplitNode(i, s.j) for s in quot.split_nodes() if s.i != i}
+        moves = {}
+        for v in quot.adj:
+            if isinstance(v, SplitNode):
+                if v.i != i:
+                    moves[v] = SplitNode(i, v.j)
+            else:
+                self._home[v] = i
         for s, t in moves.items():
             self._edit(s.j).rename({s.partner: t.partner})
         quot.rename(moves)
@@ -338,8 +380,11 @@ class Qasst:
         partner in another one, the leaf-nodes are distinct (and cover
         1..n unless ``expect_full_range`` is false), and the pairs join the
         quotients into one tree.  One pass over the nodes, then one BFS,
-        :func:`_orient`, whose result is returned.
+        :func:`_orient`, whose result is returned.  A tree with no
+        quotients is refused: it stands for no graph.
         """
+        if not self.quotients:
+            raise MalformedQasstError("tree has no quotients")
         seen_leaves: list[int] = []
         bare: list[int] = []
         pairs = 0
@@ -369,7 +414,7 @@ class Qasst:
         if m > 1 and bare:
             raise MalformedQasstError(f"quotient {bare[0]} has no split-node")
         # Tree check: connected with exactly m-1 edges.
-        if m > 0 and pairs != m - 1:
+        if pairs != m - 1:
             raise MalformedQasstError("tree-edge count is not (quotients - 1)")
         oriented = _orient(self)
         if len(oriented[0]) != m:
@@ -382,7 +427,8 @@ class Qasst:
         Quotients without leaf-nodes come first, ordered by the sorted
         tuple of the least vertex behind each of their split-nodes (no two
         leafless quotients share that tuple); leaf-bearing quotients follow
-        in ascending order of their least leaf.
+        in ascending order of their least leaf.  The result carries this
+        tree's check record.
         """
         leaves = {i: q.leaf_nodes() for i, q in self.quotients.items()}
         low = {} if all(leaves.values()) else _far_minima(self)
@@ -394,12 +440,18 @@ class Qasst:
 
         old_order = sorted(self.quotients, key=order_key)
         remap = {old: new for new, old in enumerate(old_order)}
-        quotients = {}
+        out = Qasst.__new__(Qasst)
+        out.quotients = {}
+        out._home = {}
         for old, q in self.quotients.items():
             q = q.copy()
             q.rename({s: SplitNode(remap[s.i], remap[s.j]) for s in q.split_nodes()})
-            quotients[remap[old]] = q
-        return Qasst(quotients)
+            out.quotients[remap[old]] = q
+            out._home.update(dict.fromkeys(leaves[old], remap[old]))
+        out._owned = set(out.quotients)
+        out._checked = self._checked
+        out._fresh = len(out.quotients)
+        return out
 
     def __repr__(self) -> str:
         return f"Qasst({self.quotients})"
@@ -421,6 +473,31 @@ def _orient(q: Qasst) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
                 up[s.j] = s.partner
                 order.append(s.j)
     return order, up
+
+
+def _induces_connected(adj: dict, nodes: set) -> bool:
+    """Whether ``nodes`` induce a connected subgraph of the adjacency sets ``adj``; empties ``nodes``."""
+    if nodes:
+        todo = [nodes.pop()]
+        while todo and nodes:
+            new = adj[todo.pop()] & nodes
+            nodes -= new
+            todo += new
+    return not nodes
+
+
+def _deletion_premise(q: Qasst) -> bool:
+    """Whether every quotient is connected and has three or more nodes, or there is one quotient.
+
+    With :meth:`Qasst.validate`, this is what a tree's check record
+    states, the premise of ``qasst_ops.induced_qasst``'s one-vertex rule.
+    It holds for every strong split tree of a connected graph.
+    """
+    one = len(q.quotients) == 1
+    return all(
+        (one or len(quot.adj) >= 3) and _induces_connected(quot.adj, set(quot.adj))
+        for quot in q.quotients.values()
+    )
 
 
 def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
@@ -859,6 +936,7 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
     _resplit(q)
     q = q.normalize()
     q.validate()
+    q._checked = True
     return q
 
 
@@ -894,6 +972,13 @@ def _node_from_json(nj) -> Node:
 
 
 def from_json_dict(data: dict) -> Qasst:
+    """The tree a :func:`to_json_dict` payload describes, validated.
+
+    The tree carries a check record (see :class:`Qasst`) when, besides,
+    every quotient is connected with three or more nodes, or there is one
+    (:func:`_deletion_premise`).  A valid tree that breaks this, say one
+    with a two-node quotient, is accepted without the record.
+    """
     quotients = {}
     try:
         for i, qd in enumerate(data["quotients"]):
@@ -907,6 +992,7 @@ def from_json_dict(data: dict) -> Qasst:
         raise MalformedQasstError(f"malformed QASST JSON: {type(exc).__name__}: {exc}") from exc
     q = Qasst(quotients)
     q.validate()
+    q._checked = _deletion_premise(q)
     return q
 
 

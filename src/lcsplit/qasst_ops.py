@@ -10,7 +10,11 @@ Three ways a quotient tree evolves without being recomputed from scratch:
   a connected graph is read off the tree: a node of a quotient is live if
   it is a kept leaf or a split-node with a kept leaf behind it, and the
   kept set is connected iff the live nodes of every quotient induce a
-  connected subgraph.
+  connected subgraph.  Deleting one vertex v from a checked tree (see
+  :class:`Qasst`: every quotient connected with three or more nodes, or
+  the tree one quotient) needs only v's quotient: every split-node then
+  has two or more leaves behind it, so all stay live, and the rest is
+  connected iff v's quotient minus v is.
 - :func:`extend`: one-vertex extensions (pendant / false twin / true twin),
   where the new vertex joins the anchor's quotient, and {anchor, new} is
   split off into a fresh three-node quotient if that quotient turned prime.
@@ -20,7 +24,11 @@ every quotient the op did not change (:meth:`Qasst.copy`): ``lc_propagate``
 copies the quotients it complements, ``extend`` the anchor's, and
 ``induced_qasst`` those that lose a leaf or take part in a merge or split.
 Quotients are edited only through ``Qasst`` methods, which copy a shared
-quotient before its first edit.
+quotient before its first edit.  Each op finds vertices through the tree's
+leaf index and keeps it up to date, and passes the input's check record on
+to its result, a strong split tree again; besides reading the keep set and
+copying the tree's two dicts, a one-vertex op on a checked tree costs what
+it touches.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .qasst import (
     STAR_SPOKE,
     Qasst,
     SplitNode,
+    _induces_connected,
     _reduce,
     _resplit,
     classify_quotient,
@@ -119,22 +128,23 @@ def _keeps_connected(q: Qasst, keep: set[int], order: list[int], up: dict) -> bo
             if ((total - below[i] if v == up[i] else below[v.j])
                 if isinstance(v, SplitNode) else v in keep)
         }
-        if len(live) > 1:
-            todo = [live.pop()]
-            while todo and live:
-                new = adj[todo.pop()] & live
-                live -= new
-                todo += new
-            if live:
-                return False
+        if not _induces_connected(adj, live):
+            return False
     return True
 
 
 def induced_qasst(q: Qasst, keep) -> Qasst:
     """Quotient tree of the induced subgraph on ``keep``.
 
-    The tree is validated, and whether ``keep`` induces a connected graph
-    is read off it (:func:`_keeps_connected`) without rebuilding the graph.
+    Whether ``keep`` induces a connected graph is read off the tree,
+    without rebuilding the graph.  A tree with a check record (see
+    :class:`Qasst`) that loses exactly one vertex v takes the local rule:
+    every quotient is connected with three or more nodes, so every
+    split-node keeps a leaf behind it and the rest stays connected iff
+    v's quotient minus v is connected; nothing else of the tree is read.
+    Any other keep set, or a tree without the record, is validated and
+    tested in full (:func:`_keeps_connected`).
+
     Then the excluded leaf-nodes are deleted and the tree is reduced:
     merging across tree edges that are no longer strong splits also folds
     away what is left of emptied subtrees, which must happen before
@@ -147,23 +157,34 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
     renumbered and vertices keep their labels, so the result can be
     induced again.
     """
-    keep_set = set(keep)
-    home = {v: i for i, quot in q.quotients.items() for v in quot.adj if isinstance(v, int)}
-    if not keep_set:
+    keep = list(keep)
+    home = q._home
+    if not keep:
         raise InvalidSpecError("keep set must be nonempty")
-    if not keep_set <= home.keys():
-        raise InvalidVertexError(f"keep set contains non-vertices: {sorted(keep_set - home.keys())}")
-    order, up = q.validate(expect_full_range=False)
-    if not _keeps_connected(q, keep_set, order, up):
-        raise NotConnectedError("induced subgraph is not connected")
+    gone = home.keys() - keep
+    if len(home) - len(gone) != len(keep):  # a repeated vertex, or one the tree lacks
+        strays = set(keep) - home.keys()
+        if strays:
+            raise InvalidVertexError(f"keep set contains non-vertices: {sorted(strays)}")
+    if q._checked and len(gone) == 1:
+        (v,) = gone
+        adj = q.quotients[home[v]].adj
+        if not _induces_connected(adj, adj.keys() - {v}):
+            raise NotConnectedError("induced subgraph is not connected")
+    else:
+        order, up = q.validate(expect_full_range=False)
+        if not _keeps_connected(q, home.keys() - gone, order, up):
+            raise NotConnectedError("induced subgraph is not connected")
 
     out = q.copy()
     touched: set[int] = set()
-    for v in home.keys() - keep_set:
-        out._edit(home[v]).remove_node(v)
-        touched.add(home[v])
+    for v in gone:
+        i = out._home.pop(v)
+        out._edit(i).remove_node(v)
+        touched.add(i)
     touched |= _reduce(out, touched)
     _resplit(out, touched & out.quotients.keys())
+    out._checked = q._checked
     return out
 
 
@@ -171,8 +192,8 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
 
 
 def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
-    """Quotient tree after a one-vertex extension adding vertex p."""
-    expected = q.n + 1
+    """Quotient tree after a one-vertex extension adding vertex p = n + 1."""
+    expected = len(q._home) + 1
     if p != expected:
         raise InvalidVertexError(f"new vertex must be n+1 = {expected}, got {p}")
     out, _ = extend_with_subcase(q, e.tag, e.anchor, p)
@@ -199,7 +220,7 @@ def extend_with_subcase(
     """
     if kind not in EXTENSION_KINDS:
         raise ValueError(f"unknown extension kind {kind!r}")
-    if any(new in quot.adj for quot in q.quotients.values()):
+    if new in q._home:
         raise InvalidVertexError(f"vertex {new} already present")
     out = q.copy()
     i = out.leaf_quotient(anchor)
@@ -215,10 +236,12 @@ def extend_with_subcase(
     if not nbrs:
         raise NotConnectedError("false twin of an isolated vertex disconnects")
     quot.adj[new] = set()
+    out._home[new] = i
     for w in nbrs:
         quot.add_edge(new, w)
     if classify_quotient(quot).kind == PRIME:
         out.split_off(i, {anchor, new})
+        out._checked = q._checked
     return out, subcase
 
 

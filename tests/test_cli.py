@@ -399,3 +399,69 @@ class TestSymTransformRange:
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
         assert captured.err == f"lcsplit: {message}\n"
+
+
+def _cli_payloads():
+    """One of every kind of JSON payload the CLI writes, from the functions that build them."""
+    from lcsplit import counting, families, orbit, qasst, qasst_ops, symmetry
+
+    g = families.build(families.FamilySpec("complete_bipartite", (2, 3), None))
+    o = orbit.enumerate_orbit(g)
+    best, edges = orbit.min_edge_member(o)
+    low, delta = orbit.min_max_degree_member(o)
+    case = symmetry.SymmetryCase(families.KPARTITE, 1, None, frozenset({1, 2}))
+    payloads = [
+        graphs.to_json_dict(g),
+        {"sequence": orbit.transformation_between(g, best)},
+        [graphs.to_json_dict(m) for m in o.sorted_members()],
+        {"edge_count": edges, "graph": graphs.to_json_dict(best)},
+        {"max_degree": delta, "graph": graphs.to_json_dict(low)},
+        cli._rep_rows(counting.min_edge_rep(families.KPARTITE, [2, 2, 3])),
+        {"sequence": symmetry.synthesize_transformation(families.KPARTITE, case, [2, 2, 3])},
+        {"sequence": []},
+    ]
+    for n in (1, 2, 9, 60):
+        payloads.append(qasst.to_json_dict(qasst.compute_qasst(qasst_ops.random_dh(n, n)[0])))
+    return payloads
+
+
+_ANY_JSON = st.recursive(
+    _SCALARS | st.text(alphabet="ab[]{},:\"\\ é\n", max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(alphabet="ab[]{},:\"\\ é", max_size=3) | st.sampled_from(["i", "j", "edges"]), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """The CLI writes ``json.dumps(data, indent=2, sort_keys=True)`` byte for byte."""
+
+    def test_every_cli_payload(self):
+        for data in _cli_payloads():
+            assert cli._dump_json(data) == json.dumps(data, indent=2, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ANY_JSON)
+    def test_any_json_value(self, data):
+        assert cli._dump_json(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
+class TestEmptyTree:
+    """A tree with no quotients stands for no graph: every command that reads a tree exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct"],
+            ["qasst", "lc", "--vertex", "1"],
+            ["qasst", "induce", "--keep", "1"],
+            ["qasst", "extend", "--kind", "pendant", "--anchor", "1"],
+        ],
+    )
+    def test_refused(self, tmp_path, capsys, argv):
+        path = tmp_path / "empty.json"
+        path.write_text('{"quotients": [], "tree_edges": []}')
+        code = cli.main(argv + ["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err == "lcsplit: tree has no quotients\n"

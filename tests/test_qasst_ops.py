@@ -1,12 +1,13 @@
 """Dynamic quotient-tree updates: LC propagation, induction, extensions."""
 
 import itertools
+import json
 import random
 import time
 
 import pytest
 
-from helpers import all_connected_graphs, random_connected_graph
+from helpers import all_connected_graphs, graphs_up_to_isomorphism, random_connected_graph
 from lcsplit.errors import InvalidVertexError, MalformedQasstError, NotConnectedError
 from lcsplit.families import cycle_graph, path_graph
 from lcsplit.graphs import (
@@ -22,6 +23,7 @@ from lcsplit.qasst import (
     classify_quotient,
     compute_qasst,
     compute_qasst_by_splits,
+    from_json_dict,
     node_sort_key,
     reconstruct,
     to_json_dict,
@@ -580,3 +582,169 @@ class TestDerivedTreesStayApart:
             q.validate()
             assert to_json_dict(q) == before[0]
         assert edits >= 60
+
+
+def _unchecked(q):
+    """The same tree without its check record, so that ``induced_qasst`` takes the full path."""
+    out = q.copy()
+    out._checked = False
+    return out
+
+
+def _induce_outcome(q, keep):
+    try:
+        out = induced_qasst(q, keep)
+    except NotConnectedError as exc:
+        return "refused", str(exc)
+    return out.structure_key(), to_json_dict(out)
+
+
+def _assert_one_vertex_rule_matches_full_path(q):
+    """Every one-vertex deletion from checked tree q gives what the full path gives; returns how many were refused."""
+    assert q._checked
+    leaves = sorted(q.leaves())
+    if len(leaves) < 2:
+        return 0
+    refused = 0
+    for v in leaves:
+        keep = [u for u in leaves if u != v]
+        got = _induce_outcome(q, keep)
+        assert got == _induce_outcome(_unchecked(q), keep), (to_json_dict(q), v)
+        refused += got[0] == "refused"
+    return refused
+
+
+class TestOneVertexDeletionRule:
+    """A one-vertex deletion from a checked tree tests only the deleted vertex's quotient.
+
+    It must answer exactly as the full path does (:meth:`Qasst.validate`
+    and ``_keeps_connected``), by ``structure_key`` and ``to_json_dict``,
+    or refuse with the same ``NotConnectedError``.
+    """
+
+    @staticmethod
+    def _both_trees(g):
+        q = compute_qasst(g)
+        return q, from_json_dict(json.loads(json.dumps(to_json_dict(q))))
+
+    def test_every_deletion_of_small_graphs(self):
+        # Every labeled connected graph up to n = 5, and one graph per
+        # isomorphism class for n = 6 (all 26,704 labeled ones take minutes).
+        graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+        graphs += [g for g in graphs_up_to_isomorphism(6) if is_connected(g)]
+        refused = 0
+        for g in graphs:
+            for q in self._both_trees(g):
+                refused += _assert_one_vertex_rule_matches_full_path(q)
+        assert len(graphs) == 1 + 1 + 4 + 38 + 728 + 112
+        assert refused > 1000
+
+    def test_random_dh_and_non_dh_graphs(self):
+        rng = random.Random(1101)
+        refused = 0
+        for trial in range(20):
+            n = rng.randint(7, 40)
+            if trial % 2:
+                g = random_connected_graph(n, rng, rng.uniform(0.02, 0.12))
+            else:
+                g, _ = random_dh(n, rng.random())
+            for q in self._both_trees(g):
+                refused += _assert_one_vertex_rule_matches_full_path(q)
+        assert refused > 50
+
+    def test_trees_from_op_chains(self):
+        rng = random.Random(1102)
+        for trial in range(6):
+            if trial % 2:
+                g = random_connected_graph(rng.randint(8, 14), rng, rng.uniform(0.15, 0.4))
+            else:
+                g, _ = random_dh(rng.randint(8, 20), rng.random())
+            cur = compute_qasst(g)
+            for step in range(25):
+                _assert_one_vertex_rule_matches_full_path(cur)
+                leaves = sorted(cur.leaves())
+                if step % 3 == 0:
+                    cur = lc_propagate(cur, rng.choice(leaves))
+                elif step % 3 == 1 or len(leaves) < 6:
+                    kind = rng.choice(EXTENSION_KINDS)
+                    cur, _ = extend_with_subcase(cur, kind, rng.choice(leaves), leaves[-1] + 1)
+                else:
+                    drop = rng.sample(leaves, rng.randint(1, 3))
+                    try:
+                        cur = induced_qasst(cur, [u for u in leaves if u not in drop])
+                    except NotConnectedError:
+                        pass
+
+    def test_unreduced_tree_from_json_takes_the_full_path(self):
+        # 1-2-4-3 as a valid tree that is not reduced: Q2 has two nodes.
+        # The local rule would read Q2 less 4 as connected, but deleting 4
+        # kills the split-node s12, a cut node of Q1.
+        def s(i, j):
+            return {"i": i, "j": j}
+
+        data = {
+            "quotients": [
+                {"leaf_nodes": [1, 2], "split_nodes": [s(0, 1)], "edges": [[1, 2], [2, s(0, 1)]]},
+                {"leaf_nodes": [3], "split_nodes": [s(1, 0), s(1, 2)], "edges": [[3, s(1, 2)], [s(1, 0), s(1, 2)]]},
+                {"leaf_nodes": [4], "split_nodes": [s(2, 1)], "edges": [[4, s(2, 1)]]},
+            ],
+            "tree_edges": [[s(0, 1), s(1, 0)], [s(1, 2), s(2, 1)]],
+        }
+        q = from_json_dict(data)
+        assert not q._checked
+        g = reconstruct(q)
+        assert g == SimpleGraph(4, [(1, 2), (2, 4), (3, 4)])
+        with pytest.raises(NotConnectedError, match="induced subgraph is not connected"):
+            induced_qasst(q, [1, 2, 3])
+        for v in (1, 3):
+            keep = [u for u in range(1, 5) if u != v]
+            sub, mapping = induced_subgraph(g, keep)
+            want = _relabel_leaves(compute_qasst(sub), mapping)
+            assert induced_qasst(q, keep).structure_key() == want.structure_key()
+
+
+class TestOpsStayLocal:
+    """One-vertex ops on a checked tree never walk the whole tree."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        g, _ = random_dh(3000, 11)
+        q = compute_qasst(g)
+        return g, [q, from_json_dict(to_json_dict(q))]
+
+    def test_no_whole_tree_pass(self, trees, monkeypatch):
+        from lcsplit import qasst_ops
+        from lcsplit.qasst import Qasst
+
+        def boom(*args):
+            raise AssertionError("whole-tree pass")
+
+        monkeypatch.setattr(Qasst, "validate", boom)
+        monkeypatch.setattr(Qasst, "n", property(boom))
+        monkeypatch.setattr(qasst_ops, "_keeps_connected", boom)
+        g, both = trees
+        kept = next(v for v in range(1, g.n + 1) if _connected_without(g, v))
+        cut = next(v for v in range(1, g.n + 1) if not _connected_without(g, v))
+        for q in both:
+            assert q._checked
+            out = induced_qasst(q, [u for u in range(1, g.n + 1) if u != kept])
+            assert out._checked and len(out.leaves()) == g.n - 1
+            with pytest.raises(NotConnectedError):
+                induced_qasst(q, [u for u in range(1, g.n + 1) if u != cut])
+            assert lc_propagate(q, 1500)._checked
+            for kind in EXTENSION_KINDS:
+                assert extend(q, ExtensionKind(kind, 2999), g.n + 1)._checked
+
+    def test_hand_built_tree_is_still_checked_in_full(self):
+        from lcsplit.qasst import Qasst, QuotientGraph
+
+        # Leaves 1, 2, 3 with a split-node whose partner is missing.
+        broken = Qasst(
+            {
+                0: QuotientGraph([1, 2, SplitNode(0, 1)], [(1, 2), (2, SplitNode(0, 1))]),
+                1: QuotientGraph([3, SplitNode(1, 2)], [(3, SplitNode(1, 2))]),
+            }
+        )
+        assert not broken._checked
+        with pytest.raises(MalformedQasstError, match="is unmatched"):
+            induced_qasst(broken, [1, 2])
