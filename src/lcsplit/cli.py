@@ -19,6 +19,7 @@ import os
 import random
 import re
 import sys
+from itertools import accumulate
 
 from . import counting, families, graphs, orbit, qasst, qasst_ops, symmetry
 from .errors import BudgetExceededError, InvalidSpecError, LcsplitError
@@ -87,37 +88,41 @@ def _load_qasst(path: str) -> qasst.Qasst:
     return qasst.from_json_dict(_load_json(path))
 
 
-# A compact encoding whose strings hold no bracket or comma: every one of
-# those characters in it is structure.
-_PLAIN_STRINGS = re.compile(r'(?:[^"]++|"(?:[^"\\\[\]{},]++|\\.)*+")*+')
-_BRACKET = re.compile(r"([\[\]{}])")
+# A JSON string token, quotes included; an escaped quote does not end it.
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+# Outside strings, an empty container or a bracket, and what each does to the depth.
+_BRACKET = re.compile(r"(\[\]|\{\}|[\[\]{}])")
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1, "[]": 0, "{}": 0}
 
 
 def _dump_json(data) -> str:
     """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte, from the C encoder.
 
     ``indent`` sends ``json`` to its pure-Python encoder.  Instead the data
-    is encoded compactly in C and indented by bracket depth: a non-empty
+    is encoded compactly in C and each string token is set aside, leaving a
+    bare ``"`` in its place, so that every bracket and comma left is
+    structure.  That skeleton is indented by bracket depth: a non-empty
     container's opening bracket ends a line, its closing bracket starts
     one, and each comma between its items ends one, the next line indented
     two spaces per enclosing container.  Empty containers stay ``[]`` and
-    ``{}``.  Data with a bracket or comma inside a string, where that
-    reading fails, takes the pure-Python encoder.
+    ``{}``.  The strings then go back in order.
     """
     flat = json.dumps(data, sort_keys=True, separators=(",", ": "))
-    if not _PLAIN_STRINGS.fullmatch(flat):
-        return json.dumps(data, indent=2, sort_keys=True)
-    # Control characters never survive JSON encoding unescaped, so they
-    # can stand in for the empty containers.
-    parts = _BRACKET.split(flat.replace("[]", "\0").replace("{}", "\1"))
-    out = [parts[0]]
-    depth = 0
-    for bracket, text in zip(parts[1::2], parts[2::2]):
-        opens = bracket in "[{"
-        depth += 1 if opens else -1
-        pad = "\n" + "  " * depth
-        out += (bracket + pad if opens else pad + bracket, text.replace(",", "," + pad))
-    return "".join(out).replace("\0", "[]").replace("\1", "{}")
+    strings = _STRING.findall(flat)
+    parts = _BRACKET.split(_STRING.sub('"', flat))
+    brackets = parts[1::2]
+    depths = list(accumulate(map(_STEP.__getitem__, brackets)))
+    pads = ["\n" + "  " * d for d in range(max(depths, default=0) + 1)]
+    shown = {"[]": ["[]"] * len(pads), "{}": ["{}"] * len(pads)}
+    shown.update((b, [b + pad for pad in pads]) for b in "[{")
+    shown.update((b, [pad + b for pad in pads]) for b in "]}")
+    commas = ["," + pad for pad in pads]
+    parts[1::2] = [shown[b][d] for b, d in zip(brackets, depths)]
+    parts[2::2] = [text.replace(",", commas[d]) for text, d in zip(parts[2::2], depths)]
+    merged = [""] * (2 * len(strings) + 1)
+    merged[::2] = "".join(parts).split('"')
+    merged[1::2] = strings
+    return "".join(merged)
 
 
 def _emit_graph(g: graphs.SimpleGraph, fmt: str, out: str) -> None:

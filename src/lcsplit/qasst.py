@@ -216,14 +216,7 @@ class Qasst:
 
     @property
     def n(self) -> int:
-        """The number of leaf-nodes.
-
-        A checked tree reads its leaf count.  Any other tree counts each
-        quotient's leaf-nodes, so a malformed one that repeats a vertex
-        counts it twice.
-        """
-        if self._checked:
-            return len(self._home)
+        """The number of leaf-nodes, counted over every quotient."""
         return sum(isinstance(v, int) for q in self.quotients.values() for v in q.adj)
 
     def copy(self) -> "Qasst":
