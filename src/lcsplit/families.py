@@ -14,10 +14,11 @@ Vertex labeling conventions (fixed so fixtures are reproducible):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidSpecError
+from . import graphs
+from .errors import InvalidSpecError, SizeLimitError
 from .graphs import SimpleGraph
 
 KPARTITE = "KPartite"
@@ -135,7 +136,16 @@ def repeater_graph(n: int) -> SimpleGraph:
 
 
 def build(spec: FamilySpec) -> SimpleGraph:
+    """The graph a spec names.
+
+    Refused with :class:`SizeLimitError` before anything is built when it
+    would have more than ``graphs.MAX_VERTICES`` vertices, the cap on graph
+    JSON input; the constructors called directly are not capped.
+    """
     fam, p = spec.family, spec.params
+    size = 2 * sum(p) if fam == "repeater" else sum(p) + (fam == "star")
+    if size > graphs.MAX_VERTICES:
+        raise SizeLimitError(f"graphs are limited to {graphs.MAX_VERTICES} vertices")
     if fam == "complete":
         _expect_params(p, 1)
         return complete_graph(p[0])

@@ -28,9 +28,9 @@ A one-vertex extension splits off {anchor, new}; ``qasst_ops.induced_qasst``
 hands the quotients a deletion touched to :func:`_resplit`.  Brute-force
 strong-split search (:func:`_strong_side`) is kept only as the reference
 decomposition :func:`compute_qasst_by_splits`.  Whatever is read from the
-whole tree (the leaves behind each split-node, their least one, the
-canonical numbering) comes from one rooted pass, :func:`_orient`, in
-linear time rather than one subtree walk per split-node.  A tree is
+whole tree (the leaves behind each split-node, the canonical numbering)
+comes from one rooted pass, :func:`_orient`, in linear time; for the
+numbering, :meth:`Qasst.normalize` roots it at the least leaf.  A tree is
 checked once, where it enters (:func:`compute_qasst`, :func:`from_json_dict`),
 and keeps an index of its leaf-nodes (see :class:`Qasst`), so that an op on
 it need not walk the whole tree.
@@ -325,23 +325,6 @@ class Qasst:
                     out.append((s, s.partner))
         return out
 
-    def far_leaves(self, s: SplitNode) -> frozenset:
-        """Original vertices on the partner side of split-node s."""
-        out: set[int] = set()
-        seen = {s.i}
-        stack = [s.j]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            q = self.quotients[i]
-            out |= q.leaf_nodes()
-            for t in q.split_nodes():
-                if t.j not in seen:
-                    stack.append(t.j)
-        return frozenset(out)
-
     def strong_split_sides(self) -> set[frozenset]:
         """One side (the far side, per tree edge) of each collapsed split."""
         far = _far_sides(self)
@@ -420,16 +403,25 @@ class Qasst:
         Quotients without leaf-nodes come first, ordered by the sorted
         tuple of the least vertex behind each of their split-nodes (no two
         leafless quotients share that tuple); leaf-bearing quotients follow
-        in ascending order of their least leaf.  The result carries this
-        tree's check record.
+        in ascending order of their least leaf.  One post-order pass rooted
+        at the quotient holding the least leaf m gives the least leaf of
+        each subtree, the one behind each downward split-node; a leafless
+        quotient is never that root, so m lies behind its upward split-node.
+        The result carries this tree's check record.
         """
         leaves = {i: q.leaf_nodes() for i, q in self.quotients.items()}
-        low = {} if all(leaves.values()) else _far_minima(self)
+        least = {i: min(ls) for i, ls in leaves.items() if ls}
+        m = min(least.values(), default=math.inf)
+        order, up = _orient(self, min(least, key=least.get, default=None))
+        low = {i: least.get(i, math.inf) for i in self.quotients}  # made each subtree's least leaf
+        for i in reversed(order[1:]):
+            low[up[i].j] = min(low[up[i].j], low[i])
 
         def order_key(i: int):
             if leaves[i]:
-                return (1, min(leaves[i]))
-            return (0, tuple(sorted(low[s] for s in self.quotients[i].split_nodes())))
+                return (1, least[i])
+            behind = (m if s == up[i] else low[s.j] for s in self.quotients[i].split_nodes())
+            return (0, tuple(sorted(behind)))
 
         old_order = sorted(self.quotients, key=order_key)
         remap = {old: new for new, old in enumerate(old_order)}
@@ -450,15 +442,17 @@ class Qasst:
         return f"Qasst({self.quotients})"
 
 
-def _orient(q: Qasst) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
-    """Root the quotient tree at its least quotient, in one breadth-first pass.
+def _orient(
+    q: Qasst, root: Optional[int] = None
+) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
+    """Root the quotient tree at ``root`` (default: its least quotient), in one breadth-first pass.
 
     Returns the quotients in BFS order (reversed, every quotient comes
     after its children) and, for each quotient, its split-node that points
     to its parent (None at the root).  Every other split-node ``s`` of a
     quotient points down, to the child ``s.j``.
     """
-    order = [min(q.quotients)] if q.quotients else []
+    order = [min(q.quotients) if root is None else root] if q.quotients else []
     up: dict[int, Optional[SplitNode]] = dict.fromkeys(order)
     for i in order:
         for s in q.quotients[i].adj:
@@ -494,7 +488,7 @@ def _deletion_premise(q: Qasst) -> bool:
 
 
 def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
-    """Every split-node's :meth:`Qasst.far_leaves`, from one post-order pass.
+    """The original vertices on the partner side of every split-node, from one post-order pass.
 
     Below a downward split-node lies its child's subtree; behind an upward
     one, every leaf outside its own quotient's subtree.
@@ -514,37 +508,6 @@ def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
         far[up[i].partner] = below[i]
         far[up[i]] = below[order[0]] - below[i]
     return far
-
-
-def _far_minima(q: Qasst) -> dict[SplitNode, float]:
-    """The least leaf behind every split-node, in linear time.
-
-    A post-order pass takes the least leaf of each subtree; a top-down pass
-    gives each child's upward split-node the least value among the other
-    nodes of its parent quotient.  Values at distinct nodes of one quotient
-    come from disjoint leaf sets, so the two least suffice.  An empty side
-    (only in malformed trees) reads as infinity.
-    """
-    order, up = _orient(q)
-    low: dict[SplitNode, float] = {}
-    sub_min: dict[int, float] = {}
-    for i in reversed(order):
-        sub_min[i] = min(
-            (sub_min[v.j] if isinstance(v, SplitNode) else v
-             for v in q.quotients[i].adj if v != up[i]),
-            default=math.inf,
-        )
-    for i in order:
-        values = [
-            (low[v] if v == up[i] else sub_min[v.j]) if isinstance(v, SplitNode) else v
-            for v in q.quotients[i].adj
-        ]
-        first, second = (sorted(values) + [math.inf, math.inf])[:2]
-        for s in q.quotients[i].adj:
-            if isinstance(s, SplitNode) and s != up[i]:
-                low[s] = sub_min[s.j]
-                low[s.partner] = second if sub_min[s.j] == first else first
-    return low
 
 
 def single_quotient_qasst(g: SimpleGraph) -> Qasst:
@@ -967,24 +930,32 @@ def _node_from_json(nj) -> Node:
 def from_json_dict(data: dict) -> Qasst:
     """The tree a :func:`to_json_dict` payload describes, validated.
 
-    The tree carries a check record (see :class:`Qasst`) when, besides,
-    every quotient is connected with three or more nodes, or there is one
-    (:func:`_deletion_premise`).  A valid tree that breaks this, say one
-    with a two-node quotient, is accepted without the record.
+    A node listed twice in one quotient is refused, and so is a
+    ``tree_edges`` list that is not the tree's split-node pairs, each once,
+    in any order.  The tree carries a check record (see :class:`Qasst`)
+    when, besides, every quotient is connected with three or more nodes, or
+    there is one (:func:`_deletion_premise`).  A valid tree that breaks
+    this, say one with a two-node quotient, is accepted without the record.
     """
     quotients = {}
     try:
         for i, qd in enumerate(data["quotients"]):
             nodes: list[Node] = [json_int(v) for v in qd["leaf_nodes"]]
             nodes += [SplitNode(json_int(s["i"]), json_int(s["j"])) for s in qd["split_nodes"]]
+            if len(set(nodes)) != len(nodes):
+                raise MalformedQasstError(f"quotient {i} lists a node twice")
             edges = [(_node_from_json(a), _node_from_json(b)) for a, b in qd["edges"]]
             quotients[i] = QuotientGraph(nodes, edges)
+        tree_edges = [frozenset(map(_node_from_json, pair)) for pair in data["tree_edges"]]
     except MalformedQasstError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedQasstError(f"malformed QASST JSON: {type(exc).__name__}: {exc}") from exc
     q = Qasst(quotients)
     q.validate()
+    pairs = {frozenset(pair) for pair in q.tree_edges()}
+    if len(tree_edges) != len(pairs) or set(tree_edges) != pairs:
+        raise MalformedQasstError("tree_edges are not the split-node pairs")
     q._checked = _deletion_premise(q)
     return q
 

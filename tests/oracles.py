@@ -7,6 +7,7 @@ from collections import deque
 
 from lcsplit.errors import NotConnectedError, SizeLimitError
 from lcsplit.graphs import SimpleGraph, induced_subgraph, is_connected, neighborhood
+from lcsplit.qasst import Qasst, SplitNode
 
 
 def dh_definition_oracle(g: SimpleGraph) -> bool:
@@ -42,3 +43,21 @@ def dh_definition_oracle(g: SimpleGraph) -> bool:
                 if base[(labels[u], labels[v])] != d:
                     return False
     return True
+
+
+def far_leaves(q: Qasst, s: SplitNode) -> frozenset:
+    """Original vertices on the partner side of split-node s, by one subtree walk."""
+    out: set[int] = set()
+    seen = {s.i}
+    stack = [s.j]
+    while stack:
+        i = stack.pop()
+        if i in seen:
+            continue
+        seen.add(i)
+        quot = q.quotients[i]
+        out |= quot.leaf_nodes()
+        for t in quot.split_nodes():
+            if t.j not in seen:
+                stack.append(t.j)
+    return frozenset(out)

@@ -227,6 +227,11 @@ _BAD_GRAPHS = ['{}', '{"n": 3}', '[1, 2]', '{"n": "x", "edges": []}', '{"n": 3, 
                # Non-integer numbers are refused, not truncated.
                '{"n": 3.7, "edges": [[1, 2], [2, 3]]}', '{"n": true, "edges": []}',
                '{"n": 3, "edges": [[1.9, 2], [2, 3]]}', '{"n": 2, "edges": [["1", 2]]}']
+_P4_TREE = (
+    '{"quotients": [{"leaf_nodes": [1, 2], "split_nodes": [{"i": 0, "j": 1}],'
+    ' "edges": [[1, 2], [2, {"i": 0, "j": 1}]]}, {"leaf_nodes": [3, 4], "split_nodes": [{"i": 1, "j": 0}],'
+    ' "edges": [[3, 4], [3, {"i": 1, "j": 0}]]}], "tree_edges": [[{"i": 0, "j": 1}, {"i": 1, "j": 0}]]}'
+)
 _BAD_TREES = [
     '{}',
     '{"quotients": [{"leaf_nodes": [1], "edges": []}], "tree_edges": []}',
@@ -236,6 +241,14 @@ _BAD_TREES = [
     '{"quotients": [{"leaf_nodes": [1, 2], "split_nodes": [], "edges": [[true, 2]]}]}',
     '{"quotients": [{"leaf_nodes": [1, 2], "split_nodes": [{"i": 0.0, "j": 1}], "edges": [[1, 2]]},'
     ' {"leaf_nodes": [3, 4], "split_nodes": [{"i": 1, "j": 0}], "edges": [[3, 4]]}]}',
+] + [
+    # P4's tree as ``decompose`` writes it, edited into payloads it cannot write.
+    _P4_TREE.replace(', "tree_edges": [[{"i": 0, "j": 1}, {"i": 1, "j": 0}]]', ""),
+    _P4_TREE.replace('"tree_edges": [[{"i": 0, "j": 1}, {"i": 1, "j": 0}]]', '"tree_edges": []'),
+    _P4_TREE.replace('"tree_edges": [[{"i": 0, "j": 1}, {"i": 1, "j": 0}]]', '"tree_edges": [[1, 3]]'),
+    _P4_TREE[:-2] + ', [{"i": 1, "j": 0}, {"i": 0, "j": 1}]]}',  # one pair listed twice
+    _P4_TREE.replace('"leaf_nodes": [1, 2]', '"leaf_nodes": [1, 2, 2]'),
+    _P4_TREE.replace('"split_nodes": [{"i": 0, "j": 1}]', '"split_nodes": [{"i": 0, "j": 1}, {"i": 0, "j": 1}]'),
 ]
 
 
@@ -253,6 +266,18 @@ class TestMalformedInput:
         assert err.startswith("lcsplit: ")
 
 
+class TestTreeEdgesInAnyOrder:
+    def test_partner_pair_reversed_is_accepted(self, tmp_path, capsys):
+        pair = '[[{"i": 0, "j": 1}, {"i": 1, "j": 0}]]}'
+        reversed_pair = _P4_TREE.replace(pair, '[[{"i": 1, "j": 0}, {"i": 0, "j": 1}]]}')
+        assert _P4_TREE.endswith(pair)
+        path = tmp_path / "in.json"
+        for text in (_P4_TREE, reversed_pair):
+            path.write_text(text)
+            assert cli.main(["reconstruct", "--input", str(path)]) == cli.EXIT_OK
+            assert from_json_dict(json.loads(capsys.readouterr().out)) == SimpleGraph(4, [(1, 2), (2, 3), (3, 4)])
+
+
 class TestSizeCap:
     def test_over_limit_graph_exits_two_before_allocation(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -264,6 +289,18 @@ class TestSizeCap:
         for command in (["decompose"], ["orbit", "size"]):
             assert cli.main(command + ["--input", str(path)]) == cli.EXIT_USAGE
             assert f"limited to {graphs.MAX_VERTICES} vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family, params, n",
+        [("path", "11", 11), ("star", "10", 11), ("repeater", "6", 12), ("complete_multipartite", "4,4,3", 11)],
+    )
+    def test_gen_over_limit_exits_two(self, capsys, monkeypatch, family, params, n):
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
+        assert cli.main(["gen", family, "--params", params]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "lcsplit: graphs are limited to 10 vertices\n"
+        monkeypatch.setattr(graphs, "MAX_VERTICES", n)
+        assert cli.main(["gen", family, "--params", params]) == cli.EXIT_OK
+        assert from_json_dict(json.loads(capsys.readouterr().out)).n == n
 
 
 _SCALARS = (

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from helpers import all_connected_graphs, random_connected_graph
-from oracles import dh_definition_oracle
+from oracles import dh_definition_oracle, far_leaves
 from lcsplit.errors import MalformedQasstError, NotConnectedError
 from lcsplit.families import (
     complete_bipartite_graph,
@@ -214,7 +214,7 @@ def _normalized_by_far_leaves(q):
         leaves = q.quotients[i].leaf_nodes()
         if leaves:
             return (1, min(leaves))
-        return (0, tuple(sorted(min(q.far_leaves(s)) for s in q.quotients[i].split_nodes())))
+        return (0, tuple(sorted(min(far_leaves(q, s)) for s in q.quotients[i].split_nodes())))
 
     remap = {old: new for new, old in enumerate(sorted(q.quotients, key=order_key))}
     out = {}
@@ -227,7 +227,7 @@ def _normalized_by_far_leaves(q):
 
 def _structure_key_by_far_leaves(q):
     labels = {
-        s: ("S", tuple(sorted(q.far_leaves(s))))
+        s: ("S", tuple(sorted(far_leaves(q, s))))
         for quot in q.quotients.values()
         for s in quot.split_nodes()
     }
@@ -266,7 +266,7 @@ class TestTreeReadsAgainstFarLeaves:
                 normalized = tree.normalize()
                 assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
                 assert tree.structure_key() == _structure_key_by_far_leaves(tree)
-                assert tree.strong_split_sides() == {tree.far_leaves(s) for s, _ in tree.tree_edges()}
+                assert tree.strong_split_sides() == {far_leaves(tree, s) for s, _ in tree.tree_edges()}
         assert sum(count >= 2 for count in leafless_counts) >= 5
 
     def test_reads_match_after_dynamic_ops(self):
@@ -286,6 +286,65 @@ class TestTreeReadsAgainstFarLeaves:
                     normalized = tree.normalize()
                     assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
                     assert tree.structure_key() == _structure_key_by_far_leaves(tree)
+
+    @staticmethod
+    def assert_normalize_matches(tree):
+        normalized = tree.normalize()
+        assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
+        assert tree.structure_key() == _structure_key_by_far_leaves(tree)
+
+    def test_least_leaf_far_from_least_quotient(self):
+        # normalize roots its pass at the least leaf's quotient; here that
+        # quotient is three or more tree edges from the least-numbered one.
+        rng = random.Random(94)
+        far = {"induced": 0, "shuffled": 0}
+        trees = []
+        for n, seed in itertools.product((80, 200), range(6)):
+            q = compute_qasst(random_dh(n, seed)[0])
+            for k in (1, 3):
+                try:
+                    trees.append(induced_qasst(q, range(k + 1, n + 1)))  # drops vertices 1..k
+                except NotConnectedError:
+                    pass
+        for dropped in trees:
+            for how, tree in (("induced", dropped), ("shuffled", _shuffled(dropped, rng))):
+                order, up = tree.validate(expect_full_range=False)
+                depth = {order[0]: 0}
+                for i in order[1:]:
+                    depth[i] = depth[up[i].j] + 1
+                far[how] += depth[tree.leaf_quotient(min(tree.leaves()))] >= 3
+                self.assert_normalize_matches(tree)
+        assert min(far.values()) >= 5
+
+    def test_chain_of_leafless_quotients(self):
+        # Leafless quotients 0 - 1 - 2 in a row, each with one or two leaf-bearing neighbours.
+        def s(i, j):
+            return SplitNode(i, j)
+
+        tree = Qasst({
+            0: QuotientGraph([s(0, 1), s(0, 3), s(0, 4)], [(s(0, 1), s(0, 3)), (s(0, 1), s(0, 4)), (s(0, 3), s(0, 4))]),
+            1: QuotientGraph([s(1, 0), s(1, 2), s(1, 5)], [(s(1, 0), s(1, 2)), (s(1, 0), s(1, 5))]),
+            2: QuotientGraph([s(2, 1), s(2, 6), s(2, 7)], [(s(2, 1), s(2, 6)), (s(2, 1), s(2, 7)), (s(2, 6), s(2, 7))]),
+            3: QuotientGraph([s(3, 0), 1, 2], [(1, s(3, 0)), (1, 2)]),
+            4: QuotientGraph([s(4, 0), 3, 4], [(3, s(4, 0)), (3, 4)]),
+            5: QuotientGraph([s(5, 1), 5, 6], [(5, s(5, 1)), (5, 6)]),
+            6: QuotientGraph([s(6, 2), 7, 8], [(7, s(6, 2)), (7, 8)]),
+            7: QuotientGraph([s(7, 2), 9, 10], [(9, s(7, 2)), (9, 10)]),
+        })
+        tree.validate()
+        assert tree.structure_key() == compute_qasst(reconstruct(tree)).structure_key()
+        rng = random.Random(95)
+        for t in [tree] + [_shuffled(tree, rng) for _ in range(20)]:
+            self.assert_normalize_matches(t)
+            assert to_json_dict(t) == to_json_dict(tree)
+
+    def test_tree_without_leaves(self):
+        tree = Qasst({0: QuotientGraph([])})
+        normalized = tree.normalize()
+        assert normalized.quotients.keys() == {0}
+        assert normalized.quotients[0].adj == {}
+        assert normalized.leaves() == set()
+        self.assert_normalize_matches(tree)
 
 
 class TestRename:
