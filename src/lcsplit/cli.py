@@ -339,7 +339,8 @@ def _orbit_pair(orbits, n_list):
     """The orbits of K_{n_1..n_k} and CS^1 on these blocks, checked disjoint."""
     ok = orbits(families.complete_multipartite_graph(n_list))
     oc = orbits(families.clique_star_graph(n_list, 1))
-    assert not ok.members.keys() & oc.members.keys(), "orbits intersect"
+    # Both graphs have sum(n_list) vertices, so equal flats are equal members.
+    assert ok.flats.keys().isdisjoint(oc.flats), "orbits intersect"
     return ok, oc
 
 

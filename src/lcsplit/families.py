@@ -135,17 +135,51 @@ def repeater_graph(n: int) -> SimpleGraph:
     return multi_leaf_repeater_graph([2] * n)
 
 
+# Largest edge count :func:`build` accepts, checked before any edge is listed.
+MAX_EDGES = 1_000_000
+
+
+def _edge_count(spec: FamilySpec) -> int:
+    """The edge count of the graph a spec names, in closed form.
+
+    Negative parameters count as 0, and a spec the constructors refuse
+    (wrong parameter count, center out of range) may count as anything.
+    """
+    fam = spec.family
+    p = [max(x, 0) for x in spec.params]
+    first, total = (p[0] if p else 0), sum(p)
+    if fam in ("star", "cycle"):
+        return first
+    if fam == "path":
+        return max(first - 1, 0)
+    if fam == "complete":
+        return first * (first - 1) // 2
+    if fam == "repeater":  # core K_n plus one leaf per core vertex
+        return first * (first + 1) // 2
+    if fam == "multi_leaf_repeater":  # core K_k plus n_i - 1 leaves per block
+        return len(p) * (len(p) - 1) // 2 + total - len(p)
+    if fam == "clique_star":
+        r = spec.center
+        hub = p[r - 1] if r is not None and 1 <= r <= len(p) else 0
+        return sum(x * (x - 1) // 2 for x in p) + hub * (total - hub)
+    # complete_bipartite, complete_multipartite: every pair of vertices in distinct blocks
+    return (total * total - sum(x * x for x in p)) // 2
+
+
 def build(spec: FamilySpec) -> SimpleGraph:
     """The graph a spec names.
 
     Refused with :class:`SizeLimitError` before anything is built when it
     would have more than ``graphs.MAX_VERTICES`` vertices, the cap on graph
-    JSON input; the constructors called directly are not capped.
+    JSON input, or more than :data:`MAX_EDGES` edges; the constructors
+    called directly are not capped.
     """
     fam, p = spec.family, spec.params
     size = 2 * sum(p) if fam == "repeater" else sum(p) + (fam == "star")
     if size > graphs.MAX_VERTICES:
         raise SizeLimitError(f"graphs are limited to {graphs.MAX_VERTICES} vertices")
+    if _edge_count(spec) > MAX_EDGES:
+        raise SizeLimitError(f"generated graphs are limited to {MAX_EDGES} edges")
     if fam == "complete":
         _expect_params(p, 1)
         return complete_graph(p[0])

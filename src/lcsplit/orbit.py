@@ -3,29 +3,24 @@
 The orbit of a graph is its closure under the n primitive local
 complements.  Enumeration is a breadth-first search over labeled graphs,
 each held as one flat integer (row u of the adjacency matrix at bit
-``u*(n+1)``) and de-duplicated on that integer.  Once the search closes,
-every member is decoded to a :class:`SimpleGraph` and given its canonical
-key exactly once.  The search serves as the ground-truth oracle for every
-closed-form count in :mod:`lcsplit.counting`.
+``u*(n+1)``) and de-duplicated on that integer.  An :class:`Orbit` keeps
+those integers: its size, membership, shortest LC sequences and edge or
+degree minima are read from them, and members are decoded to
+:class:`SimpleGraph` and given their canonical keys only on first read of
+``members`` or ``parent``, once.  The search serves as the ground-truth
+oracle for every closed-form count in :mod:`lcsplit.counting`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError
-from .graphs import (
-    SimpleGraph,
-    _bits,
-    _iso_invariants,
-    _match,
-    apply_sequence,
-    canonical_key,
-    edge_count,
-    max_degree,
-)
+from .graphs import SimpleGraph, _bits, _iso_invariants, _match, apply_sequence
+from .graphs import canonical_key  # noqa: F401  the member key; callers also reach it as orbit.canonical_key
 
 DEFAULT_BUDGET = 10**6
 
@@ -34,23 +29,52 @@ DEFAULT_BUDGET = 10**6
 class Orbit:
     """A fully enumerated LC orbit.
 
-    ``members`` maps canonical key -> graph, in BFS order.  ``parent`` (kept
-    only when requested) maps a member's key to (predecessor key, pivot
-    vertex) for transformation extraction; the base maps to None.
+    ``flats`` maps each member, as a flat integer (row u at bit
+    ``u*(n+1)``), to (predecessor flat, pivot vertex), in BFS order; the
+    base maps to None, and so does every member unless parents were
+    tracked.  Two flats of the same n are equal iff the graphs are.
+
+    ``members`` maps canonical key -> graph, in BFS order.  ``parent``
+    (None unless parents were tracked) maps a member's key to
+    (predecessor key, pivot vertex) for transformation extraction; the
+    base maps to None.  Both are decoded from ``flats`` on first read.
     """
 
     base: SimpleGraph
-    members: dict[bytes, SimpleGraph]
-    parent: Optional[dict[bytes, Optional[tuple[bytes, int]]]] = None
+    flats: dict[int, Optional[tuple[int, int]]]
+    track_parents: bool = False
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.flats)
 
     def __contains__(self, g: SimpleGraph) -> bool:
-        return canonical_key(g) in self.members
+        return g.n == self.base.n and _flat(g) in self.flats
+
+    @cached_property
+    def members(self) -> dict[bytes, SimpleGraph]:
+        return dict(_decode(self.base.n, self.flats))
+
+    @cached_property
+    def parent(self) -> Optional[dict[bytes, Optional[tuple[bytes, int]]]]:
+        if not self.track_parents:
+            return None
+        key = dict(zip(self.flats, self.members))
+        return {
+            key[flat]: None if entry is None else (key[entry[0]], entry[1])
+            for flat, entry in self.flats.items()
+        }
 
     def sorted_members(self) -> list[SimpleGraph]:
         return [self.members[k] for k in sorted(self.members)]
+
+
+def _flat(g: SimpleGraph) -> int:
+    """g as one integer, row u at bit ``u*(n+1)``."""
+    width = g.n + 1
+    flat = 0
+    for v in range(1, g.n + 1):
+        flat |= g._adj[v] << (v * width)
+    return flat
 
 
 def enumerate_orbit(
@@ -65,10 +89,9 @@ def enumerate_orbit(
     Each graph is one integer with row u at bit ``u*(n+1)``.  A local
     complement at v reads N(v) with one shift and mask and xors in the
     clique mask of N(v), cached per call; a pivot with fewer than two
-    neighbours is the identity and is skipped.  After the search, each
-    member is decoded once (row integers are shared between members) and
-    its canonical key is joined from cached per-row byte fragments, equal
-    to :func:`lcsplit.graphs.canonical_key` of the member.
+    neighbours is the identity and is skipped.  Nothing is decoded here:
+    the :class:`Orbit` holds the flat integers, and decodes its members on
+    first read of ``members`` or ``parent``.
     """
     n = g.n
     if n < 1:
@@ -78,12 +101,9 @@ def enumerate_orbit(
     width = n + 1
     row = (1 << width) - 1
     shifts = [(v, v * width) for v in range(1, n + 1)]
-    start = 0
-    for v, shift in shifts:
-        start |= g._adj[v] << shift
     cliques: dict[int, int] = {}
     # flat graph -> (predecessor, pivot) or None, in BFS order
-    seen: dict[int, Optional[tuple[int, int]]] = {start: None}
+    seen: dict[int, Optional[tuple[int, int]]] = {_flat(g): None}
     queue = deque(seen)
     while queue:
         cur = queue.popleft()
@@ -100,14 +120,24 @@ def enumerate_orbit(
                     raise BudgetExceededError(len(seen), limit)
                 seen[nxt] = (cur, v) if track_parents else None
                 queue.append(nxt)
+    return Orbit(base=g, flats=seen, track_parents=track_parents)
 
+
+def _decode(n: int, flats: Iterable[int]) -> list[tuple[bytes, SimpleGraph]]:
+    """(canonical key, graph) of each flat n-vertex graph, in the order given.
+
+    Row integers are shared between the graphs, and each key is joined
+    from cached per-row byte fragments, equal to
+    :func:`lcsplit.graphs.canonical_key` of the graph.
+    """
+    width = n + 1
+    row = (1 << width) - 1
     # Per vertex u: row integer -> (shared row, key fragment for its edges u-w, w > u).
     rows: dict[int, int] = {}
-    decode = [(u, shift, {}) for u, shift in shifts]
+    decode = [(u, u * width, {}) for u in range(1, n + 1)]
     head = str(n).encode("ascii")
-    members: dict[bytes, SimpleGraph] = {}
-    parent = {} if track_parents else None
-    for flat, entry in seen.items():
+    out = []
+    for flat in flats:
         adj = [0]
         parts = [head]
         for u, shift, cache in decode:
@@ -117,13 +147,8 @@ def enumerate_orbit(
                 hit = cache[r] = (rows.setdefault(r, r), _key_fragment(u, r))
             adj.append(hit[0])
             parts.append(hit[1])
-        key = b"".join(parts)
-        members[key] = SimpleGraph._from_adj(n, adj)
-        if parent is not None:
-            # Predecessors come first, so seen[pred] already holds pred's key.
-            parent[key] = None if entry is None else (seen[entry[0]], entry[1])
-            seen[flat] = key
-    return Orbit(base=g, members=members, parent=parent)
+        out.append((b"".join(parts), SimpleGraph._from_adj(n, adj)))
+    return out
 
 
 def _clique_mask(nb: int, width: int) -> int:
@@ -156,14 +181,13 @@ def transformation_between(
     """A primitive LC sequence taking g to h, of minimal BFS depth."""
     if g.n != h.n:
         raise NotEquivalentError("graphs have different vertex counts")
-    orbit = enumerate_orbit(g, limit=limit, track_parents=True)
-    key = canonical_key(h)
-    if key not in orbit.members:
+    flats = enumerate_orbit(g, limit=limit, track_parents=True).flats
+    flat = _flat(h)
+    if flat not in flats:
         raise NotEquivalentError("graphs are not LC-equivalent")
-    assert orbit.parent is not None
     steps: list[int] = []
-    while (entry := orbit.parent[key]) is not None:
-        key, v = entry
+    while (entry := flats[flat]) is not None:
+        flat, v = entry
         steps.append(v)
     steps.reverse()
     assert apply_sequence(g, steps) == h
@@ -195,15 +219,26 @@ def orbit_iso_classes(o: Orbit) -> list[tuple[SimpleGraph, int]]:
 
 def min_edge_member(o: Orbit) -> tuple[SimpleGraph, int]:
     """The member with fewest edges; ties broken by canonical key."""
-    best = min(
-        o.members.items(), key=lambda item: (edge_count(item[1]), item[0])
-    )
-    return best[1], edge_count(best[1])
+    # A flat graph holds each edge twice, once in each endpoint's row.
+    return _least(o, lambda flat: flat.bit_count() // 2)
 
 
 def min_max_degree_member(o: Orbit) -> tuple[SimpleGraph, int]:
     """The member with smallest maximum degree; ties broken by canonical key."""
-    best = min(
-        o.members.items(), key=lambda item: (max_degree(item[1]), item[0])
-    )
-    return best[1], max_degree(best[1])
+    n = o.base.n
+    width = n + 1
+    row = (1 << width) - 1
+    shifts = range(width, n * width + 1, width)
+    return _least(o, lambda flat: max((flat >> shift & row).bit_count() for shift in shifts))
+
+
+def _least(o: Orbit, measure) -> tuple[SimpleGraph, int]:
+    """The member whose flat is least in ``measure``, and that value.
+
+    Only the members tied at the minimum are decoded; the least canonical
+    key among them wins.
+    """
+    values = {flat: measure(flat) for flat in o.flats}
+    best = min(values.values())
+    tied = [flat for flat, value in values.items() if value == best]
+    return min(_decode(o.base.n, tied), key=lambda item: item[0])[1], best

@@ -407,7 +407,8 @@ class Qasst:
         at the quotient holding the least leaf m gives the least leaf of
         each subtree, the one behind each downward split-node; a leafless
         quotient is never that root, so m lies behind its upward split-node.
-        The result carries this tree's check record.
+        The result carries this tree's check record; when the numbering is
+        already canonical it is a :meth:`copy`, sharing every quotient.
         """
         leaves = {i: q.leaf_nodes() for i, q in self.quotients.items()}
         least = {i: min(ls) for i, ls in leaves.items() if ls}
@@ -424,6 +425,10 @@ class Qasst:
             return (0, tuple(sorted(behind)))
 
         old_order = sorted(self.quotients, key=order_key)
+        if old_order == list(range(len(old_order))):
+            out = self.copy()
+            out._fresh = len(out.quotients)
+            return out
         remap = {old: new for new, old in enumerate(old_order)}
         out = Qasst.__new__(Qasst)
         out.quotients = {}
@@ -930,11 +935,11 @@ def _node_from_json(nj) -> Node:
 def from_json_dict(data: dict) -> Qasst:
     """The tree a :func:`to_json_dict` payload describes, validated.
 
-    A node listed twice in one quotient is refused, and so is a
-    ``tree_edges`` list that is not the tree's split-node pairs, each once,
-    in any order.  The tree carries a check record (see :class:`Qasst`)
-    when, besides, every quotient is connected with three or more nodes, or
-    there is one (:func:`_deletion_premise`).  A valid tree that breaks
+    A node or an edge (in either orientation) listed twice in one quotient
+    is refused, and so is a ``tree_edges`` list that is not the tree's
+    split-node pairs, each once, in any order.  The tree carries a check
+    record (see :class:`Qasst`) when, besides, every quotient is connected
+    with three or more nodes, or there is one (:func:`_deletion_premise`).  A valid tree that breaks
     this, say one with a two-node quotient, is accepted without the record.
     """
     quotients = {}
@@ -946,6 +951,9 @@ def from_json_dict(data: dict) -> Qasst:
                 raise MalformedQasstError(f"quotient {i} lists a node twice")
             edges = [(_node_from_json(a), _node_from_json(b)) for a, b in qd["edges"]]
             quotients[i] = QuotientGraph(nodes, edges)
+            # Each edge is stored once per endpoint; one listed twice, in either orientation, is stored once.
+            if sum(map(len, quotients[i].adj.values())) != 2 * len(edges):
+                raise MalformedQasstError(f"quotient {i} lists an edge twice")
         tree_edges = [frozenset(map(_node_from_json, pair)) for pair in data["tree_edges"]]
     except MalformedQasstError:
         raise

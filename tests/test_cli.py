@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsplit import cli, graphs
+from lcsplit import cli, families, graphs
 from lcsplit.graphs import SimpleGraph, from_json_dict
 
 
@@ -249,6 +249,8 @@ _BAD_TREES = [
     _P4_TREE[:-2] + ', [{"i": 1, "j": 0}, {"i": 0, "j": 1}]]}',  # one pair listed twice
     _P4_TREE.replace('"leaf_nodes": [1, 2]', '"leaf_nodes": [1, 2, 2]'),
     _P4_TREE.replace('"split_nodes": [{"i": 0, "j": 1}]', '"split_nodes": [{"i": 0, "j": 1}, {"i": 0, "j": 1}]'),
+    _P4_TREE.replace('"edges": [[1, 2], ', '"edges": [[1, 2], [2, 1], '),  # an edge listed twice
+    _P4_TREE.replace('"edges": [[3, 4], ', '"edges": [[3, 4], [3, 4], '),
 ]
 
 
@@ -264,6 +266,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == cli.EXIT_USAGE
         assert err.startswith("lcsplit: ")
+
+
+class TestRepeatedQuotientEdge:
+    @pytest.mark.parametrize("text, i", [(_BAD_TREES[-2], 0), (_BAD_TREES[-1], 1)])
+    def test_refused_in_either_orientation(self, tmp_path, capsys, text, i):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert cli.main(["reconstruct", "--input", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"lcsplit: quotient {i} lists an edge twice\n"
 
 
 class TestTreeEdgesInAnyOrder:
@@ -301,6 +312,39 @@ class TestSizeCap:
         monkeypatch.setattr(graphs, "MAX_VERTICES", n)
         assert cli.main(["gen", family, "--params", params]) == cli.EXIT_OK
         assert from_json_dict(json.loads(capsys.readouterr().out)).n == n
+
+
+    @pytest.mark.parametrize(
+        "argv, edges",
+        [
+            (["complete", "--params", "5"], 10),
+            (["star", "--params", "10"], 10),
+            (["path", "--params", "11"], 10),
+            (["cycle", "--params", "7"], 7),
+            (["complete_bipartite", "--params", "3,4"], 12),
+            (["complete_multipartite", "--params", "2,2,3"], 16),
+            (["clique_star", "--params", "2,2,3", "--center", "3"], 17),
+            (["repeater", "--params", "4"], 10),
+            (["multi_leaf_repeater", "--params", "3,2,2"], 7),
+        ],
+    )
+    def test_gen_over_edge_cap_exits_two_before_building(self, capsys, monkeypatch, argv, edges):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SimpleGraph built past the edge cap")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "MAX_EDGES", edges - 1)
+            patch.setattr(families, "SimpleGraph", refuse)
+            assert cli.main(["gen"] + argv) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == f"lcsplit: generated graphs are limited to {edges - 1} edges\n"
+        monkeypatch.setattr(families, "MAX_EDGES", edges)
+        assert cli.main(["gen"] + argv) == cli.EXIT_OK
+        assert len(from_json_dict(json.loads(capsys.readouterr().out)).edges()) == edges
+
+    def test_gen_complete_at_the_vertex_cap_is_refused_by_edges(self, capsys):
+        assert cli.main(["gen", "complete", "--params", str(graphs.MAX_VERTICES)]) == cli.EXIT_USAGE
+        cap = families.MAX_EDGES
+        assert capsys.readouterr().err == f"lcsplit: generated graphs are limited to {cap} edges\n"
 
 
 _SCALARS = (

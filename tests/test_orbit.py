@@ -358,3 +358,106 @@ class TestIsoClassesDifferential:
                     assert phi is None or _is_isomorphism(g, h, phi)
                 else:
                     assert phi is None
+
+
+def _eager(o):
+    """(members, parent) of an orbit decoded eagerly from its flat integers, edge by edge."""
+    n, width = o.base.n, o.base.n + 1
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    graphs = {flat: SimpleGraph(n, [(u, w) for u, w in pairs if flat >> (u * width + w) & 1]) for flat in o.flats}
+    for flat, g in graphs.items():
+        assert sum(g._adj[u] << (u * width) for u in range(1, n + 1)) == flat
+    key = {flat: canonical_key(g) for flat, g in graphs.items()}
+    members = {key[flat]: g for flat, g in graphs.items()}
+    parent = {key[f]: None if entry is None else (key[entry[0]], entry[1]) for f, entry in o.flats.items()}
+    return members, parent
+
+
+class TestLazyOrbitDifferential:
+    """Queries read from an orbit's flat integers against an eager decode of every member."""
+
+    @staticmethod
+    def _check(g, strangers, rng):
+        """Returns how many members tie at each minimum."""
+        o = enumerate_orbit(g, track_parents=True)
+        members, parent = _eager(o)
+        assert len(o) == len(members)
+        for h in members.values():
+            assert h in o
+        for h in strangers:
+            assert (h in o) == (canonical_key(h) in members)
+        assert SimpleGraph(g.n + 1, g.edges()) not in o
+        assert g.n == 1 or SimpleGraph(g.n - 1) not in o
+
+        ties = []
+        for value, found in ((edge_count, min_edge_member(o)), (max_degree, min_max_degree_member(o))):
+            best = min(members.items(), key=lambda item: (value(item[1]), item[0]))
+            assert found == (best[1], value(best[1]))
+            ties.append(sum(value(h) == found[1] for h in members.values()))
+        assert "members" not in o.__dict__ and "parent" not in o.__dict__
+
+        keys = list(members)
+        for key in (keys[0], keys[-1], rng.choice(keys)):
+            assert transformation_between(g, members[key]) == _path_to(parent, key)
+        for h in strangers:
+            if canonical_key(h) not in members:
+                with pytest.raises(NotEquivalentError):
+                    transformation_between(g, h)
+                break
+
+        assert list(o.members.items()) == list(members.items())
+        assert o.parent == parent and list(o.parent) == list(parent)
+        assert enumerate_orbit(g).parent is None
+        return ties
+
+    def test_every_connected_graph_up_to_six_vertices(self):
+        # Each orbit is checked once, from its first graph; every connected graph is a member of one.
+        rng = random.Random(21)
+        for n in range(1, 7):
+            graphs = list(all_connected_graphs(n))
+            covered: set[bytes] = set()
+            multiple_ties = 0
+            for g in graphs:
+                if canonical_key(g) in covered:
+                    continue
+                ties = self._check(g, rng.sample(graphs, min(len(graphs), 25)), rng)
+                multiple_ties += min(ties) > 1
+                covered.update(enumerate_orbit(g).members)
+            assert len(covered) == len(graphs)
+            if n >= 4:
+                assert multiple_ties > 0
+
+    def test_seeded_random_graphs_seven_to_eight_vertices(self):
+        rng = random.Random(22)
+        graphs = _random_graphs(23, (7, 8), 4)
+        assert not all(is_distance_hereditary(g) for g in graphs)
+        for g in graphs:
+            self._check(g, _random_graphs(rng.randrange(10**6), (g.n,), 10) + [local_complement(g, 1)], rng)
+
+    def test_queries_that_read_flats_decode_nothing(self, monkeypatch):
+        import lcsplit.orbit as orbit_module
+
+        made = []
+        enumerate_real = orbit_module.enumerate_orbit
+        monkeypatch.setattr(
+            orbit_module, "enumerate_orbit", lambda *a, **k: made.append(enumerate_real(*a, **k)) or made[-1]
+        )
+        g = cycle_graph(6)
+        o = orbit_module.enumerate_orbit(g)
+        assert len(o) == bouchet_cycle_count(6)
+        min_edge_member(o)
+        min_max_degree_member(o)
+        assert local_complement(g, 2) in o
+        assert are_lc_equivalent(g, local_complement(g, 3))
+        assert transformation_between(g, apply_sequence(g, [1, 2, 4])) == [1, 2, 4]
+        assert len(made) == 3
+        for each in made:
+            assert "members" not in each.__dict__ and "parent" not in each.__dict__
+        assert o.members is o.members and "members" in o.__dict__
+
+    def test_edgeless_graph_with_another_n_is_not_a_member(self):
+        # Every edgeless graph is the flat integer 0, whatever its n.
+        for n in range(1, 5):
+            o = enumerate_orbit(SimpleGraph(n))
+            assert SimpleGraph(n) in o
+            assert SimpleGraph(n + 1) not in o and SimpleGraph(n - 1) not in o

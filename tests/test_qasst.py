@@ -196,6 +196,20 @@ class TestNormalize:
             renumbered.validate()
             assert to_json_dict(renumbered.normalize()) == to_json_dict(q)
 
+    def test_canonical_numbering_is_kept_without_a_rebuild(self):
+        rng = random.Random(79)
+        for g in self.sample_graphs():
+            q = compute_qasst(g)
+            again = q.normalize()
+            assert again is not q and again._checked
+            assert all(again.quotients[i] is quot for i, quot in q.quotients.items())
+            assert to_json_dict(again) == to_json_dict(q) and to_dot(again) == to_dot(q)
+            shuffled = _shuffled(q, rng)
+            if len(q.quotients) > 1:
+                renumbered = shuffled.normalize()
+                assert not any(quot is shuffled.quotients.get(i) for i, quot in renumbered.quotients.items())
+                assert to_json_dict(renumbered) == to_json_dict(q)
+
 
 def _shuffled(q, rng):
     """The same tree with its quotients renumbered at random."""

@@ -5,8 +5,10 @@ the parent checkout and once in the change checkout, back to back; the
 side that goes first alternates from pair to pair.  The last line of each
 run (its JSON result) is kept as it is.  The summary gives, per workload
 and end-to-end metric (directions from the change's ``BENCHMARK.json``),
-the parent and change medians and quartiles, the change's range, and the
-number of pairs in which the change was strictly better.
+the parent and change medians and quartiles, the change's range, the
+number of pairs in which the change was strictly better, and
+``over_bound``: whether the change median is worse than the parent median
+by more than the metric's bound, a fraction of the parent median.
 
 Example, from the root of the change::
 
@@ -58,24 +60,27 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q1, 4), round(q3, 4)]
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: medians, quartiles, range, and pairs the change won."""
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload and metric: medians, quartiles, range, pairs the change won, and over_bound."""
     out: dict[str, dict] = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         mine = [p for p in pairs if p["workload"] == workload]
         entry: dict = {"pairs": len(mine)}
-        for metric, direction in better.items():
+        for metric, spec in metrics.items():
             value = {side: [p[side]["metrics"][metric]["value"] for p in mine] for side in SIDES}
-            sign = 1 if direction == "higher" else -1
+            sign = 1 if spec["better"] == "higher" else -1
+            median = {side: statistics.median(value[side]) for side in SIDES}
             entry[metric] = {
-                "parent_median": round(statistics.median(value["parent"]), 4),
+                "parent_median": round(median["parent"], 4),
                 "parent_quartiles": quartiles(value["parent"]),
-                "change_median": round(statistics.median(value["change"]), 4),
+                "change_median": round(median["change"], 4),
                 "change_quartiles": quartiles(value["change"]),
                 "change_range": [round(min(value["change"]), 4), round(max(value["change"]), 4)],
                 "change_better_pairs": sum(
                     sign * (c - p) > 0 for p, c in zip(value["parent"], value["change"])
                 ),
+                "over_bound": sign * (median["change"] - median["parent"])
+                < -spec["bound"] * abs(median["parent"]),
             }
         out[workload] = entry
     return out
@@ -94,7 +99,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     pairs = []
     for workload in args.workloads.split(","):
@@ -114,7 +119,7 @@ def main(argv=None) -> int:
                    f" Python {platform.python_version()}; times are probe-scaled by the benchmark",
         "order": "'first' names the side that ran first in each pair; each pair ran back to back",
         "seeds": args.seed_note or f"seeds {args.seeds}",
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, metrics),
         "pairs": pairs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
