@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    InvalidSpecError,
-    InvalidVertexError,
-    LcsplitError,
-    NotAnEdgeError,
-    SizeLimitError,
-)
+from .errors import InvalidSpecError, InvalidVertexError, LcsplitError, NotAnEdgeError, SizeLimitError
 
 LcSequence = Sequence[int]
 
@@ -119,8 +113,7 @@ def edge_count(g: SimpleGraph) -> int:
 def is_connected(g: SimpleGraph) -> bool:
     if g.n <= 1:
         return True
-    seen = 1 << 1
-    frontier = 1 << 1
+    seen = frontier = 1 << 1
     while frontier:
         nxt = 0
         for v in _bits(frontier):
@@ -140,11 +133,7 @@ def induced_subgraph(g: SimpleGraph, keep: Iterable[int]) -> tuple[SimpleGraph, 
     for v in kept:
         g._check_vertex(v)
     new_of_old = {old: i + 1 for i, old in enumerate(kept)}
-    edges = [
-        (new_of_old[u], new_of_old[v])
-        for u, v in g.edges()
-        if u in new_of_old and v in new_of_old
-    ]
+    edges = [(new_of_old[u], new_of_old[v]) for u, v in g.edges() if u in new_of_old and v in new_of_old]
     return SimpleGraph(len(kept), edges), {i + 1: old for i, old in enumerate(kept)}
 
 
@@ -190,75 +179,96 @@ def edge_pivot(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
 # -- canonical key and isomorphism ------------------------------------------
 
 
+def _flat(g: SimpleGraph) -> int:
+    """g as one integer, row u at bit ``u*(n+1)``."""
+    width = g.n + 1
+    flat = 0
+    for v in range(1, g.n + 1):
+        flat |= g._adj[v] << (v * width)
+    return flat
+
+
 def canonical_key(g: SimpleGraph) -> bytes:
     """Deterministic key; equal keys iff identical labeled edge sets."""
     parts = [str(g.n)] + [f"{u}-{v}" for u, v in g.edges()]
     return ";".join(parts).encode("ascii")
 
 
-def _iso_invariants(g: SimpleGraph) -> list[tuple]:
-    """(degree, sorted neighbor degrees) per vertex; entry 0 is (0, ()) in every graph."""
-    deg = [mask.bit_count() for mask in g._adj]
-    return [(d, tuple(sorted(deg[u] for u in _bits(mask)))) for d, mask in zip(deg, g._adj)]
+def _vertex_invariants(g: SimpleGraph) -> list[int]:
+    """Per vertex, packed: degree, sum of neighbour degrees, twice the edges among neighbours.
+
+    Entry 0 is 0.  Every search starts here, so it refuses more than 16
+    vertices; up to that, each field is below 256.
+    """
+    if g.n > _ISO_MAX_VERTICES:
+        raise SizeLimitError(f"isomorphism search limited to {_ISO_MAX_VERTICES} vertices, got {g.n}")
+    width = g.n + 1
+    row = (1 << width) - 1
+    col = ((1 << width * width) - 1) // row  # bit u*width for every u
+    flat = _flat(g)
+    # Column v of the flat graph, s, holds one bit in the row of each neighbour of v.
+    return [nb.bit_count() << 16 | (flat & (s := flat >> v & col) * row).bit_count() << 8
+            | (flat & s * nb).bit_count() for v, nb in enumerate(g._adj)]
+
+
+def _iso_plan(g: SimpleGraph, inv: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(vertex, invariant, positions of its earlier neighbours) in search order."""
+    adj = g._adj
+    plan: list[tuple[int, int, tuple[int, ...]]] = []
+    placed = 0
+    # Rarest, then least invariant, then least vertex; one touching a placed vertex first.
+    rank = sorted(range(1, g.n + 1), key=lambda v: (inv.count(inv[v]), inv[v], v))
+    while rank:
+        v = next((v for v in rank if adj[v] & placed), rank[0])
+        rank.remove(v)
+        plan.append((v, inv[v], tuple(i for i, (u, _, _) in enumerate(plan) if adj[v] >> u & 1)))
+        placed |= 1 << v
+    return plan
+
+
+def _iso_search(plan: list, h: SimpleGraph, inv: list[int]) -> Optional[dict[int, int]]:
+    """The plan's vertices mapped onto h edge for edge, or None; ``inv`` is h's, of equal multiset.
+
+    Position i takes the least unused vertex of its invariant that is adjacent,
+    among the images so far, to the images of i's earlier neighbours alone.
+    """
+    adj = h._adj
+    pools: dict[int, int] = {}
+    for w, x in enumerate(inv[1:], 1):
+        pools[x] = pools.get(x, 0) | 1 << w
+    bits = [0] * len(plan)
+
+    def extend(i: int, used: int) -> bool:
+        if i == len(plan):
+            return True
+        _, x, back = plan[i]
+        want = 0
+        for j in back:
+            want |= bits[j]
+        rest = pools[x] & ~used
+        while rest:
+            bits[i] = bit = rest & -rest
+            if adj[bit.bit_length() - 1] & used == want and extend(i + 1, used | bit):
+                return True
+            rest ^= bit
+        return False
+
+    return {v: bit.bit_length() - 1 for (v, _, _), bit in zip(plan, bits)} if extend(0, 0) else None
 
 
 def find_isomorphism(g: SimpleGraph, h: SimpleGraph) -> Optional[dict[int, int]]:
-    """An edge-preserving bijection g -> h, or None.
+    """An edge-preserving bijection g -> h, or None; deterministic.
 
-    Backtracking with a degree / neighbor-degree pre-filter; a search on
-    more than 16 vertices is rejected.
+    Graphs of different orders are never isomorphic; past that, more than
+    16 vertices raise :class:`SizeLimitError`.  If the vertex invariants
+    agree as multisets, g's search plan is run against h.
     """
     if g.n != h.n:
         return None
-    g_inv, h_inv = _iso_invariants(g), _iso_invariants(h)
+    g_inv, h_inv = _vertex_invariants(g), _vertex_invariants(h)
     if sorted(g_inv) != sorted(h_inv):
         return None
-    return _match(g, g_inv, h, h_inv)
-
-
-def _match(g: SimpleGraph, g_inv: list, h: SimpleGraph, h_inv: list) -> Optional[dict[int, int]]:
-    """find_isomorphism's search, given both invariant tables with equal sorted values."""
-    if g.n > _ISO_MAX_VERTICES:
-        raise SizeLimitError(
-            f"isomorphism search limited to {_ISO_MAX_VERTICES} vertices, got {g.n}"
-        )
-    g_adj, h_adj = g._adj, h._adj
-
-    # Order g's vertices so each one (after the first) touches an already
-    # mapped vertex when possible; rarest invariant first breaks ties.
-    order: list[int] = []
-    placed = 0
-    remaining = set(range(1, g.n + 1))
-    while remaining:
-        pool = [v for v in remaining if g_adj[v] & placed] or list(remaining)
-        v = min(pool, key=lambda v: (g_inv[v], v))
-        order.append(v)
-        remaining.discard(v)
-        placed |= 1 << v
-
-    mapping: dict[int, int] = {}
-    used = [False] * (h.n + 1)
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        gv = g_adj[v]
-        for w in range(1, h.n + 1):
-            if used[w] or h_inv[w] != g_inv[v]:
-                continue
-            hw = h_adj[w]
-            if any((gv >> u & 1) != (hw >> x & 1) for u, x in mapping.items()):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if backtrack(i + 1):
-                return True
-            del mapping[v]
-            used[w] = False
-        return False
-
-    return dict(mapping) if backtrack(0) else None
+    return _iso_search(_iso_plan(g, g_inv), h, h_inv)
 
 
 def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -296,10 +306,6 @@ def from_json_dict(data: dict) -> SimpleGraph:
 
 
 def to_dot(g: SimpleGraph) -> str:
-    lines = ["graph G {"]
-    for v in range(1, g.n + 1):
-        lines.append(f'  {v} [label="{v}"];')
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [f'  {v} [label="{v}"];' for v in range(1, g.n + 1)]
+    edges = [f"  {u} -- {v};" for u, v in g.edges()]
+    return "\n".join(["graph G {", *nodes, *edges, "}"]) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 
@@ -43,6 +44,28 @@ def dh_definition_oracle(g: SimpleGraph) -> bool:
                 if base[(labels[u], labels[v])] != d:
                     return False
     return True
+
+
+@functools.cache
+def _relabellings(n: int) -> list[list[int]]:
+    """Per permutation of 1..n, the relabelled bit of each vertex pair, pairs in combinations order."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    return [
+        [1 << index[tuple(sorted((p[u - 1], p[v - 1])))] for u, v in pairs]
+        for p in itertools.permutations(range(1, n + 1))
+    ]
+
+
+def iso_form(g: SimpleGraph) -> int:
+    """The least relabelled edge set of g over all n! permutations: equal iff isomorphic.
+
+    An edge set is an integer with one bit per vertex pair, so a relabelling
+    costs one sum over g's edges.
+    """
+    pairs = itertools.combinations(range(1, g.n + 1), 2)
+    edges = [k for k, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
+    return min(sum(map(table.__getitem__, edges)) for table in _relabellings(g.n))
 
 
 def far_leaves(q: Qasst, s: SplitNode) -> frozenset:

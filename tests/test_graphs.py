@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import random_connected_graph
 from lcsplit import graphs
 from lcsplit.errors import InvalidVertexError, NotAnEdgeError, SizeLimitError
+from lcsplit.families import path_graph, star_graph
 from lcsplit.graphs import (
     MAX_VERTICES,
     SimpleGraph,
@@ -156,6 +157,39 @@ class TestCanonicalKeyAndIsomorphism:
             SimpleGraph(4, [(1, 2), (1, 3), (1, 4)]),
         )
         assert not is_isomorphic(SimpleGraph(3), SimpleGraph(4))
+
+    def test_more_than_sixteen_vertices_raise_isomorphic_or_not(self):
+        # K1,16 and P17 differ in their degrees; the limit is checked before that is seen.
+        for h in (star_graph(16), path_graph(17)):
+            with pytest.raises(SizeLimitError):
+                find_isomorphism(star_graph(16), h)
+        assert find_isomorphism(star_graph(15), star_graph(15)) == {v: v for v in range(1, 17)}
+        assert find_isomorphism(star_graph(16), path_graph(16)) is None  # orders differ
+
+    def test_sixteen_vertex_graphs_with_equal_invariants(self):
+        # The 4x4 rook's graph and the Shrikhande graph are both strongly regular
+        # with parameters (16, 6, 2, 2), so no vertex invariant tells them apart.
+        def cayley(steps):
+            label = {(a, b): 4 * a + b + 1 for a in range(4) for b in range(4)}
+            return SimpleGraph(16, [
+                (label[x], label[(x[0] + da) % 4, (x[1] + db) % 4])
+                for x in label for da, db in steps
+                if label[x] < label[(x[0] + da) % 4, (x[1] + db) % 4]
+            ])
+
+        rook = cayley([(d, 0) for d in (1, 2, 3)] + [(0, d) for d in (1, 2, 3)])
+        shrikhande = cayley([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+        assert sorted(graphs._vertex_invariants(rook)) == sorted(graphs._vertex_invariants(shrikhande))
+        assert find_isomorphism(rook, shrikhande) is None
+        assert find_isomorphism(shrikhande, rook) is None
+        rng = random.Random(16)
+        for g in (rook, shrikhande):
+            perm = list(range(1, 17))
+            rng.shuffle(perm)
+            h = SimpleGraph(16, [(perm[a - 1], perm[b - 1]) for a, b in g.edges()])
+            phi = find_isomorphism(g, h)
+            assert sorted(phi.values()) == list(range(1, 17))
+            assert {tuple(sorted((phi[a], phi[b]))) for a, b in g.edges()} == set(h.edges())
 
 
 class TestSerialization:

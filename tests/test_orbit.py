@@ -8,13 +8,22 @@ from collections import deque
 import pytest
 
 from helpers import all_connected_graphs, all_graphs, random_connected_graph
-from lcsplit.counting import bouchet_cycle_count
-from lcsplit.errors import BudgetExceededError, NotEquivalentError
-from lcsplit.families import complete_bipartite_graph, complete_graph, cycle_graph, star_graph
+from oracles import iso_form
+from lcsplit.counting import CLIQUE_STAR, KPARTITE, bouchet_cycle_count, iso_class_count
+from lcsplit.errors import BudgetExceededError, NotEquivalentError, SizeLimitError
+from lcsplit.families import (
+    clique_star_graph,
+    complete_bipartite_graph,
+    complete_graph,
+    complete_multipartite_graph,
+    cycle_graph,
+    star_graph,
+)
 from lcsplit.graphs import (
     SimpleGraph,
-    _iso_invariants,
-    _match,
+    _iso_plan,
+    _iso_search,
+    _vertex_invariants,
     apply_sequence,
     canonical_key,
     edge_count,
@@ -109,6 +118,10 @@ class TestRepresentatives:
         for a in range(len(reps)):
             for b in range(a + 1, len(reps)):
                 assert not is_isomorphic(reps[a], reps[b])
+
+    def test_iso_classes_refuse_more_than_sixteen_vertices(self):
+        with pytest.raises(SizeLimitError):
+            orbit_iso_classes(enumerate_orbit(star_graph(16)))
 
     def test_minima_are_attained(self):
         o = enumerate_orbit(complete_bipartite_graph(2, 3))
@@ -345,19 +358,86 @@ class TestIsoClassesDifferential:
             expected = sorted(forms.values(), key=lambda cls: canonical_key(cls[0]))
             assert orbit_iso_classes(o) == [tuple(cls) for cls in expected]
 
-    def test_cached_invariants_give_the_same_mapping(self):
+    def test_plan_search_gives_the_same_mapping(self):
         rng = random.Random(4)
         for o in self._orbits():
             members = list(o.members.values())
-            tables = {g: _iso_invariants(g) for g in members}
+            tables = {g: _vertex_invariants(g) for g in members}
             for _ in range(40):
                 g, h = rng.choice(members), rng.choice(members)
                 phi = find_isomorphism(g, h)
                 if sorted(tables[g]) == sorted(tables[h]):
-                    assert phi == _match(g, tables[g], h, tables[h])
+                    assert phi == _iso_search(_iso_plan(g, tables[g]), h, tables[h])
                     assert phi is None or _is_isomorphism(g, h, phi)
                 else:
                     assert phi is None
+
+
+def _form_classes(o):
+    """(representative, count) of each class of an orbit, by the brute-force iso_form oracle."""
+    classes: dict[int, list] = {}
+    for g in o.sorted_members():
+        classes.setdefault(iso_form(g), [g, 0])[1] += 1
+    return sorted((tuple(cls) for cls in classes.values()), key=lambda cls: canonical_key(cls[0]))
+
+
+class TestIsoClassesAgainstBruteForce:
+    """orbit_iso_classes and find_isomorphism against the n!-relabelling oracle."""
+
+    def test_orbits_of_every_connected_graph_up_to_five_vertices(self):
+        covered = 0
+        seen: set[bytes] = set()
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                if canonical_key(g) in seen:
+                    continue
+                o = enumerate_orbit(g)
+                seen |= o.members.keys()
+                covered += len(o)
+                assert orbit_iso_classes(o) == _form_classes(o)
+        assert covered == 1 + 1 + 4 + 38 + 728
+
+    def test_seeded_orbits_on_six_and_seven_vertices(self):
+        rng = random.Random(14)
+        orbits = []
+        for n, limit, want in ((6, 200, 20), (7, 60, 10)):
+            found = 0
+            while found < want:
+                g = random_connected_graph(n, rng, rng.choice([0.1, 0.3, 0.5, 0.7]))
+                try:
+                    orbits.append(enumerate_orbit(g, limit=limit))
+                except BudgetExceededError:
+                    continue
+                found += 1
+        assert not all(is_distance_hereditary(o.base) for o in orbits)
+        assert sum(len(orbit_iso_classes(o)) > 1 for o in orbits) >= 20
+        for o in orbits:
+            assert orbit_iso_classes(o) == _form_classes(o)
+
+    def test_class_counts_of_family_orbits(self):
+        for g, count in (
+            (complete_multipartite_graph([2, 2, 2, 2]), iso_class_count(KPARTITE, 4)),
+            (clique_star_graph((2, 2, 2, 2), 1), iso_class_count(CLIQUE_STAR, 4)),
+            (complete_multipartite_graph([2] * 5), iso_class_count(KPARTITE, 5)),
+        ):
+            assert len(orbit_iso_classes(enumerate_orbit(g))) == count
+
+    def test_find_isomorphism_on_equal_degree_sequences(self):
+        by_degrees: dict[tuple, list] = {}
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                by_degrees.setdefault((n, tuple(sorted(mask.bit_count() for mask in g._adj))), []).append(g)
+        refused = 0
+        for group in by_degrees.values():
+            forms = [iso_form(g) for g in group]
+            # Every 7th graph of a group against all of it keeps this under a second.
+            for i in range(0, len(group), 7):
+                for j in range(len(group)):
+                    phi = find_isomorphism(group[i], group[j])
+                    assert (phi is not None) == (forms[i] == forms[j])
+                    assert phi is None or _is_isomorphism(group[i], group[j], phi)
+                    refused += phi is None
+        assert refused > 1000
 
 
 def _eager(o):

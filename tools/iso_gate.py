@@ -1,0 +1,68 @@
+"""Time orbit enumeration and isomorphism classification on family orbits.
+
+ROADMAP item 4's layer figure: for each graph, the median time of
+``enumerate_orbit`` and the median time of ``orbit_iso_classes`` on that
+orbit, and their ratio.  Each ``orbit_iso_classes`` timing starts from the
+fresh orbit just enumerated, so it includes whatever member decoding the
+classification reads, as an orbit query would.  Times are this process's
+CPU time, so time a shared machine gives to other processes is not counted.
+
+Example, from the root of the repository (or with ``--src`` pointing at
+another checkout's ``src``)::
+
+    python3 tools/iso_gate.py --reps 9
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def family_graphs() -> dict:
+    from lcsplit import families
+
+    return {
+        "C9": families.cycle_graph(9),
+        "C10": families.cycle_graph(10),
+        "P10": families.path_graph(10),
+        "K2^5": families.complete_multipartite_graph([2] * 5),
+    }
+
+
+def measure(g, reps: int) -> tuple[float, float, int, int]:
+    """(BFS seconds, classification seconds, members, classes), medians over reps."""
+    from lcsplit import orbit
+
+    bfs, iso = [], []
+    for _ in range(reps):
+        start = time.process_time()
+        o = orbit.enumerate_orbit(g)
+        bfs.append(time.process_time() - start)
+        start = time.process_time()
+        classes = orbit.orbit_iso_classes(o)
+        iso.append(time.process_time() - start)
+    return statistics.median(bfs), statistics.median(iso), len(o), len(classes)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--reps", type=int, default=9, help="timings per graph (default 9)")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="the lcsplit source to time")
+    args = ap.parse_args()
+    sys.path.insert(0, args.src)
+    for name, g in family_graphs().items():
+        bfs, iso, members, classes = measure(g, args.reps)
+        print(f"{name}: {members} members, {classes} classes; "
+              f"enumerate_orbit {bfs:.3f} s, orbit_iso_classes {iso:.3f} s ({iso / bfs:.2f}x)")
+
+
+if __name__ == "__main__":
+    main()
