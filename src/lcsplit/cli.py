@@ -73,6 +73,15 @@ def _write_text(text: str, path: str) -> None:
             fh.write(text)
 
 
+def _decimal(x: int) -> str:
+    """``str(x)`` for ``x >= 0`` of any length; ``str`` stops at a digit limit, 4300 by default."""
+    if x.bit_length() <= 2000:  # at most 603 digits; no limit may be set below 640
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(x, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _load_json(path: str) -> dict:
     try:
         return json.loads(_read_text(path))
@@ -107,7 +116,10 @@ def _dump_json(data) -> str:
     two spaces per enclosing container.  Empty containers stay ``[]`` and
     ``{}``.  The strings then go back in order.
     """
-    flat = json.dumps(data, sort_keys=True, separators=(",", ": "))
+    try:
+        flat = json.dumps(data, sort_keys=True, separators=(",", ": "))
+    except ValueError as exc:  # an int past the interpreter's int -> str digit limit
+        raise InvalidSpecError("an integer in the output is too long to write as JSON") from exc
     strings = _STRING.findall(flat)
     parts = _BRACKET.split(_STRING.sub('"', flat))
     brackets = parts[1::2]
@@ -139,14 +151,12 @@ def _emit_qasst(q: qasst.Qasst, fmt: str, out: str) -> None:
         _write_text(_dump_json(qasst.to_json_dict(q)), out)
 
 
-def _table(rows: list[list[str]], header: list[str]) -> str:
-    widths = [
-        max(len(str(row[c])) for row in [header] + rows)
-        for c in range(len(header))
-    ]
+def _table(rows: list[list], header: list[str]) -> str:
+    rows = [[_decimal(cell) if isinstance(cell, int) else cell for cell in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     lines = []
     for row in [header, ["-" * w for w in widths]] + rows:
-        lines.append("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip())
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
 
 
@@ -236,7 +246,7 @@ def cmd_qasst(args) -> int:
     else:  # extend
         if args.kind is None or args.anchor is None:
             raise InvalidSpecError("qasst extend needs --kind and --anchor")
-        out = qasst_ops.extend(q, qasst_ops.ExtensionKind(args.kind, args.anchor), q.n + 1)
+        out = qasst_ops.extend(q, qasst_ops.ExtensionKind(args.kind, args.anchor), max(q.leaves()) + 1)
     _emit_qasst(out, args.format, args.output)
     return EXIT_OK
 
@@ -246,31 +256,28 @@ def cmd_count(args) -> int:
         if args.n is None:
             raise InvalidSpecError(f"count {args.what} needs --n")
         fn = counting.bouchet_path_count if args.what == "path" else counting.bouchet_cycle_count
-        _write_text(str(fn(args.n)), args.output)
-        return EXIT_OK
-    if args.what == "phi":
+        value = fn(args.n)
+    elif args.what == "phi":
         if args.params is not None:
             value = counting.kpartite_phi(_parse_ints(args.params))
         else:
             value = counting.phi_count(qasst.compute_qasst(_load_graph(args.input)))
-        _write_text(str(value), args.output)
-        return EXIT_OK
-    if args.family is None or args.params is None:
-        raise InvalidSpecError(f"count {args.what} needs --family and --params")
-    params = _parse_ints(args.params)
-    if args.family == "bipartite" and len(params) != 2:
-        raise InvalidSpecError("bipartite takes exactly two parameters")
-    if args.what == "orbit":
-        if args.family == "bipartite":
-            value = counting.bipartite_orbit_size(*params)
-        else:
-            value = counting.orbit_size(_orbit_tag(args.family), params)
-    else:  # iso-classes
-        if args.family == "bipartite":
+    else:
+        if args.family is None or args.params is None:
+            raise InvalidSpecError(f"count {args.what} needs --family and --params")
+        params = _parse_ints(args.params)
+        if args.family == "bipartite" and len(params) != 2:
+            raise InvalidSpecError("bipartite takes exactly two parameters")
+        if args.what == "orbit":
+            if args.family == "bipartite":
+                value = counting.bipartite_orbit_size(*params)
+            else:
+                value = counting.orbit_size(_orbit_tag(args.family), params)
+        elif args.family == "bipartite":  # iso-classes
             value = counting.bipartite_iso_class_count(*params)
         else:
             value = counting.iso_class_count(_orbit_tag(args.family), len(params))
-    _write_text(str(value), args.output)
+    _write_text(_decimal(value), args.output)
     return EXIT_OK
 
 
@@ -320,7 +327,7 @@ def cmd_sym(args) -> int:
         rows.sort(key=lambda r: (r[0], 0 if r[1] == "-" else r[1], r[2]))
         total = sum(r[3] for r in rows)
         text = _table(rows, ["case", "j", "I", "members"])
-        _write_text(f"{text}\ntotal: {total}", args.output)
+        _write_text(f"{text}\ntotal: {_decimal(total)}", args.output)
         return EXIT_OK
     # transform
     if args.case is None:

@@ -167,9 +167,7 @@ def apply_sequence(g: SimpleGraph, f: LcSequence) -> SimpleGraph:
 def edge_pivot(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
     """Pivot along the edge (i,j): c_i then c_j then c_i.
 
-    The endpoints are interchangeable.  Refuses non-edges; see
-    :func:`lcsplit.symmetry.component_edge_pivot` for the lenient variant
-    that maps non-edges to the identity.
+    The endpoints are interchangeable.  Refuses non-edges.
     """
     if not g.has_edge(i, j):
         raise NotAnEdgeError(f"({i},{j}) is not an edge")

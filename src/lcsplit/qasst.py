@@ -347,17 +347,15 @@ class Qasst:
             quots.append((nodes, edges))
         return frozenset(quots)
 
-    def validate(
-        self, expect_full_range: bool = True
-    ) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
+    def validate(self) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
         """Raise :class:`MalformedQasstError` unless this is a well-formed tree.
 
         Every split-node lives in its own quotient and is matched by its
-        partner in another one, the leaf-nodes are distinct (and cover
-        1..n unless ``expect_full_range`` is false), and the pairs join the
-        quotients into one tree.  One pass over the nodes, then one BFS,
+        partner in another one, the leaf-nodes are distinct positive
+        integers, not necessarily 1..n, and the pairs join the quotients
+        into one tree.  One pass over the nodes, then one BFS,
         :func:`_orient`, whose result is returned.  A tree with no
-        quotients is refused: it stands for no graph.
+        quotients or no leaf-nodes is refused: it stands for no graph.
         """
         if not self.quotients:
             raise MalformedQasstError("tree has no quotients")
@@ -382,10 +380,12 @@ class Qasst:
                 pairs += s.i < s.j
             if not splits:
                 bare.append(i)
+        if not seen_leaves:
+            raise MalformedQasstError("tree has no leaf-nodes")
         if len(seen_leaves) != len(set(seen_leaves)):
             raise MalformedQasstError("a vertex appears in two quotients")
-        if expect_full_range and set(seen_leaves) != set(range(1, len(seen_leaves) + 1)):
-            raise MalformedQasstError("leaf-nodes do not cover 1..n")
+        if min(seen_leaves) < 1:
+            raise MalformedQasstError(f"leaf-node {min(seen_leaves)} is below 1")
         m = len(self.quotients)
         if m > 1 and bare:
             raise MalformedQasstError(f"quotient {bare[0]} has no split-node")
@@ -604,8 +604,12 @@ def reconstruct(q: Qasst) -> SimpleGraph:
     """Merge every split-node pair into all-to-all connections.
 
     Works even when the tree edges do not correspond to strong splits.
+    The leaf-nodes must be 1..n, the vertices of a :class:`SimpleGraph`.
     """
     q.validate()
+    n = len(q._home)
+    if max(q._home) != n:  # distinct positive leaf-nodes are 1..n iff the largest is n
+        raise MalformedQasstError("leaf-nodes do not cover 1..n")
     adj: dict[Node, set[Node]] = {}
     for quot in q.quotients.values():
         adj.update((v, set(nb)) for v, nb in quot.adj.items())
@@ -622,9 +626,6 @@ def reconstruct(q: Qasst) -> SimpleGraph:
             for v in nb:
                 adj[u].add(v)
                 adj[v].add(u)
-    n = len(adj)
-    if set(adj) != set(range(1, n + 1)):
-        raise MalformedQasstError("reconstruction did not produce leaf-nodes 1..n")
     return SimpleGraph(n, [(u, v) for u in adj for v in adj[u] if u < v])
 
 

@@ -15,9 +15,10 @@ Three ways a quotient tree evolves without being recomputed from scratch:
   the tree one quotient) needs only v's quotient: every split-node then
   has two or more leaves behind it, so all stay live, and the rest is
   connected iff v's quotient minus v is.
-- :func:`extend`: one-vertex extensions (pendant / false twin / true twin),
-  where the new vertex joins the anchor's quotient, and {anchor, new} is
-  split off into a fresh three-node quotient if that quotient turned prime.
+- :func:`extend`: one-vertex extensions (pendant / false twin / true twin)
+  adding any label the tree lacks: the new vertex joins the anchor's
+  quotient, and {anchor, new} is split off into a fresh three-node quotient
+  if that quotient turned prime.
 
 Each op leaves its input tree as it was and returns a new tree that shares
 every quotient the op did not change (:meth:`Qasst.copy`): ``lc_propagate``
@@ -28,7 +29,8 @@ quotient before its first edit.  Each op finds vertices through the tree's
 leaf index and keeps it up to date, and passes the input's check record on
 to its result, a strong split tree again; besides reading the keep set and
 copying the tree's two dicts, a one-vertex op on a checked tree costs what
-it touches.
+it touches.  Leaf-nodes are any distinct positive integers
+(:meth:`Qasst.validate`), so every op accepts every tree an op returns.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
         if not _induces_connected(adj, adj.keys() - {v}):
             raise NotConnectedError("induced subgraph is not connected")
     else:
-        order, up = q.validate(expect_full_range=False)
+        order, up = q.validate()
         if not _keeps_connected(q, home.keys() - gone, order, up):
             raise NotConnectedError("induced subgraph is not connected")
 
@@ -192,57 +194,48 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
 
 
 def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
-    """Quotient tree after a one-vertex extension adding vertex p = n + 1."""
-    expected = len(q._home) + 1
-    if p != expected:
-        raise InvalidVertexError(f"new vertex must be n+1 = {expected}, got {p}")
-    out, _ = extend_with_subcase(q, e.tag, e.anchor, p)
+    """Quotient tree after the one-vertex extension e, adding vertex p.
+
+    p is any positive integer the tree lacks (an induced tree may hold
+    n + 1).  If the anchor's quotient turns prime, {anchor, p} is a strong
+    split of it (Bandelt & Mulder 1986) and is split off.
+    """
+    if type(p) is not int or p < 1 or p in q._home:
+        raise InvalidVertexError(f"new vertex must be a positive integer the tree lacks, got {p!r}")
+    out = q.copy()
+    i = out.leaf_quotient(e.anchor)
+    quot = out._edit(i)
+    nbrs = {e.anchor} if e.tag == PENDANT else quot.neighbors(e.anchor)
+    if e.tag == TRUE_TWIN:
+        nbrs.add(e.anchor)
+    if not nbrs:
+        raise NotConnectedError("false twin of an isolated vertex disconnects")
+    quot.adj[p] = set()
+    out._home[p] = i
+    for w in nbrs:
+        quot.add_edge(p, w)
+    if classify_quotient(quot).kind == PRIME:
+        out.split_off(i, {e.anchor, p})
+        out._checked = q._checked
     return out
 
 
 _SHAPE_DIGIT = {STAR_CENTER: "1", STAR_SPOKE: "2", COMPLETE: "3", PRIME: "4"}
 
 
-def extend_with_subcase(
-    q: Qasst, kind: str, anchor: int, new: int
-) -> tuple[Qasst, str]:
-    """Apply one extension; returns the new tree and the subcase id.
+def extension_subcase(q: Qasst, e: ExtensionKind) -> str:
+    """The subcase id of extension e of q, read off the anchor's quotient.
 
-    The new tree shares every quotient of q but the anchor's (and adds the
-    split-off {anchor, new} quotient if there is one); q is left as it was.
-
-    Subcase ids follow the quotient shape at the anchor: 1 = star center,
-    2 = star spoke, 3 = complete, 4 = prime; a/b/c = pendant / false twin /
-    true twin.  One- and two-node quotients (necessarily the whole tree)
-    give ``degenerate-1`` / ``degenerate-2``.  If the anchor's quotient
-    turns prime, {anchor, new} is a strong split of it (Bandelt & Mulder
-    1986) and is split off.
+    Ids follow the quotient shape at the anchor: 1 = star center, 2 = star
+    spoke, 3 = complete, 4 = prime; a/b/c = pendant / false twin / true
+    twin.  One- and two-node quotients (necessarily the whole tree) give
+    ``degenerate-1`` / ``degenerate-2``.
     """
-    if kind not in EXTENSION_KINDS:
-        raise ValueError(f"unknown extension kind {kind!r}")
-    if new in q._home:
-        raise InvalidVertexError(f"vertex {new} already present")
-    out = q.copy()
-    i = out.leaf_quotient(anchor)
-    quot = out._edit(i)
-    if len(quot.nodes) <= 2:
-        subcase = f"degenerate-{len(quot.nodes)}"
-    else:
-        shape = classify_quotient(quot, anchor).kind
-        subcase = _SHAPE_DIGIT[shape] + "abc"[EXTENSION_KINDS.index(kind)]
-    nbrs = {anchor} if kind == PENDANT else quot.neighbors(anchor)
-    if kind == TRUE_TWIN:
-        nbrs.add(anchor)
-    if not nbrs:
-        raise NotConnectedError("false twin of an isolated vertex disconnects")
-    quot.adj[new] = set()
-    out._home[new] = i
-    for w in nbrs:
-        quot.add_edge(new, w)
-    if classify_quotient(quot).kind == PRIME:
-        out.split_off(i, {anchor, new})
-        out._checked = q._checked
-    return out, subcase
+    quot = q.quotients[q.leaf_quotient(e.anchor)]
+    if len(quot.adj) <= 2:
+        return f"degenerate-{len(quot.adj)}"
+    shape = classify_quotient(quot, e.anchor).kind
+    return _SHAPE_DIGIT[shape] + "abc"[EXTENSION_KINDS.index(e.tag)]
 
 
 def extend_graph(g: SimpleGraph, kind: str, anchor: int) -> SimpleGraph:

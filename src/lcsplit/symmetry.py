@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidAssignmentError, InvalidCaseError, InvalidSpecError, MalformedQasstError
+from .errors import (
+    InvalidAssignmentError, InvalidCaseError, InvalidSpecError, MalformedQasstError, SizeLimitError,
+)
 from .families import CLIQUE_STAR, KPARTITE, block_ranges, check_blocks, orbit_of
-from .graphs import SimpleGraph, apply_sequence
+from .graphs import SimpleGraph
 from .qasst import (
     COMPLETE,
     STAR,
@@ -43,6 +45,8 @@ from .qasst import (
     compute_qasst,
     reconstruct,
 )
+
+MAX_CASES = 1_000_000
 
 SS_CENTER = "ss_center"
 SS_SPOKE = "ss_spoke"
@@ -121,12 +125,18 @@ def enumerate_cases(
     """Every symmetry class with its member count (choices of ss centers).
 
     The multiplicity of a class is prod_{i in I} n_i; summed over all
-    classes this equals the orbit-size formula.
+    classes this equals the orbit-size formula.  k blocks give
+    (k + 1) * 2^(k - 1) classes (16 blocks 557056, 17 blocks 1179648),
+    counted before any is listed: more than :data:`MAX_CASES`, the scale
+    of ``families.MAX_EDGES`` and the orbit budget, raise
+    :class:`SizeLimitError`.
     """
     check_blocks(n_list)
     if tag not in (KPARTITE, CLIQUE_STAR):
         raise InvalidCaseError(f"unknown orbit tag {tag!r}")
     k = len(n_list)
+    if (k + 1) << (k - 1) > MAX_CASES:
+        raise SizeLimitError(f"symmetry classes are limited to {MAX_CASES}; {k} blocks give (k+1)*2^(k-1)")
     out: list[tuple[SymmetryCase, int]] = []
     for case_id in (1, 2, 3):
         for j in [None] if case_id == 1 else range(1, k + 1):
@@ -191,17 +201,6 @@ def realize(
 
 
 # -- transformations -----------------------------------------------------------
-
-
-def component_edge_pivot_sequence(g: SimpleGraph, i: int, j: int) -> list[int]:
-    """The lenient edge pivot: identity when i = j or (i,j) is a non-edge."""
-    if i == j or not g.has_edge(i, j):
-        return []
-    return [i, j, i]
-
-
-def component_edge_pivot(g: SimpleGraph, i: int, j: int) -> SimpleGraph:
-    return apply_sequence(g, component_edge_pivot_sequence(g, i, j))
 
 
 def synthesize_transformation(

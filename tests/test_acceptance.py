@@ -59,7 +59,7 @@ from lcsplit.qasst_ops import (
     ExtensionKind,
     extend,
     extend_graph,
-    extend_with_subcase,
+    extension_subcase,
     induced_qasst,
     lc_propagate,
     random_dh,
@@ -262,7 +262,8 @@ class TestCriterion8PropertySuites:
             kind = rng.choice(EXTENSION_KINDS)
             if kind == FALSE_TWIN and not neighborhood(g, anchor):
                 kind = PENDANT
-            out, subcase = extend_with_subcase(q, kind, anchor, g.n + 1)
+            e = ExtensionKind(kind, anchor)
+            out, subcase = extend(q, e, g.n + 1), extension_subcase(q, e)
             assert reconstruct(out) == extend_graph(g, kind, anchor)
             seen.add(subcase)
         # Prime subcases need a prime quotient; exercise them directly.
@@ -270,7 +271,8 @@ class TestCriterion8PropertySuites:
             g = cycle_graph(n)
             q = compute_qasst(g)
             for kind in EXTENSION_KINDS:
-                out, subcase = extend_with_subcase(q, kind, 1, n + 1)
+                e = ExtensionKind(kind, 1)
+                out, subcase = extend(q, e, n + 1), extension_subcase(q, e)
                 assert reconstruct(out) == extend_graph(g, kind, 1)
                 seen.add(subcase)
         want = {f"{shape}{letter}" for shape in "1234" for letter in "abc"}

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -135,6 +136,59 @@ class TestCounts:
         code, out = run(capsys, "count", "cycle", "--n", "5")
         assert (code, out.strip()) == (0, "132")
 
+    def test_counts_past_the_int_str_digit_limit(self, capsys):
+        # About 4366 digits, past str()'s default limit of 4300.  The expected
+        # values come from powers of 1 + sqrt(3) in Z[sqrt(3)], not from the
+        # recurrence the library runs.
+        def power(m):  # (1 + sqrt 3)^m as (a, b) = a + b sqrt 3
+            a, b, x, y = 1, 0, 1, 1
+            while m:
+                if m & 1:
+                    a, b = a * x + 3 * b * y, a * y + b * x
+                x, y = x * x + 3 * y * y, 2 * x * y
+                m >>= 1
+            return a, b
+
+        def cycle(n):
+            return 2 * power(n)[0] - 4 * (2 ** (n - 1) + (-1) ** n) // 3
+
+        assert (power(6)[1], cycle(5)) == (120, 132)  # n = 5, as in test_count_path_cycle
+        for what, want in (("path", power(10001)[1]), ("cycle", cycle(10000))):
+            code, out = run(capsys, "count", what, "--n", "10000")
+            assert code == 0 and len(out.strip()) > 4300
+            assert _from_decimal(out.strip()) == want
+
+    def test_decimal_writer_matches_str(self):
+        rng = random.Random(5)
+        values = [0, 1, 2**2000, 2**2001, 10**602, 10**3000 + 7, 10**3900 - 1]
+        values += [rng.getrandbits(rng.randint(1, 12900)) for _ in range(300)]
+        for x in values:
+            assert cli._decimal(x) == str(x)
+
+    def test_big_class_multiplicities_are_printed_exactly(self, capsys):
+        block = "7" * 2000
+        params = ",".join([block] * 5)
+        code, out = run(capsys, "count", "orbit", "--family", "kpartite", "--params", params)
+        assert code == 0 and len(out.strip()) > 8000
+        code, table = run(capsys, "sym", "enumerate", "--family", "kpartite", "--params", params)
+        assert code == 0
+        assert table.splitlines()[-1] == f"total: {out.strip()}"
+
+    def test_json_integer_past_the_digit_limit_is_usage_error(self, capsys):
+        params = ",".join(["9" * 4300] * 4)
+        code = cli.main(["rep", "min-edge", "--family", "kpartite", "--params", params])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err == "lcsplit: an integer in the output is too long to write as JSON\n"
+        code, out = run(capsys, "rep", "min-edge", "--family", "kpartite", "--params", params, "--format", "table")
+        assert code == 0 and "value" in out
+
+    def test_sym_enumerate_over_the_cap_is_usage_error(self, capsys):
+        code = cli.main(["sym", "enumerate", "--family", "clique_star", "--params", ",".join(["2"] * 17)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err.startswith("lcsplit: symmetry classes are limited to 1000000")
+
     def test_rep_table(self, capsys):
         code, out = run(
             capsys, "rep", "min-edge", "--family", "kpartite", "--params", "2,2,2",
@@ -150,6 +204,15 @@ class TestCounts:
         )
         assert code == 0
         assert json.loads(out)["sequence"] == [1, 3]
+
+
+def _from_decimal(text):
+    """The int a digit string spells, read 500 digits at a time (no int <-> str limit applies)."""
+    assert text.isdigit() and text[0] != "0"
+    value = 0
+    for i in range(0, len(text), 500):
+        value = value * 10 ** len(text[i:i + 500]) + int(text[i:i + 500])
+    return value
 
 
 class TestVerify:
@@ -241,6 +304,10 @@ _BAD_TREES = [
     '{"quotients": [{"leaf_nodes": [1, 2], "split_nodes": [], "edges": [[true, 2]]}]}',
     '{"quotients": [{"leaf_nodes": [1, 2], "split_nodes": [{"i": 0.0, "j": 1}], "edges": [[1, 2]]},'
     ' {"leaf_nodes": [3, 4], "split_nodes": [{"i": 1, "j": 0}], "edges": [[3, 4]]}]}',
+    # Leaf-nodes are distinct positive integers, at least one.
+    '{"quotients": [{"leaf_nodes": [0, 1], "split_nodes": [], "edges": [[0, 1]]}], "tree_edges": []}',
+    '{"quotients": [{"leaf_nodes": [-3, 1], "split_nodes": [], "edges": [[-3, 1]]}], "tree_edges": []}',
+    '{"quotients": [{"leaf_nodes": [], "split_nodes": [], "edges": []}], "tree_edges": []}',
 ] + [
     # P4's tree as ``decompose`` writes it, edited into payloads it cannot write.
     _P4_TREE.replace(', "tree_edges": [[{"i": 0, "j": 1}, {"i": 1, "j": 0}]]', ""),
@@ -528,8 +595,16 @@ class TestJsonWriter:
 
 
 class TestEmptyTree:
-    """A tree with no quotients stands for no graph: every command that reads a tree exits 2."""
+    """A tree with no quotients or no leaf-nodes stands for no graph: every command that reads a tree exits 2."""
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"quotients": [], "tree_edges": []}', "tree has no quotients"),
+            ('{"quotients": [{"leaf_nodes": [], "split_nodes": [], "edges": []}], "tree_edges": []}',
+             "tree has no leaf-nodes"),
+        ],
+    )
     @pytest.mark.parametrize(
         "argv",
         [
@@ -539,10 +614,42 @@ class TestEmptyTree:
             ["qasst", "extend", "--kind", "pendant", "--anchor", "1"],
         ],
     )
-    def test_refused(self, tmp_path, capsys, argv):
+    def test_refused(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "empty.json"
-        path.write_text('{"quotients": [], "tree_edges": []}')
+        path.write_text(text)
         code = cli.main(argv + ["--input", str(path)])
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE and captured.out == ""
-        assert captured.err == "lcsplit: tree has no quotients\n"
+        assert captured.err == f"lcsplit: {message}\n"
+
+
+class TestInducedTreeChain:
+    """Every tree ``qasst`` writes is read back by ``qasst``; only ``reconstruct`` needs leaves 1..n."""
+
+    def test_chain_matches_library(self, tmp_path, capsys):
+        from lcsplit import qasst, qasst_ops
+
+        g = families.path_graph(6)
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(graphs.to_json_dict(g)))
+        steps = [
+            (["decompose"], qasst.compute_qasst),
+            (["qasst", "induce", "--keep", "2,3,4,5,6"], lambda q: qasst_ops.induced_qasst(q, [2, 3, 4, 5, 6])),
+            (["qasst", "lc", "--vertex", "4"], lambda q: qasst_ops.lc_propagate(q, 4)),
+            (["qasst", "induce", "--keep", "3,4,5,6"], lambda q: qasst_ops.induced_qasst(q, [3, 4, 5, 6])),
+            # The tree holds 6 = n + 1 and no 1 or 2: extend adds the largest label + 1.
+            (["qasst", "extend", "--kind", "true_twin", "--anchor", "4"],
+             lambda q: qasst_ops.extend(q, qasst_ops.ExtensionKind("true_twin", 4), 7)),
+        ]
+        cur, path = g, src
+        for i, (argv, op) in enumerate(steps):
+            out = tmp_path / f"step{i}.json"
+            code = cli.main(argv + ["--input", str(path), "--output", str(out)])
+            assert code == cli.EXIT_OK, (argv, capsys.readouterr().err)
+            cur = op(cur)
+            assert json.loads(out.read_text()) == qasst.to_json_dict(cur), argv
+            path = out
+        assert sorted(cur.leaves()) == [3, 4, 5, 6, 7]
+        for induced in (tmp_path / "step1.json", path):
+            assert cli.main(["reconstruct", "--input", str(induced)]) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == "lcsplit: leaf-nodes do not cover 1..n\n"

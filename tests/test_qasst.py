@@ -322,7 +322,7 @@ class TestTreeReadsAgainstFarLeaves:
                     pass
         for dropped in trees:
             for how, tree in (("induced", dropped), ("shuffled", _shuffled(dropped, rng))):
-                order, up = tree.validate(expect_full_range=False)
+                order, up = tree.validate()
                 depth = {order[0]: 0}
                 for i in order[1:]:
                     depth[i] = depth[up[i].j] + 1

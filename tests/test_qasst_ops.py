@@ -36,7 +36,7 @@ from lcsplit.qasst_ops import (
     ExtensionKind,
     extend,
     extend_graph,
-    extend_with_subcase,
+    extension_subcase,
     induced_qasst,
     lc_propagate,
     random_dh,
@@ -100,7 +100,7 @@ class TestInducedQasst:
             if not is_connected(sub):
                 continue
             q = induced_qasst(compute_qasst(g), keep)
-            q.validate(expect_full_range=False)
+            q.validate()
             want = _relabel_leaves(compute_qasst(sub), mapping)
             assert q.structure_key() == want.structure_key()
             done += 1
@@ -141,7 +141,7 @@ class TestInducedQasst:
             final = _connected_subset(g, rng.randint(1, len(first) - 1), first, rng)
             q = compute_qasst(g)
             chained = induced_qasst(induced_qasst(q, first), final)
-            chained.validate(expect_full_range=False)
+            chained.validate()
             one_shot = induced_qasst(q, final)
             assert chained.structure_key() == one_shot.structure_key()
             assert to_json_dict(chained) == to_json_dict(one_shot)
@@ -288,7 +288,8 @@ class TestExtend:
             kind = rng.choice(EXTENSION_KINDS)
             if kind == FALSE_TWIN and not neighborhood(g, anchor):
                 kind = PENDANT
-            out, subcase = extend_with_subcase(q, kind, anchor, g.n + 1)
+            e = ExtensionKind(kind, anchor)
+            out, subcase = extend(q, e, g.n + 1), extension_subcase(q, e)
             assert reconstruct(out) == extend_graph(g, kind, anchor), subcase
             seen[subcase] = seen.get(subcase, 0) + 1
             trials += 1
@@ -300,14 +301,27 @@ class TestExtend:
             q = compute_qasst(g)
             for anchor in range(1, n + 1):
                 for kind, want in ((PENDANT, "4a"), (FALSE_TWIN, "4b"), (TRUE_TWIN, "4c")):
-                    out, subcase = extend_with_subcase(q, kind, anchor, n + 1)
+                    e = ExtensionKind(kind, anchor)
+                    out, subcase = extend(q, e, n + 1), extension_subcase(q, e)
                     assert subcase == want
                     assert reconstruct(out) == extend_graph(g, kind, anchor)
 
     def test_rejects_wrong_new_vertex(self):
+        # A label the tree holds, one below 1, or no int at all.
         q = compute_qasst(path_graph(3))
-        with pytest.raises(InvalidVertexError):
-            extend(q, ExtensionKind(PENDANT, 1), 3)
+        for p in (3, 0, -2, "4", 4.0, True):
+            with pytest.raises(InvalidVertexError, match="new vertex must be a positive integer"):
+                extend(q, ExtensionKind(PENDANT, 1), p)
+
+    def test_any_absent_label_is_a_new_vertex(self):
+        # The induced tree on 2..5 already holds n + 1 = 5; it takes 9 instead.
+        q = induced_qasst(compute_qasst(path_graph(5)), [2, 3, 4, 5])
+        for kind in EXTENSION_KINDS:
+            out = extend(q, ExtensionKind(kind, 5), 9)
+            out.validate()
+            g = extend_graph(path_graph(4), kind, 4)
+            want = _relabel_leaves(compute_qasst(g), {1: 2, 2: 3, 3: 4, 4: 5, 5: 9})
+            assert to_json_dict(out) == to_json_dict(want)
 
     def test_rejects_absent_anchor(self):
         # An absent vertex is a caller's mistake, not a broken tree.
@@ -332,7 +346,7 @@ class TestInputUnchanged:
                 if kind == FALSE_TWIN and not neighborhood(g, v):
                     continue
                 extend(q, ExtensionKind(kind, v), g.n + 1)
-                extend_with_subcase(q, kind, v, g.n + 1)
+                extension_subcase(q, ExtensionKind(kind, v))
             keep = [u for u in range(1, g.n + 1) if u != v]
             if is_connected(induced_subgraph(g, keep)[0]):
                 induced_qasst(q, keep)
@@ -387,7 +401,7 @@ class TestInducedQasstNonDh:
     def assert_matches_oracle(q, g, keep):
         sub, mapping = induced_subgraph(g, keep)
         out = induced_qasst(q, keep)
-        out.validate(expect_full_range=False)
+        out.validate()
         want = _relabel_leaves(compute_qasst_by_splits(sub), mapping)
         assert out.structure_key() == want.structure_key()
         assert to_json_dict(out) == to_json_dict(want)
@@ -500,7 +514,7 @@ class TestDerivedTreesStayApart:
                     nxt = lc_propagate(cur, rng.choice(leaves))
                 elif step == 1 or len(leaves) < 6:
                     kind = rng.choice(EXTENSION_KINDS)
-                    nxt, _ = extend_with_subcase(cur, kind, rng.choice(leaves), leaves[-1] + 1)
+                    nxt = extend(cur, ExtensionKind(kind, rng.choice(leaves)), leaves[-1] + 1)
                 else:
                     drop = rng.sample(leaves, rng.randint(1, 3))
                     before = dict(calls)
@@ -510,7 +524,7 @@ class TestDerivedTreesStayApart:
                         continue
                     for name in calls:
                         in_induce[name] += calls[name] - before[name]
-                nxt.validate(expect_full_range=False)
+                nxt.validate()
                 chain.append(nxt)
                 snapshots.append(_snapshot(nxt))
             assert [_snapshot(t) for t in chain] == snapshots
@@ -667,7 +681,7 @@ class TestOneVertexDeletionRule:
                     cur = lc_propagate(cur, rng.choice(leaves))
                 elif step % 3 == 1 or len(leaves) < 6:
                     kind = rng.choice(EXTENSION_KINDS)
-                    cur, _ = extend_with_subcase(cur, kind, rng.choice(leaves), leaves[-1] + 1)
+                    cur = extend(cur, ExtensionKind(kind, rng.choice(leaves)), leaves[-1] + 1)
                 else:
                     drop = rng.sample(leaves, rng.randint(1, 3))
                     try:

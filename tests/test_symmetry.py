@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
+from lcsplit import symmetry
 from lcsplit.counting import orbit_size
-from lcsplit.errors import InvalidAssignmentError, InvalidCaseError, MalformedQasstError
+from lcsplit.errors import InvalidAssignmentError, InvalidCaseError, MalformedQasstError, SizeLimitError
 from lcsplit.families import (
     CLIQUE_STAR,
     KPARTITE,
@@ -17,14 +18,13 @@ from lcsplit.families import (
 from lcsplit.graphs import apply_sequence, canonical_key, local_complement
 from lcsplit.orbit import enumerate_orbit
 from lcsplit.symmetry import (
+    MAX_CASES,
     SymmetryCase,
     analyze_star_member,
     build_star_qasst,
     classify_bipartite_member,
     classify_star_member,
     closure_step,
-    component_edge_pivot,
-    component_edge_pivot_sequence,
     enumerate_cases,
     realize,
     synthesize_transformation,
@@ -58,6 +58,22 @@ class TestEnumerateCases:
     def test_totals_equal_orbit_size(self, tag, n_list):
         total = sum(mult for _, mult in enumerate_cases(tag, n_list))
         assert total == orbit_size(tag, n_list)
+
+    @pytest.mark.parametrize("tag", [KPARTITE, CLIQUE_STAR])
+    def test_class_count_in_closed_form(self, tag):
+        for k in range(3, 10):
+            assert len(enumerate_cases(tag, (2,) * k)) == (k + 1) << (k - 1)
+        # 16 blocks are listed, 17 refused.
+        assert (16 + 1) << 15 <= MAX_CASES < (17 + 1) << 16
+
+    @pytest.mark.parametrize("tag", [KPARTITE, CLIQUE_STAR])
+    def test_over_the_cap_refused_before_listing(self, tag, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a class was listed")
+
+        monkeypatch.setattr(symmetry, "SymmetryCase", refuse)
+        with pytest.raises(SizeLimitError, match="symmetry classes are limited to 1000000"):
+            enumerate_cases(tag, (2,) * 17)
 
 
 class TestBuildStarQasst:
@@ -157,15 +173,6 @@ class TestClassification:
             ("c", "ss"): 3,
             ("ss", "ss"): 6,
         }
-
-
-class TestEdgePivot:
-    def test_lenient_identity(self):
-        g = complete_bipartite_graph(2, 2)
-        assert component_edge_pivot(g, 1, 1) == g
-        assert component_edge_pivot(g, 1, 2) == g  # non-edge
-        assert component_edge_pivot_sequence(g, 1, 3) == [1, 3, 1]
-        assert component_edge_pivot(g, 1, 3) == apply_sequence(g, [1, 3, 1])
 
 
 class TestSynthesis:
