@@ -1,10 +1,12 @@
 """Exact integer evaluation of the closed-form counts.
 
 Everything here is plain big-integer arithmetic: the path/cycle orbit
-formulas are evaluated through the linear recurrence satisfied by
-(1+sqrt(3))^m +/- (1-sqrt(3))^m so no irrational numbers ever appear, and
-the even/odd subset-product sums use the polynomial trick of evaluating
-prod(1 + n_i x) at x = +/-1.
+formulas read (1+sqrt(3))^m = a + b sqrt(3), computed by repeated squaring
+in Z[sqrt(3)] (O(log m) multiplications) so no irrational numbers ever
+appear, and the even/odd subset-product sums use the polynomial trick of
+evaluating prod(1 + n_i x) at x = +/-1.  Path and cycle counts refuse n
+above :data:`MAX_COUNT_N` (a count there has about 437,000 digits) before
+any arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidAssignmentError, InvalidSpecError, UnsupportedQasstError
+from .errors import InvalidAssignmentError, InvalidSpecError, SizeLimitError, UnsupportedQasstError
 from .families import CLIQUE_STAR, KPARTITE, check_blocks, orbit_of
 from .qasst import (
     PRIME,
@@ -27,43 +29,44 @@ from .symmetry import SymmetryCase, case_assignment, q0_shape
 # -- path and cycle orbit formulas -------------------------------------------
 
 
-def _sqrt3_powers(m: int) -> tuple[int, int]:
-    """(1+sqrt(3))^m + (1-sqrt(3))^m and ((1+sqrt(3))^m - (1-sqrt(3))^m)/sqrt(3).
+MAX_COUNT_N = 1_000_000
 
-    Both satisfy a_m = 2 a_{m-1} + 2 a_{m-2}; bases (2, 2) and (0, 2).
-    """
-    s_prev, s_cur = 2, 2
-    d_prev, d_cur = 0, 2
-    if m == 0:
-        return 2, 0
-    for _ in range(m - 1):
-        s_prev, s_cur = s_cur, 2 * s_cur + 2 * s_prev
-        d_prev, d_cur = d_cur, 2 * d_cur + 2 * d_prev
-    return s_cur, d_cur
+
+def _sqrt3_power(m: int) -> tuple[int, int]:
+    """(a, b) with (1+sqrt(3))^m = a + b sqrt(3) and (1-sqrt(3))^m = a - b sqrt(3), by repeated squaring."""
+    a, b = 1, 0
+    for bit in bin(m)[2:]:
+        a, b = a * a + 3 * b * b, 2 * a * b
+        if bit == "1":
+            a, b = a + 3 * b, a + b
+    return a, b
+
+
+def _check_count_n(n: int, least: int, what: str) -> None:
+    if n < least:
+        raise InvalidSpecError(f"{what} count needs n >= {least}")
+    if n > MAX_COUNT_N:
+        raise SizeLimitError(f"{what} count limited to n <= {MAX_COUNT_N}, got {n}")
 
 
 def bouchet_path_count(n: int) -> int:
-    """Closed-form orbit count for the path on n vertices.
+    """Closed-form orbit count for the path on n vertices, 1 <= n <= :data:`MAX_COUNT_N`.
 
     Equals (sqrt(3)/6)((1+sqrt(3))^(n+1) - (1-sqrt(3))^(n+1)), evaluated
     exactly.  Known to exceed the labeled-orbit oracle on small n; see the
     README notes on the recorded discrepancy.
     """
-    if n < 1:
-        raise InvalidSpecError("path count needs n >= 1")
-    _, d = _sqrt3_powers(n + 1)
-    return d // 2
+    _check_count_n(n, 1, "path")
+    return _sqrt3_power(n + 1)[1]
 
 
 def bouchet_cycle_count(n: int) -> int:
-    """Closed-form orbit count for the cycle on n vertices.
+    """Closed-form orbit count for the cycle on n vertices, 3 <= n <= :data:`MAX_COUNT_N`.
 
     Equals (1+sqrt(3))^n + (1-sqrt(3))^n - 4(2^(n-1) + (-1)^n)/3.
     """
-    if n < 3:
-        raise InvalidSpecError("cycle count needs n >= 3")
-    s, _ = _sqrt3_powers(n)
-    return s - 4 * (2 ** (n - 1) + (-1) ** n) // 3
+    _check_count_n(n, 3, "cycle")
+    return 2 * _sqrt3_power(n)[0] - 4 * (2 ** (n - 1) + (-1) ** n) // 3
 
 
 # -- QASST equivalence counting ------------------------------------------------
@@ -95,19 +98,17 @@ def phi_count(q: Qasst) -> int:
     valid: dict[int, dict[str, int]] = {}
     for i in reversed(order):
         quot, entry = quots[i], up[i]
-        children = [s for s in quot.split_nodes() if s != entry]
-        c_ways = math.prod(valid[s.j]["c"] for s in children)
-        ss_ways = math.prod(valid[s.j]["ss"] for s in children)  # every factor > 0
+        child = [valid[q.across(s)] for s in quot.split_nodes() if s != entry]
+        c_ways = math.prod(ways["c"] for ways in child)
+        ss_ways = math.prod(ways["ss"] for ways in child)  # every factor > 0
         # Members: the complete graph, then one star per center.  A center
         # that is a leaf-node or the entry sees every child as star-spoke; a
         # child's split-node as center sees that child as star-center.
-        leaves = len(quot.nodes) - len(children) - (entry is not None)
+        leaves = len(quot.nodes) - len(child) - (entry is not None)
         at_entry = {
             "c": c_ways,
             "sc": ss_ways,
-            "ss": leaves * ss_ways + sum(
-                ss_ways // valid[s.j]["ss"] * valid[s.j]["sc"] for s in children
-            ),
+            "ss": leaves * ss_ways + sum(ss_ways // ways["ss"] * ways["sc"] for ways in child),
         }
         if entry is None:  # the root: no entry, every member counts
             return at_entry["c"] + at_entry["ss"]

@@ -8,9 +8,11 @@ pair of split-nodes, one in each of the two quotients it separates; the
 quotients plus the pairing losslessly encode the original graph.
 
 Quotient nodes are either original vertex ids (leaf-nodes, plain ints) or
-:class:`SplitNode` markers.  ``SplitNode(i, j)`` lives in quotient ``i``
-and is paired with ``SplitNode(j, i)`` in quotient ``j``.  Each quotient
-is an adjacency-set graph over these nodes (:class:`QuotientGraph`).
+:class:`SplitNode` markers, ``SplitNode(a, b)`` paired with ``SplitNode(b, a)``
+under a name no edit rewrites; the tree indexes the quotient that holds
+each (:meth:`Qasst.across`).  Only :meth:`Qasst.normalize` renames, to the
+location names JSON and DOT write.  Each quotient is an adjacency-set
+graph over these nodes (:class:`QuotientGraph`).
 
 Every tree is built in place by one primitive, :meth:`Qasst.split_off`,
 which moves one side of a split of a quotient into a new quotient, and
@@ -32,8 +34,8 @@ whole tree (the leaves behind each split-node, the canonical numbering)
 comes from one rooted pass, :func:`_orient`, in linear time; for the
 numbering, :meth:`Qasst.normalize` roots it at the least leaf.  A tree is
 checked once, where it enters (:func:`compute_qasst`, :func:`from_json_dict`),
-and keeps an index of its leaf-nodes (see :class:`Qasst`), so that an op on
-it need not walk the whole tree.
+and indexes its nodes (see :class:`Qasst`), so that an op on it need not
+walk the whole tree.
 """
 
 from __future__ import annotations
@@ -70,14 +72,18 @@ _SPLIT_ENUM_MAX = 18
 
 
 class SplitNode(NamedTuple):
-    """Marker node s_i^j: lives in quotient i, paired with s_j^i."""
+    """Marker node s_i^j, paired with s_j^i: a label fixed when :meth:`Qasst.split_off` makes the pair.
+
+    Where it lives is read from the tree (:meth:`Qasst.across`); after
+    :meth:`Qasst.normalize`, and in JSON, s_i^j lives in quotient i.
+    """
 
     i: int
     j: int
 
     @property
     def partner(self) -> "SplitNode":
-        return SplitNode(self.j, self.i)
+        return tuple.__new__(SplitNode, (self[1], self[0]))  # skips NamedTuple's argument handling
 
 
 Node = Union[int, SplitNode]
@@ -184,13 +190,15 @@ class Qasst:
     own for a copy of its own (copy-on-write).  A tree built from a dict of
     quotients owns them all; code that edits ``quotients[i]`` directly is
     safe only on such a tree, before it is copied, and only if it adds,
-    moves or deletes no leaf-node, which the leaf index would miss.
+    moves or deletes no node, which the indexes would miss.
 
     Every tree keeps a leaf index, the quotient that holds each leaf-node
-    (:meth:`leaf_quotient`); its size is the leaf count.  It is built with
-    the tree and kept up to date by :meth:`split_off`, :meth:`merge`,
-    :meth:`rehome`, :meth:`normalize` and the ops of ``qasst_ops``, each of
-    which touches only the leaves it moves, adds or deletes.
+    (:meth:`leaf_quotient`); its size is the leaf count; and a split-node
+    index, read through :meth:`across`.  Both are built with the tree and
+    kept up to date by :meth:`split_off`, :meth:`merge`, :meth:`normalize`
+    and the ops of ``qasst_ops``, each of which touches only the nodes it
+    moves, adds or deletes.  No edit renames a split-node, so ``split_off``
+    and ``merge`` edit only the two quotients they join.
 
     A tree is checked once, where it enters.  Trees from
     :func:`compute_qasst` and :func:`from_json_dict`, and the trees that
@@ -208,11 +216,13 @@ class Qasst:
     def __init__(self, quotients: dict[int, QuotientGraph]):
         self.quotients: dict[int, QuotientGraph] = quotients
         self._owned: set[int] = set(quotients)
-        self._home: dict[int, int] = {
-            v: i for i, q in quotients.items() for v in q.adj if isinstance(v, int)
-        }
+        self._home: dict[int, int] = {}  # leaf-node -> quotient
+        self._where: dict[SplitNode, int] = {}  # split-node -> quotient
+        for i, q in quotients.items():
+            self._place(q.adj, i)
         self._checked = False
-        self._fresh = max(quotients, default=-1) + 1  # past every index the tree has used
+        # Past every quotient number and every id in a split-node name.
+        self._fresh = max(itertools.chain(quotients, *self._where), default=-1) + 1
 
     @property
     def n(self) -> int:
@@ -225,6 +235,7 @@ class Qasst:
         out.quotients = dict(self.quotients)
         out._owned = set()
         out._home = dict(self._home)
+        out._where = dict(self._where)
         out._checked = self._checked
         out._fresh = self._fresh
         self._owned.clear()
@@ -236,6 +247,15 @@ class Qasst:
             self.quotients[i] = self.quotients[i].copy()
             self._owned.add(i)
         return self.quotients[i]
+
+    def _place(self, nodes: Iterable[Node], i: int) -> None:
+        """Index ``nodes`` under quotient i, each in the leaf or the split-node index."""
+        for v in nodes:
+            (self._where if isinstance(v, SplitNode) else self._home)[v] = i
+
+    def across(self, s: SplitNode) -> int:
+        """The quotient on the other side of split-node s: the one holding its partner."""
+        return self._where[s.partner]
 
     def leaves(self) -> set[int]:
         return set(self._home)
@@ -252,7 +272,7 @@ class Qasst:
         behind.  The new split-node pair stands in for each side's
         boundary: s_i^m is joined to the nodes outside ``side`` that touch
         it, s_m^i to the nodes of ``side`` that touch the rest.  Nodes
-        moved with ``side`` are re-homed to m, split-node partners included.
+        moved with ``side`` keep their names and are indexed under m.
         """
         quot = self._edit(i)
         side = set(side)
@@ -273,57 +293,37 @@ class Qasst:
             quot.add_edge(s_im, w)
         self.quotients[m] = part
         self._owned.add(m)
-        self.rehome(part, m)
+        self._place(part.adj, m)
+        self._where[s_im] = i
         self._checked = False
         return m
 
     def merge(self, s: SplitNode) -> None:
-        """Merge quotient s.j into s.i across the pair (s, s.partner).
+        """Merge the quotient across s into s's own, across the pair (s, s.partner).
 
         The inverse of :meth:`split_off`: the pair is dropped and every
-        neighbour of s is joined to every neighbour of its partner.
+        neighbour of s is joined to every neighbour of its partner.  The
+        moved nodes keep their names and are indexed under s's quotient.
         """
-        qa = self._edit(s.i)
-        qb = self._edit(s.j)
-        del self.quotients[s.j]
-        self._owned.discard(s.j)
-        na = qa.neighbors(s)
-        nb = qb.neighbors(s.partner)
-        qa.remove_node(s)
-        qb.remove_node(s.partner)
-        moves = self.rehome(qb, s.i)
+        t = s.partner
+        i, j = self._where.pop(s), self._where.pop(t)
+        qa, qb = self._edit(i), self._edit(j)
+        del self.quotients[j]
+        self._owned.discard(j)
+        na, nb = qa.adj.pop(s), qb.adj.pop(t)
+        self._place(qb.adj, i)
         qa.adj.update(qb.adj)
         for u in na:
-            for w in nb:
-                qa.add_edge(u, moves.get(w, w))
+            qa.adj[u].discard(s)
+            qa.adj[u] |= nb
+        for w in nb:
+            qa.adj[w].discard(t)
+            qa.adj[w] |= na
         self._checked = False
 
-    def rehome(self, quot: QuotientGraph, i: int) -> dict:
-        """Make the nodes of ``quot``, which this tree must own, live in quotient i.
-
-        Leaf-nodes are indexed under i.  Split-nodes are renamed, and each
-        moved split-node's partner is renamed to match, so the pairing
-        survives when nodes move between quotients.  Returns the renaming.
-        """
-        moves = {}
-        for v in quot.adj:
-            if isinstance(v, SplitNode):
-                if v.i != i:
-                    moves[v] = SplitNode(i, v.j)
-            else:
-                self._home[v] = i
-        for s, t in moves.items():
-            self._edit(s.j).rename({s.partner: t.partner})
-        quot.rename(moves)
-        return moves
-
     def tree_edges(self) -> list[tuple[SplitNode, SplitNode]]:
-        out = []
-        for i, q in sorted(self.quotients.items()):
-            for s in sorted(q.split_nodes()):
-                if s.i < s.j:
-                    out.append((s, s.partner))
-        return out
+        """Every split-node pair once, as (s, s.partner) with s.i < s.j, sorted by s."""
+        return [(s, s.partner) for s in sorted(self._where) if s.i < s.j]
 
     def strong_split_sides(self) -> set[frozenset]:
         """One side (the far side, per tree edge) of each collapsed split."""
@@ -350,18 +350,19 @@ class Qasst:
     def validate(self) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
         """Raise :class:`MalformedQasstError` unless this is a well-formed tree.
 
-        Every split-node lives in its own quotient and is matched by its
-        partner in another one, the leaf-nodes are distinct positive
-        integers, not necessarily 1..n, and the pairs join the quotients
-        into one tree.  One pass over the nodes, then one BFS,
-        :func:`_orient`, whose result is returned.  A tree with no
-        quotients or no leaf-nodes is refused: it stands for no graph.
+        Every split-node name is used once, and its partner lives in
+        another quotient; the leaf-nodes are distinct positive integers,
+        not necessarily 1..n, and the pairs join the quotients into one
+        tree.  The partners are found by a pass over the nodes, not from
+        the split-node index, then one BFS, :func:`_orient`, whose result
+        is returned.  A tree with no quotients or no leaf-nodes is refused:
+        it stands for no graph.
         """
         if not self.quotients:
             raise MalformedQasstError("tree has no quotients")
         seen_leaves: list[int] = []
         bare: list[int] = []
-        pairs = 0
+        where: dict[SplitNode, int] = {}
         for i, q in self.quotients.items():
             splits = 0
             for s in q.adj:
@@ -369,17 +370,17 @@ class Qasst:
                     seen_leaves.append(s)
                     continue
                 splits += 1
-                if s.i != i:
-                    raise MalformedQasstError(f"split-node {s} stored in quotient {i}")
-                if s.j == i:
-                    raise MalformedQasstError(f"split-node {s} is paired with itself")
-                if s.j not in self.quotients:
-                    raise MalformedQasstError(f"split-node {s} has no partner quotient")
-                if s.partner not in self.quotients[s.j].adj:
-                    raise MalformedQasstError(f"split-node {s} is unmatched")
-                pairs += s.i < s.j
+                if s in where:
+                    raise MalformedQasstError(f"split-node {s} appears in two quotients")
+                where[s] = i
             if not splits:
                 bare.append(i)
+        for s, i in where.items():
+            j = where.get(s.partner)
+            if j is None:
+                raise MalformedQasstError(f"split-node {s} is unmatched")
+            if j == i:  # in s's own quotient, or s itself
+                raise MalformedQasstError(f"split-node {s} is paired with itself")
         if not seen_leaves:
             raise MalformedQasstError("tree has no leaf-nodes")
         if len(seen_leaves) != len(set(seen_leaves)):
@@ -390,7 +391,7 @@ class Qasst:
         if m > 1 and bare:
             raise MalformedQasstError(f"quotient {bare[0]} has no split-node")
         # Tree check: connected with exactly m-1 edges.
-        if pairs != m - 1:
+        if len(where) != 2 * (m - 1):  # two split-nodes per pair
             raise MalformedQasstError("tree-edge count is not (quotients - 1)")
         oriented = _orient(self)
         if len(oriented[0]) != m:
@@ -407,8 +408,10 @@ class Qasst:
         at the quotient holding the least leaf m gives the least leaf of
         each subtree, the one behind each downward split-node; a leafless
         quotient is never that root, so m lies behind its upward split-node.
-        The result carries this tree's check record; when the numbering is
-        already canonical it is a :meth:`copy`, sharing every quotient.
+        Split-nodes are renamed to location names: s_i^j in quotient i,
+        paired with s_j^i in quotient j.  The result carries this tree's
+        check record; when the numbering and the names are already
+        canonical it is a :meth:`copy`, sharing every quotient.
         """
         leaves = {i: q.leaf_nodes() for i, q in self.quotients.items()}
         least = {i: min(ls) for i, ls in leaves.items() if ls}
@@ -416,31 +419,28 @@ class Qasst:
         order, up = _orient(self, min(least, key=least.get, default=None))
         low = {i: least.get(i, math.inf) for i in self.quotients}  # made each subtree's least leaf
         for i in reversed(order[1:]):
-            low[up[i].j] = min(low[up[i].j], low[i])
+            parent = self.across(up[i])
+            low[parent] = min(low[parent], low[i])
 
         def order_key(i: int):
             if leaves[i]:
                 return (1, least[i])
-            behind = (m if s == up[i] else low[s.j] for s in self.quotients[i].split_nodes())
+            behind = (m if s == up[i] else low[self.across(s)] for s in self.quotients[i].split_nodes())
             return (0, tuple(sorted(behind)))
 
         old_order = sorted(self.quotients, key=order_key)
-        if old_order == list(range(len(old_order))):
+        if old_order == list(range(len(old_order))) and all(s.i == i for s, i in self._where.items()):
             out = self.copy()
             out._fresh = len(out.quotients)
             return out
         remap = {old: new for new, old in enumerate(old_order)}
-        out = Qasst.__new__(Qasst)
-        out.quotients = {}
-        out._home = {}
+        quotients = {}
         for old, q in self.quotients.items():
             q = q.copy()
-            q.rename({s: SplitNode(remap[s.i], remap[s.j]) for s in q.split_nodes()})
-            out.quotients[remap[old]] = q
-            out._home.update(dict.fromkeys(leaves[old], remap[old]))
-        out._owned = set(out.quotients)
+            q.rename({s: SplitNode(remap[old], remap[self.across(s)]) for s in q.split_nodes()})
+            quotients[remap[old]] = q
+        out = Qasst(quotients)
         out._checked = self._checked
-        out._fresh = len(out.quotients)
         return out
 
     def __repr__(self) -> str:
@@ -455,15 +455,17 @@ def _orient(
     Returns the quotients in BFS order (reversed, every quotient comes
     after its children) and, for each quotient, its split-node that points
     to its parent (None at the root).  Every other split-node ``s`` of a
-    quotient points down, to the child ``s.j``.
+    quotient points down, to the child ``q.across(s)``.
     """
     order = [min(q.quotients) if root is None else root] if q.quotients else []
     up: dict[int, Optional[SplitNode]] = dict.fromkeys(order)
     for i in order:
         for s in q.quotients[i].adj:
-            if isinstance(s, SplitNode) and s.j not in up:
-                up[s.j] = s.partner
-                order.append(s.j)
+            if isinstance(s, SplitNode):
+                j = q.across(s)
+                if j not in up:
+                    up[j] = s.partner
+                    order.append(j)
     return order, up
 
 
@@ -506,7 +508,7 @@ def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
             if not isinstance(v, SplitNode):
                 sub.add(v)
             elif v != up[i]:
-                sub |= below[v.j]
+                sub |= below[q.across(v)]
         below[i] = frozenset(sub)
     far: dict[SplitNode, frozenset] = {}
     for i in order[1:]:
@@ -601,31 +603,20 @@ def is_strong(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[int]) -> b
 
 
 def reconstruct(q: Qasst) -> SimpleGraph:
-    """Merge every split-node pair into all-to-all connections.
+    """The graph of a tree: every tree edge merged (:meth:`Qasst.merge`) on a copy.
 
     Works even when the tree edges do not correspond to strong splits.
     The leaf-nodes must be 1..n, the vertices of a :class:`SimpleGraph`.
+    Each quotient is merged into the root of the rooted pass, once.
     """
-    q.validate()
+    order, up = q.validate()
     n = len(q._home)
     if max(q._home) != n:  # distinct positive leaf-nodes are 1..n iff the largest is n
         raise MalformedQasstError("leaf-nodes do not cover 1..n")
-    adj: dict[Node, set[Node]] = {}
-    for quot in q.quotients.values():
-        adj.update((v, set(nb)) for v, nb in quot.adj.items())
-    for sa, sb in q.tree_edges():
-        na = adj.pop(sa)
-        nb = adj.pop(sb)
-        na.discard(sb)
-        nb.discard(sa)
-        for v in na:
-            adj[v].discard(sa)
-        for v in nb:
-            adj[v].discard(sb)
-        for u in na:
-            for v in nb:
-                adj[u].add(v)
-                adj[v].add(u)
+    out = q.copy()
+    for i in order[1:]:
+        out.merge(up[i].partner)
+    adj = out.quotients[order[0]].adj
     return SimpleGraph(n, [(u, v) for u in adj for v in adj[u] if u < v])
 
 
@@ -830,13 +821,13 @@ def _split_primes(q: Qasst, find, work: Optional[Iterable[int]] = None) -> set[i
     return changed
 
 
-def _not_strong(q: Qasst, s: SplitNode) -> bool:
-    """Whether the tree edge at split-node s is not a strong split.
+def _not_strong(q: Qasst, i: int, s: SplitNode) -> bool:
+    """Whether the tree edge at split-node s, in quotient i, is not a strong split.
 
     That is an edge joining c–c or sc–ss quotients, or a quotient of one or
     two nodes (what is left of one after deletions).
     """
-    qa, qb = q.quotients[s.i], q.quotients[s.j]
+    qa, qb = q.quotients[i], q.quotients[q.across(s)]
     if len(qa.nodes) <= 2 or len(qb.nodes) <= 2:
         return True
     return not join_validity(classify_quotient(qa, s).kind, classify_quotient(qb, s.partner).kind)
@@ -858,7 +849,7 @@ def _reduce(q: Qasst, around: Iterable[int]) -> set[int]:
         i = todo.pop()
         if i not in q.quotients:
             continue
-        s = next((s for s in sorted(q.quotients[i].split_nodes()) if _not_strong(q, s)), None)
+        s = next((s for s in sorted(q.quotients[i].split_nodes()) if _not_strong(q, i, s)), None)
         if s is not None:
             q.merge(s)
             todo.add(i)
@@ -936,7 +927,9 @@ def _node_from_json(nj) -> Node:
 def from_json_dict(data: dict) -> Qasst:
     """The tree a :func:`to_json_dict` payload describes, validated.
 
-    A node or an edge (in either orientation) listed twice in one quotient
+    Split-nodes carry location names (see :class:`SplitNode`): s_i^j
+    listed under a quotient other than i is refused.  A node or an edge
+    (in either orientation) listed twice in one quotient
     is refused, and so is a ``tree_edges`` list that is not the tree's
     split-node pairs, each once, in any order.  The tree carries a check
     record (see :class:`Qasst`) when, besides, every quotient is connected
@@ -947,7 +940,11 @@ def from_json_dict(data: dict) -> Qasst:
     try:
         for i, qd in enumerate(data["quotients"]):
             nodes: list[Node] = [json_int(v) for v in qd["leaf_nodes"]]
-            nodes += [SplitNode(json_int(s["i"]), json_int(s["j"])) for s in qd["split_nodes"]]
+            for sd in qd["split_nodes"]:
+                s = SplitNode(json_int(sd["i"]), json_int(sd["j"]))
+                if s.i != i:  # JSON names split-nodes by location
+                    raise MalformedQasstError(f"split-node {s} stored in quotient {i}")
+                nodes.append(s)
             if len(set(nodes)) != len(nodes):
                 raise MalformedQasstError(f"quotient {i} lists a node twice")
             edges = [(_node_from_json(a), _node_from_json(b)) for a, b in qd["edges"]]

@@ -28,7 +28,7 @@ Quotients are edited only through ``Qasst`` methods, which copy a shared
 quotient before its first edit.  Each op finds vertices through the tree's
 leaf index and keeps it up to date, and passes the input's check record on
 to its result, a strong split tree again; besides reading the keep set and
-copying the tree's two dicts, a one-vertex op on a checked tree costs what
+copying the tree's three dicts, a one-vertex op on a checked tree costs what
 it touches.  Leaf-nodes are any distinct positive integers
 (:meth:`Qasst.validate`), so every op accepts every tree an op returns.
 """
@@ -94,7 +94,7 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
         quot.local_complement_at(node)
         for s in nbrs:
             if isinstance(s, SplitNode):
-                stack.append((s.j, s.partner))
+                stack.append((out.across(s), s.partner))
     return out
 
 
@@ -119,7 +119,7 @@ def _keeps_connected(q: Qasst, keep: set[int], order: list[int], up: dict) -> bo
     below: dict[int, int] = {}
     for i in reversed(order):
         below[i] = sum(
-            below[v.j] if isinstance(v, SplitNode) else v in keep
+            below[q.across(v)] if isinstance(v, SplitNode) else v in keep
             for v in q.quotients[i].adj if v != up[i]
         )
     total = below[order[0]]
@@ -127,7 +127,7 @@ def _keeps_connected(q: Qasst, keep: set[int], order: list[int], up: dict) -> bo
         adj = q.quotients[i].adj
         live = {
             v for v in adj
-            if ((total - below[i] if v == up[i] else below[v.j])
+            if ((total - below[i] if v == up[i] else below[q.across(v)])
                 if isinstance(v, SplitNode) else v in keep)
         }
         if not _induces_connected(adj, live):

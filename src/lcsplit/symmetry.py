@@ -296,9 +296,7 @@ def analyze_star_member(
         raise MalformedQasstError("graph does not have the star-shaped QASST")
     (central,) = leafless
 
-    block_of_quotient = {
-        next(iter(quot.split_nodes())).i: b for b, quot in outer.items()
-    }
+    block_across = {next(iter(quot.split_nodes())).partner: b for b, quot in outer.items()}
     roles: dict[int, tuple[str, int]] = {}
     kinds: dict[int, str] = {}
     for b, quot in outer.items():
@@ -325,7 +323,7 @@ def analyze_star_member(
     if central_kind.kind == COMPLETE:
         case_id, j = 1, None
     elif central_kind.kind == STAR:
-        j = block_of_quotient[central_kind.center.j]
+        j = block_across[central_kind.center]
         if kinds[j] == STAR_CENTER:
             case_id = 2
         elif kinds[j] == COMPLETE:

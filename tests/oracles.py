@@ -68,11 +68,17 @@ def iso_form(g: SimpleGraph) -> int:
     return min(sum(map(table.__getitem__, edges)) for table in _relabellings(g.n))
 
 
+def split_node_quotients(q: Qasst) -> dict:
+    """The quotient holding each split-node, found by scanning the quotients."""
+    return {s: i for i, quot in q.quotients.items() for s in quot.split_nodes()}
+
+
 def far_leaves(q: Qasst, s: SplitNode) -> frozenset:
     """Original vertices on the partner side of split-node s, by one subtree walk."""
+    where = split_node_quotients(q)
     out: set[int] = set()
-    seen = {s.i}
-    stack = [s.j]
+    seen = {where[s]}
+    stack = [where[s.partner]]
     while stack:
         i = stack.pop()
         if i in seen:
@@ -81,6 +87,6 @@ def far_leaves(q: Qasst, s: SplitNode) -> frozenset:
         quot = q.quotients[i]
         out |= quot.leaf_nodes()
         for t in quot.split_nodes():
-            if t.j not in seen:
-                stack.append(t.j)
+            if where[t.partner] not in seen:
+                stack.append(where[t.partner])
     return frozenset(out)

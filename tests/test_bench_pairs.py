@@ -37,3 +37,12 @@ def test_within_the_bound_or_better_is_not_over():
     summary = bench_pairs.summarize(_pairs([(100, 30)], [(75, 33)]), METRICS)["w"]
     assert summary["ops_per_s"]["over_bound"] is False  # exactly at the bound
     assert summary["peak_rss_mb"]["over_bound"] is False
+
+
+def test_unresolved_marks_a_parent_spread_wider_than_the_bound():
+    # Parent ops_per_s quartiles 80 and 120 (spread 40, bound 25); peak_rss_mb 30 and 31 (spread 1, bound 3).
+    parent = [(60, 30), (80, 30), (100, 31), (120, 31), (140, 31)]
+    summary = bench_pairs.summarize(_pairs(parent, parent), METRICS)["w"]
+    assert summary["ops_per_s"]["parent_quartiles"] == [80, 120]
+    assert summary["ops_per_s"]["unresolved"] is True
+    assert summary["peak_rss_mb"]["unresolved"] is False

@@ -158,6 +158,15 @@ class TestCounts:
             assert code == 0 and len(out.strip()) > 4300
             assert _from_decimal(out.strip()) == want
 
+    @pytest.mark.parametrize("what", ["path", "cycle"])
+    def test_count_past_the_cap_exits_two(self, capsys, what):
+        from lcsplit import counting
+
+        code = cli.main(["count", what, "--n", str(counting.MAX_COUNT_N + 1)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err == f"lcsplit: {what} count limited to n <= {counting.MAX_COUNT_N}, got {counting.MAX_COUNT_N + 1}\n"
+
     def test_decimal_writer_matches_str(self):
         rng = random.Random(5)
         values = [0, 1, 2**2000, 2**2001, 10**602, 10**3000 + 7, 10**3900 - 1]
@@ -342,6 +351,30 @@ class TestRepeatedQuotientEdge:
         path.write_text(text)
         assert cli.main(["reconstruct", "--input", str(path)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == f"lcsplit: quotient {i} lists an edge twice\n"
+
+
+class TestSplitNodeLocationNames:
+    # P4's tree with the two split-node names swapped: a well-formed tree of
+    # labels, but JSON names each split-node by the quotient that lists it.
+    _SWAPPED = (
+        _P4_TREE.replace('{"i": 0, "j": 1}', "A").replace('{"i": 1, "j": 0}', '{"i": 0, "j": 1}')
+        .replace("A", '{"i": 1, "j": 0}')
+    )
+
+    def test_from_json_dict_refuses_a_name_listed_elsewhere(self):
+        from lcsplit.errors import MalformedQasstError
+        from lcsplit.qasst import from_json_dict as tree_from_json
+
+        assert self._SWAPPED != _P4_TREE
+        with pytest.raises(MalformedQasstError, match=r"split-node SplitNode\(i=1, j=0\) stored in quotient 0"):
+            tree_from_json(json.loads(self._SWAPPED))
+
+    @pytest.mark.parametrize("command", [["reconstruct"], ["qasst", "lc", "--vertex", "1"]])
+    def test_cli_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "in.json"
+        path.write_text(self._SWAPPED)
+        assert cli.main(command + ["--input", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "lcsplit: split-node SplitNode(i=1, j=0) stored in quotient 0\n"
 
 
 class TestTreeEdgesInAnyOrder:

@@ -25,7 +25,7 @@ from lcsplit.counting import (
     orbit_size,
     phi_count,
 )
-from lcsplit.errors import InvalidSpecError, UnsupportedQasstError
+from lcsplit.errors import InvalidSpecError, SizeLimitError, UnsupportedQasstError
 from lcsplit.families import (
     CLIQUE_STAR,
     KPARTITE,
@@ -52,6 +52,24 @@ class TestBouchet:
             bouchet_path_count(0)
         with pytest.raises(InvalidSpecError):
             bouchet_cycle_count(2)
+
+    def test_cap_is_checked_before_any_arithmetic(self, monkeypatch):
+        import lcsplit.counting as counting
+
+        def refuse(m):
+            raise AssertionError("power computed past the cap")
+
+        monkeypatch.setattr(counting, "_sqrt3_power", refuse)
+        for count in (bouchet_path_count, bouchet_cycle_count):
+            with pytest.raises(SizeLimitError, match="limited to n <= 1000000"):
+                count(counting.MAX_COUNT_N + 1)
+
+    def test_matches_the_recurrence(self):
+        # a_m = 2 a_{m-1} + 2 a_{m-2} holds for both sequences the counts read.
+        paths = [bouchet_path_count(n) for n in range(1, 60)]
+        cycles = [bouchet_cycle_count(n) + 4 * (2 ** (n - 1) + (-1) ** n) // 3 for n in range(3, 60)]
+        for seq in (paths, cycles):
+            assert all(c == 2 * b + 2 * a for a, b, c in zip(seq, seq[1:], seq[2:]))
 
 
 class TestPhi:

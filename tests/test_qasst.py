@@ -8,7 +8,7 @@ import time
 import pytest
 
 from helpers import all_connected_graphs, random_connected_graph
-from oracles import dh_definition_oracle, far_leaves
+from oracles import dh_definition_oracle, far_leaves, split_node_quotients
 from lcsplit.errors import MalformedQasstError, NotConnectedError
 from lcsplit.families import (
     complete_bipartite_graph,
@@ -214,10 +214,11 @@ class TestNormalize:
 def _shuffled(q, rng):
     """The same tree with its quotients renumbered at random."""
     relabel = dict(zip(q.quotients, rng.sample(range(1000), len(q.quotients))))
+    where = split_node_quotients(q)
     out = {}
     for i, quot in q.quotients.items():
         quot = quot.copy()
-        quot.rename({s: SplitNode(relabel[s.i], relabel[s.j]) for s in quot.split_nodes()})
+        quot.rename({s: SplitNode(relabel[i], relabel[where[s.partner]]) for s in quot.split_nodes()})
         out[relabel[i]] = quot
     return Qasst(out)
 
@@ -231,10 +232,11 @@ def _normalized_by_far_leaves(q):
         return (0, tuple(sorted(min(far_leaves(q, s)) for s in q.quotients[i].split_nodes())))
 
     remap = {old: new for new, old in enumerate(sorted(q.quotients, key=order_key))}
+    where = split_node_quotients(q)
     out = {}
     for old, quot in q.quotients.items():
         quot = quot.copy()
-        quot.rename({s: SplitNode(remap[s.i], remap[s.j]) for s in quot.split_nodes()})
+        quot.rename({s: SplitNode(remap[old], remap[where[s.partner]]) for s in quot.split_nodes()})
         out[remap[old]] = quot.adj
     return out
 
@@ -323,9 +325,10 @@ class TestTreeReadsAgainstFarLeaves:
         for dropped in trees:
             for how, tree in (("induced", dropped), ("shuffled", _shuffled(dropped, rng))):
                 order, up = tree.validate()
+                where = split_node_quotients(tree)
                 depth = {order[0]: 0}
                 for i in order[1:]:
-                    depth[i] = depth[up[i].j] + 1
+                    depth[i] = depth[where[up[i].partner]] + 1
                 far[how] += depth[tree.leaf_quotient(min(tree.leaves()))] >= 3
                 self.assert_normalize_matches(tree)
         assert min(far.values()) >= 5
@@ -459,6 +462,64 @@ class TestTreeBookkeeping:
         order, up = q.validate()
         assert sorted(order) == sorted(q.quotients) and up[order[0]] is None
         assert all(up[i].j in order[:order.index(i)] for i in order[1:])
+
+
+class TestSplitNodeLabels:
+    """A split-node's name is a label: it says nothing of the quotient that holds it."""
+
+    @staticmethod
+    def _relabelled(q, first):
+        """q with the split-nodes of its k-th tree edge named (first + 2k, first + 2k + 1) and back."""
+        names = {}
+        for k, (s, t) in enumerate(q.tree_edges()):
+            a, b = first + 2 * k, first + 2 * k + 1
+            names[s], names[t] = SplitNode(a, b), SplitNode(b, a)
+        quotients = {}
+        for i, quot in q.quotients.items():
+            quot = quot.copy()
+            quot.rename(names)
+            quotients[i] = quot
+        return Qasst(quotients)
+
+    def _trees(self):
+        yield compute_qasst(path_graph(6))
+        for n, seed in ((12, 0), (30, 1), (60, 2)):
+            yield compute_qasst(random_dh(n, seed)[0])
+
+    def test_twin_with_other_labels_reads_the_same(self):
+        for q in self._trees():
+            twin = self._relabelled(q, 1000)
+            assert not any(s.i == i for i, quot in twin.quotients.items() for s in quot.split_nodes())
+            twin.validate()
+            assert reconstruct(twin) == reconstruct(q)
+            assert to_json_dict(twin) == to_json_dict(q)
+            assert to_dot(twin) == to_dot(q)
+            assert twin.structure_key() == q.structure_key()
+
+    def test_label_in_two_quotients_is_refused(self):
+        twin = self._relabelled(compute_qasst(path_graph(6)), 50)
+        (s, _), *_ = twin.tree_edges()
+        other = next(i for i, quot in twin.quotients.items() if s not in quot.adj)
+        twin.quotients[other].adj[s] = set()
+        with pytest.raises(MalformedQasstError, match="appears in two quotients"):
+            twin.validate()
+
+    def test_merge_and_split_off_leave_other_quotients_shared(self):
+        # Neither edit renames a split-node, so neither copies a quotient it does not join.
+        checked = 0
+        for q in self._trees():
+            where = split_node_quotients(q)
+            for s, t in q.tree_edges():
+                i, j = where[s], where[t]
+                side = q.quotients[j].adj.keys() - {t}
+                derived = q.copy()
+                derived.merge(s)
+                assert all(derived.quotients[k] is q.quotients[k] for k in derived.quotients if k != i)
+                m = derived.split_off(i, side)
+                assert all(derived.quotients[k] is q.quotients[k] for k in derived.quotients if k not in (i, m))
+                assert reconstruct(derived) == reconstruct(q)
+                checked += len(side & q.quotients[j].split_nodes()) > 0
+        assert checked >= 20
 
 
 class TestSerialization:

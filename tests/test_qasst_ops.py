@@ -8,6 +8,7 @@ import time
 import pytest
 
 from helpers import all_connected_graphs, graphs_up_to_isomorphism, random_connected_graph
+from oracles import split_node_quotients
 from lcsplit.errors import InvalidVertexError, MalformedQasstError, NotConnectedError
 from lcsplit.families import cycle_graph, path_graph
 from lcsplit.graphs import (
@@ -539,14 +540,11 @@ class TestDerivedTreesStayApart:
         star quotient of four or more nodes, when the tree has one.
         """
         s = rng.choice(q.tree_edges())[0]
-        side = {
-            SplitNode(s.i, v.j) if isinstance(v, SplitNode) else v
-            for v in q.quotients[s.j].adj
-            if v != s.partner
-        }
+        where = split_node_quotients(q)
+        side = q.quotients[where[s.partner]].adj.keys() - {s.partner}
         q.merge(s)
         yield
-        q.split_off(s.i, side)
+        q.split_off(where[s], side)
         yield
         roomy = sorted(
             i for i, quot in q.quotients.items()

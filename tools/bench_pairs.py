@@ -6,9 +6,11 @@ side that goes first alternates from pair to pair.  The last line of each
 run (its JSON result) is kept as it is.  The summary gives, per workload
 and end-to-end metric (directions from the change's ``BENCHMARK.json``),
 the parent and change medians and quartiles, the change's range, the
-number of pairs in which the change was strictly better, and
+number of pairs in which the change was strictly better,
 ``over_bound``: whether the change median is worse than the parent median
-by more than the metric's bound, a fraction of the parent median.
+by more than the metric's bound, a fraction of the parent median, and
+``unresolved``: whether the parent's own quartile spread is wider than
+that bound, so that the runs cannot tell a change of the bound's size.
 
 Example, from the root of the change::
 
@@ -61,7 +63,7 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
-    """Per workload and metric: medians, quartiles, range, pairs the change won, and over_bound."""
+    """Per workload and metric: medians, quartiles, range, pairs the change won, over_bound and unresolved."""
     out: dict[str, dict] = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         mine = [p for p in pairs if p["workload"] == workload]
@@ -70,17 +72,19 @@ def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
             value = {side: [p[side]["metrics"][metric]["value"] for p in mine] for side in SIDES}
             sign = 1 if spec["better"] == "higher" else -1
             median = {side: statistics.median(value[side]) for side in SIDES}
+            bound = spec["bound"] * abs(median["parent"])
+            spread = quartiles(value["parent"])
             entry[metric] = {
                 "parent_median": round(median["parent"], 4),
-                "parent_quartiles": quartiles(value["parent"]),
+                "parent_quartiles": spread,
                 "change_median": round(median["change"], 4),
                 "change_quartiles": quartiles(value["change"]),
                 "change_range": [round(min(value["change"]), 4), round(max(value["change"]), 4)],
                 "change_better_pairs": sum(
                     sign * (c - p) > 0 for p, c in zip(value["parent"], value["change"])
                 ),
-                "over_bound": sign * (median["change"] - median["parent"])
-                < -spec["bound"] * abs(median["parent"]),
+                "over_bound": sign * (median["change"] - median["parent"]) < -bound,
+                "unresolved": spread[1] - spread[0] > bound,
             }
         out[workload] = entry
     return out
