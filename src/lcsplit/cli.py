@@ -13,6 +13,7 @@ orbit budget of 10**6 members.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -69,32 +70,46 @@ def _write_text(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidSpecError(f"cannot write output: {exc}") from exc
 
 
 def _decimal(x: int) -> str:
-    """``str(x)`` for ``x >= 0`` of any length; ``str`` stops at a digit limit, 4300 by default."""
-    if x.bit_length() <= 2000:  # at most 603 digits; no limit may be set below 640
-        return str(x)
-    k = x.bit_length() * 3 // 20  # about half the digits
-    high, low = divmod(x, 10**k)
-    return _decimal(high) + _decimal(low).zfill(k)
+    """``str(x)`` for ``x >= 0`` of any length; ``str`` stops at a digit limit, 4300 by default.
+
+    Past 2000 bits, x is split at half its width and joined back as
+    high * 2**w + low in exact decimal arithmetic, in subquadratic time
+    (the method of CPython 3.12's ``_pylong``).
+    """
+    pow2 = functools.cache(lambda w: decimal.Decimal(2) ** w)
+
+    def convert(x: int, width: int) -> decimal.Decimal:
+        if width <= 2000:  # at most 603 digits; no limit may be set below 640
+            return decimal.Decimal(str(x))
+        w = width // 2
+        high = x >> w
+        return convert(high, width - w) * pow2(w) + convert(x - (high << w), w)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        return str(convert(x, x.bit_length()))
 
 
 def _load_json(path: str) -> dict:
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InvalidSpecError(f"cannot read input: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise InvalidSpecError(f"malformed JSON input: {exc}") from exc
 
 
-def _load_graph(path: str) -> graphs.SimpleGraph:
-    return graphs.from_json_dict(_load_json(path))
-
-
-def _load_qasst(path: str) -> qasst.Qasst:
-    return qasst.from_json_dict(_load_json(path))
+def _load(mod, path: str):
+    """The graph (``mod`` = graphs) or quotient tree (``mod`` = qasst) in the JSON file at ``path``."""
+    return mod.from_json_dict(_load_json(path))
 
 
 # A JSON string token, quotes included; an escaped quote does not end it.
@@ -137,18 +152,9 @@ def _dump_json(data) -> str:
     return "".join(merged)
 
 
-def _emit_graph(g: graphs.SimpleGraph, fmt: str, out: str) -> None:
-    if fmt == "dot":
-        _write_text(graphs.to_dot(g), out)
-    else:
-        _write_text(_dump_json(graphs.to_json_dict(g)), out)
-
-
-def _emit_qasst(q: qasst.Qasst, fmt: str, out: str) -> None:
-    if fmt == "dot":
-        _write_text(qasst.to_dot(q), out)
-    else:
-        _write_text(_dump_json(qasst.to_json_dict(q)), out)
+def _emit(mod, obj, fmt: str, out: str) -> None:
+    """Write a graph (``mod`` = graphs) or quotient tree (``mod`` = qasst) as JSON or DOT."""
+    _write_text(mod.to_dot(obj) if fmt == "dot" else _dump_json(mod.to_json_dict(obj)), out)
 
 
 def _table(rows: list[list], header: list[str]) -> str:
@@ -175,28 +181,28 @@ def _orbit_tag(name: str) -> str:
 
 def cmd_gen(args) -> int:
     spec = families.FamilySpec(args.family, tuple(_parse_ints(args.params)), args.center)
-    _emit_graph(families.build(spec), args.format, args.output)
+    _emit(graphs, families.build(spec), args.format, args.output)
     return EXIT_OK
 
 
 def cmd_lc(args) -> int:
-    g = _load_graph(args.input)
+    g = _load(graphs, args.input)
     if args.vertex is not None:
         seq = [args.vertex]
     elif args.sequence is not None:
         seq = _parse_ints(args.sequence)
     else:
         raise InvalidSpecError("lc needs --vertex or --sequence")
-    _emit_graph(graphs.apply_sequence(g, seq), args.format, args.output)
+    _emit(graphs, graphs.apply_sequence(g, seq), args.format, args.output)
     return EXIT_OK
 
 
 def cmd_orbit(args) -> int:
-    g = _load_graph(args.input)
+    g = _load(graphs, args.input)
     if args.action == "transform":
         if args.to is None:
             raise InvalidSpecError("orbit transform needs --to <graph.json>")
-        h = _load_graph(args.to)
+        h = _load(graphs, args.to)
         seq = orbit.transformation_between(g, h, limit=args.limit)
         _write_text(_dump_json({"sequence": seq}), args.output)
         return EXIT_OK
@@ -222,19 +228,19 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_graph(args.input)
-    _emit_qasst(qasst.compute_qasst(g), args.format, args.output)
+    g = _load(graphs, args.input)
+    _emit(qasst, qasst.compute_qasst(g), args.format, args.output)
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    q = _load_qasst(args.input)
-    _emit_graph(qasst.reconstruct(q), args.format, args.output)
+    q = _load(qasst, args.input)
+    _emit(graphs, qasst.reconstruct(q), args.format, args.output)
     return EXIT_OK
 
 
 def cmd_qasst(args) -> int:
-    q = _load_qasst(args.input)
+    q = _load(qasst, args.input)
     if args.action == "lc":
         if args.vertex is None:
             raise InvalidSpecError("qasst lc needs --vertex")
@@ -247,7 +253,7 @@ def cmd_qasst(args) -> int:
         if args.kind is None or args.anchor is None:
             raise InvalidSpecError("qasst extend needs --kind and --anchor")
         out = qasst_ops.extend(q, qasst_ops.ExtensionKind(args.kind, args.anchor), max(q.leaves()) + 1)
-    _emit_qasst(out, args.format, args.output)
+    _emit(qasst, out, args.format, args.output)
     return EXIT_OK
 
 
@@ -261,7 +267,7 @@ def cmd_count(args) -> int:
         if args.params is not None:
             value = counting.kpartite_phi(_parse_ints(args.params))
         else:
-            value = counting.phi_count(qasst.compute_qasst(_load_graph(args.input)))
+            value = counting.phi_count(qasst.compute_qasst(_load(graphs, args.input)))
     else:
         if args.family is None or args.params is None:
             raise InvalidSpecError(f"count {args.what} needs --family and --params")

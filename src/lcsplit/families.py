@@ -24,19 +24,6 @@ from .graphs import SimpleGraph
 KPARTITE = "KPartite"
 CLIQUE_STAR = "CliqueStar"
 
-FAMILY_TAGS = (
-    "complete",
-    "star",
-    "path",
-    "cycle",
-    "complete_bipartite",
-    "complete_multipartite",
-    "clique_star",
-    "repeater",
-    "multi_leaf_repeater",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     family: str
@@ -135,6 +122,21 @@ def repeater_graph(n: int) -> SimpleGraph:
     return multi_leaf_repeater_graph([2] * n)
 
 
+# Per family, in CLI order: its parameter count (None: one list of block
+# sizes) and its constructor.
+_FAMILIES = {
+    "complete": (1, complete_graph),
+    "star": (1, star_graph),
+    "path": (1, path_graph),
+    "cycle": (1, cycle_graph),
+    "complete_bipartite": (2, complete_bipartite_graph),
+    "complete_multipartite": (None, complete_multipartite_graph),
+    "clique_star": (None, clique_star_graph),
+    "repeater": (1, repeater_graph),
+    "multi_leaf_repeater": (None, multi_leaf_repeater_graph),
+}
+FAMILY_TAGS = tuple(_FAMILIES)
+
 # Largest edge count :func:`build` accepts, checked before any edge is listed.
 MAX_EDGES = 1_000_000
 
@@ -180,38 +182,16 @@ def build(spec: FamilySpec) -> SimpleGraph:
         raise SizeLimitError(f"graphs are limited to {graphs.MAX_VERTICES} vertices")
     if _edge_count(spec) > MAX_EDGES:
         raise SizeLimitError(f"generated graphs are limited to {MAX_EDGES} edges")
-    if fam == "complete":
-        _expect_params(p, 1)
-        return complete_graph(p[0])
-    if fam == "star":
-        _expect_params(p, 1)
-        return star_graph(p[0])
-    if fam == "path":
-        _expect_params(p, 1)
-        return path_graph(p[0])
-    if fam == "cycle":
-        _expect_params(p, 1)
-        return cycle_graph(p[0])
-    if fam == "complete_bipartite":
-        _expect_params(p, 2)
-        return complete_bipartite_graph(p[0], p[1])
-    if fam == "complete_multipartite":
-        return complete_multipartite_graph(p)
+    count, make = _FAMILIES[fam]
     if fam == "clique_star":
         if spec.center is None:
             raise InvalidSpecError("clique_star requires a center index r")
-        return clique_star_graph(p, spec.center)
-    if fam == "repeater":
-        _expect_params(p, 1)
-        return repeater_graph(p[0])
-    if fam == "multi_leaf_repeater":
-        return multi_leaf_repeater_graph(p)
-    raise InvalidSpecError(f"unknown family {fam!r}")
-
-
-def _expect_params(p: tuple[int, ...], count: int) -> None:
+        return make(p, spec.center)
+    if count is None:
+        return make(p)
     if len(p) != count:
         raise InvalidSpecError(f"expected {count} parameter(s), got {len(p)}")
+    return make(*p)
 
 
 def check_blocks(n_list: Sequence[int]) -> None:

@@ -186,10 +186,14 @@ def _flat(g: SimpleGraph) -> int:
     return flat
 
 
+def _key_fragment(u: int, mask: int) -> bytes:
+    """The part of :func:`canonical_key` listing the edges u-w with w > u in mask."""
+    return "".join(f";{u}-{w}" for w in _bits(mask >> (u + 1) << (u + 1))).encode("ascii")
+
+
 def canonical_key(g: SimpleGraph) -> bytes:
-    """Deterministic key; equal keys iff identical labeled edge sets."""
-    parts = [str(g.n)] + [f"{u}-{v}" for u, v in g.edges()]
-    return ";".join(parts).encode("ascii")
+    """Deterministic key ``n;u-v;...``, edges u < v in order; equal keys iff identical labeled edge sets."""
+    return b"".join([str(g.n).encode("ascii")] + [_key_fragment(u, g._adj[u]) for u in range(1, g.n + 1)])
 
 
 def _vertex_invariants(g: SimpleGraph) -> list[int]:

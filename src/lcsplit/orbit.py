@@ -19,7 +19,8 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError
-from .graphs import SimpleGraph, _bits, _flat, _iso_plan, _iso_search, _vertex_invariants, apply_sequence
+from .graphs import SimpleGraph, _bits, _flat, _iso_plan, _iso_search, _key_fragment, _vertex_invariants
+from .graphs import apply_sequence
 from .graphs import canonical_key  # noqa: F401  the member key; callers also reach it as orbit.canonical_key
 
 DEFAULT_BUDGET = 10**6
@@ -146,11 +147,6 @@ def _clique_mask(nb: int, width: int) -> int:
     for u in _bits(nb):
         mask |= (nb ^ 1 << u) << (u * width)
     return mask
-
-
-def _key_fragment(u: int, mask: int) -> bytes:
-    """The part of canonical_key listing the edges u-w with w > u in mask."""
-    return "".join(f";{u}-{w}" for w in _bits(mask >> (u + 1) << (u + 1))).encode("ascii")
 
 
 def are_lc_equivalent(g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGET) -> bool:

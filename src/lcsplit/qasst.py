@@ -105,7 +105,8 @@ class QuotientGraph:
     """A small graph over leaf-nodes and split-nodes.
 
     Stored as adjacency sets: ``adj`` maps every node to the set of its
-    neighbours.  ``nodes`` and ``edges`` are read-only views of it.
+    neighbours.  ``nodes`` and ``edges`` are read-only views of it.  Nodes
+    are renamed only into a new quotient, by :meth:`relabelled`.
     """
 
     __slots__ = ("adj",)
@@ -144,17 +145,11 @@ class QuotientGraph:
         for w in self.adj.pop(node, ()):
             self.adj[w].discard(node)
 
-    def rename(self, mapping: dict) -> None:
-        """Rename nodes in place through ``mapping``; unmapped nodes keep their names.
-
-        Touches only the renamed nodes and their neighbours; all renamed
-        nodes are taken out first, so a permutation renames correctly.
-        """
-        moved = {v: self.adj.pop(v) for v in mapping if v in self.adj}
-        for w in set().union(*moved.values()) - moved.keys():
-            self.adj[w] = {mapping.get(x, x) for x in self.adj[w]}
-        for v, nb in moved.items():
-            self.adj[mapping[v]] = {mapping.get(w, w) for w in nb}
+    def relabelled(self, names: dict) -> "QuotientGraph":
+        """A copy with every node renamed through ``names``; unnamed nodes keep their names."""
+        g = QuotientGraph.__new__(QuotientGraph)
+        g.adj = {names.get(v, v): {names.get(w, w) for w in nb} for v, nb in self.adj.items()}
+        return g
 
     def local_complement_at(self, node: Node) -> None:
         for a, b in itertools.combinations(self.adj[node], 2):
@@ -223,11 +218,6 @@ class Qasst:
         self._checked = False
         # Past every quotient number and every id in a split-node name.
         self._fresh = max(itertools.chain(quotients, *self._where), default=-1) + 1
-
-    @property
-    def n(self) -> int:
-        """The number of leaf-nodes, counted over every quotient."""
-        return sum(isinstance(v, int) for q in self.quotients.values() for v in q.adj)
 
     def copy(self) -> "Qasst":
         """A tree sharing every quotient with this one until either tree edits it."""
@@ -434,12 +424,8 @@ class Qasst:
             out._fresh = len(out.quotients)
             return out
         remap = {old: new for new, old in enumerate(old_order)}
-        quotients = {}
-        for old, q in self.quotients.items():
-            q = q.copy()
-            q.rename({s: SplitNode(remap[old], remap[self.across(s)]) for s in q.split_nodes()})
-            quotients[remap[old]] = q
-        out = Qasst(quotients)
+        names = {s: SplitNode(remap[i], remap[self.across(s)]) for s, i in self._where.items()}
+        out = Qasst({remap[old]: q.relabelled(names) for old, q in self.quotients.items()})
         out._checked = self._checked
         return out
 

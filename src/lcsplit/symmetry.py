@@ -299,10 +299,13 @@ def analyze_star_member(
     block_across = {next(iter(quot.split_nodes())).partner: b for b, quot in outer.items()}
     roles: dict[int, tuple[str, int]] = {}
     kinds: dict[int, str] = {}
+    centers: dict[int, int] = {}
     for b, quot in outer.items():
         s = next(iter(quot.split_nodes()))
         kind = classify_quotient(quot, s)
         kinds[b] = kind.kind
+        if kind.kind == STAR_SPOKE:
+            centers[b] = kind.center
         for v in quot.leaf_nodes():
             if kind.kind == STAR_SPOKE:
                 role = SS_CENTER if v == kind.center else SS_SPOKE
@@ -315,11 +318,7 @@ def analyze_star_member(
             roles[v] = (role, b)
 
     central_kind = classify_quotient(central)
-    I = frozenset(b for b, kind in kinds.items() if kind == STAR_SPOKE)
-    centers = {
-        b: next(v for v, (role, bb) in roles.items() if bb == b and role == SS_CENTER)
-        for b in I
-    }
+    I = frozenset(centers)
     if central_kind.kind == COMPLETE:
         case_id, j = 1, None
     elif central_kind.kind == STAR:

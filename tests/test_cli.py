@@ -46,6 +46,43 @@ class TestGen:
             cli.main(["frobnicate"])
         assert info.value.code == 2
 
+    def test_every_family_matches_its_constructor(self, capsys):
+        cases = [
+            (["complete", "--params", "5"], families.complete_graph(5)),
+            (["star", "--params", "4"], families.star_graph(4)),
+            (["path", "--params", "6"], families.path_graph(6)),
+            (["cycle", "--params", "7"], families.cycle_graph(7)),
+            (["complete_bipartite", "--params", "2,3"], families.complete_bipartite_graph(2, 3)),
+            (["complete_multipartite", "--params", "2,3,1"], families.complete_multipartite_graph([2, 3, 1])),
+            (["clique_star", "--params", "2,3,2", "--center", "2"], families.clique_star_graph([2, 3, 2], 2)),
+            (["repeater", "--params", "4"], families.repeater_graph(4)),
+            (["multi_leaf_repeater", "--params", "3,2,2"], families.multi_leaf_repeater_graph([3, 2, 2])),
+        ]
+        assert [argv[0] for argv, _ in cases] == list(families.FAMILY_TAGS)
+        for argv, g in cases:
+            code, out = run(capsys, "gen", *argv)
+            assert (code, out) == (0, json.dumps(graphs.to_json_dict(g), indent=2, sort_keys=True) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["complete", "--params", "3,3"], "expected 1 parameter(s), got 2"),
+            (["star", "--params", ""], "expected 1 parameter(s), got 0"),
+            (["path", "--params", "1,2"], "expected 1 parameter(s), got 2"),
+            (["cycle", "--params", "3,4,5"], "expected 1 parameter(s), got 3"),
+            (["complete_bipartite", "--params", "3"], "expected 2 parameter(s), got 1"),
+            (["repeater", "--params", "3,3"], "expected 1 parameter(s), got 2"),
+            (["clique_star", "--params", "2,2,2"], "clique_star requires a center index r"),
+            # Both caps are checked ahead of the parameter count.
+            (["path", "--params", "100001,1"], "graphs are limited to 100000 vertices"),
+            (["complete", "--params", "2000,1"], "generated graphs are limited to 1000000 edges"),
+        ],
+    )
+    def test_refusal_messages(self, capsys, argv, message):
+        code = cli.main(["gen"] + argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"lcsplit: {message}\n")
+
 
 class TestPipelines:
     def graph_file(self, tmp_path, capsys, *gen_args):
@@ -173,6 +210,22 @@ class TestCounts:
         values += [rng.getrandbits(rng.randint(1, 12900)) for _ in range(300)]
         for x in values:
             assert cli._decimal(x) == str(x)
+
+    def test_decimal_writer_matches_the_divmod_splitter(self):
+        def by_divmod(x):  # the quadratic writer the subquadratic one replaced
+            if x.bit_length() <= 2000:
+                return str(x)
+            k = x.bit_length() * 3 // 20
+            high, low = divmod(x, 10**k)
+            return by_divmod(high) + by_divmod(low).zfill(k)
+
+        rng = random.Random(17)
+        values = [rng.randrange(10 ** (d - 1), 10**d) for d in (5000, 5001, 12345, 33333, 50000)]
+        for k in (603, 604, 5000, 50000):
+            values += [10**k - 1, 10**k]
+        values += [2**k for k in (2000, 2001, 16610, 166096)]
+        for x in values:
+            assert cli._decimal(x) == by_divmod(x)
 
     def test_big_class_multiplicities_are_printed_exactly(self, capsys):
         block = "7" * 2000
@@ -342,6 +395,27 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == cli.EXIT_USAGE
         assert err.startswith("lcsplit: ")
+
+    @pytest.mark.parametrize(
+        "data, input_name, output_name",
+        [
+            (None, "missing.json", None),
+            (None, ".", None),
+            (b"\xff\xfe{}", "in.json", None),
+            (b"[" * 200_000 + b"]" * 200_000, "in.json", None),
+            (b'{"n": 1' + b"0" * 5000 + b', "edges": []}', "in.json", None),
+            (b'{"n": 2, "edges": [[1, 2]]}', "in.json", "no-such-dir/out.json"),
+        ],
+        ids=["missing", "directory", "not-utf8", "nested", "long-integer", "no-output-dir"],
+    )
+    def test_io_fault_is_usage_error(self, tmp_path, capsys, data, input_name, output_name):
+        if data is not None:
+            (tmp_path / input_name).write_bytes(data)
+        output = "-" if output_name is None else str(tmp_path / output_name)
+        code = cli.main(["decompose", "--input", str(tmp_path / input_name), "--output", output])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err.startswith("lcsplit: ") and captured.err.count("\n") == 1
 
 
 class TestRepeatedQuotientEdge:

@@ -241,12 +241,8 @@ class TestPhiRooting:
                 new = list(q.quotients)
                 rng.shuffle(new)
                 remap = dict(zip(q.quotients, new))
-                renumbered = {}
-                for i, quot in q.quotients.items():
-                    quot = quot.copy()
-                    quot.rename({s: SplitNode(remap[s.i], remap[s.j]) for s in quot.split_nodes()})
-                    renumbered[remap[i]] = quot
-                tree = Qasst(renumbered)
+                names = {s: SplitNode(remap[s.i], remap[s.j]) for quot in q.quotients.values() for s in quot.split_nodes()}
+                tree = Qasst({remap[i]: quot.relabelled(names) for i, quot in q.quotients.items()})
                 tree.validate()
                 assert phi_count(tree) == want
 

@@ -139,6 +139,12 @@ class TestCanonicalKeyAndIsomorphism:
     def test_key_round_trips(self, g):
         assert canonical_key(g) == canonical_key(SimpleGraph(g.n, g.edges()))
 
+    def test_key_spelling(self):
+        # The key orders `orbit list` output, so its bytes are part of the CLI's output.
+        assert canonical_key(path_graph(3)) == b"3;1-2;2-3"
+        assert canonical_key(SimpleGraph(12, [(1, 10), (2, 11)])) == b"12;1-10;2-11"
+        assert canonical_key(SimpleGraph(0)) == b"0"
+
     def test_isomorphism_on_relabelings(self):
         rng = random.Random(7)
         for _ in range(100):

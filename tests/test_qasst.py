@@ -187,12 +187,8 @@ class TestNormalize:
             q = compute_qasst(g)
             labels = rng.sample(range(100), len(q.quotients))
             relabel = dict(zip(q.quotients, labels))
-            shuffled = {}
-            for i, quot in q.quotients.items():
-                quot = quot.copy()
-                quot.rename({s: SplitNode(relabel[s.i], relabel[s.j]) for s in quot.split_nodes()})
-                shuffled[relabel[i]] = quot
-            renumbered = Qasst(shuffled)
+            names = {s: SplitNode(relabel[s.i], relabel[s.j]) for quot in q.quotients.values() for s in quot.split_nodes()}
+            renumbered = Qasst({relabel[i]: quot.relabelled(names) for i, quot in q.quotients.items()})
             renumbered.validate()
             assert to_json_dict(renumbered.normalize()) == to_json_dict(q)
 
@@ -215,12 +211,8 @@ def _shuffled(q, rng):
     """The same tree with its quotients renumbered at random."""
     relabel = dict(zip(q.quotients, rng.sample(range(1000), len(q.quotients))))
     where = split_node_quotients(q)
-    out = {}
-    for i, quot in q.quotients.items():
-        quot = quot.copy()
-        quot.rename({s: SplitNode(relabel[i], relabel[where[s.partner]]) for s in quot.split_nodes()})
-        out[relabel[i]] = quot
-    return Qasst(out)
+    names = {s: SplitNode(relabel[i], relabel[where[s.partner]]) for s, i in where.items()}
+    return Qasst({relabel[i]: quot.relabelled(names) for i, quot in q.quotients.items()})
 
 
 def _normalized_by_far_leaves(q):
@@ -233,12 +225,8 @@ def _normalized_by_far_leaves(q):
 
     remap = {old: new for new, old in enumerate(sorted(q.quotients, key=order_key))}
     where = split_node_quotients(q)
-    out = {}
-    for old, quot in q.quotients.items():
-        quot = quot.copy()
-        quot.rename({s: SplitNode(remap[old], remap[where[s.partner]]) for s in quot.split_nodes()})
-        out[remap[old]] = quot.adj
-    return out
+    names = {s: SplitNode(remap[i], remap[where[s.partner]]) for s, i in where.items()}
+    return {remap[old]: quot.relabelled(names).adj for old, quot in q.quotients.items()}
 
 
 def _structure_key_by_far_leaves(q):
@@ -373,18 +361,19 @@ class TestRename:
 
     def test_swap(self):
         quot = self.chain(self.S1, self.S2, self.S3)
-        quot.rename({self.S1: self.S2, self.S2: self.S1})
-        assert quot.adj == self.chain(self.S2, self.S1, self.S3).adj
+        renamed = quot.relabelled({self.S1: self.S2, self.S2: self.S1})
+        assert renamed.adj == self.chain(self.S2, self.S1, self.S3).adj
+        assert quot.adj == self.chain(self.S1, self.S2, self.S3).adj  # a copy; the original keeps its names
 
     def test_three_cycle(self):
         quot = self.chain(self.S1, self.S2, self.S3)
-        quot.rename({self.S1: self.S2, self.S2: self.S3, self.S3: self.S1})
-        assert quot.adj == self.chain(self.S2, self.S3, self.S1).adj
+        renamed = quot.relabelled({self.S1: self.S2, self.S2: self.S3, self.S3: self.S1})
+        assert renamed.adj == self.chain(self.S2, self.S3, self.S1).adj
 
     def test_leaves_unnamed_nodes_alone(self):
         quot = self.chain(self.S1, self.S2, self.S3)
-        quot.rename({self.S2: SplitNode(5, 6), 7: 8})
-        assert quot.adj == self.chain(self.S1, SplitNode(5, 6), self.S3).adj
+        renamed = quot.relabelled({self.S2: SplitNode(5, 6), 7: 8})
+        assert renamed.adj == self.chain(self.S1, SplitNode(5, 6), self.S3).adj
 
 
 class TestClassification:
@@ -445,18 +434,6 @@ class TestDistanceHereditary:
 
 
 class TestTreeBookkeeping:
-    def test_n_counts_leaf_nodes_of_malformed_trees(self):
-        # A vertex in two quotients counts twice, as the per-quotient leaf sets do.
-        q = Qasst(
-            {
-                0: QuotientGraph([1, 2, SplitNode(0, 1)], [(1, SplitNode(0, 1))]),
-                1: QuotientGraph([2, 3, SplitNode(1, 5)]),
-                2: QuotientGraph(),
-            }
-        )
-        assert q.n == 4 == sum(len(quot.leaf_nodes()) for quot in q.quotients.values())
-        assert Qasst({}).n == 0
-
     def test_validate_returns_the_rooted_order(self):
         q = compute_qasst(path_graph(7))
         order, up = q.validate()
@@ -474,12 +451,7 @@ class TestSplitNodeLabels:
         for k, (s, t) in enumerate(q.tree_edges()):
             a, b = first + 2 * k, first + 2 * k + 1
             names[s], names[t] = SplitNode(a, b), SplitNode(b, a)
-        quotients = {}
-        for i, quot in q.quotients.items():
-            quot = quot.copy()
-            quot.rename(names)
-            quotients[i] = quot
-        return Qasst(quotients)
+        return Qasst({i: quot.relabelled(names) for i, quot in q.quotients.items()})
 
     def _trees(self):
         yield compute_qasst(path_graph(6))
@@ -587,9 +559,7 @@ def _random_reduced_tree(rng, count, primes):
     free = [(i, v) for i, piece in enumerate(pieces) for v in piece.nodes if v not in names[i]]
     for (i, v), label in zip(free, rng.sample(range(1, len(free) + 1), len(free))):
         names[i][v] = label
-    for piece, mapping in zip(pieces, names):
-        piece.rename(mapping)
-    tree = Qasst(dict(enumerate(pieces)))
+    tree = Qasst({i: piece.relabelled(mapping) for i, (piece, mapping) in enumerate(zip(pieces, names))})
     tree.validate()
     return tree
 

@@ -1,6 +1,6 @@
 """Time orbit enumeration and isomorphism classification on family orbits.
 
-ROADMAP item 4's layer figure: for each graph, the median time of
+ROADMAP item 9's layer figure: for each graph, the median time of
 ``enumerate_orbit`` and the median time of ``orbit_iso_classes`` on that
 orbit, and their ratio.  Each ``orbit_iso_classes`` timing starts from the
 fresh orbit just enumerated, so it includes whatever member decoding the

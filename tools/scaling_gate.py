@@ -1,6 +1,6 @@
 """Time one-vertex induce, lc and extend on small and large quotient trees.
 
-ROADMAP item 3's scaling gate: each op on ``random_dh(1600)`` trees should
+The scaling gate of ROADMAP's Recent section: each op on ``random_dh(1600)`` trees should
 take at most 3x its time on ``random_dh(100)`` trees.  For each size, the
 trees are ``random_dh(n, 1000 + t)`` for t < --trees, each round-tripped
 through ``to_json_dict`` / ``from_json_dict`` as the CLI and the benchmark
