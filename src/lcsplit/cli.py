@@ -4,10 +4,11 @@ Subcommands: gen, lc, orbit, decompose, reconstruct, qasst, count, rep,
 sym, verify.  Graphs and quotient trees travel as JSON on stdin/stdout
 (or files via --input/--output); --format dot emits Graphviz instead.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 orbit
-budget exceeded.  Output is deterministic for a fixed invocation and
-seed.  The environment variable LCSPLIT_BUDGET overrides the default
-orbit budget of 10**6 members.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a closed
+stdout pipe too), 3 orbit budget exceeded.  Output is deterministic for a
+fixed invocation and seed.  The environment variable LCSPLIT_BUDGET
+overrides the default orbit budget of 10**6 members, which is lowered so
+that the members fit in ``orbit.MAX_ORBIT_BYTES``.
 """
 
 from __future__ import annotations
@@ -67,14 +68,17 @@ def _read_text(path: str) -> str:
 def _write_text(text: str, path: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise InvalidSpecError(f"cannot write output: {exc}") from exc
+    except OSError as exc:  # BrokenPipeError too, when the reader of stdout is gone
+        if path == "-":  # the interpreter's flush at exit then writes nowhere instead of failing again
+            sys.stdout = open(os.devnull, "w")
+        raise InvalidSpecError(f"cannot write output: {exc}") from exc
 
 
 def _decimal(x: int) -> str:
@@ -613,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="brute-force orbit queries")
     p.add_argument("action", choices=["size", "list", "min-edge", "min-degree", "transform"])
     p.add_argument("--to", default=None, help="target graph JSON (transform)")
-    p.add_argument("--limit", type=int, default=None, help="orbit member budget")
+    p.add_argument("--limit", type=int, default=None, help="orbit member budget, lowered so that members "
+                   f"fit in {orbit.MAX_ORBIT_BYTES} bytes at (n+1)*n/8 + 128 bytes each (exit 2 if none fits)")
     _add_io(p, formats=None)
     p.set_defaults(handler=cmd_orbit)
 

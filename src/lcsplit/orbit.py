@@ -18,12 +18,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError
+from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError, SizeLimitError
 from .graphs import SimpleGraph, _bits, _flat, _iso_plan, _iso_search, _key_fragment, _vertex_invariants
 from .graphs import apply_sequence
 from .graphs import canonical_key  # noqa: F401  the member key; callers also reach it as orbit.canonical_key
 
 DEFAULT_BUDGET = 10**6
+# Bytes an orbit may take at (n+1)*n/8 + 128 per member, within 10% of the peak tracemalloc bytes
+# per member on P40, P80 and P160 (309, 964, 3559); every n <= 86 keeps the default budget.
+MAX_ORBIT_BYTES = 2**30
 
 
 @dataclass
@@ -76,7 +79,9 @@ def enumerate_orbit(
 
     Deterministic: the frontier is FIFO and pivots are tried in ascending
     vertex order.  Raises :class:`BudgetExceededError` if the member count
-    would exceed ``limit``.
+    would exceed ``limit``, lowered so that the members fit in
+    :data:`MAX_ORBIT_BYTES`, and :class:`SizeLimitError` before anything is
+    built if not even one member fits.
 
     Each graph is one integer with row u at bit ``u*(n+1)``.  A local
     complement at v reads N(v) with one shift and mask and xors in the
@@ -88,6 +93,9 @@ def enumerate_orbit(
         raise InvalidSpecError("orbit enumeration needs n >= 1")
     if limit < 1:
         raise ValueError("budget must be >= 1")
+    limit = min(limit, MAX_ORBIT_BYTES // ((n + 1) * n // 8 + 128))
+    if limit < 1:
+        raise SizeLimitError(f"one orbit member of a {n}-vertex graph exceeds the {MAX_ORBIT_BYTES}-byte cap")
     width = n + 1
     row = (1 << width) - 1
     shifts = [(v, v * width) for v in range(1, n + 1)]

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import (
@@ -95,8 +94,7 @@ def node_sort_key(node: Node) -> tuple:
     return (0, node, 0)
 
 
-@dataclass(frozen=True)
-class QuotientKind:
+class QuotientKind(NamedTuple):
     kind: str  # COMPLETE | STAR_CENTER | STAR_SPOKE | STAR | PRIME
     center: Optional[Node] = None  # star center (for ss/star kinds)
 
@@ -138,9 +136,6 @@ class QuotientGraph:
         self.adj[a].add(b)
         self.adj[b].add(a)
 
-    def neighbors(self, node: Node) -> set[Node]:
-        return set(self.adj[node])
-
     def remove_node(self, node: Node) -> None:
         for w in self.adj.pop(node, ()):
             self.adj[w].discard(node)
@@ -152,9 +147,9 @@ class QuotientGraph:
         return g
 
     def local_complement_at(self, node: Node) -> None:
-        for a, b in itertools.combinations(self.adj[node], 2):
-            self.adj[a] ^= {b}
-            self.adj[b] ^= {a}
+        nb = self.adj[node]
+        for a in nb:
+            self.adj[a] ^= nb - {a}
 
     def leaf_nodes(self) -> set[int]:
         return {v for v in self.adj if isinstance(v, int)}
@@ -259,10 +254,10 @@ class Qasst:
         """Move ``side`` of quotient i into a new quotient m; returns m.
 
         ``side`` must be a split of quotient i with at least one node left
-        behind.  The new split-node pair stands in for each side's
-        boundary: s_i^m is joined to the nodes outside ``side`` that touch
-        it, s_m^i to the nodes of ``side`` that touch the rest.  Nodes
-        moved with ``side`` keep their names and are indexed under m.
+        behind.  Moved nodes keep their names and neighbour sets, indexed
+        under m.  The new pair stands in for each boundary: a moved node
+        trades its neighbours left behind for s_m^i, a node left behind its
+        neighbours in ``side`` for s_i^m; no other set is touched.
         """
         quot = self._edit(i)
         side = set(side)
@@ -270,17 +265,18 @@ class Qasst:
         self._fresh += 1
         s_im, s_mi = SplitNode(i, m), SplitNode(m, i)
         part = QuotientGraph([s_mi])
-        part.adj.update((v, quot.adj[v] & side) for v in side)
         across: set[Node] = set()
         for v in side:
-            if quot.adj[v] - side:
-                across |= quot.adj[v] - side
-                part.add_edge(s_mi, v)
-        for v in side:
-            quot.remove_node(v)
-        quot.adj[s_im] = set()
+            nb = part.adj[v] = quot.adj.pop(v)
+            if out := nb - side:
+                nb -= out
+                nb.add(s_mi)
+                part.adj[s_mi].add(v)
+                across |= out
         for w in across:
-            quot.add_edge(s_im, w)
+            quot.adj[w] -= side
+            quot.adj[w].add(s_im)
+        quot.adj[s_im] = across
         self.quotients[m] = part
         self._owned.add(m)
         self._place(part.adj, m)
@@ -526,19 +522,14 @@ def _check_bipartition(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[i
 
 
 def _mask_is_split(adj: list[int], amask: int, bmask: int) -> bool:
-    b1 = 0
-    m = amask
-    while m:
-        low = m & -m
-        b1 |= adj[low.bit_length() - 1] & bmask
-        m ^= low
-    m = amask
-    while m:
-        low = m & -m
+    first = 0
+    while amask:
+        low = amask & -amask
         cross = adj[low.bit_length() - 1] & bmask
-        if cross and cross != b1:
+        first = first or cross
+        if cross and cross != first:
             return False
-        m ^= low
+        amask ^= low
     return True
 
 
@@ -662,29 +653,17 @@ def eliminate_extensions(
     """
     adj = {v: neighborhood(g, v) for v in range(1, g.n + 1)}
     trace: list[tuple[str, int, int]] = []
-    changed = True
-    while changed and len(adj) > 1:
-        changed = False
+    while len(adj) > 1:
         verts = sorted(adj)
-        for v in verts:
-            if len(adj[v]) == 1:
-                anchor = next(iter(adj[v]))
-                adj[anchor].discard(v)
-                del adj[v]
-                trace.append(("pendant", anchor, v))
-                changed = True
-                break
-        if changed:
-            continue
-        for u, v in itertools.combinations(verts, 2):
-            if adj[u] - {v} == adj[v] - {u}:
-                kind = "true_twin" if v in adj[u] else "false_twin"
-                for w in adj[v]:
-                    adj[w].discard(v)
-                del adj[v]
-                trace.append((kind, u, v))
-                changed = True
-                break
+        pendants = (("pendant", next(iter(adj[v])), v) for v in verts if len(adj[v]) == 1)
+        twins = (("true_twin" if v in adj[u] else "false_twin", u, v)
+                 for u, v in itertools.combinations(verts, 2) if adj[u] - {v} == adj[v] - {u})
+        step = next(itertools.chain(pendants, twins), None)
+        if step is None:
+            break
+        for w in adj.pop(step[2]):
+            adj[w].discard(step[2])
+        trace.append(step)
     return adj, trace
 
 
@@ -704,8 +683,8 @@ def is_distance_hereditary(g: SimpleGraph) -> bool:
 
 
 def _local_bits(quot: QuotientGraph) -> tuple[list[Node], list[int]]:
-    """The nodes in sorted order, and each one's neighbours as a bitmask over that order."""
-    nodes = sorted(quot.nodes, key=node_sort_key)
+    """The nodes in the quotient's own order, unsorted, and each one's neighbours as a bitmask over it."""
+    nodes = list(quot.adj)
     bit = {v: 1 << k for k, v in enumerate(nodes)}
     return nodes, [sum(map(bit.__getitem__, quot.adj[v])) for v in nodes]
 

@@ -90,9 +90,8 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
             continue
         visited.add((i, node))
         quot = out._edit(i)
-        nbrs = quot.neighbors(node)
-        quot.local_complement_at(node)
-        for s in nbrs:
+        quot.local_complement_at(node)  # leaves node's own neighbours as they were
+        for s in quot.adj[node]:
             if isinstance(s, SplitNode):
                 stack.append((out.across(s), s.partner))
     return out
@@ -205,15 +204,15 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
     out = q.copy()
     i = out.leaf_quotient(e.anchor)
     quot = out._edit(i)
-    nbrs = {e.anchor} if e.tag == PENDANT else quot.neighbors(e.anchor)
-    if e.tag == TRUE_TWIN:
-        nbrs.add(e.anchor)
+    nbrs = set() if e.tag == FALSE_TWIN else {e.anchor}
+    if e.tag != PENDANT:
+        nbrs |= quot.adj[e.anchor]
     if not nbrs:
         raise NotConnectedError("false twin of an isolated vertex disconnects")
-    quot.adj[p] = set()
+    quot.adj[p] = nbrs
     out._home[p] = i
     for w in nbrs:
-        quot.add_edge(p, w)
+        quot.adj[w].add(p)
     if classify_quotient(quot).kind == PRIME:
         out.split_off(i, {e.anchor, p})
         out._checked = q._checked

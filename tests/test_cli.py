@@ -3,14 +3,20 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import random
+import re
+import shlex
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsplit import cli, families, graphs
+from lcsplit import cli, counting, families, graphs, orbit
+from lcsplit.errors import BudgetExceededError
 from lcsplit.graphs import SimpleGraph, from_json_dict
 
 
@@ -760,3 +766,209 @@ class TestInducedTreeChain:
         for induced in (tmp_path / "step1.json", path):
             assert cli.main(["reconstruct", "--input", str(induced)]) == cli.EXIT_USAGE
             assert capsys.readouterr().err == "lcsplit: leaf-nodes do not cover 1..n\n"
+
+
+class TestClosedPipe:
+    """A stdout pipe whose reader is gone is a usage error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("argv", [["gen", "path", "--params", "3"], ["verify"]], ids=["gen", "verify"])
+    def test_exits_two_with_one_line(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("LCSPLIT_BUDGET", None)
+        read, write = os.pipe()
+        os.close(read)  # no reader: every write to the pipe fails with EPIPE
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from lcsplit.cli import main; sys.exit(main())", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == cli.EXIT_USAGE
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lcsplit: cannot write output"), done.stderr
+
+
+def _orbit_input(tmp_path, *gen_args):
+    path = tmp_path / "g.json"
+    assert cli.main(["gen", *gen_args, "--output", str(path)]) == cli.EXIT_OK
+    return str(path)
+
+
+class TestOrbitByteCap:
+    """The orbit budget is lowered so that the members fit in ``orbit.MAX_ORBIT_BYTES``."""
+
+    def test_lowered_budget_exits_three(self, tmp_path, capsys, monkeypatch):
+        src = _orbit_input(tmp_path, "path", "--params", "8")
+        monkeypatch.setattr(orbit, "MAX_ORBIT_BYTES", 40 * (9 * 8 // 8 + 128))  # 40 members of P8
+        code = cli.main(["orbit", "size", "--input", src])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_BUDGET, "")
+        assert captured.err == "lcsplit: orbit budget exceeded: more than 40 members (found 40 before aborting)\n"
+        with pytest.raises(BudgetExceededError) as info:
+            orbit.enumerate_orbit(families.path_graph(8))
+        assert info.value.partial_count == 40
+
+    def test_no_member_fits_exits_two_before_flattening(self, tmp_path, capsys, monkeypatch):
+        def refuse(g):
+            raise AssertionError("flat integer built for a graph past the cap")
+
+        monkeypatch.setattr(orbit, "_flat", refuse)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 100000, "edges": [[99999, 100000]]}))
+        code = cli.main(["orbit", "size", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err == (
+            f"lcsplit: one orbit member of a 100000-vertex graph exceeds the {orbit.MAX_ORBIT_BYTES}-byte cap\n"
+        )
+
+
+# Every member of the orbit of K2,2, in the order `orbit list` writes them.
+_K22_MEMBERS = [
+    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], [(1, 2), (1, 3), (1, 4), (3, 4)],
+    [(1, 2), (1, 3), (2, 3), (3, 4)], [(1, 2), (1, 3), (3, 4)], [(1, 2), (1, 4), (2, 4), (3, 4)],
+    [(1, 2), (1, 4), (3, 4)], [(1, 2), (2, 3), (2, 4), (3, 4)], [(1, 2), (2, 3), (3, 4)],
+    [(1, 2), (2, 4), (3, 4)], [(1, 3), (1, 4), (2, 3), (2, 4)], [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+]
+
+
+def _pinned(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+class TestEveryAction:
+    """Each CLI action and refusal that no other test reaches, with its output pinned."""
+
+    def test_orbit_list(self, tmp_path, capsys):
+        src = _orbit_input(tmp_path, "complete_bipartite", "--params", "2,2")
+        code, out = run(capsys, "orbit", "list", "--input", src)
+        members = [graphs.to_json_dict(SimpleGraph(4, edges)) for edges in _K22_MEMBERS]
+        assert (code, out) == (0, _pinned(members))
+
+    @pytest.mark.parametrize("action, measure, value", [("min-edge", "edge_count", 3), ("min-degree", "max_degree", 2)])
+    def test_orbit_minima(self, tmp_path, capsys, action, measure, value):
+        src = _orbit_input(tmp_path, "complete_bipartite", "--params", "2,2")
+        code, out = run(capsys, "orbit", action, "--input", src)
+        best = graphs.to_json_dict(SimpleGraph(4, [(1, 2), (1, 3), (3, 4)]))
+        assert (code, out) == (0, _pinned({measure: value, "graph": best}))
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["iso-classes", "--family", "bipartite", "--params", "2,3"], "6"),
+            (["iso-classes", "--family", "kpartite", "--params", "2,2,2"], "5"),
+            (["phi", "--params", "2,2,2"], "81"),
+        ],
+    )
+    def test_counts(self, capsys, argv, value):
+        assert run(capsys, "count", *argv) == (0, value + "\n")
+
+    def test_lc_vertex(self, tmp_path, capsys):
+        src = _orbit_input(tmp_path, "path", "--params", "3")
+        code, out = run(capsys, "lc", "--vertex", "2", "--input", src)
+        assert (code, out) == (0, _pinned(graphs.to_json_dict(families.complete_graph(3))))
+
+    def test_limit_zero_exits_two(self, tmp_path, capsys):
+        src = _orbit_input(tmp_path, "path", "--params", "3")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["orbit", "size", "--limit", "0", "--input", src])
+        assert info.value.code == cli.EXIT_USAGE
+        assert "--limit must be >= 1" in capsys.readouterr().err
+
+    def test_env_budget_zero_exits_two(self, tmp_path, capsys, monkeypatch):
+        src = _orbit_input(tmp_path, "path", "--params", "3")
+        monkeypatch.setenv("LCSPLIT_BUDGET", "0")
+        code = cli.main(["orbit", "size", "--input", src])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", "lcsplit: LCSPLIT_BUDGET must be >= 1\n")
+
+    def test_verify_with_a_wrong_formula_exits_one(self, capsys, monkeypatch):
+        monkeypatch.delenv("LCSPLIT_BUDGET", raising=False)
+        monkeypatch.setattr(counting, "bipartite_orbit_size", lambda n, m: n * m + n + m + 4)
+        code, out = run(capsys, "verify", "--suite", "desk")
+        assert code == cli.EXIT_VERIFY
+        rows = [line.split()[:2] for line in out.splitlines()[2:-1]]
+        assert [status for _, status in rows] == ["FAIL"] + ["pass"] * 9 and rows[0][0] == "D01"
+        assert out.endswith("\n9/10 checks passed\n")
+
+    @pytest.mark.parametrize(
+        "quotients, message",
+        [
+            # Two quotients, neither with a split-node.
+            ([([1, 2], [], [[1, 2]]), ([3], [], [])], "quotient 0 has no split-node"),
+            # Three quotients joined in a cycle: three pairs, not two.
+            ([([1], [(0, 1), (0, 2)], [[1, (0, 1)], [1, (0, 2)]]),
+              ([2], [(1, 0), (1, 2)], [[2, (1, 0)], [2, (1, 2)]]),
+              ([3], [(2, 0), (2, 1)], [[3, (2, 0)], [3, (2, 1)]])],
+             "tree-edge count is not (quotients - 1)"),
+            # Four pairs for five quotients, but a 3-cycle and a separate edge.
+            ([([1], [(0, 1), (0, 2)], [[1, (0, 1)], [1, (0, 2)]]),
+              ([2], [(1, 0), (1, 2)], [[2, (1, 0)], [2, (1, 2)]]),
+              ([3], [(2, 0), (2, 1)], [[3, (2, 0)], [3, (2, 1)]]),
+              ([4], [(3, 4)], [[4, (3, 4)]]),
+              ([5], [(4, 3)], [[5, (4, 3)]])],
+             "quotient tree is disconnected"),
+        ],
+        ids=["bare-quotient", "edge-count", "disconnected"],
+    )
+    def test_tree_refusals(self, tmp_path, capsys, quotients, message):
+        def node(v):
+            return {"i": v[0], "j": v[1]} if isinstance(v, tuple) else v
+
+        payload = {
+            "quotients": [
+                {"leaf_nodes": leaves, "split_nodes": [node(s) for s in splits],
+                 "edges": [[node(a), node(b)] for a, b in edges]}
+                for leaves, splits, edges in quotients
+            ],
+            "tree_edges": [],
+        }
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(payload))
+        code = cli.main(["reconstruct", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"lcsplit: {message}\n")
+
+    def test_false_twin_on_the_one_vertex_tree(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        src.write_text('{"n": 1, "edges": []}')
+        tree = tmp_path / "q.json"
+        assert cli.main(["decompose", "--input", str(src), "--output", str(tree)]) == cli.EXIT_OK
+        code = cli.main(["qasst", "extend", "--kind", "false_twin", "--anchor", "1", "--input", str(tree)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err == "lcsplit: false twin of an isolated vertex disconnects\n"
+
+
+def _readme_examples():
+    """Each command line of README's CLI block that ends in ``# <integer>``, with that integer."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        match = re.fullmatch(r"(lcsplit .*?)\s+#\s*(\d+)\s*", line)
+        if match:
+            examples.append((match.group(1), int(match.group(2))))
+    return examples
+
+
+class TestReadmeExamples:
+    """README's worked examples run in-process; each stage's stdout is the next stage's stdin."""
+
+    def test_examples_are_found(self):
+        assert [value for _, value in _readme_examples()] == [11, 40, 120]
+
+    @pytest.mark.parametrize("line, value", _readme_examples())
+    def test_example(self, capsys, monkeypatch, line, value):
+        monkeypatch.delenv("LCSPLIT_BUDGET", raising=False)
+        out = ""
+        for stage in line.split("|"):
+            argv = shlex.split(stage)
+            assert argv[0] == "lcsplit"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            code, out = run(capsys, *argv[1:])
+            assert code == cli.EXIT_OK, stage
+        assert out == f"{value}\n"

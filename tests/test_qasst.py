@@ -1,5 +1,6 @@
 """Split decomposition, quotient trees, and distance-hereditary recognition."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -103,6 +104,21 @@ class TestSplits:
                     if 1 in a:
                         b = set(verts) - set(a)
                         assert is_strong(g, a, b) == brute(g, a, b), (g.edges(), a)
+
+    def test_is_split_is_its_definition(self):
+        """The crossing edges are exactly every pair between A's frontier and B's frontier."""
+        rng = random.Random(1802)
+        graphs = [g for n in range(2, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng.randint(6, 8), rng, rng.uniform(0.2, 0.7)) for _ in range(30)]
+        for g in graphs:
+            verts = set(range(1, g.n + 1))
+            for r in range(1, g.n):
+                for a in map(set, itertools.combinations(sorted(verts), r)):
+                    b = verts - a
+                    crossing = {(u, w) for u in a for w in b if g.has_edge(u, w)}
+                    frontiers = {u for u, _ in crossing}, {w for _, w in crossing}
+                    want = crossing == set(itertools.product(*frontiers))
+                    assert is_split(g, a, b) == want, (g.edges(), a)
 
     def test_strong_requires_connected(self):
         with pytest.raises(NotConnectedError):
@@ -431,6 +447,33 @@ class TestDistanceHereditary:
         kernel, trace = eliminate_extensions(g)
         assert len(kernel) == 1
         assert len(trace) == 5
+
+
+class TestEliminationOutput:
+    """Pendant/twin elimination's kernel and trace, pinned by one SHA-256."""
+
+    DIGEST = "9531b9a07694c4329c5437b9ce74f58fc2cb98e96af5f8497cd41989bdc68d80"
+
+    @staticmethod
+    def _graphs():
+        for n in range(1, 6):
+            yield from all_connected_graphs(n)
+        rng = random.Random(1801)
+        for _ in range(40):
+            yield random_dh(rng.randint(5, 60), rng.random())[0]
+        found = 0
+        while found < 40:
+            g = random_connected_graph(rng.randint(6, 40), rng, rng.uniform(0.05, 0.5))
+            if not is_distance_hereditary(g):
+                found += 1
+                yield g
+
+    def test_kernel_and_trace_digest(self):
+        h = hashlib.sha256()
+        for g in self._graphs():
+            kernel, trace = eliminate_extensions(g)
+            h.update(repr(([(v, sorted(nb)) for v, nb in kernel.items()], trace)).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestTreeBookkeeping:

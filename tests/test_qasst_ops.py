@@ -10,7 +10,7 @@ import pytest
 from helpers import all_connected_graphs, graphs_up_to_isomorphism, random_connected_graph
 from oracles import split_node_quotients
 from lcsplit.errors import InvalidVertexError, MalformedQasstError, NotConnectedError
-from lcsplit.families import cycle_graph, path_graph
+from lcsplit.families import clique_star_graph, complete_graph, cycle_graph, path_graph, star_graph
 from lcsplit.graphs import (
     SimpleGraph,
     induced_subgraph,
@@ -57,6 +57,16 @@ class TestLcPropagate:
             # Structure matches a fresh decomposition of the image.
             fresh = compute_qasst(local_complement(g, v))
             assert out.structure_key() == fresh.structure_key()
+
+    @pytest.mark.parametrize(
+        "g",
+        [star_graph(120), complete_graph(60), clique_star_graph((40, 40, 40), 1)],
+        ids=["star120", "complete60", "clique_star40x3"],
+    )
+    def test_large_star_and_complete_quotients(self, g):
+        q = compute_qasst(g)
+        for v in range(1, g.n + 1):
+            assert reconstruct(lc_propagate(q, v)) == local_complement(g, v), v
 
     def test_double_propagation_is_identity(self):
         g = cycle_graph(6)
