@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (a closed
 stdout pipe too), 3 orbit budget exceeded.  Output is deterministic for a
 fixed invocation and seed.  The environment variable LCSPLIT_BUDGET
 overrides the default orbit budget of 10**6 members, which is lowered so
-that the members fit in ``orbit.MAX_ORBIT_BYTES``.
+that the BFS's member store fits in ``orbit.MAX_ORBIT_BYTES``.
 """
 
 from __future__ import annotations
@@ -617,8 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="brute-force orbit queries")
     p.add_argument("action", choices=["size", "list", "min-edge", "min-degree", "transform"])
     p.add_argument("--to", default=None, help="target graph JSON (transform)")
-    p.add_argument("--limit", type=int, default=None, help="orbit member budget, lowered so that members "
-                   f"fit in {orbit.MAX_ORBIT_BYTES} bytes at (n+1)*n/8 + 128 bytes each (exit 2 if none fits)")
+    p.add_argument("--limit", type=int, default=None, help="orbit member budget, lowered so that the member "
+                   f"store fits in {orbit.MAX_ORBIT_BYTES} bytes, charged at (n+1)*n/8 + 128 bytes per member "
+                   "(exit 2 if none fits); the cap bounds that store, not the process")
     _add_io(p, formats=None)
     p.set_defaults(handler=cmd_orbit)
 

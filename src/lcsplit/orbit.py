@@ -24,8 +24,10 @@ from .graphs import apply_sequence
 from .graphs import canonical_key  # noqa: F401  the member key; callers also reach it as orbit.canonical_key
 
 DEFAULT_BUDGET = 10**6
-# Bytes an orbit may take at (n+1)*n/8 + 128 per member, within 10% of the peak tracemalloc bytes
-# per member on P40, P80 and P160 (309, 964, 3559); every n <= 86 keeps the default budget.
+# Bytes the BFS's member store may take, charged at (n+1)*n/8 + 128 per member, within 10% of the
+# peak tracemalloc bytes per member on P40, P80 and P160 (309, 964, 3559); every n <= 86 keeps the
+# default budget.  It bounds the store, not the process: the interpreter and the clique-mask cache
+# fall outside the charge.
 MAX_ORBIT_BYTES = 2**30
 
 
@@ -79,14 +81,15 @@ def enumerate_orbit(
 
     Deterministic: the frontier is FIFO and pivots are tried in ascending
     vertex order.  Raises :class:`BudgetExceededError` if the member count
-    would exceed ``limit``, lowered so that the members fit in
+    would exceed ``limit``, lowered so that the member store fits in
     :data:`MAX_ORBIT_BYTES`, and :class:`SizeLimitError` before anything is
     built if not even one member fits.
 
     Each graph is one integer with row u at bit ``u*(n+1)``.  A local
     complement at v reads N(v) with one shift and mask and xors in the
     clique mask of N(v), cached per call; a pivot with fewer than two
-    neighbours is the identity and is skipped.  Nothing is decoded here.
+    neighbours is the identity and is skipped, and an isolated vertex is
+    never tried.  Nothing is decoded here.
     """
     n = g.n
     if n < 1:
@@ -98,7 +101,8 @@ def enumerate_orbit(
         raise SizeLimitError(f"one orbit member of a {n}-vertex graph exceeds the {MAX_ORBIT_BYTES}-byte cap")
     width = n + 1
     row = (1 << width) - 1
-    shifts = [(v, v * width) for v in range(1, n + 1)]
+    # An LC toggles edges only among N(v), so an isolated vertex stays isolated and is never a pivot.
+    shifts = [(v, v * width) for v in range(1, n + 1) if g.neighborhood_mask(v)]
     cliques: dict[int, int] = {}
     # flat graph -> (predecessor, pivot) or None, in BFS order
     seen: dict[int, Optional[tuple[int, int]]] = {_flat(g): None}

@@ -44,6 +44,7 @@ import itertools
 import math
 from typing import Iterable, NamedTuple, Optional, Union
 
+from . import families
 from .errors import (
     InvalidSpecError,
     InvalidVertexError,
@@ -195,11 +196,12 @@ class Qasst:
     ``lc_propagate``, ``extend`` and ``induced_qasst`` derive from them,
     carry a record (``_checked``) that the tree passed :meth:`validate`,
     that every quotient is connected and that every quotient has at least
-    three nodes (or the tree is one quotient).  Ops trust it: a one-vertex
-    deletion then tests only the deleted vertex's quotient.  A tree built
-    by hand with ``Qasst(quotients)`` carries no record, and ops check it
-    in full; :meth:`split_off` and :meth:`merge` drop the record, as they
-    can break its premise.  Editing ``quotients[i]`` directly on a checked
+    three nodes (or the tree is one quotient).  Ops trust it: a deletion
+    then tests only the quotients it changed for connectivity, and one that
+    loses a single vertex is not validated.  A tree built by hand with
+    ``Qasst(quotients)`` carries no record, and ops check it in full;
+    :meth:`split_off` and :meth:`merge` drop the record, as they can break
+    its premise.  Editing ``quotients[i]`` directly on a checked
     tree is unsupported: the record would not follow.
     """
 
@@ -466,8 +468,9 @@ def _deletion_premise(q: Qasst) -> bool:
     """Whether every quotient is connected and has three or more nodes, or there is one quotient.
 
     With :meth:`Qasst.validate`, this is what a tree's check record
-    states, the premise of ``qasst_ops.induced_qasst``'s one-vertex rule.
-    It holds for every strong split tree of a connected graph.
+    states, the premise on which ``qasst_ops.induced_qasst`` tests only the
+    quotients a deletion changed, for every deletion.  It holds for every
+    strong split tree of a connected graph.
     """
     one = len(q.quotients) == 1
     return all(
@@ -584,17 +587,41 @@ def reconstruct(q: Qasst) -> SimpleGraph:
 
     Works even when the tree edges do not correspond to strong splits.
     The leaf-nodes must be 1..n, the vertices of a :class:`SimpleGraph`.
-    Each quotient is merged into the root of the rooted pass, once.
+    A linear-size tree can stand for a quadratic-size graph, so a graph
+    with more than ``families.MAX_EDGES`` edges (:func:`_edge_count`) is
+    refused with :class:`SizeLimitError` before the first merge.  Each
+    quotient is merged into the root of the rooted pass, once.
     """
     order, up = q.validate()
     n = len(q._home)
     if max(q._home) != n:  # distinct positive leaf-nodes are 1..n iff the largest is n
         raise MalformedQasstError("leaf-nodes do not cover 1..n")
+    if _edge_count(q, order, up) > families.MAX_EDGES:
+        raise SizeLimitError(f"reconstructed graphs are limited to {families.MAX_EDGES} edges")
     out = q.copy()
     for i in order[1:]:
         out.merge(up[i].partner)
     adj = out.quotients[order[0]].adj
     return SimpleGraph(n, [(u, v) for u in adj for v in adj[u] if u < v])
+
+
+def _edge_count(q: Qasst, order: list[int], up: dict) -> int:
+    """The edge count of a tree's graph, from one post-order pass over the rooted tree ``order``, ``up``.
+
+    D(x) is 1 at a leaf and, at a downward split-node, the number of
+    leaves its child reaches from the child's entry: the sum of D over
+    the entry's neighbours.  Each edge xy of a quotient with neither end at
+    its entry stands for D(x)·D(y) edges of the graph.
+    """
+    reach: dict[int, int] = {}
+    total = 0
+    for i in reversed(order):
+        adj, entry = q.quotients[i].adj, up[i]
+        d = {v: reach[q.across(v)] if isinstance(v, SplitNode) else 1 for v in adj if v != entry}
+        total += sum(d[x] * d[y] for x in d for y in adj[x] if y in d) // 2
+        if entry is not None:
+            reach[i] = sum(map(d.__getitem__, adj[entry]))
+    return total
 
 
 # -- classification ----------------------------------------------------------

@@ -7,14 +7,8 @@ Three ways a quotient tree evolves without being recomputed from scratch:
 - :func:`induced_qasst`: deleting vertices, then re-splitting the prime
   quotients that lost a node and re-merging quotient pairs whose
   connecting split stopped being strong.  Whether the kept vertices induce
-  a connected graph is read off the tree: a node of a quotient is live if
-  it is a kept leaf or a split-node with a kept leaf behind it, and the
-  kept set is connected iff the live nodes of every quotient induce a
-  connected subgraph.  Deleting one vertex v from a checked tree (see
-  :class:`Qasst`: every quotient connected with three or more nodes, or
-  the tree one quotient) needs only v's quotient: every split-node then
-  has two or more leaves behind it, so all stay live, and the rest is
-  connected iff v's quotient minus v is.
+  a connected graph is read once, after the deletion, off the quotients it
+  changed.
 - :func:`extend`: one-vertex extensions (pendant / false twin / true twin)
   adding any label the tree lacks: the new vertex joins the anchor's
   quotient, and {anchor, new} is split off into a fresh three-node quotient
@@ -100,63 +94,25 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
 # -- induced subgraph --------------------------------------------------------
 
 
-def _keeps_connected(q: Qasst, keep: set[int], order: list[int], up: dict) -> bool:
-    """Whether the kept leaves of a valid tree induce a connected graph.
-
-    ``order`` and ``up`` root the tree (:func:`_orient`, as returned by
-    :meth:`Qasst.validate`).  One post-order pass counts the kept leaves
-    below every quotient, so a downward split-node has its child's count
-    behind it and an upward one the total minus its own quotient's.  A
-    node is live if it is a kept leaf or a split-node with a kept leaf
-    behind it.  Two kept leaves are
-    adjacent exactly when the tree path between them alternates through
-    adjacent nodes, all of them live, so the kept set is connected iff the
-    live nodes of every quotient induce a connected subgraph (the
-    connectivity of a graph-labelled tree: Gioan, Paul, Tedder & Corneil
-    2014).  Linear in the size of the tree.
-    """
-    below: dict[int, int] = {}
-    for i in reversed(order):
-        below[i] = sum(
-            below[q.across(v)] if isinstance(v, SplitNode) else v in keep
-            for v in q.quotients[i].adj if v != up[i]
-        )
-    total = below[order[0]]
-    for i in order:
-        adj = q.quotients[i].adj
-        live = {
-            v for v in adj
-            if ((total - below[i] if v == up[i] else below[q.across(v)])
-                if isinstance(v, SplitNode) else v in keep)
-        }
-        if not _induces_connected(adj, live):
-            return False
-    return True
-
-
 def induced_qasst(q: Qasst, keep) -> Qasst:
     """Quotient tree of the induced subgraph on ``keep``.
 
-    Whether ``keep`` induces a connected graph is read off the tree,
-    without rebuilding the graph.  A tree with a check record (see
-    :class:`Qasst`) that loses exactly one vertex v takes the local rule:
-    every quotient is connected with three or more nodes, so every
-    split-node keeps a leaf behind it and the rest stays connected iff
-    v's quotient minus v is connected; nothing else of the tree is read.
-    Any other keep set, or a tree without the record, is validated and
-    tested in full (:func:`_keeps_connected`).
+    The excluded leaf-nodes are deleted and the tree is reduced: merging
+    across tree edges that are no longer strong splits also folds away
+    what is left of emptied subtrees.  Then every split-node has a kept
+    leaf behind it, so the kept vertices induce a connected graph iff every
+    quotient is connected (Gioan, Paul, Tedder & Corneil 2014).  With a
+    check record (see :class:`Qasst`) only the quotients that lost a node
+    or absorbed a merge can have changed, so only they are tested; without
+    it every quotient counts as touched.  The test precedes any split, as
+    the split search needs connected quotients: the changed quotients are
+    then re-split and the tree reduced once more (``qasst._resplit``).
 
-    Then the excluded leaf-nodes are deleted and the tree is reduced:
-    merging across tree edges that are no longer strong splits also folds
-    away what is left of emptied subtrees, which must happen before
-    anything is split again.  A prime quotient that lost a node may now
-    have a split, so every quotient that lost a node or absorbed a merge
-    is re-split and the tree reduced once more, by the same step as
-    ``compute_qasst`` (``qasst._resplit``).  The
-    result is the strong split tree of the induced subgraph (asserted
-    against the reference decomposition in the tests); quotients are not
-    renumbered and vertices keep their labels, so the result can be
-    induced again.
+    A tree is validated first unless it has the record and loses exactly
+    one vertex.  The result is the strong split tree of the induced
+    subgraph (asserted against the reference decomposition in the tests);
+    quotients are not renumbered and vertices keep their labels, so the
+    result can be induced again.
     """
     keep = list(keep)
     home = q._home
@@ -167,24 +123,20 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
         strays = set(keep) - home.keys()
         if strays:
             raise InvalidVertexError(f"keep set contains non-vertices: {sorted(strays)}")
-    if q._checked and len(gone) == 1:
-        (v,) = gone
-        adj = q.quotients[home[v]].adj
-        if not _induces_connected(adj, adj.keys() - {v}):
-            raise NotConnectedError("induced subgraph is not connected")
-    else:
-        order, up = q.validate()
-        if not _keeps_connected(q, home.keys() - gone, order, up):
-            raise NotConnectedError("induced subgraph is not connected")
+    if not (q._checked and len(gone) == 1):
+        q.validate()
 
     out = q.copy()
-    touched: set[int] = set()
+    touched = set() if q._checked else set(out.quotients)
     for v in gone:
         i = out._home.pop(v)
         out._edit(i).remove_node(v)
         touched.add(i)
-    touched |= _reduce(out, touched)
-    _resplit(out, touched & out.quotients.keys())
+    changed = (touched | _reduce(out, touched)) & out.quotients.keys()
+    quots = out.quotients
+    if not all(_induces_connected(quots[i].adj, set(quots[i].adj)) for i in changed):
+        raise NotConnectedError("induced subgraph is not connected")
+    _resplit(out, changed)
     out._checked = q._checked
     return out
 

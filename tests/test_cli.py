@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcsplit import cli, counting, families, graphs, orbit
+from helpers import random_connected_graph
+from lcsplit import cli, counting, families, graphs, orbit, qasst, qasst_ops
 from lcsplit.errors import BudgetExceededError
 from lcsplit.graphs import SimpleGraph, from_json_dict
 
@@ -525,6 +526,55 @@ class TestSizeCap:
         assert cli.main(["gen", "complete", "--params", str(graphs.MAX_VERTICES)]) == cli.EXIT_USAGE
         cap = families.MAX_EDGES
         assert capsys.readouterr().err == f"lcsplit: generated graphs are limited to {cap} edges\n"
+
+    @staticmethod
+    def _triangle_chain(n: int) -> dict:
+        """Tree JSON of K_n as a chain of n - 2 complete triangle quotients, one leaf each but at the ends."""
+        def s(i, j):
+            return {"i": i, "j": j}
+
+        k = n - 2
+        quotients = []
+        for i in range(k):
+            nodes = [s(i, j) for j in (i - 1, i + 1) if 0 <= j < k]
+            leaves = [1, 2] if i == 0 else [n - 1, n] if i == k - 1 else [i + 2]
+            ends = leaves + nodes
+            edges = [[a, b] for x, a in enumerate(ends) for b in ends[x + 1:]]
+            quotients.append({"leaf_nodes": leaves, "split_nodes": nodes, "edges": edges})
+        tree_edges = [[s(i, i + 1), s(i + 1, i)] for i in range(k - 1)]
+        return {"quotients": quotients, "tree_edges": tree_edges}
+
+    def test_reconstruct_at_the_edge_cap(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(self._triangle_chain(12)))
+        monkeypatch.setattr(families, "MAX_EDGES", 66)
+        assert cli.main(["reconstruct", "--input", str(path)]) == cli.EXIT_OK
+        g = from_json_dict(json.loads(capsys.readouterr().out))
+        assert g == families.complete_graph(12) and len(g.edges()) == 66
+
+    def test_reconstruct_over_the_edge_cap_exits_two_before_merging(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("merged past the edge cap")
+
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(self._triangle_chain(12)))
+        monkeypatch.setattr(families, "MAX_EDGES", 65)
+        monkeypatch.setattr(qasst.Qasst, "merge", refuse)
+        assert cli.main(["reconstruct", "--input", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "lcsplit: reconstructed graphs are limited to 65 edges\n"
+
+    def test_edge_count_matches_reconstruction(self):
+        rng = random.Random(2020)
+        for trial in range(120):
+            n = rng.randint(2, 24)
+            if trial % 2:
+                g, _ = qasst_ops.random_dh(n, rng.random())
+            else:
+                g = random_connected_graph(n, rng, rng.uniform(0.1, 0.6))
+            q = qasst.compute_qasst(g)
+            for _ in range(rng.randint(0, 4)):
+                q = qasst_ops.lc_propagate(q, rng.randint(1, n))
+            assert qasst._edge_count(q, *q.validate()) == len(qasst.reconstruct(q).edges())
 
 
 _SCALARS = (

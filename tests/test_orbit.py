@@ -80,6 +80,24 @@ class TestEnumeration:
         assert time.monotonic() - start < 10.0
         assert size == bouchet_cycle_count(12) == 170196
 
+    def test_isolated_vertices_are_never_pivots(self):
+        # C6 + P4 on the top-numbered vertices of an n-vertex graph; the rest stay isolated in every member.
+        def padded(n):
+            c, p = n - 9, n - 3
+            cycle = [(c + i, c + (i + 1) % 6) for i in range(6)]
+            return SimpleGraph(n, cycle + [(p + i, p + i + 1) for i in range(3)])
+
+        base = enumerate_orbit(padded(10))
+        want = (len(base), min_edge_member(base)[1], min_max_degree_member(base)[1])
+        assert want[0] == 4092
+        assert [(len(o), min_edge_member(o)[1], min_max_degree_member(o)[1])
+                for o in map(enumerate_orbit, (padded(11), padded(40)))] == [want, want]
+        # A floor, never to be loosened.
+        start = time.monotonic()
+        size = len(enumerate_orbit(padded(600)))
+        assert time.monotonic() - start < 10.0
+        assert size == want[0]
+
 
 class TestEquivalence:
     def test_star_and_complete_are_equivalent(self):

@@ -637,11 +637,11 @@ def _assert_one_vertex_rule_matches_full_path(q):
 
 
 class TestOneVertexDeletionRule:
-    """A one-vertex deletion from a checked tree tests only the deleted vertex's quotient.
+    """A one-vertex deletion from a checked tree tests only the quotients it changed.
 
-    It must answer exactly as the full path does (:meth:`Qasst.validate`
-    and ``_keeps_connected``), by ``structure_key`` and ``to_json_dict``,
-    or refuse with the same ``NotConnectedError``.
+    It must answer exactly as the full path does (:meth:`Qasst.validate`,
+    then every quotient reduced, tested and re-split), by ``structure_key``
+    and ``to_json_dict``, or refuse with the same ``NotConnectedError``.
     """
 
     @staticmethod
@@ -725,6 +725,50 @@ class TestOneVertexDeletionRule:
             assert induced_qasst(q, keep).structure_key() == want.structure_key()
 
 
+class TestTreesWithoutTheRecord:
+    """Induces on a valid tree without the check record give the strong split tree of the induced graph."""
+
+    @staticmethod
+    def _unreduced(g):
+        # Leaf 1 split off into a two-node quotient: valid, but not reduced, so read back without the record.
+        q = compute_qasst(g).copy()
+        q.split_off(q.leaf_quotient(1), {1})
+        out = from_json_dict(json.loads(json.dumps(to_json_dict(q))))
+        assert not out._checked and reconstruct(out) == g
+        return out
+
+    @staticmethod
+    def _assert_strong(q, g, keep):
+        sub, mapping = induced_subgraph(g, keep)
+        if is_connected(sub):
+            want = _relabel_leaves(compute_qasst(sub), mapping)
+            assert induced_qasst(q, keep).structure_key() == want.structure_key(), keep
+            return 1
+        with pytest.raises(NotConnectedError):
+            induced_qasst(q, keep)
+        return 0
+
+    def test_one_vertex_deletions(self):
+        kept = 0
+        for seed in range(12):
+            g = random_dh(14, seed)[0] if seed % 2 else random_connected_graph(12, random.Random(seed), 0.3)
+            q = self._unreduced(g)
+            for v in range(1, g.n + 1):
+                kept += self._assert_strong(q, g, [u for u in range(1, g.n + 1) if u != v])
+        assert kept > 100
+
+    def test_multi_vertex_deletions(self):
+        rng = random.Random(2001)
+        kept = 0
+        for trial in range(40):
+            n = rng.randint(8, 16)
+            g = random_dh(n, rng.random())[0] if trial % 2 else random_connected_graph(n, rng, 0.3)
+            q = self._unreduced(g)
+            for _ in range(4):
+                kept += self._assert_strong(q, g, sorted(rng.sample(range(1, n + 1), rng.randint(2, n - 2))))
+        assert kept > 40
+
+
 class TestOpsStayLocal:
     """One-vertex ops on a checked tree never walk the whole tree."""
 
@@ -735,14 +779,14 @@ class TestOpsStayLocal:
         return g, [q, from_json_dict(to_json_dict(q))]
 
     def test_no_whole_tree_pass(self, trees, monkeypatch):
-        from lcsplit import qasst_ops
+        from lcsplit import qasst
         from lcsplit.qasst import Qasst
 
         def boom(*args):
             raise AssertionError("whole-tree pass")
 
         monkeypatch.setattr(Qasst, "validate", boom)
-        monkeypatch.setattr(qasst_ops, "_keeps_connected", boom)
+        monkeypatch.setattr(qasst, "_orient", boom)
         g, both = trees
         kept = next(v for v in range(1, g.n + 1) if _connected_without(g, v))
         cut = next(v for v in range(1, g.n + 1) if not _connected_without(g, v))
