@@ -14,19 +14,22 @@ each (:meth:`Qasst.across`).  Only :meth:`Qasst.normalize` renames, to the
 location names JSON and DOT write.  Each quotient is an adjacency-set
 graph over these nodes (:class:`QuotientGraph`).
 
-Every tree is built in place by one primitive, :meth:`Qasst.split_off`,
-which moves one side of a split of a quotient into a new quotient, and
-taken apart by its inverse, :meth:`Qasst.merge`.  The decomposition
-(:func:`compute_qasst`) checks the graph and starts from it as one
-quotient (:func:`single_quotient_qasst`), then re-splits (:func:`_resplit`):
-every prime quotient is split along any nontrivial split, found in
-polynomial time by :func:`_split_side`, until every quotient is complete,
-a star or has no split, then the tree merges back across every tree edge
-that is not a strong split (:func:`_reduce`).  By Cunningham's uniqueness
-theorem (1982) the result is the strong split tree.  Distance-hereditary
-graphs take the same path; pendant/twin elimination
-(:func:`eliminate_extensions`) serves only :func:`is_distance_hereditary`.
-A one-vertex extension splits off {anchor, new}; ``qasst_ops.induced_qasst``
+A tree is split by one primitive, :meth:`Qasst.split_off`, which moves
+one side of a split of a quotient into a new quotient, and taken apart by
+its inverse, :meth:`Qasst.merge`.  The decomposition (:func:`compute_qasst`)
+checks the graph, then takes three steps.  It prunes pendants and twins
+off the graph's bit rows (:func:`_prune`).  It takes the kernel that is
+left as one quotient and re-splits it (:func:`_resplit`): every prime
+quotient is split along any nontrivial split, found in polynomial time by
+:func:`_split_side`, until every quotient is complete, a star or has no
+split, then the tree merges back across every tree edge that is not a
+strong split (:func:`_reduce`).  Then it replays the pruned vertices in
+reverse, in place, by the one-vertex extension step :func:`_extend`, which
+either adds the vertex to its anchor's quotient or splits off {anchor,
+new}; ``qasst_ops.extend`` is that step on a copy.  By Cunningham's
+uniqueness theorem (1982) the result is the strong split tree.  A
+distance-hereditary graph leaves a one-vertex kernel, which is how
+:func:`is_distance_hereditary` decides.  ``qasst_ops.induced_qasst``
 hands the quotients a deletion touched to :func:`_resplit`.  Brute-force
 strong-split search (:func:`_strong_side`) is kept only as the reference
 decomposition :func:`compute_qasst_by_splits`.  Whatever is read from the
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from typing import Iterable, NamedTuple, Optional, Union
 
 from . import families
@@ -98,6 +102,10 @@ def node_sort_key(node: Node) -> tuple:
 class QuotientKind(NamedTuple):
     kind: str  # COMPLETE | STAR_CENTER | STAR_SPOKE | STAR | PRIME
     center: Optional[Node] = None  # star center (for ss/star kinds)
+
+
+_COMPLETE_KIND = QuotientKind(COMPLETE)
+_PRIME_KIND = QuotientKind(PRIME)
 
 
 class QuotientGraph:
@@ -195,8 +203,9 @@ class Qasst:
     :func:`compute_qasst` and :func:`from_json_dict`, and the trees that
     ``lc_propagate``, ``extend`` and ``induced_qasst`` derive from them,
     carry a record (``_checked``) that the tree passed :meth:`validate`,
-    that every quotient is connected and that every quotient has at least
-    three nodes (or the tree is one quotient).  Ops trust it: a deletion
+    that every quotient is connected and has at least three nodes (or the
+    tree is one quotient), and that every tree edge joins kinds that may
+    sit across a strong split (:func:`join_validity`).  Ops trust it: a deletion
     then tests only the quotients it changed for connectivity, and one that
     loses a single vertex is not validated.  A tree built by hand with
     ``Qasst(quotients)`` carries no record, and ops check it in full;
@@ -397,9 +406,10 @@ class Qasst:
         each subtree, the one behind each downward split-node; a leafless
         quotient is never that root, so m lies behind its upward split-node.
         Split-nodes are renamed to location names: s_i^j in quotient i,
-        paired with s_j^i in quotient j.  The result carries this tree's
-        check record; when the numbering and the names are already
-        canonical it is a :meth:`copy`, sharing every quotient.
+        paired with s_j^i in quotient j.  The result's ``quotients`` dict
+        iterates in that order, 0..m-1, and it carries this tree's check
+        record; when the numbering, the dict's order and the names are
+        already canonical it is a :meth:`copy`, sharing every quotient.
         """
         leaves = {i: q.leaf_nodes() for i, q in self.quotients.items()}
         least = {i: min(ls) for i, ls in leaves.items() if ls}
@@ -417,13 +427,15 @@ class Qasst:
             return (0, tuple(sorted(behind)))
 
         old_order = sorted(self.quotients, key=order_key)
-        if old_order == list(range(len(old_order))) and all(s.i == i for s, i in self._where.items()):
+        if old_order == list(range(len(old_order))) == list(self.quotients) and all(
+            s.i == i for s, i in self._where.items()
+        ):
             out = self.copy()
             out._fresh = len(out.quotients)
             return out
         remap = {old: new for new, old in enumerate(old_order)}
         names = {s: SplitNode(remap[i], remap[self.across(s)]) for s, i in self._where.items()}
-        out = Qasst({remap[old]: q.relabelled(names) for old, q in self.quotients.items()})
+        out = Qasst({new: self.quotients[old].relabelled(names) for new, old in enumerate(old_order)})
         out._checked = self._checked
         return out
 
@@ -464,19 +476,33 @@ def _induces_connected(adj: dict, nodes: set) -> bool:
     return not nodes
 
 
-def _deletion_premise(q: Qasst) -> bool:
-    """Whether every quotient is connected and has three or more nodes, or there is one quotient.
+def _earns_record(q: Qasst, edges: list[tuple[SplitNode, SplitNode]]) -> bool:
+    """Whether a valid tree is reduced, as a strong split tree is: what its check record states.
 
-    With :meth:`Qasst.validate`, this is what a tree's check record
-    states, the premise on which ``qasst_ops.induced_qasst`` tests only the
-    quotients a deletion changed, for every deletion.  It holds for every
-    strong split tree of a connected graph.
+    Every quotient is connected with three or more nodes, or there is one,
+    and each tree edge in ``edges`` passes :func:`join_validity`
+    (Cunningham 1982); ``qasst_ops.induced_qasst`` relies on it.  Each
+    quotient is classified once; only those neither complete nor a star of
+    three or more nodes are searched for connectivity.
     """
     one = len(q.quotients) == 1
-    return all(
-        (one or len(quot.adj) >= 3) and _induces_connected(quot.adj, set(quot.adj))
-        for quot in q.quotients.values()
-    )
+    kinds = {}
+    for i, quot in q.quotients.items():
+        kind = kinds[i] = classify_quotient(quot)
+        small = len(quot.adj) < 3
+        if small and not one:
+            return False
+        if (small or kind.kind == PRIME) and not _induces_connected(quot.adj, set(quot.adj)):
+            return False
+    where = q._where
+    return all(join_validity(_oriented(kinds[where[s]], s), _oriented(kinds[where[t]], t)) for s, t in edges)
+
+
+def _oriented(kind: QuotientKind, s: SplitNode) -> str:
+    """An unoriented kind (:func:`classify_quotient`) as read from split-node s: c, sc, ss or prime."""
+    if kind.kind == STAR:
+        return STAR_CENTER if kind.center == s else STAR_SPOKE
+    return kind.kind
 
 
 def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
@@ -502,14 +528,17 @@ def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
     return far
 
 
-def single_quotient_qasst(g: SimpleGraph) -> Qasst:
-    """A connected graph as one quotient, where every decomposition starts."""
+def _check_decomposable(g: SimpleGraph) -> None:
     if g.n < 1:
         raise InvalidSpecError("decomposition needs n >= 1")
     if not is_connected(g):
         raise NotConnectedError("decomposition requires a connected graph")
+
+
+def _single_quotient(rows: dict[int, int]) -> Qasst:
+    """The graph on the vertices ``rows`` holds, each row a neighbour bitmask, as one quotient."""
     quotient = QuotientGraph()
-    quotient.adj = {v: neighborhood(g, v) for v in range(1, g.n + 1)}
+    quotient.adj = {v: set(_bits(row)) for v, row in rows.items()}
     return Qasst({0: quotient})
 
 
@@ -636,22 +665,21 @@ def classify_quotient(q: QuotientGraph, at: Optional[Node] = None) -> QuotientKi
     complete and star; callers that merge degenerate quotients special-case
     sizes <= 2).
     """
-    if at is not None and at not in q.nodes:
+    if at is not None and at not in q.adj:
         raise MalformedQasstError(f"node {at} not in quotient")
-    m = len(q.nodes)
+    m = len(q.adj)
     if m <= 2:
-        return QuotientKind(COMPLETE)
-    degs = [len(nb) for nb in q.adj.values()]
-    if degs.count(m - 1) == m:
-        return QuotientKind(COMPLETE)
-    if degs.count(m - 1) == 1 and degs.count(1) == m - 1:
+        return _COMPLETE_KIND
+    degs = list(map(len, q.adj.values()))
+    full = degs.count(m - 1)
+    if full == m:
+        return _COMPLETE_KIND
+    if full == 1 and degs.count(1) == m - 1:
         center = next(v for v, nb in q.adj.items() if len(nb) == m - 1)
         if at is None:
-            return QuotientKind(STAR, center=center)
-        if at == center:
-            return QuotientKind(STAR_CENTER, center=center)
-        return QuotientKind(STAR_SPOKE, center=center)
-    return QuotientKind(PRIME)
+            return QuotientKind(STAR, center)
+        return QuotientKind(STAR_CENTER if at == center else STAR_SPOKE, center)
+    return _PRIME_KIND
 
 
 def join_validity(a: str, b: str) -> bool:
@@ -661,11 +689,17 @@ def join_validity(a: str, b: str) -> bool:
     with complete, and star-center opposite star-spoke.  Prime joined with
     anything is valid.
     """
-    invalid = {(COMPLETE, COMPLETE), (STAR_CENTER, STAR_SPOKE), (STAR_SPOKE, STAR_CENTER)}
-    return (a, b) not in invalid
+    return (a, b) not in _INVALID_JOINS
+
+
+_INVALID_JOINS = frozenset({(COMPLETE, COMPLETE), (STAR_CENTER, STAR_SPOKE), (STAR_SPOKE, STAR_CENTER)})
 
 
 # -- pendant/twin elimination (reverse one-vertex extensions) -----------------
+
+PENDANT = "pendant"
+FALSE_TWIN = "false_twin"
+TRUE_TWIN = "true_twin"
 
 
 def eliminate_extensions(
@@ -676,14 +710,16 @@ def eliminate_extensions(
     Returns the irreducible kernel (adjacency dict over surviving original
     labels) and a list of (kind, anchor, removed) steps in removal order.
     Replaying the steps in reverse rebuilds g by one-vertex extensions.
-    A graph is distance-hereditary exactly when the kernel is one vertex.
+    It rescans every vertex pair after each removal and serves only the
+    tests and the benchmark, which pin its output; the library prunes by
+    :func:`_prune`.
     """
     adj = {v: neighborhood(g, v) for v in range(1, g.n + 1)}
     trace: list[tuple[str, int, int]] = []
     while len(adj) > 1:
         verts = sorted(adj)
-        pendants = (("pendant", next(iter(adj[v])), v) for v in verts if len(adj[v]) == 1)
-        twins = (("true_twin" if v in adj[u] else "false_twin", u, v)
+        pendants = ((PENDANT, next(iter(adj[v])), v) for v in verts if len(adj[v]) == 1)
+        twins = ((TRUE_TWIN if v in adj[u] else FALSE_TWIN, u, v)
                  for u, v in itertools.combinations(verts, 2) if adj[u] - {v} == adj[v] - {u})
         step = next(itertools.chain(pendants, twins), None)
         if step is None:
@@ -694,16 +730,109 @@ def eliminate_extensions(
     return adj, trace
 
 
+def _prune(g: SimpleGraph) -> tuple[dict[int, int], list[tuple[str, int, int]]]:
+    """Strip pendants and twins off a connected graph, on its bit rows, until none is left.
+
+    Returns the kernel (each survivor's row over the survivors) and the
+    (kind, anchor, removed) steps in removal order.  A row is the graph row
+    masked to the live vertices.  Vertices are examined in FIFO order: a
+    one-bit row is a pendant; otherwise the row, and the row with its own
+    bit, are looked up as exact keys among earlier vertices (false and true
+    twins).  A key holds the last vertex written under it.  Only the
+    vertex examined is removed, and it is examined again only after its row
+    lost a bit, so a key that is no longer a live vertex's row holds a
+    removed vertex's bit, which no live row holds: every hit is a twin.  A
+    removal queues each neighbour not yet queued, so every vertex off the
+    queue sits under its current keys, and an empty queue leaves no pendant
+    or twin.
+    """
+    adj = g._adj
+    alive = queued = (1 << g.n + 1) - 2
+    queue = deque(range(1, g.n + 1))
+    false_key: dict[int, int] = {}
+    true_key: dict[int, int] = {}
+    steps: list[tuple[str, int, int]] = []
+    while queue and len(steps) < g.n - 1:
+        v = queue.popleft()
+        bit = 1 << v
+        queued ^= bit
+        row = adj[v] & alive
+        if not row & (row - 1):
+            step = (PENDANT, row.bit_length() - 1, v)
+        elif (u := false_key.get(row)) is not None:
+            step = (FALSE_TWIN, u, v)
+        elif (u := true_key.get(row | bit)) is not None:
+            step = (TRUE_TWIN, u, v)
+        else:
+            false_key[row] = true_key[row | bit] = v
+            continue
+        steps.append(step)
+        alive ^= bit
+        new = row & ~queued
+        queued |= new
+        queue.extend(_bits(new))
+    return {v: adj[v] & alive for v in _bits(alive)}, steps
+
+
 def is_distance_hereditary(g: SimpleGraph) -> bool:
-    """True iff g reduces to one vertex by pendant/twin elimination.
+    """True iff g prunes to one vertex by pendant/twin elimination (:func:`_prune`).
 
     Equivalently (and checked in the tests): every quotient in the split
     decomposition is a star or complete graph.
     """
     if not is_connected(g):
         raise NotConnectedError("distance-hereditary test requires a connected graph")
-    kernel, _ = eliminate_extensions(g)
+    kernel, _ = _prune(g)
     return len(kernel) == 1
+
+
+def _extend(q: Qasst, kinds: dict[int, QuotientKind], tag: str, a: int, p: int) -> None:
+    """Add vertex p to tree q in place, by the one-vertex extension ``tag`` at leaf a.
+
+    ``kinds`` holds the unoriented kind (:func:`classify_quotient`) of a's
+    quotient Q, and is kept for every quotient the step makes or changes.
+    p joins Q when Q keeps its kind: Q complete and p a true twin, Q a star
+    centred at a and p a pendant, or Q a star with a as a spoke and p a
+    false twin.  Otherwise {a, p} is a strong split (Bandelt & Mulder
+    1986): a moves into a new quotient with the partner of the split-node
+    that takes its place in Q (and its role as Q's centre), and p joins
+    that quotient.  A quotient of one or two nodes takes p whatever it is.
+    On a strong split tree the result is the strong split tree.  Q is taken
+    from :meth:`Qasst._edit`, so a shared quotient is copied first.
+    """
+    i = q._home[a]
+    quot = q._edit(i)
+    kind, center = kinds[i]
+    nb = quot.adj[a]
+    if tag == FALSE_TWIN and not nb:
+        raise NotConnectedError("false twin of an isolated vertex disconnects")
+    keeps_kind = (kind == COMPLETE and tag == TRUE_TWIN
+                  or kind == STAR and tag != TRUE_TWIN and (center == a) == (tag == PENDANT))
+    if len(quot.adj) > 2 and not keeps_kind:
+        m = q._fresh
+        q._fresh += 1
+        s, t = SplitNode(i, m), SplitNode(m, i)
+        quot.adj[s] = quot.adj.pop(a)
+        for w in nb:
+            quot.adj[w].remove(a)
+            quot.adj[w].add(s)
+        if center == a:
+            kinds[i] = QuotientKind(STAR, s)
+        q._where[s], q._where[t] = i, m
+        i, quot = m, QuotientGraph.__new__(QuotientGraph)
+        quot.adj = {a: {t}, t: {a}}
+        nb = quot.adj[a]
+        q.quotients[m] = quot
+        q._owned.add(m)
+        q._home[a] = m
+    if len(quot.adj) <= 2:
+        kinds[i] = _COMPLETE_KIND if tag == TRUE_TWIN or not nb else QuotientKind(
+            STAR, a if tag == PENDANT else next(iter(nb)))
+    nbrs = {a} if tag == PENDANT else set(nb) if tag == FALSE_TWIN else nb | {a}
+    quot.adj[p] = nbrs
+    for w in nbrs:
+        quot.adj[w].add(p)
+    q._home[p] = i
 
 
 # -- decomposition -----------------------------------------------------------
@@ -860,7 +989,8 @@ def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
     Exponential in the component sizes (limited to 18 vertices); used as
     the independent oracle in tests.
     """
-    q = single_quotient_qasst(g)
+    _check_decomposable(g)
+    q = _single_quotient(dict(zip(range(1, g.n + 1), g._adj[1:])))
     _split_primes(q, _strong_side)
     q = q.normalize()
     q.validate()
@@ -868,17 +998,21 @@ def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
 
 
 def compute_qasst(g: SimpleGraph) -> Qasst:
-    """The unique minimal split decomposition of a connected graph.
+    """The unique minimal split decomposition of a connected graph, in three steps.
 
-    Starts from the graph as one quotient and re-splits it
-    (:func:`_resplit`): every prime quotient is split along any nontrivial
-    split (:func:`_split_side`, polynomial) until each is complete, a star
-    or unsplittable, then the tree is reduced to the strong split tree
-    (:func:`_reduce`).  Distance-hereditary and other graphs take the same
-    path.
+    Prune pendants and twins (:func:`_prune`), split the kernel that is left
+    as one quotient over its own labels (:func:`_resplit`), then replay the
+    pruned vertices in reverse, in place (:func:`_extend`), with each
+    quotient's kind kept in a dict seeded by one :func:`classify_quotient`
+    per kernel quotient.
     """
-    q = single_quotient_qasst(g)
+    _check_decomposable(g)
+    kernel, steps = _prune(g)
+    q = _single_quotient(kernel)
     _resplit(q)
+    kinds = {i: classify_quotient(quot) for i, quot in q.quotients.items()}
+    for tag, a, p in reversed(steps):
+        _extend(q, kinds, tag, a, p)
     q = q.normalize()
     q.validate()
     q._checked = True
@@ -912,7 +1046,7 @@ def _node_json(node: Node):
 
 def _node_from_json(nj) -> Node:
     if isinstance(nj, dict):
-        return SplitNode(json_int(nj["i"]), json_int(nj["j"]))
+        return tuple.__new__(SplitNode, (json_int(nj["i"]), json_int(nj["j"])))
     return json_int(nj)
 
 
@@ -924,9 +1058,12 @@ def from_json_dict(data: dict) -> Qasst:
     (in either orientation) listed twice in one quotient
     is refused, and so is a ``tree_edges`` list that is not the tree's
     split-node pairs, each once, in any order.  The tree carries a check
-    record (see :class:`Qasst`) when, besides, every quotient is connected
-    with three or more nodes, or there is one (:func:`_deletion_premise`).  A valid tree that breaks
-    this, say one with a two-node quotient, is accepted without the record.
+    record (see :class:`Qasst`) when, besides, it is reduced
+    (:func:`_earns_record`): every quotient is connected with three or more
+    nodes, or there is one, and every tree edge passes
+    :func:`join_validity`.  A valid tree that breaks this, say one with a
+    two-node quotient or two adjacent complete quotients, is accepted
+    without the record and is not reduced on load; ops then check it in full.
     """
     quotients = {}
     try:
@@ -951,10 +1088,10 @@ def from_json_dict(data: dict) -> Qasst:
         raise MalformedQasstError(f"malformed QASST JSON: {type(exc).__name__}: {exc}") from exc
     q = Qasst(quotients)
     q.validate()
-    pairs = {frozenset(pair) for pair in q.tree_edges()}
-    if len(tree_edges) != len(pairs) or set(tree_edges) != pairs:
+    edges = q.tree_edges()
+    if len(tree_edges) != len(edges) or set(tree_edges) != {frozenset(pair) for pair in edges}:
         raise MalformedQasstError("tree_edges are not the split-node pairs")
-    q._checked = _deletion_premise(q)
+    q._checked = _earns_record(q, edges)
     return q
 
 

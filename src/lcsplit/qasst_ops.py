@@ -11,8 +11,9 @@ Three ways a quotient tree evolves without being recomputed from scratch:
   changed.
 - :func:`extend`: one-vertex extensions (pendant / false twin / true twin)
   adding any label the tree lacks: the new vertex joins the anchor's
-  quotient, and {anchor, new} is split off into a fresh three-node quotient
-  if that quotient turned prime.
+  quotient if that keeps the quotient's kind, and otherwise {anchor, new}
+  is split off into a fresh three-node quotient.  It is the step
+  ``compute_qasst`` replays, on a copy.
 
 Each op leaves its input tree as it was and returns a new tree that shares
 every quotient the op did not change (:meth:`Qasst.copy`): ``lc_propagate``
@@ -36,20 +37,21 @@ from .errors import InvalidSpecError, InvalidVertexError, NotConnectedError
 from .graphs import SimpleGraph
 from .qasst import (
     COMPLETE,
+    FALSE_TWIN,
+    PENDANT,
     PRIME,
     STAR_CENTER,
     STAR_SPOKE,
+    TRUE_TWIN,
     Qasst,
     SplitNode,
+    _extend,
     _induces_connected,
     _reduce,
     _resplit,
     classify_quotient,
 )
 
-PENDANT = "pendant"
-FALSE_TWIN = "false_twin"
-TRUE_TWIN = "true_twin"
 EXTENSION_KINDS = (PENDANT, FALSE_TWIN, TRUE_TWIN)
 
 
@@ -148,26 +150,16 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
     """Quotient tree after the one-vertex extension e, adding vertex p.
 
     p is any positive integer the tree lacks (an induced tree may hold
-    n + 1).  If the anchor's quotient turns prime, {anchor, p} is a strong
-    split of it (Bandelt & Mulder 1986) and is split off.
+    n + 1).  A copy of the tree takes the step the decomposition replays
+    (``qasst._extend``), with the anchor's quotient classified once: p joins
+    it when it keeps its kind, and otherwise {anchor, p}, a strong split
+    (Bandelt & Mulder 1986), is split off into a new three-node quotient.
     """
     if type(p) is not int or p < 1 or p in q._home:
         raise InvalidVertexError(f"new vertex must be a positive integer the tree lacks, got {p!r}")
     out = q.copy()
     i = out.leaf_quotient(e.anchor)
-    quot = out._edit(i)
-    nbrs = set() if e.tag == FALSE_TWIN else {e.anchor}
-    if e.tag != PENDANT:
-        nbrs |= quot.adj[e.anchor]
-    if not nbrs:
-        raise NotConnectedError("false twin of an isolated vertex disconnects")
-    quot.adj[p] = nbrs
-    out._home[p] = i
-    for w in nbrs:
-        quot.adj[w].add(p)
-    if classify_quotient(quot).kind == PRIME:
-        out.split_off(i, {e.anchor, p})
-        out._checked = q._checked
+    _extend(out, {i: classify_quotient(out.quotients[i])}, e.tag, e.anchor, p)
     return out
 
 

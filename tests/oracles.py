@@ -8,7 +8,16 @@ from collections import deque
 
 from lcsplit.errors import NotConnectedError, SizeLimitError
 from lcsplit.graphs import SimpleGraph, induced_subgraph, is_connected, neighborhood
-from lcsplit.qasst import Qasst, SplitNode
+from lcsplit.qasst import (
+    COMPLETE,
+    STAR,
+    Qasst,
+    SplitNode,
+    _any_split,
+    classify_quotient,
+    join_validity,
+    reconstruct,
+)
 
 
 def dh_definition_oracle(g: SimpleGraph) -> bool:
@@ -90,3 +99,23 @@ def far_leaves(q: Qasst, s: SplitNode) -> frozenset:
             if where[t.partner] not in seen:
                 stack.append(where[t.partner])
     return frozenset(out)
+
+
+def assert_strong_split_tree(q: Qasst, g: SimpleGraph) -> None:
+    """Assert that q is the strong split tree of g, without brute force (Cunningham 1982).
+
+    q must reconstruct g; every quotient must have three or more nodes
+    (or be the only one) and be complete, a star or free of nontrivial
+    splits (the polynomial search ``_any_split``); and every tree edge must
+    join kinds that may sit across a strong split, each end classified at
+    its own split-node.
+    """
+    assert reconstruct(q) == g
+    where = split_node_quotients(q)
+    for quot in q.quotients.values():
+        assert len(quot.adj) >= 3 or len(q.quotients) == 1
+        assert classify_quotient(quot).kind in (COMPLETE, STAR) or _any_split(quot) is None
+    for s, i in where.items():
+        mine = classify_quotient(q.quotients[i], s).kind
+        theirs = classify_quotient(q.quotients[where[s.partner]], s.partner).kind
+        assert join_validity(mine, theirs), (s, mine, theirs)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from helpers import all_connected_graphs, random_connected_graph
-from oracles import dh_definition_oracle, far_leaves, split_node_quotients
+from oracles import assert_strong_split_tree, dh_definition_oracle, far_leaves, split_node_quotients
 from lcsplit.errors import MalformedQasstError, NotConnectedError
 from lcsplit.families import (
     complete_bipartite_graph,
@@ -19,8 +19,8 @@ from lcsplit.families import (
     star_graph,
 )
 from lcsplit import cli
-from lcsplit.graphs import SimpleGraph, apply_sequence, local_complement
-from lcsplit.qasst_ops import induced_qasst, lc_propagate, random_dh
+from lcsplit.graphs import SimpleGraph, _bits, apply_sequence, local_complement, neighborhood
+from lcsplit.qasst_ops import EXTENSION_KINDS, extend_graph, induced_qasst, lc_propagate, random_dh
 from lcsplit.qasst import (
     COMPLETE,
     PRIME,
@@ -41,8 +41,10 @@ from lcsplit.qasst import (
     join_validity,
     reconstruct,
     _all_split_masks,
+    _extend,
     _mask_is_split,
     _masks_cross,
+    _prune,
     _split_side,
     to_dot,
     to_json_dict,
@@ -221,6 +223,18 @@ class TestNormalize:
                 renumbered = shuffled.normalize()
                 assert not any(quot is shuffled.quotients.get(i) for i, quot in renumbered.quotients.items())
                 assert to_json_dict(renumbered) == to_json_dict(q)
+
+    def test_quotients_iterate_in_canonical_order(self):
+        # The same tree built in two dict orders normalizes to one iteration
+        # order, 0..m-1, which whatever walks `quotients` follows (symmetry's
+        # error messages, for one).
+        for g in self.sample_graphs():
+            q = compute_qasst(g)
+            m = len(q.quotients)
+            assert list(q.quotients) == list(range(m))
+            backwards = Qasst(dict(reversed(list(q.quotients.items()))))
+            assert list(backwards.normalize().quotients) == list(range(m))
+            assert to_json_dict(backwards) == to_json_dict(q)
 
 
 def _shuffled(q, rng):
@@ -447,6 +461,13 @@ class TestDistanceHereditary:
         kernel, trace = eliminate_extensions(g)
         assert len(kernel) == 1
         assert len(trace) == 5
+
+    def test_large_dh_recognition_within_time_floor(self):
+        # A floor, never to be loosened: whole-graph rescans took 27 s here.
+        g, _ = random_dh(800, 1)
+        start = time.monotonic()
+        assert is_distance_hereditary(g)
+        assert time.monotonic() - start < 10.0
 
 
 class TestEliminationOutput:
@@ -737,3 +758,112 @@ class TestOneCopyOfEachJob:
                 assert all(a < b for a, b in keys)
                 assert keys == sorted(keys)
                 assert len(edges) == len(quot.edges)
+
+
+def _hung(core, rng, count):
+    """``core`` with ``count`` pendants and twins hung at random anchors, the new vertices too."""
+    g = core
+    for _ in range(count):
+        g = extend_graph(g, rng.choice(EXTENSION_KINDS), rng.randint(1, g.n))
+    return g
+
+
+class TestPruneThenReplay:
+    """``compute_qasst`` prunes pendants and twins, splits the kernel and replays the rest in place.
+
+    Every tree is checked by the structural oracle (``assert_strong_split_tree``),
+    which needs no brute force, so the graphs may be large.
+    """
+
+    def test_prune_steps_and_kernel(self):
+        # Each step removes a pendant or twin of its anchor, in order, and
+        # the kernel that is left has neither.
+        rng = random.Random(2100)
+        graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(rng.randint(5, 14), rng, rng.uniform(0.1, 0.6)) for _ in range(100)]
+        graphs += [_hung(cycle_graph(rng.randint(5, 8)), rng, 12) for _ in range(30)]
+        for g in graphs:
+            kernel, steps = _prune(g)
+            adj = {v: neighborhood(g, v) for v in range(1, g.n + 1)}
+            for tag, a, p in steps:
+                nb = adj.pop(p)
+                want = {
+                    "pendant": nb == {a},
+                    "false_twin": nb == adj[a],
+                    "true_twin": nb - {a} == adj[a] - {p} != nb,
+                }
+                assert want[tag], (g.edges(), tag, a, p)
+                for w in nb:
+                    adj[w].discard(p)
+            assert {v: set(_bits(row)) for v, row in kernel.items()} == adj
+            assert len(kernel) == 1 or not any(
+                len(adj[u]) == 1 or adj[u] - {v} == adj[v] - {u} for u, v in itertools.combinations(adj, 2)
+            )
+            assert is_distance_hereditary(g) == (len(kernel) == 1)
+
+    def test_every_connected_graph_up_to_six(self):
+        count = 0
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                assert_strong_split_tree(compute_qasst(g), g)
+                count += 1
+        assert count == 1 + 1 + 4 + 38 + 728 + 26704
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(2101)
+        for _ in range(400):
+            g = random_connected_graph(rng.randint(4, 16), rng, rng.uniform(0.1, 0.7))
+            assert_strong_split_tree(compute_qasst(g), g)
+
+    def test_families(self):
+        for n in range(1, 61):
+            graphs = [path_graph(n), complete_graph(n), star_graph(n)]
+            graphs += [cycle_graph(n)] if n >= 3 else []
+            graphs += [complete_bipartite_graph(m, n - m) for m in {1, 2, n // 2} if 1 <= m < n]
+            for g in graphs:
+                assert_strong_split_tree(compute_qasst(g), g)
+
+    def test_prime_cores_with_pendants_and_twins(self):
+        rng = random.Random(2102)
+        cores = [cycle_graph(5), cycle_graph(6), cycle_graph(9)]
+        while len(cores) < 6:
+            g = random_connected_graph(rng.randint(5, 8), rng, 0.5)
+            if len(compute_qasst(g).quotients) == 1 and not is_distance_hereditary(g):
+                cores.append(g)
+        for core in cores:
+            # One vertex of each kind at each core vertex, and one of each at every vertex at once.
+            for anchor in range(1, core.n + 1):
+                for kind in EXTENSION_KINDS:
+                    g = extend_graph(core, kind, anchor)
+                    assert_strong_split_tree(compute_qasst(g), g)
+            for kind in EXTENSION_KINDS:
+                g = core
+                for anchor in range(1, core.n + 1):
+                    g = extend_graph(g, kind, anchor)
+                assert_strong_split_tree(compute_qasst(g), g)
+            for _ in range(10):
+                g = _hung(core, rng, rng.randint(1, 40))
+                assert_strong_split_tree(compute_qasst(g), g)
+
+    def test_replay_step_keeps_every_kind(self):
+        # After every step the kinds the step keeps are what classify_quotient
+        # reads, star centres included, from one vertex or from a prime core.
+        rng = random.Random(2105)
+        starts = [(SimpleGraph(1), random_dh(rng.randint(2, 40), rng.random())[1]) for _ in range(30)]
+        starts += [(cycle_graph(n), []) for n in (5, 6, 7) for _ in range(5)]
+        for g, trace in starts:
+            q = compute_qasst(g)
+            kinds = {i: classify_quotient(quot) for i, quot in q.quotients.items()}
+            if not trace:
+                trace = [(rng.choice(EXTENSION_KINDS), rng.randint(1, p - 1), p) for p in range(g.n + 1, 40)]
+            for tag, a, p in trace:
+                _extend(q, kinds, tag, a, p)
+                assert kinds == {i: classify_quotient(quot) for i, quot in q.quotients.items()}
+
+    def test_long_path_within_time_floor(self):
+        # A floor, never to be loosened: splitting the whole path took 13-19.5 s.
+        g = path_graph(6400)
+        start = time.monotonic()
+        q = compute_qasst(g)
+        assert time.monotonic() - start < 10.0
+        assert len(q.quotients) == 6398

@@ -19,7 +19,9 @@ from lcsplit.graphs import (
     neighborhood,
 )
 from lcsplit.qasst import (
+    COMPLETE,
     PRIME,
+    STAR,
     SplitNode,
     classify_quotient,
     compute_qasst,
@@ -316,6 +318,31 @@ class TestExtend:
                     out, subcase = extend(q, e, n + 1), extension_subcase(q, e)
                     assert subcase == want
                     assert reconstruct(out) == extend_graph(g, kind, anchor)
+
+    def test_every_tag_at_every_anchor_shape_equals_the_decomposition(self):
+        # extend is the step compute_qasst replays; on a copy of any strong
+        # split tree it gives, byte for byte, the extended graph's tree.
+        rng = random.Random(2103)
+        graphs = [SimpleGraph(1), path_graph(2), path_graph(3), complete_graph(4), star_graph(4)]
+        graphs += [cycle_graph(5), cycle_graph(6)]
+        graphs += [random_dh(rng.randint(4, 30), rng.random())[0] for _ in range(30)]
+        graphs += [random_connected_graph(rng.randint(5, 12), rng, rng.uniform(0.15, 0.5)) for _ in range(20)]
+        seen = set()
+        for g in graphs:
+            q = compute_qasst(g)
+            for anchor, kind in itertools.product(range(1, g.n + 1), EXTENSION_KINDS):
+                e = ExtensionKind(kind, anchor)
+                if kind == FALSE_TWIN and not neighborhood(g, anchor):
+                    with pytest.raises(NotConnectedError, match="false twin of an isolated vertex"):
+                        extend(q, e, g.n + 1)
+                    continue
+                out = extend(q, e, g.n + 1)
+                want = compute_qasst(extend_graph(g, kind, anchor))
+                assert to_json_dict(out) == to_json_dict(want), (g.edges(), kind, anchor)
+                assert out.structure_key() == want.structure_key() and out._checked
+                seen.add(extension_subcase(q, e))
+        shapes = {f"{shape}{tag}" for shape in "1234" for tag in "abc"}
+        assert seen == shapes | {"degenerate-1", "degenerate-2"}
 
     def test_rejects_wrong_new_vertex(self):
         # A label the tree holds, one below 1, or no int at all.
@@ -747,6 +774,35 @@ class TestTreesWithoutTheRecord:
         with pytest.raises(NotConnectedError):
             induced_qasst(q, keep)
         return 0
+
+    def test_unreduced_tree_from_json_loses_the_record(self):
+        # Two nodes split off a complete quotient of five or more, or two
+        # spokes off such a star: every quotient stays connected with three
+        # or more nodes, but the new edge joins c to c or sc to ss, so the
+        # tree read back is not reduced.  Trusting untouched edges there
+        # would keep the bad edge through a deletion.
+        rng = random.Random(2104)
+        trees = [compute_qasst(complete_graph(6)), compute_qasst(star_graph(5))]
+        while len(trees) < 12:
+            q = compute_qasst(random_dh(rng.randint(20, 60), rng.random())[0])
+            big = (quot for quot in q.quotients.values() if len(quot.adj) >= 5)
+            if any(classify_quotient(quot).kind in (COMPLETE, STAR) for quot in big):
+                trees.append(q)
+        kept, records = 0, []
+        for q in trees:
+            g = reconstruct(q)
+            q = q.copy()
+            i, kind = next(
+                (i, kind) for i, quot in sorted(q.quotients.items())
+                if len(quot.adj) >= 5 and (kind := classify_quotient(quot)).kind in (COMPLETE, STAR)
+            )
+            q.split_off(i, sorted((v for v in q.quotients[i].adj if v != kind.center), key=node_sort_key)[:2])
+            loaded = from_json_dict(json.loads(json.dumps(to_json_dict(q))))
+            assert reconstruct(loaded) == g
+            for v in range(1, g.n + 1):
+                kept += self._assert_strong(loaded, g, [u for u in range(1, g.n + 1) if u != v])
+            records.append(loaded._checked)
+        assert kept > 100 and not any(records)
 
     def test_one_vertex_deletions(self):
         kept = 0

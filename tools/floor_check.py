@@ -3,11 +3,13 @@
 ``tests/test_python_floor.py`` only parses the source in the grammar of
 the oldest Python that ``pyproject.toml`` admits.  This runs it: under each
 interpreter given, with ``PYTHONPATH`` set to the source, it runs
-``lcsplit verify --suite desk`` and the pipeline ``gen cycle --params 7 |
-decompose | qasst induce --keep 1,2,3,4,5 | reconstruct``, one process per
-stage.  It prints one line per interpreter and check, and exits 1 unless
-every run exits 0 and every interpreter prints the same bytes for each
-check as the first one.
+``lcsplit verify --suite desk`` and two pipelines, one process per stage:
+``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
+reconstruct``, and ``gen repeater --params 6 | decompose | qasst extend
+--kind false_twin --anchor 1 | reconstruct``, which takes pruning, the
+kernel split search, replay and the extension step.  It prints one line
+per interpreter and check, and exits 1 unless every run exits 0 and every
+interpreter prints the same bytes for each check as the first one.
 
 Example, from the root of the repository (or with ``--src`` pointing at
 another checkout's ``src``)::
@@ -32,6 +34,12 @@ CHECKS = {
         ["gen", "cycle", "--params", "7"],
         ["decompose"],
         ["qasst", "induce", "--keep", "1,2,3,4,5"],
+        ["reconstruct"],
+    ],
+    "extend pipeline": [
+        ["gen", "repeater", "--params", "6"],
+        ["decompose"],
+        ["qasst", "extend", "--kind", "false_twin", "--anchor", "1"],
         ["reconstruct"],
     ],
 }
