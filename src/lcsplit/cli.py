@@ -126,6 +126,9 @@ _STEP = {"[": 1, "{": 1, "]": -1, "}": -1, "[]": 0, "{}": 0}
 def _dump_json(data) -> str:
     """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte, from the C encoder.
 
+    It writes graphs and every other JSON payload but trees, which
+    ``qasst.to_json_text`` writes directly.
+
     ``indent`` sends ``json`` to its pure-Python encoder.  Instead the data
     is encoded compactly in C and each string token is set aside, leaving a
     bare ``"`` in its place, so that every bracket and comma left is
@@ -157,8 +160,24 @@ def _dump_json(data) -> str:
 
 
 def _emit(mod, obj, fmt: str, out: str) -> None:
-    """Write a graph (``mod`` = graphs) or quotient tree (``mod`` = qasst) as JSON or DOT."""
-    _write_text(mod.to_dot(obj) if fmt == "dot" else _dump_json(mod.to_json_dict(obj)), out)
+    """Write a graph (``mod`` = graphs) or quotient tree (``mod`` = qasst) as JSON or DOT.
+
+    A tree's JSON is written directly by ``qasst.to_json_text``, a graph's through :func:`_dump_json`.
+    A leaf-node past the interpreter's int -> str digit limit (``qasst extend`` adds the largest
+    label + 1) is refused in either format.
+    """
+    try:
+        if fmt == "dot":
+            text = mod.to_dot(obj)
+        elif mod is qasst:
+            text = qasst.to_json_text(obj)
+        else:
+            text = _dump_json(mod.to_json_dict(obj))
+    except LcsplitError:
+        raise
+    except ValueError as exc:
+        raise InvalidSpecError(f"an integer in the output is too long to write as {fmt.upper()}") from exc
+    _write_text(text, out)
 
 
 def _table(rows: list[list], header: list[str]) -> str:

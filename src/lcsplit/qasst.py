@@ -38,7 +38,9 @@ comes from one rooted pass, :func:`_orient`, in linear time; for the
 numbering, :meth:`Qasst.normalize` roots it at the least leaf.  A tree is
 checked once, where it enters (:func:`compute_qasst`, :func:`from_json_dict`),
 and indexes its nodes (see :class:`Qasst`), so that an op on it need not
-walk the whole tree.
+walk the whole tree.  JSON, as a dict (:func:`to_json_dict`) or as text
+(:func:`to_json_text`), and DOT (:func:`to_dot`) all print one listing of
+the normalized tree, :func:`_listing`, so the output order is stated once.
 """
 
 from __future__ import annotations
@@ -167,15 +169,30 @@ class QuotientGraph:
         return {v for v in self.adj if isinstance(v, SplitNode)}
 
     def __repr__(self) -> str:
-        ns = sorted(self.nodes, key=node_sort_key)
-        return f"QuotientGraph(nodes={ns}, edges={_sorted_edges(self)})"
+        nodes, _, edges = _listed(self)
+        return f"QuotientGraph(nodes={nodes}, edges={[[nodes[a], nodes[b]] for a, b in edges]})"
 
 
-def _sorted_edges(quot: QuotientGraph) -> list[list[Node]]:
-    """Every edge of a quotient as an ordered pair, in output order (:func:`node_sort_key`)."""
-    key = {v: node_sort_key(v) for v in quot.adj}
-    pairs = ([a, b] for a, nb in quot.adj.items() for b in nb if key[a] < key[b])
-    return sorted(pairs, key=lambda e: (key[e[0]], key[e[1]]))
+class _Listed(NamedTuple):
+    """A quotient in output order: what JSON, DOT and ``repr`` print of it."""
+
+    nodes: list[Node]  # leaf-nodes ascending, then split-nodes ascending (:func:`node_sort_key`)
+    leaves: int  # how many of ``nodes`` are leaf-nodes
+    edges: list[tuple[int, int]]  # every edge once, as positions (a, b) in ``nodes`` with a < b, sorted
+
+
+def _listed(quot: QuotientGraph) -> _Listed:
+    """A quotient's nodes and edges in output order."""
+    adj = quot.adj
+    leaves = [v for v in adj if type(v) is not SplitNode]
+    splits = [v for v in adj if type(v) is SplitNode]
+    leaves.sort()
+    splits.sort()
+    nodes = leaves + splits
+    pos = dict(zip(nodes, range(len(nodes))))
+    edges = [(k, b) for k, v in enumerate(nodes) for w in adj[v] if (b := pos[w]) > k]
+    edges.sort()
+    return _Listed(nodes, len(leaves), edges)
 
 
 class Qasst:
@@ -479,11 +496,13 @@ def _induces_connected(adj: dict, nodes: set) -> bool:
 def _earns_record(q: Qasst, edges: list[tuple[SplitNode, SplitNode]]) -> bool:
     """Whether a valid tree is reduced, as a strong split tree is: what its check record states.
 
-    Every quotient is connected with three or more nodes, or there is one,
-    and each tree edge in ``edges`` passes :func:`join_validity`
-    (Cunningham 1982); ``qasst_ops.induced_qasst`` relies on it.  Each
-    quotient is classified once; only those neither complete nor a star of
-    three or more nodes are searched for connectivity.
+    Every quotient is connected with three or more nodes, or there is one;
+    a prime quotient has no nontrivial split; and each tree edge in
+    ``edges`` passes :func:`join_validity` (Cunningham 1982);
+    ``qasst_ops.induced_qasst`` relies on it.  Each quotient is classified
+    once; only those neither complete nor a star of three or more nodes are
+    searched for connectivity, and those of three or more for a split
+    (:func:`_any_split`).
     """
     one = len(q.quotients) == 1
     kinds = {}
@@ -493,6 +512,8 @@ def _earns_record(q: Qasst, edges: list[tuple[SplitNode, SplitNode]]) -> bool:
         if small and not one:
             return False
         if (small or kind.kind == PRIME) and not _induces_connected(quot.adj, set(quot.adj)):
+            return False
+        if not small and kind.kind == PRIME and _any_split(quot) is not None:
             return False
     where = q._where
     return all(join_validity(_oriented(kinds[where[s]], s), _oriented(kinds[where[t]], t)) for s, t in edges)
@@ -1022,26 +1043,80 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
 # -- serialization -----------------------------------------------------------
 
 
-def to_json_dict(q: Qasst) -> dict:
+def _listing(q: Qasst) -> tuple[list[_Listed], list[tuple[SplitNode, SplitNode]]]:
+    """What every writer prints of a tree, in order: each quotient by number (:func:`_listed`), then the tree edges.
+
+    The tree is normalized once, so quotient i is listed i-th and its
+    split-nodes carry location names.
+    """
     q = q.normalize()
+    return [_listed(q.quotients[i]) for i in sorted(q.quotients)], q.tree_edges()
+
+
+def to_json_dict(q: Qasst) -> dict:
+    """The tree as JSON data, listed by :func:`_listing`; :func:`to_json_text` writes it as text."""
+    listed, tree_edges = _listing(q)
     quotients = []
-    for i in sorted(q.quotients):
-        quot = q.quotients[i]
+    for nodes, leaves, edges in listed:
         quotients.append(
             {
-                "leaf_nodes": sorted(quot.leaf_nodes()),
-                "split_nodes": [_node_json(s) for s in sorted(quot.split_nodes())],
-                "edges": [[_node_json(a), _node_json(b)] for a, b in _sorted_edges(quot)],
+                "leaf_nodes": nodes[:leaves],
+                "split_nodes": [_node_json(s) for s in nodes[leaves:]],
+                "edges": [[_node_json(nodes[a]), _node_json(nodes[b])] for a, b in edges],
             }
         )
-    tree_edges = [[_node_json(a), _node_json(b)] for a, b in q.tree_edges()]
-    return {"quotients": quotients, "tree_edges": tree_edges}
+    return {"quotients": quotients, "tree_edges": [[_node_json(a), _node_json(b)] for a, b in tree_edges]}
 
 
 def _node_json(node: Node):
     if isinstance(node, SplitNode):
         return {"i": node.i, "j": node.j}
     return node
+
+
+# _PAD[d] starts a line at depth d, as ``json.dumps(..., indent=2)`` does.
+_PAD = ["\n" + "  " * d for d in range(7)]
+
+
+def _list_text(items: list[str], d: int) -> str:
+    """A JSON list at depth d of items already written at depth d + 1."""
+    if not items:
+        return "[]"
+    return "[" + _PAD[d + 1] + ("," + _PAD[d + 1]).join(items) + _PAD[d] + "]"
+
+
+def _split_texts(splits: Iterable[SplitNode], d: int) -> list[str]:
+    """Each split-node as a JSON object at depth d."""
+    start, mid, end = "{" + _PAD[d + 1] + '"i": ', "," + _PAD[d + 1] + '"j": ', _PAD[d] + "}"
+    return [f"{start}{i}{mid}{j}{end}" for i, j in splits]
+
+
+def to_json_text(q: Qasst) -> str:
+    """``json.dumps(to_json_dict(q), indent=2, sort_keys=True)``, byte for byte, written directly.
+
+    No dict is built and no text is scanned again.  Each node's text is
+    made once per quotient, at the depth of an edge's ends (a split-node's
+    once more for the ``split_nodes`` list), and each edge is one f-string
+    over two of those texts.  Keys are written in sorted
+    order: ``quotients`` then ``tree_edges``; ``edges``, ``leaf_nodes``,
+    ``split_nodes``; ``i`` then ``j``.
+    """
+    listed, tree_edges = _listing(q)
+    start, mid, end = "[" + _PAD[5], "," + _PAD[5], _PAD[4] + "]"  # an edge pair at depth 4
+    quotients = []
+    for nodes, leaves, edges in listed:
+        leaf_texts = list(map(str, nodes[:leaves]))
+        texts = leaf_texts + _split_texts(nodes[leaves:], 5)
+        pairs = [f"{start}{texts[a]}{mid}{texts[b]}{end}" for a, b in edges]
+        quotients.append(
+            f'{{{_PAD[3]}"edges": {_list_text(pairs, 3)},'
+            f'{_PAD[3]}"leaf_nodes": {_list_text(leaf_texts, 3)},'
+            f'{_PAD[3]}"split_nodes": {_list_text(_split_texts(nodes[leaves:], 4), 3)}{_PAD[2]}}}'
+        )
+    start, mid, end = "[" + _PAD[3], "," + _PAD[3], _PAD[2] + "]"  # a tree-edge pair at depth 2
+    ends = _split_texts(itertools.chain.from_iterable(tree_edges), 3)
+    pairs = [f"{start}{s}{mid}{t}{end}" for s, t in zip(ends[::2], ends[1::2])]
+    return f'{{{_PAD[1]}"quotients": {_list_text(quotients, 1)},{_PAD[1]}"tree_edges": {_list_text(pairs, 1)}{_PAD[0]}}}'
 
 
 def _node_from_json(nj) -> Node:
@@ -1074,12 +1149,20 @@ def from_json_dict(data: dict) -> Qasst:
                 if s.i != i:  # JSON names split-nodes by location
                     raise MalformedQasstError(f"split-node {s} stored in quotient {i}")
                 nodes.append(s)
-            if len(set(nodes)) != len(nodes):
+            quotients[i] = QuotientGraph(nodes)
+            adj = quotients[i].adj
+            if len(adj) != len(nodes):
                 raise MalformedQasstError(f"quotient {i} lists a node twice")
+            # Every edge is read before any is placed, so a malformed one is reported before a bad one.
             edges = [(_node_from_json(a), _node_from_json(b)) for a, b in qd["edges"]]
-            quotients[i] = QuotientGraph(nodes, edges)
+            for a, b in edges:
+                na, nb = adj.get(a), adj.get(b)
+                if na is None or nb is None or a == b:
+                    raise MalformedQasstError(f"bad quotient edge { {a, b} }")
+                na.add(b)
+                nb.add(a)
             # Each edge is stored once per endpoint; one listed twice, in either orientation, is stored once.
-            if sum(map(len, quotients[i].adj.values())) != 2 * len(edges):
+            if sum(map(len, adj.values())) != 2 * len(edges):
                 raise MalformedQasstError(f"quotient {i} lists an edge twice")
         tree_edges = [frozenset(map(_node_from_json, pair)) for pair in data["tree_edges"]]
     except MalformedQasstError:
@@ -1097,20 +1180,20 @@ def from_json_dict(data: dict) -> Qasst:
 
 def to_dot(q: Qasst) -> str:
     """Quotient tree as DOT: leaf-nodes circles, split-nodes boxes."""
-    q = q.normalize()
+    listed, tree_edges = _listing(q)
     lines = ["graph QASST {"]
-    for i in sorted(q.quotients):
-        quot = q.quotients[i]
+    for i, (nodes, leaves, edges) in enumerate(listed):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="Q{i}";')
-        for v in sorted(quot.leaf_nodes()):
+        for v in nodes[:leaves]:
             lines.append(f'    q{i}_{v} [label="{v}", shape=circle];')
-        for s in sorted(quot.split_nodes()):
+        for s in nodes[leaves:]:
             lines.append(f'    {_dot_id(i, s)} [label="s{s.i}^{s.j}", shape=box];')
-        for a, b in _sorted_edges(quot):
-            lines.append(f"    {_dot_id(i, a)} -- {_dot_id(i, b)};")
+        ids = [_dot_id(i, v) for v in nodes]
+        for a, b in edges:
+            lines.append(f"    {ids[a]} -- {ids[b]};")
         lines.append("  }")
-    for a, b in q.tree_edges():
+    for a, b in tree_edges:
         lines.append(f"  {_dot_id(a.i, a)} -- {_dot_id(b.i, b)} [style=bold, color=red];")
     lines.append("}")
     return "\n".join(lines) + "\n"

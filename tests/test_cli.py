@@ -252,6 +252,18 @@ class TestCounts:
         code, out = run(capsys, "rep", "min-edge", "--family", "kpartite", "--params", params, "--format", "table")
         assert code == 0 and "value" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_tree_leaf_past_the_digit_limit_is_usage_error(self, tmp_path, capsys, fmt):
+        # The largest leaf the JSON parser reads, plus one, is one digit too long to print.
+        big = "9" * 4300
+        path = tmp_path / "q.json"
+        path.write_text(f'{{"quotients": [{{"leaf_nodes": [1, {big}], "split_nodes": [], "edges": [[1, {big}]]}}],'
+                        ' "tree_edges": []}')
+        code = cli.main(["qasst", "extend", "--kind", "pendant", "--anchor", "1", "--format", fmt, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert captured.err == f"lcsplit: an integer in the output is too long to write as {fmt.upper()}\n"
+
     def test_sym_enumerate_over_the_cap_is_usage_error(self, capsys):
         code = cli.main(["sym", "enumerate", "--family", "clique_star", "--params", ",".join(["2"] * 17)])
         captured = capsys.readouterr()
@@ -432,6 +444,32 @@ class TestRepeatedQuotientEdge:
         path.write_text(text)
         assert cli.main(["reconstruct", "--input", str(path)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == f"lcsplit: quotient {i} lists an edge twice\n"
+
+
+class TestQuotientRefusalMessages:
+    """Each fault in a quotient's node or edge list is refused with its own message; the first edge at fault decides."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"edges": [[1, 2], ', '"edges": [[1, 9], ', "bad quotient edge {1, 9}"),
+            ('"edges": [[1, 2], ', '"edges": [[2, 2], ', "bad quotient edge {2}"),
+            ('"edges": [[1, 2], ', '"edges": [[1, {"i": 0, "j": 5}], ', "bad quotient edge {1, SplitNode(i=0, j=5)}"),
+            ('"edges": [[1, 2], ', '"edges": [[1, 9], [1, "x"], ',
+             "malformed QASST JSON: TypeError: expected an integer, got 'x'"),
+            ('"edges": [[1, 2], ', '"edges": [[1, 2, 3], ',
+             "malformed QASST JSON: ValueError: too many values to unpack (expected 2)"),
+            ('"edges": [[1, 2], ', '"edges": [[1, {"i": 0}], ', "malformed QASST JSON: KeyError: 'j'"),
+            ('"leaf_nodes": [1, 2]', '"leaf_nodes": [1, 2, 2]', "quotient 0 lists a node twice"),
+        ],
+        ids=["unknown-endpoint", "self-loop", "unknown-split-node", "malformed-after-bad", "triple", "half-split-node",
+             "node-twice"],
+    )
+    def test_message(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "in.json"
+        path.write_text(_P4_TREE.replace(old, new, 1))
+        assert cli.main(["reconstruct", "--input", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"lcsplit: {message}\n"
 
 
 class TestSplitNodeLocationNames:
@@ -755,6 +793,16 @@ class TestJsonWriter:
     @given(_ANY_JSON)
     def test_any_json_value(self, data):
         assert cli._dump_json(data) == json.dumps(data, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("family, params", [("path", "1"), ("path", "2"), ("star", "5"), ("cycle", "5"), ("repeater", "6")])
+    def test_decompose_prints_the_direct_tree_text(self, tmp_path, capfdbinary, family, params):
+        src = tmp_path / "g.json"
+        assert cli.main(["gen", family, "--params", params, "--output", str(src)]) == cli.EXIT_OK
+        assert cli.main(["decompose", "--input", str(src)]) == cli.EXIT_OK
+        q = qasst.compute_qasst(from_json_dict(json.loads(src.read_text())))
+        text = qasst.to_json_text(q)
+        assert capfdbinary.readouterr().out == (text + "\n").encode()
+        assert text == json.dumps(qasst.to_json_dict(q), indent=2, sort_keys=True)
 
 
 class TestEmptyTree:

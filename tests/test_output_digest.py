@@ -4,17 +4,18 @@ Covers ``decompose`` JSON and DOT, ``strong_split_sides`` and the JSON of
 ``lc_propagate``, ``extend`` and one- and multi-vertex ``induced_qasst``
 results, over random distance-hereditary graphs, paths, cycles and random
 graphs that are not distance-hereditary.  Any change to what these print,
-quotient numbering included, changes the digest.
+quotient numbering included, changes the digest.  Tree JSON is written by
+``to_json_text``, as the CLI writes it.
 """
 
 import hashlib
+import json
 import random
 
 from helpers import random_connected_graph
-from lcsplit.cli import _dump_json
 from lcsplit.errors import LcsplitError
 from lcsplit.families import cycle_graph, path_graph
-from lcsplit.qasst import compute_qasst, to_dot, to_json_dict
+from lcsplit.qasst import compute_qasst, to_dot, to_json_dict, to_json_text
 from lcsplit.qasst_ops import EXTENSION_KINDS, ExtensionKind, extend, induced_qasst, lc_propagate, random_dh
 
 DIGEST = "f7527a5fab506dc5499bd3acbe79b343e520f60b2cd4a104118292a87754a99c"
@@ -32,25 +33,25 @@ def _graphs():
         yield random_connected_graph(rng.randint(6, 14), rng, rng.uniform(0.1, 0.6))
 
 
-def _outputs():
-    """Every output, in a fixed order; an op that raises gives its error."""
+def _outputs(write=to_json_text):
+    """Every output, in a fixed order, each tree's JSON by ``write``; an op that raises gives its error."""
     rng = random.Random(122)
 
     def attempt(op, *args):
         try:
-            return _dump_json(to_json_dict(op(*args)))
+            return write(op(*args))
         except LcsplitError as exc:
             return f"{type(exc).__name__}: {exc}"
 
     for g in _graphs():
         q = compute_qasst(g)
-        yield _dump_json(to_json_dict(q))
+        yield write(q)
         yield to_dot(q)
         yield repr(sorted(sorted(side) for side in q.strong_split_sides()))
         vertices = range(1, g.n + 1)
         for v in rng.sample(vertices, 2):
             out = lc_propagate(q, v)
-            yield _dump_json(to_json_dict(out))
+            yield write(out)
             yield to_dot(out)
         anchor = rng.choice(vertices)
         for kind in EXTENSION_KINDS:
@@ -67,6 +68,22 @@ def test_output_digest():
         h.update(text.encode())
         h.update(b"\0")
     assert h.hexdigest() == DIGEST
+
+
+def test_direct_writer_equals_json_dumps():
+    """``to_json_text`` prints what ``json.dumps(to_json_dict(q), indent=2, sort_keys=True)`` prints, on every tree."""
+    trees = 0
+
+    def write(q):
+        nonlocal trees
+        trees += 1
+        text = to_json_text(q)
+        assert text == json.dumps(to_json_dict(q), indent=2, sort_keys=True)
+        return text
+
+    for _ in _outputs(write):
+        pass
+    assert trees > 500
 
 
 def test_graph_set_has_leafless_quotients():

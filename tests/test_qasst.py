@@ -48,6 +48,7 @@ from lcsplit.qasst import (
     _split_side,
     to_dot,
     to_json_dict,
+    to_json_text,
 )
 
 
@@ -575,6 +576,25 @@ class TestSerialization:
             q2.validate()
             assert q2.structure_key() == q.structure_key()
             assert reconstruct(q2) == g
+
+    def test_direct_writer_on_every_shape(self):
+        # n = 1 lists no edge; one-quotient trees (n = 2, K_n, a star, C5)
+        # list no split-node and no tree edge; the rest have several
+        # quotients, one of them leafless, or arrive renumbered.
+        one_quotient = [path_graph(1), path_graph(2), complete_graph(6), star_graph(5), cycle_graph(5)]
+        trees = [compute_qasst(g) for g in one_quotient + [path_graph(7), complete_bipartite_graph(3, 4)]]
+        trees.append(compute_qasst(random_dh(40, 3)[0]))
+        trees.append(lc_propagate(trees[-1], 7))
+        split = compute_qasst(path_graph(9)).copy()
+        split.split_off(split.leaf_quotient(5), {5})
+        trees += [split, Qasst({})]
+        for q in trees:
+            assert to_json_text(q) == json.dumps(to_json_dict(q), indent=2, sort_keys=True)
+        listed = [to_json_dict(q) for q in trees]
+        assert [len(data["quotients"]) for data in listed[:5]] == [1] * 5
+        assert all(data["tree_edges"] == [] and data["quotients"][0]["split_nodes"] == [] for data in listed[:5])
+        assert listed[0]["quotients"][0]["edges"] == [] and listed[-1]["quotients"] == []
+        assert any(not quot["leaf_nodes"] for data in listed for quot in data["quotients"])
 
     def test_dot_output(self):
         dot = to_dot(compute_qasst(path_graph(4)))

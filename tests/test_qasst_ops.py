@@ -804,6 +804,28 @@ class TestTreesWithoutTheRecord:
             records.append(loaded._checked)
         assert kept > 100 and not any(records)
 
+    def test_prime_quotient_with_a_split_loses_the_record(self):
+        # C5 grown by pendants and twins, its prime quotient merged into a
+        # neighbour: every quotient stays connected with three or more nodes
+        # and every tree edge joins a prime quotient, but the merged one,
+        # classed prime, has a split.  Trusting it would keep it through a
+        # deletion elsewhere.
+        kept, records = 0, []
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = cycle_graph(5)
+            for _ in range(12):
+                g = extend_graph(g, rng.choice(EXTENSION_KINDS), rng.randint(1, g.n))
+            q = compute_qasst(g).copy()
+            i = next(i for i, quot in sorted(q.quotients.items()) if classify_quotient(quot).kind == PRIME)
+            q.merge(min(q.quotients[i].split_nodes()))
+            loaded = from_json_dict(json.loads(json.dumps(to_json_dict(q))))
+            assert reconstruct(loaded) == g
+            for v in range(1, g.n + 1):
+                kept += self._assert_strong(loaded, g, [u for u in range(1, g.n + 1) if u != v])
+            records.append(loaded._checked)
+        assert kept > 400 and not any(records)
+
     def test_one_vertex_deletions(self):
         kept = 0
         for seed in range(12):
