@@ -3,44 +3,34 @@
 A split of a connected graph is a bipartition of its vertices whose
 crossing edges form a complete bipartite subgraph; it is strong when no
 other split crosses it.  Collapsing the nontrivial strong splits yields a
-tree of quotient graphs.  Each collapsed split leaves behind a matched
-pair of split-nodes, one in each of the two quotients it separates; the
-quotients plus the pairing losslessly encode the original graph.
+tree of quotient graphs, joined by matched pairs of split-nodes; the
+quotients plus the pairing losslessly encode the graph.
 
-Quotient nodes are either original vertex ids (leaf-nodes, plain ints) or
-:class:`SplitNode` markers, ``SplitNode(a, b)`` paired with ``SplitNode(b, a)``
-under a name no edit rewrites; the tree indexes the quotient that holds
-each (:meth:`Qasst.across`).  Only :meth:`Qasst.normalize` renames, to the
-location names JSON and DOT write.  Each quotient is an adjacency-set
-graph over these nodes (:class:`QuotientGraph`).
+Quotient nodes are leaf-nodes (vertex ids, plain ints) or
+:class:`SplitNode` markers, ``SplitNode(a, b)`` paired with
+``SplitNode(b, a)`` under a name no edit rewrites; the tree indexes the
+quotient that holds each (:meth:`Qasst.across`), and only
+:meth:`Qasst.normalize` renames, to the location names JSON and DOT
+write.  A quotient is held as its kind (:class:`QuotientGraph`):
+complete, a star with its centre, or prime with adjacency sets, so a
+local complement flips a complete or star quotient in O(1).
 
-A tree is split by one primitive, :meth:`Qasst.split_off`, which moves
-one side of a split of a quotient into a new quotient, and taken apart by
-its inverse, :meth:`Qasst.merge`.  The decomposition (:func:`compute_qasst`)
-checks the graph, then takes three steps.  It prunes pendants and twins
-off the graph's bit rows (:func:`_prune`).  It takes the kernel that is
-left as one quotient and re-splits it (:func:`_resplit`): every prime
-quotient is split along any nontrivial split, found in polynomial time by
-:func:`_split_side`, until every quotient is complete, a star or has no
-split, then the tree merges back across every tree edge that is not a
-strong split (:func:`_reduce`).  Then it replays the pruned vertices in
-reverse, in place, by the one-vertex extension step :func:`_extend`, which
-either adds the vertex to its anchor's quotient or splits off {anchor,
-new}; ``qasst_ops.extend`` is that step on a copy.  By Cunningham's
-uniqueness theorem (1982) the result is the strong split tree.  A
-distance-hereditary graph leaves a one-vertex kernel, which is how
-:func:`is_distance_hereditary` decides.  ``qasst_ops.induced_qasst``
-hands the quotients a deletion touched to :func:`_resplit`.  Brute-force
-strong-split search (:func:`_strong_side`) is kept only as the reference
-decomposition :func:`compute_qasst_by_splits`.  Whatever is read from the
-whole tree (the leaves behind each split-node, the canonical numbering)
-comes from one rooted pass, :func:`_orient`, in linear time; for the
-numbering, :meth:`Qasst.normalize` roots it at the least leaf.  A tree is
-checked once, where it enters (:func:`compute_qasst`, :func:`from_json_dict`),
-and indexes its nodes (see :class:`Qasst`), so that an op on it need not
-walk the whole tree.  JSON, as a dict (:func:`to_json_dict`) or as text
-(:func:`to_json_text`), and DOT (:func:`to_dot`) all print one listing of
-the normalized tree, :func:`_listing`, so the output order is stated once.
+A tree is split by :meth:`Qasst.split_off` and merged back by its
+inverse, :meth:`Qasst.merge`.  :func:`compute_qasst` prunes pendants
+and twins off the graph's bit rows (:func:`_prune`), splits the kernel
+left along any split (:func:`_split_side`) until every quotient is
+complete, a star or has no split, merges back across every tree edge
+that is not a strong split (:func:`_reduce`), then replays the pruned
+vertices in reverse by the one-vertex extension step :func:`_extend`.
+By Cunningham's uniqueness theorem (1982) the result is the strong split
+tree; a distance-hereditary graph leaves a one-vertex kernel
+(:func:`is_distance_hereditary`).  Brute-force strong-split search is
+kept only as the reference :func:`compute_qasst_by_splits`.  Whatever is
+read from the whole tree comes from one rooted pass, :func:`_orient`.  A
+tree is checked once, where it enters (:func:`compute_qasst`,
+:func:`from_json_dict`).  JSON (:func:`to_json_dict`,
+:func:`to_json_text`) and DOT (:func:`to_dot`) print one listing of the
+normalized tree, :func:`_listing`.
 """
 
 from __future__ import annotations
@@ -48,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Collection, Iterable, NamedTuple, Optional, Union
 
 from . import families
 from .errors import (
@@ -111,88 +101,193 @@ _PRIME_KIND = QuotientKind(PRIME)
 
 
 class QuotientGraph:
-    """A small graph over leaf-nodes and split-nodes.
+    """A small graph over leaf-nodes and split-nodes, held as its kind.
 
-    Stored as adjacency sets: ``adj`` maps every node to the set of its
-    neighbours.  ``nodes`` and ``edges`` are read-only views of it.  Nodes
-    are renamed only into a new quotient, by :meth:`relabelled`.
+    A quotient holds its nodes in order and its ``kind``: ``COMPLETE``,
+    ``STAR`` with its ``center``, or ``PRIME`` (any other graph, a
+    disconnected one too), as degenerate nodes are held in the
+    graph-labelled trees of Gioan, Paul, Tedder & Corneil 2014.  ``_adj``
+    maps each node to its neighbour set if prime, else to None.  The kind
+    is read off the edges where a quotient is made (:meth:`_settle`) and
+    kept by rule by every edit; a connected quotient of two nodes or fewer
+    is complete.  ``adj`` and ``edges`` are read-only views, built afresh
+    for a complete or star quotient.  Nodes are renamed only into a new
+    quotient, by :meth:`relabelled`.
     """
 
-    __slots__ = ("adj",)
+    __slots__ = ("_adj", "kind", "center")
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Iterable[Node]] = ()):
-        self.adj: dict[Node, set[Node]] = {v: set() for v in nodes}
+        adj: dict[Node, set[Node]] = {v: set() for v in nodes}
         for e in edges:
             e = frozenset(e)
-            if len(e) != 2 or not all(v in self.adj for v in e):
+            if len(e) != 2 or not all(v in adj for v in e):
                 raise MalformedQasstError(f"bad quotient edge {set(e)}")
-            self.add_edge(*e)
+            a, b = e
+            adj[a].add(b)
+            adj[b].add(a)
+        self._adj = adj
+        self._settle()
+
+    @classmethod
+    def _of(cls, adj: dict, kind: Optional[str] = None, center: Optional[Node] = None) -> "QuotientGraph":
+        """A quotient over ``adj`` (taken, not copied) of ``kind``, or with none, of the kind its sets read."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        if kind is None:
+            g._settle()
+        else:
+            g._set_kind(kind, center)
+        return g
+
+    def _set_kind(self, kind: str, center: Optional[Node] = None) -> None:
+        if kind == STAR and len(self._adj) <= 2:  # one edge: complete
+            kind = COMPLETE
+        self.kind, self.center = kind, center if kind == STAR else None
+
+    def _settle(self) -> None:
+        """Read the kind off the adjacency sets, from degree counts; drop the sets unless prime."""
+        adj = self._adj
+        m = len(adj)
+        degs = list(map(len, adj.values()))
+        full = degs.count(m - 1)
+        kind, center = PRIME, None
+        if full == m:
+            kind = COMPLETE
+        elif full == 1 and degs.count(1) == m - 1:
+            kind, center = STAR, next(v for v, nb in adj.items() if len(nb) == m - 1)
+        if kind != PRIME:
+            self._adj = dict.fromkeys(adj)
+        self.kind, self.center = kind, center
 
     @property
     def nodes(self):
-        return self.adj.keys()
+        return self._adj.keys()
+
+    @property
+    def adj(self) -> dict:
+        if self.kind == PRIME:
+            return self._adj
+        return {v: set(self.neighbours(v)) for v in self._adj}
 
     @property
     def edges(self) -> frozenset:
         return frozenset(frozenset((a, b)) for a, nb in self.adj.items() for b in nb)
 
+    def neighbours(self, v: Node) -> Collection[Node]:
+        if self.kind == PRIME:
+            return self._adj[v]
+        if self.kind == STAR and v != self.center:
+            return (self.center,)
+        return [w for w in self._adj if w != v]
+
+    def degree(self, v: Node) -> int:
+        if self.kind == PRIME:
+            return len(self._adj[v])
+        return 1 if self.kind == STAR and v != self.center else len(self._adj) - 1
+
     def copy(self) -> "QuotientGraph":
         g = QuotientGraph.__new__(QuotientGraph)
-        g.adj = {v: nb.copy() for v, nb in self.adj.items()}
+        g._adj = {v: nb.copy() for v, nb in self._adj.items()} if self.kind == PRIME else self._adj.copy()
+        g.kind, g.center = self.kind, self.center
         return g
 
-    def add_edge(self, a: Node, b: Node) -> None:
-        if a == b:
-            raise MalformedQasstError("quotient self-loop")
-        self.adj[a].add(b)
-        self.adj[b].add(a)
-
     def remove_node(self, node: Node) -> None:
-        for w in self.adj.pop(node, ()):
-            self.adj[w].discard(node)
+        """Delete a node: a complete quotient stays complete and a star that loses a spoke a star."""
+        nb = self._adj.pop(node)
+        if self.kind == PRIME:
+            for w in nb:
+                self._adj[w].discard(node)
+        elif node == self.center:  # what is left has no edge
+            self._adj = {v: set() for v in self._adj}
+        else:
+            return self._set_kind(self.kind, self.center)
+        self._settle()
+
+    def rename(self, old: Node, new: Node) -> None:
+        """Rename node ``old`` to ``new``, in place; ``new`` takes its edges and its place as centre."""
+        nb = self._adj[new] = self._adj.pop(old)
+        if self.kind == PRIME:
+            for w in nb:
+                self._adj[w].remove(old)
+                self._adj[w].add(new)
+        elif self.center == old:
+            self.center = new
 
     def relabelled(self, names: dict) -> "QuotientGraph":
         """A copy with every node renamed through ``names``; unnamed nodes keep their names."""
-        g = QuotientGraph.__new__(QuotientGraph)
-        g.adj = {names.get(v, v): {names.get(w, w) for w in nb} for v, nb in self.adj.items()}
-        return g
+        name = names.get
+        if self.kind == PRIME:
+            adj = {name(v, v): {name(w, w) for w in nb} for v, nb in self._adj.items()}
+        else:
+            adj = {name(v, v): None for v in self._adj}
+        return QuotientGraph._of(adj, self.kind, name(self.center, self.center))
 
-    def local_complement_at(self, node: Node) -> None:
-        nb = self.adj[node]
-        for a in nb:
-            self.adj[a] ^= nb - {a}
+    def complemented_at(self, node: Node) -> "QuotientGraph":
+        """The quotient after a local complement at ``node``, whose neighbours stay as they were.
+
+        At a node of fewer than two neighbours, a star's spoke say, it is
+        this quotient.  A complete quotient becomes the star centred at
+        ``node`` and a star at its centre complete, sharing this one's node
+        list (see :class:`Qasst`); a prime quotient is copied and complemented.
+        """
+        if self.degree(node) < 2:
+            return self
+        if self.kind == PRIME:
+            g = self.copy()
+            nb = g._adj[node]
+            for a in nb:
+                g._adj[a] ^= nb - {a}
+            return g
+        return QuotientGraph._of(self._adj, STAR if self.kind == COMPLETE else COMPLETE, node)
+
+    def connected(self) -> bool:
+        """Whether the quotient is connected: a complete or star quotient always is."""
+        if self.kind != PRIME:
+            return True
+        nodes = set(self._adj)
+        if nodes:
+            todo = [nodes.pop()]
+            while todo and nodes:
+                new = self._adj[todo.pop()] & nodes
+                nodes -= new
+                todo += new
+        return not nodes
 
     def leaf_nodes(self) -> set[int]:
-        return {v for v in self.adj if isinstance(v, int)}
+        return {v for v in self._adj if isinstance(v, int)}
 
     def split_nodes(self) -> set[SplitNode]:
-        return {v for v in self.adj if isinstance(v, SplitNode)}
+        return {v for v in self._adj if isinstance(v, SplitNode)}
 
     def __repr__(self) -> str:
         nodes, _, edges = _listed(self)
         return f"QuotientGraph(nodes={nodes}, edges={[[nodes[a], nodes[b]] for a, b in edges]})"
 
 
-class _Listed(NamedTuple):
-    """A quotient in output order: what JSON, DOT and ``repr`` print of it."""
+def _listed(quot: QuotientGraph) -> tuple[list[Node], int, list[tuple[int, int]]]:
+    """A quotient in output order, as JSON, DOT and ``repr`` print it: nodes, leaf count, edges.
 
-    nodes: list[Node]  # leaf-nodes ascending, then split-nodes ascending (:func:`node_sort_key`)
-    leaves: int  # how many of ``nodes`` are leaf-nodes
-    edges: list[tuple[int, int]]  # every edge once, as positions (a, b) in ``nodes`` with a < b, sorted
-
-
-def _listed(quot: QuotientGraph) -> _Listed:
-    """A quotient's nodes and edges in output order."""
-    adj = quot.adj
+    The nodes are the leaf-nodes ascending, then the split-nodes ascending
+    (:func:`node_sort_key`); each edge is listed once, as positions (a, b)
+    with a < b, sorted; a complete or star quotient's edges come from its kind.
+    """
+    adj = quot._adj
     leaves = [v for v in adj if type(v) is not SplitNode]
     splits = [v for v in adj if type(v) is SplitNode]
     leaves.sort()
     splits.sort()
     nodes = leaves + splits
-    pos = dict(zip(nodes, range(len(nodes))))
-    edges = [(k, b) for k, v in enumerate(nodes) for w in adj[v] if (b := pos[w]) > k]
-    edges.sort()
-    return _Listed(nodes, len(leaves), edges)
+    if quot.kind == COMPLETE:
+        edges = list(itertools.combinations(range(len(nodes)), 2))
+    elif quot.kind == STAR:
+        c = nodes.index(quot.center)
+        edges = [(k, c) for k in range(c)] + [(c, k) for k in range(c + 1, len(nodes))]
+    else:
+        pos = dict(zip(nodes, range(len(nodes))))
+        edges = [(k, b) for k, v in enumerate(nodes) for w in adj[v] if (b := pos[w]) > k]
+        edges.sort()
+    return nodes, len(leaves), edges
 
 
 class Qasst:
@@ -201,34 +296,27 @@ class Qasst:
     Trees derived from one another share every quotient they have in
     common: :meth:`copy` copies only the ``quotients`` dict, and from then
     on neither tree owns the quotients in it.  Quotients are edited in
-    place only through ``Qasst`` methods, and each of those takes the
-    quotient from :meth:`_edit`, which first swaps one the tree does not
-    own for a copy of its own (copy-on-write).  A tree built from a dict of
-    quotients owns them all; code that edits ``quotients[i]`` directly is
-    safe only on such a tree, before it is copied, and only if it adds,
-    moves or deletes no node, which the indexes would miss.
+    place only through ``Qasst`` methods, which take them from
+    :meth:`_edit`: a quotient the tree does not own is first swapped for a
+    copy (copy-on-write).  ``lc_propagate`` only swaps in new quotients,
+    owned by no tree; a complete or star one shares its node list with the
+    quotient it replaces.  A tree built from a dict of quotients owns them
+    all; editing ``quotients[i]`` directly is safe only on such a tree,
+    before it is copied, if no node is added, moved or deleted.
 
-    Every tree keeps a leaf index, the quotient that holds each leaf-node
-    (:meth:`leaf_quotient`); its size is the leaf count; and a split-node
-    index, read through :meth:`across`.  Both are built with the tree and
-    kept up to date by :meth:`split_off`, :meth:`merge`, :meth:`normalize`
-    and the ops of ``qasst_ops``, each of which touches only the nodes it
-    moves, adds or deletes.  No edit renames a split-node, so ``split_off``
-    and ``merge`` edit only the two quotients they join.
+    A leaf index (:meth:`leaf_quotient`), whose size is the leaf count,
+    and a split-node index (:meth:`across`) are built with the tree and
+    kept by every edit, which touches only the nodes it moves, adds or
+    deletes.  No edit renames a split-node.
 
     A tree is checked once, where it enters.  Trees from
-    :func:`compute_qasst` and :func:`from_json_dict`, and the trees that
-    ``lc_propagate``, ``extend`` and ``induced_qasst`` derive from them,
-    carry a record (``_checked``) that the tree passed :meth:`validate`,
-    that every quotient is connected and has at least three nodes (or the
-    tree is one quotient), and that every tree edge joins kinds that may
-    sit across a strong split (:func:`join_validity`).  Ops trust it: a deletion
-    then tests only the quotients it changed for connectivity, and one that
-    loses a single vertex is not validated.  A tree built by hand with
-    ``Qasst(quotients)`` carries no record, and ops check it in full;
-    :meth:`split_off` and :meth:`merge` drop the record, as they can break
-    its premise.  Editing ``quotients[i]`` directly on a checked
-    tree is unsupported: the record would not follow.
+    :func:`compute_qasst` and :func:`from_json_dict`, and those the ops of
+    ``qasst_ops`` derive from them, carry a record (``_checked``) that the
+    tree is valid and reduced (:func:`_earns_record`).  Ops trust it: a
+    deletion then tests only the quotients it changed, and one that loses
+    a single vertex is not validated.  A tree from ``Qasst(quotients)``,
+    :meth:`split_off` or :meth:`merge` has no record and is checked in
+    full.  :meth:`normalize` sets a second, canonical record.
     """
 
     def __init__(self, quotients: dict[int, QuotientGraph]):
@@ -237,8 +325,9 @@ class Qasst:
         self._home: dict[int, int] = {}  # leaf-node -> quotient
         self._where: dict[SplitNode, int] = {}  # split-node -> quotient
         for i, q in quotients.items():
-            self._place(q.adj, i)
+            self._place(q.nodes, i)
         self._checked = False
+        self._canonical = False
         # Past every quotient number and every id in a split-node name.
         self._fresh = max(itertools.chain(quotients, *self._where), default=-1) + 1
 
@@ -250,6 +339,7 @@ class Qasst:
         out._home = dict(self._home)
         out._where = dict(self._where)
         out._checked = self._checked
+        out._canonical = self._canonical
         out._fresh = self._fresh
         self._owned.clear()
         return out
@@ -282,58 +372,93 @@ class Qasst:
         """Move ``side`` of quotient i into a new quotient m; returns m.
 
         ``side`` must be a split of quotient i with at least one node left
-        behind.  Moved nodes keep their names and neighbour sets, indexed
-        under m.  The new pair stands in for each boundary: a moved node
-        trades its neighbours left behind for s_m^i, a node left behind its
-        neighbours in ``side`` for s_i^m; no other set is touched.
+        behind; moved nodes keep their names.  A complete quotient is cut
+        into two complete ones, and a star into two stars, one centred at
+        the old centre and one at the split-node facing it.  In a prime
+        quotient a moved node trades its neighbours left behind for s_m^i,
+        a node left behind its neighbours in ``side`` for s_i^m, and each
+        piece is classified afresh.
         """
         quot = self._edit(i)
         side = set(side)
         m = self._fresh
         self._fresh += 1
         s_im, s_mi = SplitNode(i, m), SplitNode(m, i)
-        part = QuotientGraph([s_mi])
-        across: set[Node] = set()
+        rest = quot._adj
+        part = {s_mi: None if quot.kind != PRIME else set()}
         for v in side:
-            nb = part.adj[v] = quot.adj.pop(v)
-            if out := nb - side:
-                nb -= out
-                nb.add(s_mi)
-                part.adj[s_mi].add(v)
-                across |= out
-        for w in across:
-            quot.adj[w] -= side
-            quot.adj[w].add(s_im)
-        quot.adj[s_im] = across
-        self.quotients[m] = part
+            part[v] = rest.pop(v)
+        rest[s_im] = None
+        if quot.kind == PRIME:
+            across = rest[s_im] = set()
+            for v in side:
+                nb = part[v]
+                if out := nb - side:
+                    nb -= out
+                    nb.add(s_mi)
+                    part[s_mi].add(v)
+                    across |= out
+            for w in across:
+                rest[w] -= side
+                rest[w].add(s_im)
+            quot._settle()
+            piece = QuotientGraph._of(part)
+        elif quot.kind == COMPLETE:
+            quot._set_kind(COMPLETE)
+            piece = QuotientGraph._of(part, COMPLETE)
+        else:
+            c = quot.center
+            quot._set_kind(STAR, s_im if c in side else c)
+            piece = QuotientGraph._of(part, STAR, c if c in side else s_mi)
+        self.quotients[m] = piece
         self._owned.add(m)
-        self._place(part.adj, m)
+        self._place(part, m)
         self._where[s_im] = i
-        self._checked = False
+        self._checked = self._canonical = False
         return m
 
     def merge(self, s: SplitNode) -> None:
-        """Merge the quotient across s into s's own, across the pair (s, s.partner).
+        """Merge the quotient across s into s's own, across the pair (s, t = s.partner).
 
-        The inverse of :meth:`split_off`: the pair is dropped and every
-        neighbour of s is joined to every neighbour of its partner.  The
-        moved nodes keep their names and are indexed under s's quotient.
+        The inverse of :meth:`split_off`: the pair is dropped, every
+        neighbour of s is joined to every neighbour of t, and the moved
+        nodes keep their names.  A connected quotient of two nodes or fewer
+        gives the other its one node in place of the pair node, or none.
+        Complete with complete gives complete, and a star's centre against a
+        star's spoke a star; any other join is made on adjacency sets.
         """
         t = s.partner
-        i, j = self._where.pop(s), self._where.pop(t)
+        i, j = self._where[s], self._where[t]
         qa, qb = self._edit(i), self._edit(j)
         del self.quotients[j]
         self._owned.discard(j)
-        na, nb = qa.adj.pop(s), qb.adj.pop(t)
-        self._place(qb.adj, i)
-        qa.adj.update(qb.adj)
+        self._place(qb.nodes, i)
+        del self._where[s], self._where[t]
+        self._checked = self._canonical = False
+        for q1, n1, q2, n2 in ((qa, s, qb, t), (qb, t, qa, s)):
+            if q1.kind == COMPLETE and len(q1.nodes) <= 2:
+                x = next((v for v in q1.nodes if v != n1), None)
+                if x is None:
+                    q2.remove_node(n2)
+                else:
+                    q2.rename(n2, x)
+                self.quotients[i] = q2
+                return
+        if qa.kind == qb.kind != PRIME and (qa.kind == COMPLETE or (qa.center == s) != (qb.center == t)):
+            del qa._adj[s], qb._adj[t]
+            qa._adj.update(qb._adj)
+            qa._set_kind(qa.kind, qb.center if qa.center == s else qa.center)
+            return
+        adj, adj_b = qa.adj, qb.adj
+        na, nb = adj.pop(s), adj_b.pop(t)
+        adj.update(adj_b)
         for u in na:
-            qa.adj[u].discard(s)
-            qa.adj[u] |= nb
+            adj[u].discard(s)
+            adj[u] |= nb
         for w in nb:
-            qa.adj[w].discard(t)
-            qa.adj[w] |= na
-        self._checked = False
+            adj[w].discard(t)
+            adj[w] |= na
+        self.quotients[i] = QuotientGraph._of(adj)
 
     def tree_edges(self) -> list[tuple[SplitNode, SplitNode]]:
         """Every split-node pair once, as (s, s.partner) with s.i < s.j, sorted by s."""
@@ -364,13 +489,12 @@ class Qasst:
     def validate(self) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
         """Raise :class:`MalformedQasstError` unless this is a well-formed tree.
 
-        Every split-node name is used once, and its partner lives in
-        another quotient; the leaf-nodes are distinct positive integers,
-        not necessarily 1..n, and the pairs join the quotients into one
-        tree.  The partners are found by a pass over the nodes, not from
-        the split-node index, then one BFS, :func:`_orient`, whose result
-        is returned.  A tree with no quotients or no leaf-nodes is refused:
-        it stands for no graph.
+        Every split-node name is used once and its partner lives in another
+        quotient; the leaf-nodes are distinct positive integers, not
+        necessarily 1..n; the pairs join the quotients into one tree, read
+        by a pass over the nodes, not the index, then one BFS
+        (:func:`_orient`), whose result is returned.  A tree with no
+        quotients or no leaf-nodes stands for no graph and is refused.
         """
         if not self.quotients:
             raise MalformedQasstError("tree has no quotients")
@@ -379,7 +503,7 @@ class Qasst:
         where: dict[SplitNode, int] = {}
         for i, q in self.quotients.items():
             splits = 0
-            for s in q.adj:
+            for s in q._adj:
                 if not isinstance(s, SplitNode):
                     seen_leaves.append(s)
                     continue
@@ -415,19 +539,19 @@ class Qasst:
     def normalize(self) -> "Qasst":
         """Renumber quotients canonically, independent of the input numbering.
 
-        Quotients without leaf-nodes come first, ordered by the sorted
-        tuple of the least vertex behind each of their split-nodes (no two
-        leafless quotients share that tuple); leaf-bearing quotients follow
-        in ascending order of their least leaf.  One post-order pass rooted
-        at the quotient holding the least leaf m gives the least leaf of
-        each subtree, the one behind each downward split-node; a leafless
-        quotient is never that root, so m lies behind its upward split-node.
-        Split-nodes are renamed to location names: s_i^j in quotient i,
-        paired with s_j^i in quotient j.  The result's ``quotients`` dict
-        iterates in that order, 0..m-1, and it carries this tree's check
-        record; when the numbering, the dict's order and the names are
-        already canonical it is a :meth:`copy`, sharing every quotient.
+        Leafless quotients come first, ordered by the sorted tuple of the
+        least vertex behind each of their split-nodes (no two share it),
+        then the others by least leaf.  One post-order pass rooted at the
+        quotient holding the least leaf m gives each subtree's least leaf;
+        a leafless quotient is never that root, so m lies behind its upward
+        split-node.  Split-nodes get location names: s_i^j in quotient i.
+        The result iterates its quotients 0..m-1, keeps the check record
+        and has the canonical record (``_canonical``), which :meth:`copy`
+        and ``lc_propagate`` keep and any edit that adds, moves or deletes
+        a node drops.  Given a canonical tree, it is a :meth:`copy`.
         """
+        if self._canonical:
+            return self.copy()
         leaves = {i: q.leaf_nodes() for i, q in self.quotients.items()}
         least = {i: min(ls) for i, ls in leaves.items() if ls}
         m = min(least.values(), default=math.inf)
@@ -449,11 +573,12 @@ class Qasst:
         ):
             out = self.copy()
             out._fresh = len(out.quotients)
-            return out
-        remap = {old: new for new, old in enumerate(old_order)}
-        names = {s: SplitNode(remap[i], remap[self.across(s)]) for s, i in self._where.items()}
-        out = Qasst({new: self.quotients[old].relabelled(names) for new, old in enumerate(old_order)})
-        out._checked = self._checked
+        else:
+            remap = {old: new for new, old in enumerate(old_order)}
+            names = {s: SplitNode(remap[i], remap[self.across(s)]) for s, i in self._where.items()}
+            out = Qasst({new: self.quotients[old].relabelled(names) for new, old in enumerate(old_order)})
+            out._checked = self._checked
+        out._canonical = True
         return out
 
     def __repr__(self) -> str:
@@ -465,15 +590,14 @@ def _orient(
 ) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
     """Root the quotient tree at ``root`` (default: its least quotient), in one breadth-first pass.
 
-    Returns the quotients in BFS order (reversed, every quotient comes
-    after its children) and, for each quotient, its split-node that points
-    to its parent (None at the root).  Every other split-node ``s`` of a
-    quotient points down, to the child ``q.across(s)``.
+    Returns the quotients in BFS order (reversed, children first) and each
+    quotient's split-node that points to its parent (None at the root);
+    every other split-node ``s`` points down, to ``q.across(s)``.
     """
     order = [min(q.quotients) if root is None else root] if q.quotients else []
     up: dict[int, Optional[SplitNode]] = dict.fromkeys(order)
     for i in order:
-        for s in q.quotients[i].adj:
+        for s in q.quotients[i]._adj:
             if isinstance(s, SplitNode):
                 j = q.across(s)
                 if j not in up:
@@ -482,48 +606,24 @@ def _orient(
     return order, up
 
 
-def _induces_connected(adj: dict, nodes: set) -> bool:
-    """Whether ``nodes`` induce a connected subgraph of the adjacency sets ``adj``; empties ``nodes``."""
-    if nodes:
-        todo = [nodes.pop()]
-        while todo and nodes:
-            new = adj[todo.pop()] & nodes
-            nodes -= new
-            todo += new
-    return not nodes
-
-
 def _earns_record(q: Qasst, edges: list[tuple[SplitNode, SplitNode]]) -> bool:
     """Whether a valid tree is reduced, as a strong split tree is: what its check record states.
 
     Every quotient is connected with three or more nodes, or there is one;
-    a prime quotient has no nontrivial split; and each tree edge in
-    ``edges`` passes :func:`join_validity` (Cunningham 1982);
-    ``qasst_ops.induced_qasst`` relies on it.  Each quotient is classified
-    once; only those neither complete nor a star of three or more nodes are
-    searched for connectivity, and those of three or more for a split
-    (:func:`_any_split`).
+    a prime quotient has no nontrivial split (:func:`_any_split`); and each
+    tree edge in ``edges`` passes :func:`join_validity` (Cunningham 1982).
+    Only prime quotients are searched; the rest is read off stored kinds.
     """
     one = len(q.quotients) == 1
-    kinds = {}
-    for i, quot in q.quotients.items():
-        kind = kinds[i] = classify_quotient(quot)
-        small = len(quot.adj) < 3
-        if small and not one:
+    for quot in q.quotients.values():
+        small = len(quot.nodes) < 3
+        if small and not one or not quot.connected():
             return False
-        if (small or kind.kind == PRIME) and not _induces_connected(quot.adj, set(quot.adj)):
+        if not small and quot.kind == PRIME and _any_split(quot) is not None:
             return False
-        if not small and kind.kind == PRIME and _any_split(quot) is not None:
-            return False
-    where = q._where
-    return all(join_validity(_oriented(kinds[where[s]], s), _oriented(kinds[where[t]], t)) for s, t in edges)
-
-
-def _oriented(kind: QuotientKind, s: SplitNode) -> str:
-    """An unoriented kind (:func:`classify_quotient`) as read from split-node s: c, sc, ss or prime."""
-    if kind.kind == STAR:
-        return STAR_CENTER if kind.center == s else STAR_SPOKE
-    return kind.kind
+    quots, where = q.quotients, q._where
+    return all(join_validity(classify_quotient(quots[where[s]], s).kind, classify_quotient(quots[where[t]], t).kind)
+               for s, t in edges)
 
 
 def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
@@ -536,7 +636,7 @@ def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
     below: dict[int, frozenset] = {}
     for i in reversed(order):
         sub: set[int] = set()
-        for v in q.quotients[i].adj:
+        for v in q.quotients[i]._adj:
             if not isinstance(v, SplitNode):
                 sub.add(v)
             elif v != up[i]:
@@ -558,9 +658,7 @@ def _check_decomposable(g: SimpleGraph) -> None:
 
 def _single_quotient(rows: dict[int, int]) -> Qasst:
     """The graph on the vertices ``rows`` holds, each row a neighbour bitmask, as one quotient."""
-    quotient = QuotientGraph()
-    quotient.adj = {v: set(_bits(row)) for v, row in rows.items()}
-    return Qasst({0: quotient})
+    return Qasst({0: QuotientGraph._of({v: set(_bits(row)) for v, row in rows.items()})})
 
 
 # -- splits ------------------------------------------------------------------
@@ -633,14 +731,11 @@ def is_strong(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[int]) -> b
 
 
 def reconstruct(q: Qasst) -> SimpleGraph:
-    """The graph of a tree: every tree edge merged (:meth:`Qasst.merge`) on a copy.
+    """The graph of a tree: each quotient merged (:meth:`Qasst.merge`) into the root, on a copy.
 
-    Works even when the tree edges do not correspond to strong splits.
-    The leaf-nodes must be 1..n, the vertices of a :class:`SimpleGraph`.
-    A linear-size tree can stand for a quadratic-size graph, so a graph
-    with more than ``families.MAX_EDGES`` edges (:func:`_edge_count`) is
-    refused with :class:`SizeLimitError` before the first merge.  Each
-    quotient is merged into the root of the rooted pass, once.
+    Works even when the tree edges are not strong splits.  The leaf-nodes
+    must be 1..n.  A graph of more than ``families.MAX_EDGES`` edges
+    (:func:`_edge_count`) is refused with :class:`SizeLimitError` first.
     """
     order, up = q.validate()
     n = len(q._home)
@@ -658,19 +753,31 @@ def reconstruct(q: Qasst) -> SimpleGraph:
 def _edge_count(q: Qasst, order: list[int], up: dict) -> int:
     """The edge count of a tree's graph, from one post-order pass over the rooted tree ``order``, ``up``.
 
-    D(x) is 1 at a leaf and, at a downward split-node, the number of
-    leaves its child reaches from the child's entry: the sum of D over
-    the entry's neighbours.  Each edge xy of a quotient with neither end at
-    its entry stands for D(x)·D(y) edges of the graph.
+    D(x) is 1 at a leaf and, at a downward split-node, the number of leaves
+    its child reaches from the child's entry.  An edge xy of a quotient,
+    neither end its entry, stands for D(x)·D(y) edges.  With S the sum of D
+    off the entry, that is (S² − ΣD²)/2 in a complete quotient and
+    D(c)·(S − D(c)) in a star centred at c; a prime one sums its edges.
     """
     reach: dict[int, int] = {}
     total = 0
     for i in reversed(order):
-        adj, entry = q.quotients[i].adj, up[i]
-        d = {v: reach[q.across(v)] if isinstance(v, SplitNode) else 1 for v in adj if v != entry}
-        total += sum(d[x] * d[y] for x in d for y in adj[x] if y in d) // 2
+        quot, entry = q.quotients[i], up[i]
+        d = {v: reach[q.across(v)] if isinstance(v, SplitNode) else 1 for v in quot._adj if v != entry}
+        whole = sum(d.values())
+        if quot.kind == COMPLETE:
+            total += (whole * whole - sum(x * x for x in d.values())) // 2
+            behind = whole
+        elif quot.kind == STAR:
+            dc = d.get(quot.center, 0)  # 0 when the centre is the entry
+            total += dc * (whole - dc)
+            behind = whole if quot.center == entry else dc
+        else:
+            adj = quot._adj
+            total += sum(d[x] * d[y] for x in d for y in adj[x] if y in d) // 2
+            behind = sum(map(d.__getitem__, adj[entry])) if entry is not None else 0
         if entry is not None:
-            reach[i] = sum(map(d.__getitem__, adj[entry]))
+            reach[i] = behind
     return total
 
 
@@ -678,29 +785,18 @@ def _edge_count(q: Qasst, order: list[int], up: dict) -> int:
 
 
 def classify_quotient(q: QuotientGraph, at: Optional[Node] = None) -> QuotientKind:
-    """Shape of a quotient, oriented at a designated split-node.
+    """A quotient's stored kind, as seen from node ``at``: star-center or star-spoke for a star.
 
-    With ``at`` given, stars classify as star-center or star-spoke; without
-    it the unoriented shape (complete/star/prime) is returned.  One- and
-    two-node quotients classify as complete (they are simultaneously
-    complete and star; callers that merge degenerate quotients special-case
-    sizes <= 2).
+    Without ``at`` the unoriented kind (complete/star/prime) is returned.
+    One- and two-node quotients read as complete, even without an edge.
     """
-    if at is not None and at not in q.adj:
+    if at is not None and at not in q._adj:
         raise MalformedQasstError(f"node {at} not in quotient")
-    m = len(q.adj)
-    if m <= 2:
-        return _COMPLETE_KIND
-    degs = list(map(len, q.adj.values()))
-    full = degs.count(m - 1)
-    if full == m:
-        return _COMPLETE_KIND
-    if full == 1 and degs.count(1) == m - 1:
-        center = next(v for v, nb in q.adj.items() if len(nb) == m - 1)
+    if q.kind == STAR:
         if at is None:
-            return QuotientKind(STAR, center)
-        return QuotientKind(STAR_CENTER if at == center else STAR_SPOKE, center)
-    return _PRIME_KIND
+            return QuotientKind(STAR, q.center)
+        return QuotientKind(STAR_CENTER if at == q.center else STAR_SPOKE, q.center)
+    return _PRIME_KIND if q.kind == PRIME and len(q._adj) > 2 else _COMPLETE_KIND
 
 
 def join_validity(a: str, b: str) -> bool:
@@ -726,11 +822,8 @@ TRUE_TWIN = "true_twin"
 def eliminate_extensions(
     g: SimpleGraph,
 ) -> tuple[dict[int, set[int]], list[tuple[str, int, int]]]:
-    """Greedily strip pendants and twins, recording the reversed trace.
+    """Greedily strip pendants and twins: the kernel (adjacency sets) and the (kind, anchor, removed) steps.
 
-    Returns the irreducible kernel (adjacency dict over surviving original
-    labels) and a list of (kind, anchor, removed) steps in removal order.
-    Replaying the steps in reverse rebuilds g by one-vertex extensions.
     It rescans every vertex pair after each removal and serves only the
     tests and the benchmark, which pin its output; the library prunes by
     :func:`_prune`.
@@ -807,52 +900,48 @@ def is_distance_hereditary(g: SimpleGraph) -> bool:
     return len(kernel) == 1
 
 
-def _extend(q: Qasst, kinds: dict[int, QuotientKind], tag: str, a: int, p: int) -> None:
+def _extend(q: Qasst, tag: str, a: int, p: int) -> None:
     """Add vertex p to tree q in place, by the one-vertex extension ``tag`` at leaf a.
 
-    ``kinds`` holds the unoriented kind (:func:`classify_quotient`) of a's
-    quotient Q, and is kept for every quotient the step makes or changes.
-    p joins Q when Q keeps its kind: Q complete and p a true twin, Q a star
-    centred at a and p a pendant, or Q a star with a as a spoke and p a
-    false twin.  Otherwise {a, p} is a strong split (Bandelt & Mulder
-    1986): a moves into a new quotient with the partner of the split-node
-    that takes its place in Q (and its role as Q's centre), and p joins
-    that quotient.  A quotient of one or two nodes takes p whatever it is.
-    On a strong split tree the result is the strong split tree.  Q is taken
-    from :meth:`Qasst._edit`, so a shared quotient is copied first.
+    p joins a's quotient Q, only added to its node list, when Q keeps its
+    stored kind: Q complete and p a true twin, Q a star centred at a and p
+    a pendant, or Q a star with a as a spoke and p a false twin.
+    Otherwise {a, p} is a strong split (Bandelt & Mulder 1986): a moves
+    into a new quotient with the partner of the split-node that takes its
+    place (and role) in Q, and p joins that quotient.  A quotient of one
+    or two nodes takes p whatever it is: with a pendant it becomes the star
+    centred at a, with a false twin the star centred at a's neighbour, and
+    with a true twin it stays complete.  On a strong split tree the result
+    is the strong split tree.
     """
     i = q._home[a]
-    quot = q._edit(i)
-    kind, center = kinds[i]
-    nb = quot.adj[a]
-    if tag == FALSE_TWIN and not nb:
+    quot = q.quotients[i]
+    if tag == FALSE_TWIN and not quot.degree(a):
         raise NotConnectedError("false twin of an isolated vertex disconnects")
-    keeps_kind = (kind == COMPLETE and tag == TRUE_TWIN
-                  or kind == STAR and tag != TRUE_TWIN and (center == a) == (tag == PENDANT))
-    if len(quot.adj) > 2 and not keeps_kind:
+    q._canonical = False
+    if len(quot.nodes) > 2:
+        kind, center = quot.kind, quot.center
+        if (kind == COMPLETE and tag == TRUE_TWIN
+                or kind == STAR and tag != TRUE_TWIN and (center == a) == (tag == PENDANT)):
+            q._edit(i)._adj[p] = None
+            q._home[p] = i
+            return
         m = q._fresh
         q._fresh += 1
         s, t = SplitNode(i, m), SplitNode(m, i)
-        quot.adj[s] = quot.adj.pop(a)
-        for w in nb:
-            quot.adj[w].remove(a)
-            quot.adj[w].add(s)
-        if center == a:
-            kinds[i] = QuotientKind(STAR, s)
+        q._edit(i).rename(a, s)
         q._where[s], q._where[t] = i, m
-        i, quot = m, QuotientGraph.__new__(QuotientGraph)
-        quot.adj = {a: {t}, t: {a}}
-        nb = quot.adj[a]
-        q.quotients[m] = quot
-        q._owned.add(m)
+        i, quot = m, QuotientGraph._of({a: None, t: None}, COMPLETE)
         q._home[a] = m
-    if len(quot.adj) <= 2:
-        kinds[i] = _COMPLETE_KIND if tag == TRUE_TWIN or not nb else QuotientKind(
-            STAR, a if tag == PENDANT else next(iter(nb)))
-    nbrs = {a} if tag == PENDANT else set(nb) if tag == FALSE_TWIN else nb | {a}
-    quot.adj[p] = nbrs
-    for w in nbrs:
-        quot.adj[w].add(p)
+    if quot.kind == PRIME:  # two nodes and no edge: p joins a alone
+        adj = {v: set() for v in quot.nodes}
+        adj[a].add(p)
+        adj[p] = {a}
+        q.quotients[i] = QuotientGraph._of(adj)
+    else:
+        center = a if tag == PENDANT else next((v for v in quot.nodes if v != a), None)
+        q.quotients[i] = QuotientGraph._of({**quot._adj, p: None}, COMPLETE if tag == TRUE_TWIN else STAR, center)
+    q._owned.add(i)
     q._home[p] = i
 
 
@@ -938,25 +1027,24 @@ def _split_primes(q: Qasst, find, work: Optional[Iterable[int]] = None) -> set[i
     """Split prime quotients until every quotient is complete, a star or unsplittable.
 
     ``find(quot)`` returns one side of a nontrivial split or None: the
-    brute-force :func:`_strong_side` for the reference decomposition, whose
-    strong splits give the strong split tree directly, or the polynomial
-    :func:`_any_split`, whose result :func:`_reduce` must then merge back
-    across the splits that were not strong.  ``work`` limits the search to
-    the given quotients and the pieces split off them (default: all).  The
-    smaller side of each split is the one moved.  Returns the quotients
-    that were split or split off.
+    brute-force :func:`_strong_side`, whose strong splits give the strong
+    split tree directly, or the polynomial :func:`_any_split`, whose result
+    :func:`_reduce` must then merge back across splits that are not strong.
+    ``work`` limits the search to the given quotients and their pieces
+    (default: all).  The smaller side is moved.  Returns the quotients
+    split or split off.
     """
     work = list(q.quotients if work is None else work)
     changed: set[int] = set()
     while work:
         i = work.pop()
         quot = q.quotients[i]
-        if classify_quotient(quot).kind != PRIME:
+        if quot.kind != PRIME:
             continue
         side = find(quot)
         if side is not None:
-            if 2 * len(side) > len(quot.adj):
-                side = quot.adj.keys() - side
+            if 2 * len(side) > len(quot.nodes):
+                side = quot.nodes - side
             m = q.split_off(i, side)
             work += [i, m]
             changed |= {i, m}
@@ -979,11 +1067,9 @@ def _reduce(q: Qasst, around: Iterable[int]) -> set[int]:
     """Merge across tree edges that are not strong splits until none is left.
 
     Only the edges at the quotients in ``around``, and at each quotient
-    that absorbs a merge, are checked: every other edge must already be a
-    strong split.  When every quotient is complete, a star or has no
-    nontrivial split, the result is the unique reduced split tree
-    (Cunningham 1982), the strong split tree.  Returns the quotients that
-    absorbed a merge.
+    that absorbs a merge, are checked.  When every quotient is complete, a
+    star or has no nontrivial split, the result is the unique reduced split
+    tree (Cunningham 1982).  Returns the quotients that absorbed a merge.
     """
     todo = set(around)
     grown: set[int] = set()
@@ -1022,18 +1108,15 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
     """The unique minimal split decomposition of a connected graph, in three steps.
 
     Prune pendants and twins (:func:`_prune`), split the kernel that is left
-    as one quotient over its own labels (:func:`_resplit`), then replay the
-    pruned vertices in reverse, in place (:func:`_extend`), with each
-    quotient's kind kept in a dict seeded by one :func:`classify_quotient`
-    per kernel quotient.
+    as one quotient (:func:`_resplit`), then replay the pruned vertices in
+    reverse, in place (:func:`_extend`).
     """
     _check_decomposable(g)
     kernel, steps = _prune(g)
     q = _single_quotient(kernel)
     _resplit(q)
-    kinds = {i: classify_quotient(quot) for i, quot in q.quotients.items()}
     for tag, a, p in reversed(steps):
-        _extend(q, kinds, tag, a, p)
+        _extend(q, tag, a, p)
     q = q.normalize()
     q.validate()
     q._checked = True
@@ -1043,13 +1126,14 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
 # -- serialization -----------------------------------------------------------
 
 
-def _listing(q: Qasst) -> tuple[list[_Listed], list[tuple[SplitNode, SplitNode]]]:
+def _listing(q: Qasst) -> tuple[list[tuple], list[tuple[SplitNode, SplitNode]]]:
     """What every writer prints of a tree, in order: each quotient by number (:func:`_listed`), then the tree edges.
 
-    The tree is normalized once, so quotient i is listed i-th and its
-    split-nodes carry location names.
+    A tree without the canonical record (:meth:`Qasst.normalize`) is
+    normalized first.
     """
-    q = q.normalize()
+    if not q._canonical:
+        q = q.normalize()
     return [_listed(q.quotients[i]) for i in sorted(q.quotients)], q.tree_edges()
 
 
@@ -1094,12 +1178,10 @@ def _split_texts(splits: Iterable[SplitNode], d: int) -> list[str]:
 def to_json_text(q: Qasst) -> str:
     """``json.dumps(to_json_dict(q), indent=2, sort_keys=True)``, byte for byte, written directly.
 
-    No dict is built and no text is scanned again.  Each node's text is
-    made once per quotient, at the depth of an edge's ends (a split-node's
-    once more for the ``split_nodes`` list), and each edge is one f-string
-    over two of those texts.  Keys are written in sorted
-    order: ``quotients`` then ``tree_edges``; ``edges``, ``leaf_nodes``,
-    ``split_nodes``; ``i`` then ``j``.
+    No dict is built and no text is scanned again: each node's text is made
+    once per quotient (a split-node's once more for ``split_nodes``), and
+    each edge is one f-string over two of them.  Keys are written in
+    sorted order.
     """
     listed, tree_edges = _listing(q)
     start, mid, end = "[" + _PAD[5], "," + _PAD[5], _PAD[4] + "]"  # an edge pair at depth 4
@@ -1119,52 +1201,63 @@ def to_json_text(q: Qasst) -> str:
     return f'{{{_PAD[1]}"quotients": {_list_text(quotients, 1)},{_PAD[1]}"tree_edges": {_list_text(pairs, 1)}{_PAD[0]}}}'
 
 
-def _node_from_json(nj) -> Node:
+def _node_key(nj):
+    """A JSON node: a leaf-node's int, or a split-node's (i, j) pair, which equals and hashes as the split-node."""
     if isinstance(nj, dict):
-        return tuple.__new__(SplitNode, (json_int(nj["i"]), json_int(nj["j"])))
+        return json_int(nj["i"]), json_int(nj["j"])
     return json_int(nj)
+
+
+def _quotient_from_json(i: int, qd: dict) -> QuotientGraph:
+    """Quotient i of a JSON payload, each edge end looked up once and the kind read once.
+
+    A split-node end is looked up by its (i, j) pair, so no node is built
+    per end.  Once no edge is bad or listed twice, a complete quotient is
+    known by its edge count and never holds sets; any other is classified
+    from its sets.
+    """
+    nodes: list[Node] = [json_int(v) for v in qd["leaf_nodes"]]
+    for sd in qd["split_nodes"]:
+        s = SplitNode(json_int(sd["i"]), json_int(sd["j"]))
+        if s.i != i:  # JSON names split-nodes by location
+            raise MalformedQasstError(f"split-node {s} stored in quotient {i}")
+        nodes.append(s)
+    m = len(nodes)
+    pos = dict(zip(nodes, range(m)))
+    if len(pos) != m:
+        raise MalformedQasstError(f"quotient {i} lists a node twice")
+    # Every edge is read before any is looked up, so a malformed one is reported before a bad one.
+    ends = [(a if type(a) is int else _node_key(a), b if type(b) is int else _node_key(b)) for a, b in qd["edges"]]
+    at = [(pos.get(a), pos.get(b)) for a, b in ends]
+    bad = next((k for k, (x, y) in enumerate(at) if x is None or y is None or x == y), None)
+    if bad is not None:
+        named = {SplitNode(*v) if isinstance(v, tuple) else v for v in ends[bad]}
+        raise MalformedQasstError(f"bad quotient edge {named}")
+    if len({x * m + y if x < y else y * m + x for x, y in at}) != len(at):
+        raise MalformedQasstError(f"quotient {i} lists an edge twice")
+    if len(at) == m * (m - 1) // 2:
+        return QuotientGraph._of(dict.fromkeys(nodes), COMPLETE)
+    adj = {v: set() for v in nodes}
+    for x, y in at:
+        adj[nodes[x]].add(nodes[y])
+        adj[nodes[y]].add(nodes[x])
+    return QuotientGraph._of(adj)
 
 
 def from_json_dict(data: dict) -> Qasst:
     """The tree a :func:`to_json_dict` payload describes, validated.
 
     Split-nodes carry location names (see :class:`SplitNode`): s_i^j
-    listed under a quotient other than i is refused.  A node or an edge
-    (in either orientation) listed twice in one quotient
-    is refused, and so is a ``tree_edges`` list that is not the tree's
-    split-node pairs, each once, in any order.  The tree carries a check
-    record (see :class:`Qasst`) when, besides, it is reduced
-    (:func:`_earns_record`): every quotient is connected with three or more
-    nodes, or there is one, and every tree edge passes
-    :func:`join_validity`.  A valid tree that breaks this, say one with a
-    two-node quotient or two adjacent complete quotients, is accepted
-    without the record and is not reduced on load; ops then check it in full.
+    listed under a quotient other than i is refused, and so is a node or an
+    edge (in either orientation) listed twice in one quotient, or a
+    ``tree_edges`` list that is not the split-node pairs, each once, in any
+    order.  The tree carries a check record (see :class:`Qasst`) when it is
+    also reduced (:func:`_earns_record`); a valid tree that is not, say
+    with a two-node quotient, is accepted without it and not reduced.
     """
-    quotients = {}
     try:
-        for i, qd in enumerate(data["quotients"]):
-            nodes: list[Node] = [json_int(v) for v in qd["leaf_nodes"]]
-            for sd in qd["split_nodes"]:
-                s = SplitNode(json_int(sd["i"]), json_int(sd["j"]))
-                if s.i != i:  # JSON names split-nodes by location
-                    raise MalformedQasstError(f"split-node {s} stored in quotient {i}")
-                nodes.append(s)
-            quotients[i] = QuotientGraph(nodes)
-            adj = quotients[i].adj
-            if len(adj) != len(nodes):
-                raise MalformedQasstError(f"quotient {i} lists a node twice")
-            # Every edge is read before any is placed, so a malformed one is reported before a bad one.
-            edges = [(_node_from_json(a), _node_from_json(b)) for a, b in qd["edges"]]
-            for a, b in edges:
-                na, nb = adj.get(a), adj.get(b)
-                if na is None or nb is None or a == b:
-                    raise MalformedQasstError(f"bad quotient edge { {a, b} }")
-                na.add(b)
-                nb.add(a)
-            # Each edge is stored once per endpoint; one listed twice, in either orientation, is stored once.
-            if sum(map(len, adj.values())) != 2 * len(edges):
-                raise MalformedQasstError(f"quotient {i} lists an edge twice")
-        tree_edges = [frozenset(map(_node_from_json, pair)) for pair in data["tree_edges"]]
+        quotients = {i: _quotient_from_json(i, qd) for i, qd in enumerate(data["quotients"])}
+        tree_edges = [frozenset(map(_node_key, pair)) for pair in data["tree_edges"]]
     except MalformedQasstError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

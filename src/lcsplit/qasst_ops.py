@@ -2,30 +2,26 @@
 
 Three ways a quotient tree evolves without being recomputed from scratch:
 
-- :func:`lc_propagate`: a local complement at an original vertex touches
-  its quotient and is transmitted across split-node pairs to neighbors.
+- :func:`lc_propagate`: a local complement at a vertex complements its
+  quotient and is passed across split-node pairs to the neighbours; a
+  complete or star quotient changes kind in O(1), and one entered at a
+  star's spoke does not change.
 - :func:`induced_qasst`: deleting vertices, then re-splitting the prime
-  quotients that lost a node and re-merging quotient pairs whose
-  connecting split stopped being strong.  Whether the kept vertices induce
-  a connected graph is read once, after the deletion, off the quotients it
-  changed.
-- :func:`extend`: one-vertex extensions (pendant / false twin / true twin)
-  adding any label the tree lacks: the new vertex joins the anchor's
-  quotient if that keeps the quotient's kind, and otherwise {anchor, new}
-  is split off into a fresh three-node quotient.  It is the step
-  ``compute_qasst`` replays, on a copy.
+  quotients that lost a node and merging across splits no longer strong;
+  whether the kept vertices induce a connected graph is read off the
+  quotients the deletion changed.
+- :func:`extend`: a one-vertex extension (pendant / false twin / true
+  twin) adding any label the tree lacks, by the step ``compute_qasst``
+  replays, on a copy.
 
 Each op leaves its input tree as it was and returns a new tree that shares
-every quotient the op did not change (:meth:`Qasst.copy`): ``lc_propagate``
-copies the quotients it complements, ``extend`` the anchor's, and
-``induced_qasst`` those that lose a leaf or take part in a merge or split.
-Quotients are edited only through ``Qasst`` methods, which copy a shared
-quotient before its first edit.  Each op finds vertices through the tree's
-leaf index and keeps it up to date, and passes the input's check record on
-to its result, a strong split tree again; besides reading the keep set and
-copying the tree's three dicts, a one-vertex op on a checked tree costs what
-it touches.  Leaf-nodes are any distinct positive integers
-(:meth:`Qasst.validate`), so every op accepts every tree an op returns.
+every quotient the op did not change (:meth:`Qasst.copy`).  Each op finds
+vertices through the tree's leaf index and keeps it up to date, and passes
+the input's check record on to its result, a strong split tree again;
+besides reading the keep set and copying the tree's three dicts, a
+one-vertex op on a checked tree costs what it touches.  Leaf-nodes are any
+distinct positive integers (:meth:`Qasst.validate`), so every op accepts
+every tree an op returns.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from .qasst import (
     Qasst,
     SplitNode,
     _extend,
-    _induces_connected,
     _reduce,
     _resplit,
     classify_quotient,
@@ -71,25 +66,27 @@ class ExtensionKind:
 def lc_propagate(q: Qasst, v: int) -> Qasst:
     """Quotient tree of the local complement at leaf-node v.
 
-    Complements v's quotient at v; every split-node adjacent to the
-    complemented node transmits the complement to its partner, recursively.
-    The tree structure guarantees termination; the visited set is a
-    defensive guard.
+    Complements v's quotient at v (:meth:`QuotientGraph.complemented_at`);
+    every split-node adjacent to the complemented node transmits the
+    complement to its partner, recursively.  The tree structure guarantees
+    termination; the visited set is a defensive guard.  No node moves, so
+    the result keeps q's canonical record.
     """
     out = q.copy()
+    quots, where = out.quotients, out._where
     start = out.leaf_quotient(v)  # raises if v is not a leaf-node
     visited: set[tuple[int, object]] = set()
     stack: list[tuple[int, object]] = [(start, v)]
     while stack:
-        i, node = stack.pop()
-        if (i, node) in visited:
+        i, node = entered = stack.pop()
+        if entered in visited:
             continue
-        visited.add((i, node))
-        quot = out._edit(i)
-        quot.local_complement_at(node)  # leaves node's own neighbours as they were
-        for s in quot.adj[node]:
-            if isinstance(s, SplitNode):
-                stack.append((out.across(s), s.partner))
+        visited.add(entered)
+        quot = quots[i] = quots[i].complemented_at(node)
+        for s in quot.neighbours(node):
+            if type(s) is SplitNode:
+                t = s.partner
+                stack.append((where[t], t))
     return out
 
 
@@ -99,22 +96,18 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
 def induced_qasst(q: Qasst, keep) -> Qasst:
     """Quotient tree of the induced subgraph on ``keep``.
 
-    The excluded leaf-nodes are deleted and the tree is reduced: merging
-    across tree edges that are no longer strong splits also folds away
-    what is left of emptied subtrees.  Then every split-node has a kept
-    leaf behind it, so the kept vertices induce a connected graph iff every
-    quotient is connected (Gioan, Paul, Tedder & Corneil 2014).  With a
-    check record (see :class:`Qasst`) only the quotients that lost a node
-    or absorbed a merge can have changed, so only they are tested; without
-    it every quotient counts as touched.  The test precedes any split, as
-    the split search needs connected quotients: the changed quotients are
-    then re-split and the tree reduced once more (``qasst._resplit``).
-
-    A tree is validated first unless it has the record and loses exactly
-    one vertex.  The result is the strong split tree of the induced
-    subgraph (asserted against the reference decomposition in the tests);
-    quotients are not renumbered and vertices keep their labels, so the
-    result can be induced again.
+    The excluded leaf-nodes are deleted and the tree is reduced, which
+    also folds away what is left of emptied subtrees.  Then every
+    split-node has a kept leaf behind it, so the kept vertices induce a
+    connected graph iff every quotient is connected (Gioan, Paul, Tedder &
+    Corneil 2014).  With a check record (see :class:`Qasst`) only the
+    quotients that lost a node or absorbed a merge are tested; without it,
+    all.  The split search needs connected quotients, so the changed ones
+    are re-split and the tree reduced again only then
+    (``qasst._resplit``).  A tree is validated first unless it has the
+    record and loses exactly one vertex.  The result is the strong split
+    tree of the induced subgraph; quotients are not renumbered and
+    vertices keep their labels, so it can be induced again.
     """
     keep = list(keep)
     home = q._home
@@ -134,9 +127,9 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
         i = out._home.pop(v)
         out._edit(i).remove_node(v)
         touched.add(i)
+    out._canonical = False
     changed = (touched | _reduce(out, touched)) & out.quotients.keys()
-    quots = out.quotients
-    if not all(_induces_connected(quots[i].adj, set(quots[i].adj)) for i in changed):
+    if not all(out.quotients[i].connected() for i in changed):
         raise NotConnectedError("induced subgraph is not connected")
     _resplit(out, changed)
     out._checked = q._checked
@@ -151,15 +144,13 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
 
     p is any positive integer the tree lacks (an induced tree may hold
     n + 1).  A copy of the tree takes the step the decomposition replays
-    (``qasst._extend``), with the anchor's quotient classified once: p joins
-    it when it keeps its kind, and otherwise {anchor, p}, a strong split
-    (Bandelt & Mulder 1986), is split off into a new three-node quotient.
+    (``qasst._extend``), read off the anchor quotient's stored kind.
     """
     if type(p) is not int or p < 1 or p in q._home:
         raise InvalidVertexError(f"new vertex must be a positive integer the tree lacks, got {p!r}")
     out = q.copy()
-    i = out.leaf_quotient(e.anchor)
-    _extend(out, {i: classify_quotient(out.quotients[i])}, e.tag, e.anchor, p)
+    out.leaf_quotient(e.anchor)  # raises if the anchor is not a leaf-node
+    _extend(out, e.tag, e.anchor, p)
     return out
 
 
@@ -175,8 +166,8 @@ def extension_subcase(q: Qasst, e: ExtensionKind) -> str:
     ``degenerate-1`` / ``degenerate-2``.
     """
     quot = q.quotients[q.leaf_quotient(e.anchor)]
-    if len(quot.adj) <= 2:
-        return f"degenerate-{len(quot.adj)}"
+    if len(quot.nodes) <= 2:
+        return f"degenerate-{len(quot.nodes)}"
     shape = classify_quotient(quot, e.anchor).kind
     return _SHAPE_DIGIT[shape] + "abc"[EXTENSION_KINDS.index(e.tag)]
 

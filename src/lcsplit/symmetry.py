@@ -168,25 +168,19 @@ def build_star_qasst(
     quotients = {0: q0}
     for i, (block, kind) in enumerate(zip(blocks, kinds), start=1):
         s = SplitNode(i, 0)
-        quot = QuotientGraph(list(block) + [s])
+        nodes = list(block) + [s]
         if kind == "c":
-            nodes = list(block) + [s]
-            for a, b in itertools.combinations(nodes, 2):
-                quot.add_edge(a, b)
+            center = None
         elif kind == "sc":
-            for v in block:
-                quot.add_edge(s, v)
+            center = s
         elif kind == "ss":
             center = centers.get(i, block[0])
             if center not in block:
                 raise InvalidCaseError(f"center {center} not in block {i}")
-            for v in block:
-                if v != center:
-                    quot.add_edge(center, v)
-            quot.add_edge(center, s)
         else:
             raise InvalidCaseError(f"unknown quotient kind {kind!r}")
-        quotients[i] = quot
+        edges = itertools.combinations(nodes, 2) if center is None else ((center, v) for v in nodes if v != center)
+        quotients[i] = QuotientGraph(nodes, edges)
     return Qasst(quotients)
 
 

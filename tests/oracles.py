@@ -10,8 +10,10 @@ from lcsplit.errors import NotConnectedError, SizeLimitError
 from lcsplit.graphs import SimpleGraph, induced_subgraph, is_connected, neighborhood
 from lcsplit.qasst import (
     COMPLETE,
+    PRIME,
     STAR,
     Qasst,
+    QuotientGraph,
     SplitNode,
     _any_split,
     classify_quotient,
@@ -119,3 +121,25 @@ def assert_strong_split_tree(q: Qasst, g: SimpleGraph) -> None:
         mine = classify_quotient(q.quotients[i], s).kind
         theirs = classify_quotient(q.quotients[where[s.partner]], s.partner).kind
         assert join_validity(mine, theirs), (s, mine, theirs)
+
+
+def edge_kind(quot: QuotientGraph) -> tuple:
+    """(kind, centre) of a quotient read off its materialized edges by degree counts, as it was before kinds were stored.
+
+    One- and two-node quotients read as complete, as ``classify_quotient`` has them.
+    """
+    adj = quot.adj
+    m = len(adj)
+    degs = [len(nb) for nb in adj.values()]
+    if m <= 2 or degs.count(m - 1) == m:
+        return COMPLETE, None
+    if degs.count(m - 1) == 1 and degs.count(1) == m - 1:
+        return STAR, next(v for v, nb in adj.items() if len(nb) == m - 1)
+    return PRIME, None
+
+
+def assert_kinds_stored(q: Qasst) -> None:
+    """Assert that every quotient's stored kind is the one its materialized edges read."""
+    for i, quot in q.quotients.items():
+        assert tuple(classify_quotient(quot)) == edge_kind(quot), (i, quot)
+        assert quot.center is None or quot.kind == STAR, (i, quot)  # only a star has a centre

@@ -9,7 +9,13 @@ import time
 import pytest
 
 from helpers import all_connected_graphs, random_connected_graph
-from oracles import assert_strong_split_tree, dh_definition_oracle, far_leaves, split_node_quotients
+from oracles import (
+    assert_kinds_stored,
+    assert_strong_split_tree,
+    dh_definition_oracle,
+    far_leaves,
+    split_node_quotients,
+)
 from lcsplit.errors import MalformedQasstError, NotConnectedError
 from lcsplit.families import (
     complete_bipartite_graph,
@@ -536,8 +542,9 @@ class TestSplitNodeLabels:
     def test_label_in_two_quotients_is_refused(self):
         twin = self._relabelled(compute_qasst(path_graph(6)), 50)
         (s, _), *_ = twin.tree_edges()
-        other = next(i for i, quot in twin.quotients.items() if s not in quot.adj)
-        twin.quotients[other].adj[s] = set()
+        other = next(i for i, quot in twin.quotients.items() if s not in quot.nodes)
+        quot = twin.quotients[other]
+        twin.quotients[other] = QuotientGraph([*quot.nodes, s], quot.edges)
         with pytest.raises(MalformedQasstError, match="appears in two quotients"):
             twin.validate()
 
@@ -866,19 +873,18 @@ class TestPruneThenReplay:
                 assert_strong_split_tree(compute_qasst(g), g)
 
     def test_replay_step_keeps_every_kind(self):
-        # After every step the kinds the step keeps are what classify_quotient
-        # reads, star centres included, from one vertex or from a prime core.
+        # After every step each quotient stores the kind its edges read, star
+        # centres included, from one vertex or from a prime core.
         rng = random.Random(2105)
         starts = [(SimpleGraph(1), random_dh(rng.randint(2, 40), rng.random())[1]) for _ in range(30)]
         starts += [(cycle_graph(n), []) for n in (5, 6, 7) for _ in range(5)]
         for g, trace in starts:
             q = compute_qasst(g)
-            kinds = {i: classify_quotient(quot) for i, quot in q.quotients.items()}
             if not trace:
                 trace = [(rng.choice(EXTENSION_KINDS), rng.randint(1, p - 1), p) for p in range(g.n + 1, 40)]
             for tag, a, p in trace:
-                _extend(q, kinds, tag, a, p)
-                assert kinds == {i: classify_quotient(quot) for i, quot in q.quotients.items()}
+                _extend(q, tag, a, p)
+                assert_kinds_stored(q)
 
     def test_long_path_within_time_floor(self):
         # A floor, never to be loosened: splitting the whole path took 13-19.5 s.

@@ -21,6 +21,7 @@ from lcsplit.graphs import (
 from lcsplit.qasst import (
     COMPLETE,
     PRIME,
+    QuotientGraph,
     STAR,
     SplitNode,
     classify_quotient,
@@ -237,11 +238,14 @@ class TestConnectivityFromTree:
             _, t = q.tree_edges()[0]
             q.quotients[t.i].remove_node(t)
 
+        def with_node(q, i, v):
+            q.quotients[i] = QuotientGraph([*q.quotients[i].nodes, v], q.quotients[i].edges)
+
         def vertex_twice(q):
-            q.quotients[max(q.quotients)].adj[1] = set()
+            with_node(q, max(q.quotients), 1)
 
         def paired_with_itself(q):
-            q.quotients[0].adj[SplitNode(0, 0)] = set()
+            with_node(q, 0, SplitNode(0, 0))
 
         for edit, message in (
             (unmatched, "is unmatched"),
@@ -473,13 +477,19 @@ def _snapshot(q):
 
 
 def _complemented(q, v):
-    """The quotients an LC at v reaches: across each split-node adjacent to the node entered."""
+    """The quotients an LC at v changes.
+
+    It reaches a quotient across each split-node adjacent to the node
+    entered, and changes it when that node has two neighbours or more.
+    """
     start = next(i for i, quot in q.quotients.items() if v in quot.adj)
     out, todo = set(), [(start, v)]
     while todo:
         i, node = todo.pop()
-        out.add(i)
-        todo += [(s.j, s.partner) for s in q.quotients[i].adj[node] if isinstance(s, SplitNode)]
+        nb = q.quotients[i].adj[node]
+        if len(nb) >= 2:
+            out.add(i)
+        todo += [(s.j, s.partner) for s in nb if isinstance(s, SplitNode)]
     return out
 
 
