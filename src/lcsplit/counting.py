@@ -18,10 +18,12 @@ from typing import Optional, Sequence
 from .errors import InvalidAssignmentError, InvalidSpecError, SizeLimitError, UnsupportedQasstError
 from .families import CLIQUE_STAR, KPARTITE, check_blocks, orbit_of
 from .qasst import (
+    COMPLETE,
     PRIME,
+    STAR_CENTER,
+    STAR_SPOKE,
     Qasst,
     _orient,
-    classify_quotient,
     join_validity,
 )
 from .symmetry import SymmetryCase, case_assignment, q0_shape
@@ -86,7 +88,7 @@ def phi_count(q: Qasst) -> int:
     """
     quots = q.quotients
     for quot in quots.values():
-        if classify_quotient(quot).kind == PRIME:
+        if quot.kind == PRIME and len(quot.nodes) > 2:  # two nodes and no edge count as complete
             raise UnsupportedQasstError("phi requires star/complete quotients only")
     if len(quots) == 1:
         m = len(next(iter(quots.values())).nodes)
@@ -99,23 +101,20 @@ def phi_count(q: Qasst) -> int:
     for i in reversed(order):
         quot, entry = quots[i], up[i]
         child = [valid[q.across(s)] for s in quot.split_nodes() if s != entry]
-        c_ways = math.prod(ways["c"] for ways in child)
-        ss_ways = math.prod(ways["ss"] for ways in child)  # every factor > 0
+        c_ways = math.prod(ways[COMPLETE] for ways in child)
+        ss_ways = math.prod(ways[STAR_SPOKE] for ways in child)  # every factor > 0
         # Members: the complete graph, then one star per center.  A center
         # that is a leaf-node or the entry sees every child as star-spoke; a
         # child's split-node as center sees that child as star-center.
         leaves = len(quot.nodes) - len(child) - (entry is not None)
         at_entry = {
-            "c": c_ways,
-            "sc": ss_ways,
-            "ss": leaves * ss_ways + sum(ss_ways // ways["ss"] * ways["sc"] for ways in child),
+            COMPLETE: c_ways,
+            STAR_CENTER: ss_ways,
+            STAR_SPOKE: leaves * ss_ways + sum(ss_ways // ways[STAR_SPOKE] * ways[STAR_CENTER] for ways in child),
         }
         if entry is None:  # the root: no entry, every member counts
-            return at_entry["c"] + at_entry["ss"]
-        valid[i] = {
-            a: sum(cnt for b, cnt in at_entry.items() if join_validity(a, b))
-            for a in ("c", "sc", "ss")
-        }
+            return at_entry[COMPLETE] + at_entry[STAR_SPOKE]
+        valid[i] = {a: sum(cnt for b, cnt in at_entry.items() if join_validity(a, b)) for a in at_entry}
     raise UnsupportedQasstError("phi requires a nonempty tree")
 
 
@@ -208,7 +207,7 @@ def _validate_assignment(n_list, q0_kind, kinds):
     k = len(n_list)
     check_blocks(n_list)
     kinds = tuple(kinds)
-    if len(kinds) != k or any(kind not in ("c", "sc", "ss") for kind in kinds):
+    if len(kinds) != k or any(kind not in (COMPLETE, STAR_CENTER, STAR_SPOKE) for kind in kinds):
         raise InvalidAssignmentError("need one of c/sc/ss per block")
     edges, at = q0_shape(q0_kind, k)
     for i in range(1, k + 1):
@@ -227,8 +226,8 @@ def edge_count_from_assignment(n_list, q0_kind, kinds) -> int:
     (only a star-spoke quotient hides all but its center from the split).
     """
     kinds, edges = _validate_assignment(n_list, q0_kind, kinds)
-    internal = {"c": lambda n: n * (n - 1) // 2, "sc": lambda n: 0, "ss": lambda n: n - 1}
-    a = [n if kind in ("c", "sc") else 1 for n, kind in zip(n_list, kinds)]
+    internal = {COMPLETE: lambda n: n * (n - 1) // 2, STAR_CENTER: lambda n: 0, STAR_SPOKE: lambda n: n - 1}
+    a = [1 if kind == STAR_SPOKE else n for n, kind in zip(n_list, kinds)]
     total = sum(internal[kind](n) for n, kind in zip(n_list, kinds))
     total += sum(a[i - 1] * a[j - 1] for i, j in edges)
     return total
@@ -238,16 +237,16 @@ def max_degree_from_assignment(n_list, q0_kind, kinds) -> int:
     """Maximum degree of the graph the assignment reconstructs to."""
     kinds, edges = _validate_assignment(n_list, q0_kind, kinds)
     k = len(n_list)
-    a = [n if kind in ("c", "sc") else 1 for n, kind in zip(n_list, kinds)]
+    a = [1 if kind == STAR_SPOKE else n for n, kind in zip(n_list, kinds)]
     ext = [0] * (k + 1)
     for i, j in edges:
         ext[i] += a[j - 1]
         ext[j] += a[i - 1]
     best = 0
     for idx, (n, kind) in enumerate(zip(n_list, kinds), start=1):
-        if kind == "c":
+        if kind == COMPLETE:
             best = max(best, n - 1 + ext[idx])
-        elif kind == "sc":
+        elif kind == STAR_CENTER:
             best = max(best, ext[idx])
         else:  # ss: the center leaf carries everything, spokes have degree 1
             best = max(best, n - 1 + ext[idx], 1)

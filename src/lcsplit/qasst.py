@@ -56,8 +56,9 @@ from .graphs import (
     neighborhood,
 )
 
-# Quotient kinds.  "c", "sc" and "ss" are relative to a designated
-# split-node; "star" is the unoriented shape of a single-quotient tree.
+# Quotient kinds.  A quotient stores COMPLETE, STAR (with its centre) or
+# PRIME; seen from one of its nodes (QuotientGraph.kind_at) a star is
+# STAR_CENTER or STAR_SPOKE, the kinds a tree edge joins.
 COMPLETE = "c"
 STAR_CENTER = "sc"
 STAR_SPOKE = "ss"
@@ -89,15 +90,6 @@ def node_sort_key(node: Node) -> tuple:
     if isinstance(node, SplitNode):
         return (1, node.i, node.j)
     return (0, node, 0)
-
-
-class QuotientKind(NamedTuple):
-    kind: str  # COMPLETE | STAR_CENTER | STAR_SPOKE | STAR | PRIME
-    center: Optional[Node] = None  # star center (for ss/star kinds)
-
-
-_COMPLETE_KIND = QuotientKind(COMPLETE)
-_PRIME_KIND = QuotientKind(PRIME)
 
 
 class QuotientGraph:
@@ -173,6 +165,12 @@ class QuotientGraph:
     @property
     def edges(self) -> frozenset:
         return frozenset(frozenset((a, b)) for a, nb in self.adj.items() for b in nb)
+
+    def kind_at(self, node: Node) -> str:
+        """The kind seen from ``node``: ``COMPLETE``, ``PRIME``, or a star's ``STAR_CENTER`` or ``STAR_SPOKE``."""
+        if self.kind == STAR:
+            return STAR_CENTER if node == self.center else STAR_SPOKE
+        return self.kind
 
     def neighbours(self, v: Node) -> Collection[Node]:
         if self.kind == PRIME:
@@ -611,8 +609,9 @@ def _earns_record(q: Qasst, edges: list[tuple[SplitNode, SplitNode]]) -> bool:
 
     Every quotient is connected with three or more nodes, or there is one;
     a prime quotient has no nontrivial split (:func:`_any_split`); and each
-    tree edge in ``edges`` passes :func:`join_validity` (Cunningham 1982).
-    Only prime quotients are searched; the rest is read off stored kinds.
+    tree edge in ``edges`` is a strong split (:func:`_not_strong`,
+    Cunningham 1982).  Only prime quotients are searched; the rest is read
+    off stored kinds.
     """
     one = len(q.quotients) == 1
     for quot in q.quotients.values():
@@ -621,9 +620,7 @@ def _earns_record(q: Qasst, edges: list[tuple[SplitNode, SplitNode]]) -> bool:
             return False
         if not small and quot.kind == PRIME and _any_split(quot) is not None:
             return False
-    quots, where = q.quotients, q._where
-    return all(join_validity(classify_quotient(quots[where[s]], s).kind, classify_quotient(quots[where[t]], t).kind)
-               for s, t in edges)
+    return not any(_not_strong(q, q._where[s], s) for s, _ in edges)
 
 
 def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
@@ -782,21 +779,6 @@ def _edge_count(q: Qasst, order: list[int], up: dict) -> int:
 
 
 # -- classification ----------------------------------------------------------
-
-
-def classify_quotient(q: QuotientGraph, at: Optional[Node] = None) -> QuotientKind:
-    """A quotient's stored kind, as seen from node ``at``: star-center or star-spoke for a star.
-
-    Without ``at`` the unoriented kind (complete/star/prime) is returned.
-    One- and two-node quotients read as complete, even without an edge.
-    """
-    if at is not None and at not in q._adj:
-        raise MalformedQasstError(f"node {at} not in quotient")
-    if q.kind == STAR:
-        if at is None:
-            return QuotientKind(STAR, q.center)
-        return QuotientKind(STAR_CENTER if at == q.center else STAR_SPOKE, q.center)
-    return _PRIME_KIND if q.kind == PRIME and len(q._adj) > 2 else _COMPLETE_KIND
 
 
 def join_validity(a: str, b: str) -> bool:
@@ -1060,7 +1042,7 @@ def _not_strong(q: Qasst, i: int, s: SplitNode) -> bool:
     qa, qb = q.quotients[i], q.quotients[q.across(s)]
     if len(qa.nodes) <= 2 or len(qb.nodes) <= 2:
         return True
-    return not join_validity(classify_quotient(qa, s).kind, classify_quotient(qb, s.partner).kind)
+    return not join_validity(qa.kind_at(s), qb.kind_at(s.partner))
 
 
 def _reduce(q: Qasst, around: Iterable[int]) -> set[int]:

@@ -44,7 +44,6 @@ from .qasst import (
     _extend,
     _reduce,
     _resplit,
-    classify_quotient,
 )
 
 EXTENSION_KINDS = (PENDANT, FALSE_TWIN, TRUE_TWIN)
@@ -168,8 +167,7 @@ def extension_subcase(q: Qasst, e: ExtensionKind) -> str:
     quot = q.quotients[q.leaf_quotient(e.anchor)]
     if len(quot.nodes) <= 2:
         return f"degenerate-{len(quot.nodes)}"
-    shape = classify_quotient(quot, e.anchor).kind
-    return _SHAPE_DIGIT[shape] + "abc"[EXTENSION_KINDS.index(e.tag)]
+    return _SHAPE_DIGIT[quot.kind_at(e.anchor)] + "abc"[EXTENSION_KINDS.index(e.tag)]
 
 
 def extend_graph(g: SimpleGraph, kind: str, anchor: int) -> SimpleGraph:

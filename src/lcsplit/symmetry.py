@@ -41,7 +41,6 @@ from .qasst import (
     Qasst,
     QuotientGraph,
     SplitNode,
-    classify_quotient,
     compute_qasst,
     reconstruct,
 )
@@ -88,16 +87,16 @@ def case_assignment(case: SymmetryCase, k: int):
         if not (1 <= i <= k):
             raise InvalidCaseError(f"block index {i} out of 1..{k}")
     if case.case_id == 1:
-        kinds = tuple("ss" if i in case.I else "sc" for i in range(1, k + 1))
-        return "c", kinds
+        kinds = tuple(STAR_SPOKE if i in case.I else STAR_CENTER for i in range(1, k + 1))
+        return COMPLETE, kinds
     if case.j is None or not (1 <= case.j <= k):
         raise InvalidCaseError(f"pointer index {case.j} out of 1..{k}")
-    pointed = "sc" if case.case_id == 2 else "c"
+    pointed = STAR_CENTER if case.case_id == 2 else COMPLETE
     kinds = tuple(
-        pointed if i == case.j else ("ss" if i in case.I else "c")
+        pointed if i == case.j else (STAR_SPOKE if i in case.I else COMPLETE)
         for i in range(1, k + 1)
     )
-    return ("sc", case.j), kinds
+    return (STAR_CENTER, case.j), kinds
 
 
 def q0_shape(q0_kind, k: int):
@@ -105,16 +104,16 @@ def q0_shape(q0_kind, k: int):
 
     ``q0_kind`` is "c" (complete) or ("sc", j) (a star centred toward Q_j).
     """
-    if q0_kind == "c":
+    if q0_kind == COMPLETE:
         edges = list(itertools.combinations(range(1, k + 1), 2))
-        return edges, {i: "c" for i in range(1, k + 1)}
-    if isinstance(q0_kind, tuple) and len(q0_kind) == 2 and q0_kind[0] == "sc":
+        return edges, dict.fromkeys(range(1, k + 1), COMPLETE)
+    if isinstance(q0_kind, tuple) and len(q0_kind) == 2 and q0_kind[0] == STAR_CENTER:
         j = q0_kind[1]
         if not isinstance(j, int) or not 1 <= j <= k:
             raise InvalidAssignmentError(f"Q0 center index {j!r} out of 1..{k}")
         edges = [(min(i, j), max(i, j)) for i in range(1, k + 1) if i != j]
-        at = {i: "ss" for i in range(1, k + 1)}
-        at[j] = "sc"
+        at = dict.fromkeys(range(1, k + 1), STAR_SPOKE)
+        at[j] = STAR_CENTER
         return edges, at
     raise InvalidAssignmentError(f"Q0 kind must be 'c' or ('sc', j), got {q0_kind!r}")
 
@@ -153,35 +152,35 @@ def enumerate_cases(
 def build_star_qasst(
     n_list: Sequence[int], q0_kind, kinds, centers: Optional[dict] = None
 ) -> Qasst:
-    """The star-shaped QASST for an assignment of quotient kinds."""
+    """The star-shaped QASST for an assignment of quotient kinds, each quotient made as its kind."""
     k = len(n_list)
     kinds = tuple(kinds)
     if len(kinds) != k:
         raise InvalidAssignmentError(f"need one quotient kind per block, got {len(kinds)}")
-    edges, _ = q0_shape(q0_kind, k)
+    q0_shape(q0_kind, k)  # refuses a malformed Q0 kind
     blocks = block_ranges(n_list)
     centers = centers or {}
-    q0 = QuotientGraph(
-        (SplitNode(0, i) for i in range(1, k + 1)),
-        ((SplitNode(0, a), SplitNode(0, b)) for a, b in edges),
-    )
-    quotients = {0: q0}
+    q0_center = None if q0_kind == COMPLETE else SplitNode(0, q0_kind[1])
+    quotients = {0: _complete_or_star([SplitNode(0, i) for i in range(1, k + 1)], q0_center)}
     for i, (block, kind) in enumerate(zip(blocks, kinds), start=1):
         s = SplitNode(i, 0)
-        nodes = list(block) + [s]
-        if kind == "c":
+        if kind == COMPLETE:
             center = None
-        elif kind == "sc":
+        elif kind == STAR_CENTER:
             center = s
-        elif kind == "ss":
+        elif kind == STAR_SPOKE:
             center = centers.get(i, block[0])
             if center not in block:
                 raise InvalidCaseError(f"center {center} not in block {i}")
         else:
             raise InvalidCaseError(f"unknown quotient kind {kind!r}")
-        edges = itertools.combinations(nodes, 2) if center is None else ((center, v) for v in nodes if v != center)
-        quotients[i] = QuotientGraph(nodes, edges)
+        quotients[i] = _complete_or_star([*block, s], center)
     return Qasst(quotients)
+
+
+def _complete_or_star(nodes: list, center) -> QuotientGraph:
+    """The complete quotient over ``nodes`` or, given a ``center``, the star."""
+    return QuotientGraph._of(dict.fromkeys(nodes), COMPLETE if center is None else STAR, center)
 
 
 def realize(
@@ -296,27 +295,25 @@ def analyze_star_member(
     centers: dict[int, int] = {}
     for b, quot in outer.items():
         s = next(iter(quot.split_nodes()))
-        kind = classify_quotient(quot, s)
-        kinds[b] = kind.kind
-        if kind.kind == STAR_SPOKE:
-            centers[b] = kind.center
+        kind = kinds[b] = quot.kind_at(s)
+        if kind == STAR_SPOKE:
+            centers[b] = quot.center
         for v in quot.leaf_nodes():
-            if kind.kind == STAR_SPOKE:
-                role = SS_CENTER if v == kind.center else SS_SPOKE
-            elif kind.kind == STAR_CENTER:
+            if kind == STAR_SPOKE:
+                role = SS_CENTER if v == quot.center else SS_SPOKE
+            elif kind == STAR_CENTER:
                 role = SC_NODE
-            elif kind.kind == COMPLETE:
+            elif kind == COMPLETE:
                 role = C_NODE
             else:
                 raise MalformedQasstError("prime outer quotient")
             roles[v] = (role, b)
 
-    central_kind = classify_quotient(central)
     I = frozenset(centers)
-    if central_kind.kind == COMPLETE:
+    if central.kind == COMPLETE:
         case_id, j = 1, None
-    elif central_kind.kind == STAR:
-        j = block_across[central_kind.center]
+    elif central.kind == STAR:
+        j = block_across[central.center]
         if kinds[j] == STAR_CENTER:
             case_id = 2
         elif kinds[j] == COMPLETE:
@@ -342,9 +339,7 @@ def classify_bipartite_member(g: SimpleGraph, n: int, m: int) -> tuple[str, str]
     if len(q.quotients) != 2:
         raise MalformedQasstError("graph does not have the two-quotient QASST")
     _, outer = _block_quotients(q, block_ranges((n, m)))
-    return tuple(
-        classify_quotient(quot, next(iter(quot.split_nodes()))).kind for quot in (outer[1], outer[2])
-    )
+    return tuple(quot.kind_at(next(iter(quot.split_nodes()))) for quot in (outer[1], outer[2]))
 
 
 def closure_step(tag: str, case: SymmetryCase, role: tuple[str, int]) -> tuple[int, Optional[int]]:

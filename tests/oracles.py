@@ -12,11 +12,12 @@ from lcsplit.qasst import (
     COMPLETE,
     PRIME,
     STAR,
+    STAR_CENTER,
+    STAR_SPOKE,
     Qasst,
     QuotientGraph,
     SplitNode,
     _any_split,
-    classify_quotient,
     join_validity,
     reconstruct,
 )
@@ -116,30 +117,43 @@ def assert_strong_split_tree(q: Qasst, g: SimpleGraph) -> None:
     where = split_node_quotients(q)
     for quot in q.quotients.values():
         assert len(quot.adj) >= 3 or len(q.quotients) == 1
-        assert classify_quotient(quot).kind in (COMPLETE, STAR) or _any_split(quot) is None
+        assert edge_kind(quot)[0] in (COMPLETE, STAR) or _any_split(quot) is None
     for s, i in where.items():
-        mine = classify_quotient(q.quotients[i], s).kind
-        theirs = classify_quotient(q.quotients[where[s.partner]], s.partner).kind
+        mine = edge_kind_at(q.quotients[i], s)
+        theirs = edge_kind_at(q.quotients[where[s.partner]], s.partner)
         assert join_validity(mine, theirs), (s, mine, theirs)
 
 
 def edge_kind(quot: QuotientGraph) -> tuple:
     """(kind, centre) of a quotient read off its materialized edges by degree counts, as it was before kinds were stored.
 
-    One- and two-node quotients read as complete, as ``classify_quotient`` has them.
+    Complete means every node sees every other, so two nodes without an edge read as prime.
     """
     adj = quot.adj
     m = len(adj)
     degs = [len(nb) for nb in adj.values()]
-    if m <= 2 or degs.count(m - 1) == m:
+    if degs.count(m - 1) == m:
         return COMPLETE, None
     if degs.count(m - 1) == 1 and degs.count(1) == m - 1:
         return STAR, next(v for v, nb in adj.items() if len(nb) == m - 1)
     return PRIME, None
 
 
+def edge_kind_at(quot: QuotientGraph, at) -> str:
+    """The kind of a quotient seen from node ``at``, read off its edges: a star is star-center or star-spoke."""
+    return _seen_from(*edge_kind(quot), at)
+
+
+def _seen_from(kind: str, center, at) -> str:
+    if kind == STAR:
+        return STAR_CENTER if at == center else STAR_SPOKE
+    return kind
+
+
 def assert_kinds_stored(q: Qasst) -> None:
-    """Assert that every quotient's stored kind is the one its materialized edges read."""
+    """Assert that every quotient's stored kind, also as seen from each node, is the one its edges read."""
     for i, quot in q.quotients.items():
-        assert tuple(classify_quotient(quot)) == edge_kind(quot), (i, quot)
-        assert quot.center is None or quot.kind == STAR, (i, quot)  # only a star has a centre
+        read = edge_kind(quot)
+        assert (quot.kind, quot.center) == read, (i, quot)
+        for v in quot.nodes:
+            assert quot.kind_at(v) == _seen_from(*read, v), (i, v, quot)

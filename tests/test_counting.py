@@ -37,7 +37,7 @@ from lcsplit.families import (
 )
 from lcsplit.graphs import edge_count, max_degree
 from lcsplit.orbit import enumerate_orbit, min_edge_member, min_max_degree_member
-from lcsplit.qasst import compute_qasst
+from lcsplit.qasst import Qasst, QuotientGraph, compute_qasst
 
 
 class TestBouchet:
@@ -79,6 +79,10 @@ class TestPhi:
     def test_prime_rejected(self):
         with pytest.raises(UnsupportedQasstError):
             phi_count(compute_qasst(cycle_graph(5)))
+
+    def test_two_leaves_without_an_edge_count_as_complete(self):
+        # Stored as prime, since it is disconnected, but counted as the one member a complete quotient of two nodes has.
+        assert phi_count(Qasst({0: QuotientGraph([1, 2])})) == 1
 
     def test_kpartite_phi_closed_form(self):
         assert kpartite_phi((2, 2, 2)) == 81
@@ -230,7 +234,7 @@ class TestPhiRooting:
     def test_same_count_from_every_numbering(self):
         import random
 
-        from lcsplit.qasst import Qasst, SplitNode
+        from lcsplit.qasst import SplitNode
         from lcsplit.qasst_ops import random_dh
 
         rng = random.Random(3)
@@ -247,7 +251,5 @@ class TestPhiRooting:
                 assert phi_count(tree) == want
 
     def test_empty_tree_rejected(self):
-        from lcsplit.qasst import Qasst
-
         with pytest.raises(UnsupportedQasstError):
             phi_count(Qasst({}))

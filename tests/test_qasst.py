@@ -13,6 +13,8 @@ from oracles import (
     assert_kinds_stored,
     assert_strong_split_tree,
     dh_definition_oracle,
+    edge_kind,
+    edge_kind_at,
     far_leaves,
     split_node_quotients,
 )
@@ -36,7 +38,6 @@ from lcsplit.qasst import (
     Qasst,
     QuotientGraph,
     SplitNode,
-    classify_quotient,
     compute_qasst,
     compute_qasst_by_splits,
     eliminate_extensions,
@@ -143,14 +144,14 @@ class TestComputeQasst:
     def test_prime_cycle_is_single_quotient(self):
         q = compute_qasst(cycle_graph(5))
         assert len(q.quotients) == 1
-        assert classify_quotient(q.quotients[0]).kind == PRIME
+        assert edge_kind(q.quotients[0])[0] == PRIME
 
     def test_bipartite_two_star_centers(self):
         q = compute_qasst(complete_bipartite_graph(2, 2))
         assert len(q.quotients) == 2
         for quot in q.quotients.values():
             s = next(iter(quot.split_nodes()))
-            assert classify_quotient(quot, s).kind == STAR_CENTER
+            assert edge_kind_at(quot, s) == STAR_CENTER
 
     def test_requires_connected(self):
         with pytest.raises(NotConnectedError):
@@ -180,8 +181,8 @@ class TestComputeQasst:
             g = random_connected_graph(rng.randint(4, 10), rng)
             q = compute_qasst(g)
             for sa, sb in q.tree_edges():
-                ka = classify_quotient(q.quotients[sa.i], sa).kind
-                kb = classify_quotient(q.quotients[sb.i], sb).kind
+                ka = edge_kind_at(q.quotients[sa.i], sa)
+                kb = edge_kind_at(q.quotients[sb.i], sb)
                 assert join_validity(ka, kb), (ka, kb)
 
     def test_strong_splits_invariant_under_lc(self):
@@ -416,12 +417,11 @@ class TestRename:
 class TestClassification:
     def test_complete_star_prime(self):
         k3 = QuotientGraph([1, 2, 3], [frozenset((1, 2)), frozenset((1, 3)), frozenset((2, 3))])
-        assert classify_quotient(k3).kind == COMPLETE
+        assert k3.kind == k3.kind_at(1) == COMPLETE
         star = QuotientGraph([1, 2, 3], [frozenset((1, 2)), frozenset((1, 3))])
-        assert classify_quotient(star).kind == STAR
-        assert classify_quotient(star, 1).kind == STAR_CENTER
-        assert classify_quotient(star, 2).kind == STAR_SPOKE
-        assert classify_quotient(star, 2).center == 1
+        assert (star.kind, star.center) == (STAR, 1)
+        assert star.kind_at(1) == STAR_CENTER
+        assert star.kind_at(2) == STAR_SPOKE
 
     def test_join_validity_table(self):
         assert not join_validity(COMPLETE, COMPLETE)
@@ -459,7 +459,7 @@ class TestDistanceHereditary:
             g = random_connected_graph(rng.randint(4, 9), rng, rng.uniform(0.2, 0.8))
             q = compute_qasst(g)
             all_nice = all(
-                classify_quotient(quot).kind != PRIME for quot in q.quotients.values()
+                edge_kind(quot)[0] != PRIME for quot in q.quotients.values()
             )
             assert all_nice == is_distance_hereditary(g)
 
@@ -643,7 +643,7 @@ def _random_reduced_tree(rng, count, primes):
                 for x in pieces[j].nodes
                 if x not in names[j]
                 for y in pieces[i].nodes
-                if join_validity(classify_quotient(pieces[j], x).kind, classify_quotient(pieces[i], y).kind)
+                if join_validity(edge_kind_at(pieces[j], x), edge_kind_at(pieces[i], y))
             ]
             j, x, y = rng.choice(joins)
             names[j][x], names[i][y] = SplitNode(j, i), SplitNode(i, j)
@@ -698,7 +698,7 @@ class TestPolynomialSplitSearch:
         while len(primes) < 8:
             g = random_connected_graph(rng.randint(5, 7), rng, 0.5)
             tree = compute_qasst_by_splits(g)
-            if len(tree.quotients) == 1 and classify_quotient(tree.quotients[0]).kind == PRIME:
+            if len(tree.quotients) == 1 and edge_kind(tree.quotients[0])[0] == PRIME:
                 primes.append(g)
         for _ in range(40):
             built = _random_reduced_tree(rng, rng.randint(2, 10), primes)
@@ -718,7 +718,7 @@ class TestLargePrimeKernels:
             g = cycle_graph(n)
             q = compute_qasst(g)
             assert len(q.quotients) == 1
-            assert classify_quotient(q.quotients[0]).kind == PRIME
+            assert edge_kind(q.quotients[0])[0] == PRIME
             assert reconstruct(q) == g
         rng = random.Random(60)
         g = random_connected_graph(60, rng, 0.1)

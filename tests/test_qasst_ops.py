@@ -8,7 +8,7 @@ import time
 import pytest
 
 from helpers import all_connected_graphs, graphs_up_to_isomorphism, random_connected_graph
-from oracles import split_node_quotients
+from oracles import edge_kind, split_node_quotients
 from lcsplit.errors import InvalidVertexError, MalformedQasstError, NotConnectedError
 from lcsplit.families import clique_star_graph, complete_graph, cycle_graph, path_graph, star_graph
 from lcsplit.graphs import (
@@ -24,7 +24,6 @@ from lcsplit.qasst import (
     QuotientGraph,
     STAR,
     SplitNode,
-    classify_quotient,
     compute_qasst,
     compute_qasst_by_splits,
     from_json_dict,
@@ -595,11 +594,11 @@ class TestDerivedTreesStayApart:
         yield
         roomy = sorted(
             i for i, quot in q.quotients.items()
-            if len(quot.adj) >= 4 and classify_quotient(quot).kind != PRIME
+            if len(quot.adj) >= 4 and edge_kind(quot)[0] != PRIME
         )
         if roomy:
             i = rng.choice(roomy)
-            center = classify_quotient(q.quotients[i]).center
+            center = edge_kind(q.quotients[i])[1]
             rest = sorted((v for v in q.quotients[i].adj if v != center), key=node_sort_key)
             m = q.split_off(i, rng.sample(rest, 2))
             yield
@@ -796,17 +795,17 @@ class TestTreesWithoutTheRecord:
         while len(trees) < 12:
             q = compute_qasst(random_dh(rng.randint(20, 60), rng.random())[0])
             big = (quot for quot in q.quotients.values() if len(quot.adj) >= 5)
-            if any(classify_quotient(quot).kind in (COMPLETE, STAR) for quot in big):
+            if any(edge_kind(quot)[0] in (COMPLETE, STAR) for quot in big):
                 trees.append(q)
         kept, records = 0, []
         for q in trees:
             g = reconstruct(q)
             q = q.copy()
-            i, kind = next(
-                (i, kind) for i, quot in sorted(q.quotients.items())
-                if len(quot.adj) >= 5 and (kind := classify_quotient(quot)).kind in (COMPLETE, STAR)
+            i, (_, center) = next(
+                (i, read) for i, quot in sorted(q.quotients.items())
+                if len(quot.adj) >= 5 and (read := edge_kind(quot))[0] in (COMPLETE, STAR)
             )
-            q.split_off(i, sorted((v for v in q.quotients[i].adj if v != kind.center), key=node_sort_key)[:2])
+            q.split_off(i, sorted((v for v in q.quotients[i].adj if v != center), key=node_sort_key)[:2])
             loaded = from_json_dict(json.loads(json.dumps(to_json_dict(q))))
             assert reconstruct(loaded) == g
             for v in range(1, g.n + 1):
@@ -827,7 +826,7 @@ class TestTreesWithoutTheRecord:
             for _ in range(12):
                 g = extend_graph(g, rng.choice(EXTENSION_KINDS), rng.randint(1, g.n))
             q = compute_qasst(g).copy()
-            i = next(i for i, quot in sorted(q.quotients.items()) if classify_quotient(quot).kind == PRIME)
+            i = next(i for i, quot in sorted(q.quotients.items()) if edge_kind(quot)[0] == PRIME)
             q.merge(min(q.quotients[i].split_nodes()))
             loaded = from_json_dict(json.loads(json.dumps(to_json_dict(q))))
             assert reconstruct(loaded) == g

@@ -1,6 +1,7 @@
 """Symmetry classes, transformation synthesis, and closure rules."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,17 @@ class TestBuildStarQasst:
                 q.validate()
                 assert len(q.quotients) == 4
 
+    def test_blocks_are_made_as_their_kind(self):
+        # Made as its kind, a complete block of 1000 nodes lists none of its
+        # half a million edges.
+        tracemalloc.start()
+        try:
+            build_star_qasst((1000, 1000, 1000), "c", ("c", "c", "c"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
 
 class TestRealize:
     def test_identity_cases(self):
@@ -128,6 +140,11 @@ class TestRealize:
                     count += 1
                 assert count == mult
             assert built == set(orbit.members)
+
+    def test_too_many_edges_refused(self):
+        case = SymmetryCase(KPARTITE, 3, 1, frozenset({2}))
+        with pytest.raises(SizeLimitError, match="limited to 1000000 edges"):
+            realize(case, (1000, 1000, 1000))
 
 
 class TestClassification:
