@@ -157,10 +157,12 @@ def build_star_qasst(
     kinds = tuple(kinds)
     if len(kinds) != k:
         raise InvalidAssignmentError(f"need one quotient kind per block, got {len(kinds)}")
-    q0_shape(q0_kind, k)  # refuses a malformed Q0 kind
+    q0_center = None
+    if q0_kind != COMPLETE:
+        q0_shape(q0_kind, k)  # refuses a malformed Q0 kind
+        q0_center = SplitNode(0, q0_kind[1])
     blocks = block_ranges(n_list)
     centers = centers or {}
-    q0_center = None if q0_kind == COMPLETE else SplitNode(0, q0_kind[1])
     quotients = {0: _complete_or_star([SplitNode(0, i) for i in range(1, k + 1)], q0_center)}
     for i, (block, kind) in enumerate(zip(blocks, kinds), start=1):
         s = SplitNode(i, 0)

@@ -96,12 +96,13 @@ class TestBuildStarQasst:
                 q.validate()
                 assert len(q.quotients) == 4
 
-    def test_blocks_are_made_as_their_kind(self):
-        # Made as its kind, a complete block of 1000 nodes lists none of its
-        # half a million edges.
+    @pytest.mark.parametrize("n_list", [(1000, 1000, 1000), (2,) * 1000])
+    def test_quotients_are_made_as_their_kind(self, n_list):
+        # Made as its kind, a complete quotient of 1000 nodes, a block or Q0,
+        # lists none of its half a million edges.
         tracemalloc.start()
         try:
-            build_star_qasst((1000, 1000, 1000), "c", ("c", "c", "c"))
+            build_star_qasst(n_list, "c", ("c",) * len(n_list))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
