@@ -19,9 +19,7 @@ import functools
 import json
 import os
 import random
-import re
 import sys
-from itertools import accumulate
 
 from . import counting, families, graphs, orbit, qasst, qasst_ops, symmetry
 from .errors import BudgetExceededError, InvalidSpecError, LcsplitError
@@ -116,65 +114,21 @@ def _load(mod, path: str):
     return mod.from_json_dict(_load_json(path))
 
 
-# A JSON string token, quotes included; an escaped quote does not end it.
-_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
-# Outside strings, an empty container or a bracket, and what each does to the depth.
-_BRACKET = re.compile(r"(\[\]|\{\}|[\[\]{}])")
-_STEP = {"[": 1, "{": 1, "]": -1, "}": -1, "[]": 0, "{}": 0}
-
-
 def _dump_json(data) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte, from the C encoder.
-
-    It writes graphs and every other JSON payload but trees, which
-    ``qasst.to_json_text`` writes directly.
-
-    ``indent`` sends ``json`` to its pure-Python encoder.  Instead the data
-    is encoded compactly in C and each string token is set aside, leaving a
-    bare ``"`` in its place, so that every bracket and comma left is
-    structure.  That skeleton is indented by bracket depth: a non-empty
-    container's opening bracket ends a line, its closing bracket starts
-    one, and each comma between its items ends one, the next line indented
-    two spaces per enclosing container.  Empty containers stay ``[]`` and
-    ``{}``.  The strings then go back in order.
-    """
+    """``json.dumps(data, indent=2, sort_keys=True)``: LC sequences, ``rep`` rows and ``orbit min-edge|min-degree``."""
     try:
-        flat = json.dumps(data, sort_keys=True, separators=(",", ": "))
+        return json.dumps(data, indent=2, sort_keys=True)
     except ValueError as exc:  # an int past the interpreter's int -> str digit limit
         raise InvalidSpecError("an integer in the output is too long to write as JSON") from exc
-    strings = _STRING.findall(flat)
-    parts = _BRACKET.split(_STRING.sub('"', flat))
-    brackets = parts[1::2]
-    depths = list(accumulate(map(_STEP.__getitem__, brackets)))
-    pads = ["\n" + "  " * d for d in range(max(depths, default=0) + 1)]
-    shown = {"[]": ["[]"] * len(pads), "{}": ["{}"] * len(pads)}
-    shown.update((b, [b + pad for pad in pads]) for b in "[{")
-    shown.update((b, [pad + b for pad in pads]) for b in "]}")
-    commas = ["," + pad for pad in pads]
-    parts[1::2] = [shown[b][d] for b, d in zip(brackets, depths)]
-    parts[2::2] = [text.replace(",", commas[d]) for text, d in zip(parts[2::2], depths)]
-    merged = [""] * (2 * len(strings) + 1)
-    merged[::2] = "".join(parts).split('"')
-    merged[1::2] = strings
-    return "".join(merged)
 
 
 def _emit(mod, obj, fmt: str, out: str) -> None:
-    """Write a graph (``mod`` = graphs) or quotient tree (``mod`` = qasst) as JSON or DOT.
+    """Write a graph (``mod`` = graphs) or quotient tree (``mod`` = qasst) as JSON or DOT, by its module's writer.
 
-    A tree's JSON is written directly by ``qasst.to_json_text``, a graph's through :func:`_dump_json`.
-    A leaf-node past the interpreter's int -> str digit limit (``qasst extend`` adds the largest
-    label + 1) is refused in either format.
+    A leaf-node past the int -> str digit limit (``qasst extend`` adds the largest label + 1) is refused.
     """
     try:
-        if fmt == "dot":
-            text = mod.to_dot(obj)
-        elif mod is qasst:
-            text = qasst.to_json_text(obj)
-        else:
-            text = _dump_json(mod.to_json_dict(obj))
-    except LcsplitError:
-        raise
+        text = mod.to_dot(obj) if fmt == "dot" else mod.to_json_text(obj)
     except ValueError as exc:
         raise InvalidSpecError(f"an integer in the output is too long to write as {fmt.upper()}") from exc
     _write_text(text, out)
@@ -233,8 +187,8 @@ def cmd_orbit(args) -> int:
     if args.action == "size":
         _write_text(str(len(o)), args.output)
     elif args.action == "list":
-        members = [graphs.to_json_dict(m) for m in o.sorted_members()]
-        _write_text(_dump_json(members), args.output)
+        members = [graphs.to_json_text(m, 1) for m in o.sorted_members()]
+        _write_text(graphs._list_text(members, 0), args.output)
     elif args.action == "min-edge":
         best, edges = orbit.min_edge_member(o)
         _write_text(

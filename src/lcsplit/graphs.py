@@ -284,6 +284,24 @@ def to_json_dict(g: SimpleGraph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
+# _PAD[d] starts a line at depth d, as ``json.dumps(..., indent=2)`` does.
+_PAD = ["\n" + "  " * d for d in range(7)]
+
+
+def _list_text(items: list[str], d: int) -> str:
+    """A JSON list at depth d of items already written at depth d + 1."""
+    if not items:
+        return "[]"
+    return "[" + _PAD[d + 1] + ("," + _PAD[d + 1]).join(items) + _PAD[d] + "]"
+
+
+def to_json_text(g: SimpleGraph, d: int = 0) -> str:
+    """``json.dumps(to_json_dict(g), indent=2, sort_keys=True)`` at depth d, byte for byte, one f-string per edge."""
+    start, mid, end = "[" + _PAD[d + 3], "," + _PAD[d + 3], _PAD[d + 2] + "]"  # an edge pair at depth d + 2
+    pairs = [f"{start}{u}{mid}{v}{end}" for u, v in g.edges()]
+    return f'{{{_PAD[d + 1]}"edges": {_list_text(pairs, d + 1)},{_PAD[d + 1]}"n": {g.n}{_PAD[d]}}}'
+
+
 def json_int(x) -> int:
     """``x`` itself if it is a JSON integer; bools, floats and strings raise TypeError."""
     if type(x) is not int:

@@ -26,11 +26,11 @@ By Cunningham's uniqueness theorem (1982) the result is the strong split
 tree; a distance-hereditary graph leaves a one-vertex kernel
 (:func:`is_distance_hereditary`).  Brute-force strong-split search is
 kept only as the reference :func:`compute_qasst_by_splits`.  Whatever is
-read from the whole tree comes from one rooted pass, :func:`_orient`.  A
-tree is checked once, where it enters (:func:`compute_qasst`,
-:func:`from_json_dict`).  JSON (:func:`to_json_dict`,
-:func:`to_json_text`) and DOT (:func:`to_dot`) print one listing of the
-normalized tree, :func:`_listing`.
+read from the whole tree comes from one rooted pass, :func:`_orient`, and
+the graph from one fold over it, :func:`_reach`.  A tree is checked once,
+where it enters (:func:`compute_qasst`, :func:`from_json_dict`).  JSON
+(:func:`to_json_dict`, :func:`to_json_text`) and DOT (:func:`to_dot`)
+print one listing of the normalized tree, :func:`_listing`.
 """
 
 from __future__ import annotations
@@ -49,8 +49,10 @@ from .errors import (
     SizeLimitError,
 )
 from .graphs import (
+    _PAD,
     SimpleGraph,
     _bits,
+    _list_text,
     is_connected,
     json_int,
     neighborhood,
@@ -728,11 +730,13 @@ def is_strong(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[int]) -> b
 
 
 def reconstruct(q: Qasst) -> SimpleGraph:
-    """The graph of a tree: each quotient merged (:meth:`Qasst.merge`) into the root, on a copy.
+    """The graph of a tree, read off the fold :func:`_reach` with the bit ``1 << v`` for each leaf v.
 
-    Works even when the tree edges are not strong splits.  The leaf-nodes
-    must be 1..n.  A graph of more than ``families.MAX_EDGES`` edges
-    (:func:`_edge_count`) is refused with :class:`SizeLimitError` first.
+    The leaf-nodes must be 1..n; the tree edges need not be strong splits.
+    A graph of over ``families.MAX_EDGES`` edges (:func:`_edge_count`) is
+    refused with :class:`SizeLimitError` first.  A pass from the root down
+    adds ``outside[i]``, the vertices joined to all that quotient i's entry
+    reaches, to what each node adjacent to that entry sees, ``behind[x]``.
     """
     order, up = q.validate()
     n = len(q._home)
@@ -740,42 +744,55 @@ def reconstruct(q: Qasst) -> SimpleGraph:
         raise MalformedQasstError("leaf-nodes do not cover 1..n")
     if _edge_count(q, order, up) > families.MAX_EDGES:
         raise SizeLimitError(f"reconstructed graphs are limited to {families.MAX_EDGES} edges")
-    out = q.copy()
-    for i in order[1:]:
-        out.merge(up[i].partner)
-    adj = out.quotients[order[0]].adj
-    return SimpleGraph(n, [(u, v) for u in adj for v in adj[u] if u < v])
+    rows = [0] * (n + 1)
+    outside = {order[0]: 0}
+    for i, d, behind in reversed(list(_reach(q, order, up, lambda v: 1 << v))):
+        out = outside.pop(i)
+        near = set(q.quotients[i].neighbours(up[i])) if out else ()
+        for x in d:
+            row = behind[x] | out if x in near else behind[x]
+            if type(x) is SplitNode:
+                outside[q.across(x)] = row
+            else:
+                rows[x] = row
+    return SimpleGraph._from_adj(n, rows)
 
 
 def _edge_count(q: Qasst, order: list[int], up: dict) -> int:
-    """The edge count of a tree's graph, from one post-order pass over the rooted tree ``order``, ``up``.
+    """The edge count of a tree's graph: half the sum of d[x]·behind[x] in the fold :func:`_reach` with 1 per leaf."""
+    total = 0
+    for _, d, behind in _reach(q, order, up, lambda v: 1):
+        total += sum(d[x] * behind[x] for x in d)
+    return total // 2
 
-    D(x) is 1 at a leaf and, at a downward split-node, the number of leaves
-    its child reaches from the child's entry.  An edge xy of a quotient,
-    neither end its entry, stands for D(x)·D(y) edges.  With S the sum of D
-    off the entry, that is (S² − ΣD²)/2 in a complete quotient and
-    D(c)·(S − D(c)) in a star centred at c; a prime one sums its edges.
+
+def _reach(q: Qasst, order: list[int], up: dict, leaf):
+    """The accessibility fold over the rooted tree ``order``, ``up``: (i, d, behind) per quotient i, children first.
+
+    A graph edge uv is a tree path crossing a quotient edge in every
+    quotient it passes (Gioan, Paul, Tedder & Corneil 2014).  ``d`` maps
+    each node but the entry to what lies behind it: ``leaf(v)`` at a leaf
+    v, what the child's entry reaches at a downward split-node.  ``behind[x]``
+    sums ``d`` over x's neighbours, read off the kind.  ``leaf`` 1 counts;
+    ``1 << v`` gives disjoint bits, whose sums are unions.
     """
     reach: dict[int, int] = {}
-    total = 0
     for i in reversed(order):
         quot, entry = q.quotients[i], up[i]
-        d = {v: reach[q.across(v)] if isinstance(v, SplitNode) else 1 for v in quot._adj if v != entry}
+        d = {v: reach[q.across(v)] if type(v) is SplitNode else leaf(v) for v in quot._adj if v != entry}
         whole = sum(d.values())
-        if quot.kind == COMPLETE:
-            total += (whole * whole - sum(x * x for x in d.values())) // 2
-            behind = whole
-        elif quot.kind == STAR:
-            dc = d.get(quot.center, 0)  # 0 when the centre is the entry
-            total += dc * (whole - dc)
-            behind = whole if quot.center == entry else dc
+        if quot.kind == PRIME:
+            get = {**d, entry: 0}.__getitem__  # the entry counts 0
+            behind = {x: sum(map(get, nb)) for x, nb in quot._adj.items()}
+        elif quot.kind == COMPLETE:
+            behind = {x: whole - d.get(x, 0) for x in quot._adj}
         else:
-            adj = quot._adj
-            total += sum(d[x] * d[y] for x in d for y in adj[x] if y in d) // 2
-            behind = sum(map(d.__getitem__, adj[entry])) if entry is not None else 0
+            dc = d.get(quot.center, 0)  # 0 when the centre is the entry
+            behind = dict.fromkeys(quot._adj, dc)
+            behind[quot.center] = whole - dc
         if entry is not None:
-            reach[i] = behind
-    return total
+            reach[i] = behind[entry]
+        yield i, d, behind
 
 
 # -- classification ----------------------------------------------------------
@@ -1138,17 +1155,6 @@ def _node_json(node: Node):
     if isinstance(node, SplitNode):
         return {"i": node.i, "j": node.j}
     return node
-
-
-# _PAD[d] starts a line at depth d, as ``json.dumps(..., indent=2)`` does.
-_PAD = ["\n" + "  " * d for d in range(7)]
-
-
-def _list_text(items: list[str], d: int) -> str:
-    """A JSON list at depth d of items already written at depth d + 1."""
-    if not items:
-        return "[]"
-    return "[" + _PAD[d + 1] + ("," + _PAD[d + 1]).join(items) + _PAD[d] + "]"
 
 
 def _split_texts(splits: Iterable[SplitNode], d: int) -> list[str]:

@@ -104,6 +104,31 @@ def far_leaves(q: Qasst, s: SplitNode) -> frozenset:
     return frozenset(out)
 
 
+def graph_by_paths(q: Qasst) -> SimpleGraph:
+    """The graph a tree with leaf-nodes 1..n stands for, walked path by path.
+
+    u ~ v iff every quotient on the tree path from u to v joins the node
+    where the path enters it to the node where it leaves.  From each leaf
+    u, a walk entering a quotient at node a goes on from each neighbour b
+    of a (read off the quotient's materialized ``adj``): b is a leaf
+    adjacent to u, or a split-node whose partner is where the walk enters
+    the next quotient.  The quotients form a tree, so no walk turns back.
+    """
+    where = split_node_quotients(q)
+    home = {v: i for i, quot in q.quotients.items() for v in quot.leaf_nodes()}
+    edges = set()
+    for u, i in home.items():
+        stack = [(i, u)]
+        while stack:
+            i, a = stack.pop()
+            for b in q.quotients[i].adj[a]:
+                if isinstance(b, SplitNode):
+                    stack.append((where[b.partner], b.partner))
+                else:
+                    edges.add((min(u, b), max(u, b)))
+    return SimpleGraph(len(home), sorted(edges))
+
+
 def assert_strong_split_tree(q: Qasst, g: SimpleGraph) -> None:
     """Assert that q is the strong split tree of g, without brute force (Cunningham 1982).
 

@@ -590,16 +590,22 @@ class TestSizeCap:
         g = from_json_dict(json.loads(capsys.readouterr().out))
         assert g == families.complete_graph(12) and len(g.edges()) == 66
 
-    def test_reconstruct_over_the_edge_cap_exits_two_before_merging(self, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("merged past the edge cap")
+    def test_reconstruct_over_the_edge_cap_exits_two_before_any_mask(self, tmp_path, capsys, monkeypatch):
+        reach, folds = qasst._reach, []
+
+        def count_only(q, order, up, leaf):
+            folds.append(leaf(2))
+            if leaf(2) != 1:
+                raise AssertionError("a leaf mask was built before the edge cap was checked")
+            return reach(q, order, up, leaf)
 
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(self._triangle_chain(12)))
         monkeypatch.setattr(families, "MAX_EDGES", 65)
-        monkeypatch.setattr(qasst.Qasst, "merge", refuse)
+        monkeypatch.setattr(qasst, "_reach", count_only)
         assert cli.main(["reconstruct", "--input", str(path)]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == "lcsplit: reconstructed graphs are limited to 65 edges\n"
+        assert folds == [1]  # the count ran, and no fold of masks
 
     def test_edge_count_matches_reconstruction(self):
         rng = random.Random(2020)
@@ -750,28 +756,34 @@ class TestSymTransformRange:
         assert captured.err == f"lcsplit: {message}\n"
 
 
+def _graphs_written():
+    """Graphs of every shape the CLI writes: n = 0, 1 and 2, P9, K30, C6's orbit members and a random graph."""
+    from lcsplit import orbit
+
+    out = [SimpleGraph(0), SimpleGraph(1), SimpleGraph(2), SimpleGraph(2, [(1, 2)])]
+    out += [families.path_graph(9), families.complete_graph(30)]
+    out += orbit.enumerate_orbit(families.cycle_graph(6)).sorted_members()
+    out.append(random_connected_graph(12, random.Random(25), 0.3))
+    return out
+
+
 def _cli_payloads():
-    """One of every kind of JSON payload the CLI writes, from the functions that build them."""
-    from lcsplit import counting, families, orbit, qasst, qasst_ops, symmetry
+    """One of every kind of JSON payload the CLI writes that is neither a graph nor a tree, from the functions that build them."""
+    from lcsplit import counting, families, orbit, symmetry
 
     g = families.build(families.FamilySpec("complete_bipartite", (2, 3), None))
     o = orbit.enumerate_orbit(g)
     best, edges = orbit.min_edge_member(o)
     low, delta = orbit.min_max_degree_member(o)
     case = symmetry.SymmetryCase(families.KPARTITE, 1, None, frozenset({1, 2}))
-    payloads = [
-        graphs.to_json_dict(g),
+    return [
         {"sequence": orbit.transformation_between(g, best)},
-        [graphs.to_json_dict(m) for m in o.sorted_members()],
         {"edge_count": edges, "graph": graphs.to_json_dict(best)},
         {"max_degree": delta, "graph": graphs.to_json_dict(low)},
         cli._rep_rows(counting.min_edge_rep(families.KPARTITE, [2, 2, 3])),
         {"sequence": symmetry.synthesize_transformation(families.KPARTITE, case, [2, 2, 3])},
         {"sequence": []},
     ]
-    for n in (1, 2, 9, 60):
-        payloads.append(qasst.to_json_dict(qasst.compute_qasst(qasst_ops.random_dh(n, n)[0])))
-    return payloads
 
 
 _ANY_JSON = st.recursive(
@@ -786,8 +798,31 @@ class TestJsonWriter:
     """The CLI writes ``json.dumps(data, indent=2, sort_keys=True)`` byte for byte."""
 
     def test_every_cli_payload(self):
+        for g in _graphs_written():
+            text = json.dumps(graphs.to_json_dict(g), indent=2, sort_keys=True)
+            assert graphs.to_json_text(g) == text
+            assert graphs.to_json_text(g, 1) == text.replace("\n", "\n  "), g  # one level down, as a list item
         for data in _cli_payloads():
             assert cli._dump_json(data) == json.dumps(data, indent=2, sort_keys=True)
+
+    def test_graph_commands_print_json_dumps(self, tmp_path, capfdbinary):
+        from lcsplit import orbit
+
+        g = families.cycle_graph(6)
+        src, tree = tmp_path / "g.json", tmp_path / "q.json"
+        src.write_text(json.dumps(graphs.to_json_dict(g)))
+        tree.write_text(json.dumps(qasst.to_json_dict(qasst.compute_qasst(g))))
+        runs = [
+            (["gen", "complete", "--params", "7"], graphs.to_json_dict(families.complete_graph(7))),
+            (["gen", "path", "--params", "1"], graphs.to_json_dict(families.path_graph(1))),
+            (["lc", "--vertex", "2", "--input", str(src)], graphs.to_json_dict(graphs.local_complement(g, 2))),
+            (["reconstruct", "--input", str(tree)], graphs.to_json_dict(g)),
+            (["orbit", "list", "--input", str(src)],
+             [graphs.to_json_dict(m) for m in orbit.enumerate_orbit(g).sorted_members()]),
+        ]
+        for argv, data in runs:
+            assert cli.main(argv) == cli.EXIT_OK
+            assert capfdbinary.readouterr().out == (json.dumps(data, indent=2, sort_keys=True) + "\n").encode(), argv
 
     @settings(max_examples=200, deadline=None)
     @given(_ANY_JSON)

@@ -2,16 +2,18 @@
 
 Every mutated payload is written to a temp file and run through
 ``cli.main``: trees through ``reconstruct`` and ``qasst lc|induce|extend``,
-graphs through ``decompose``, ``lc`` and ``count phi --input``.  Each run
-must return 0, or 2 with exactly one ``lcsplit:`` line on stderr, and raise
-nothing.  Where the mutated tree still stands for a graph and ``qasst
-induce`` accepts the keep set, the induced tree must reconstruct, leaves
-relabelled to 1..k, to that graph's induced subgraph.
+graphs through ``decompose``, ``lc``, ``count phi --input`` and ``orbit
+size|list|min-edge --limit 2000``.  Each run must return 0, or 2 with
+exactly one ``lcsplit:`` line on stderr, and raise nothing; ``orbit`` may
+also return 3, its budget spent, with one such line.  Where the mutated
+tree still stands for a graph and ``qasst induce`` accepts the keep set,
+the induced tree must reconstruct, leaves relabelled to 1..k, to that
+graph's induced subgraph.
 
-``orbit`` stays out of this gate: a mutation can give a graph thousands of
-vertices, and the BFS's time on such a graph is not bounded yet (an
-isolated vertex is never a pivot, but each member is still an
-(n+1)·n-bit integer that every pivot shifts).
+``orbit`` runs on mutated graphs only, whose size the mutations bound: a
+graph takes one or two mutations, each adding at most one vertex ("new
+vertex", or a "bad value" of n + 1), so n never passes the base graph's
+n + 2, which is at most 14.
 """
 
 import contextlib
@@ -105,14 +107,14 @@ def _mutate_graph(data: dict, rng: random.Random) -> str:
     return kind
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    """``cli.main(argv)`` with stderr captured; the exit must be 0, or 2 with one ``lcsplit:`` line."""
+def _run(argv: list[str], exits=(cli.EXIT_OK, cli.EXIT_USAGE)) -> tuple[int, str]:
+    """``cli.main(argv)`` with stderr captured; the exit must be one of ``exits``, and any but 0 print one ``lcsplit:`` line."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(argv)
     text = err.getvalue()
-    assert code in (cli.EXIT_OK, cli.EXIT_USAGE), (argv, code, text)
-    if code == cli.EXIT_USAGE:
+    assert code in exits, (argv, code, text)
+    if code != cli.EXIT_OK:
         assert text.startswith("lcsplit: ") and text.count("\n") == 1, (argv, text)
     else:
         assert text == "", (argv, text)
@@ -186,4 +188,7 @@ def test_mutated_graphs(files):
         codes.append(_run(["decompose"] + common)[0])
         codes.append(_run(["lc", "--vertex", str(rng.randint(0, n + 1))] + common)[0])
         codes.append(_run(["count", "phi"] + common)[0])
-    assert codes.count(cli.EXIT_OK) >= 50 and codes.count(cli.EXIT_USAGE) >= 50
+        for action in ("size", "list", "min-edge"):
+            argv = ["orbit", action, "--limit", "2000"] + common
+            codes.append(_run(argv, (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_BUDGET))[0])
+    assert codes.count(cli.EXIT_OK) >= 50 and codes.count(cli.EXIT_USAGE) >= 50 and cli.EXIT_BUDGET in codes

@@ -16,6 +16,7 @@ from oracles import (
     edge_kind,
     edge_kind_at,
     far_leaves,
+    graph_by_paths,
     split_node_quotients,
 )
 from lcsplit.errors import MalformedQasstError, NotConnectedError
@@ -27,7 +28,7 @@ from lcsplit.families import (
     star_graph,
 )
 from lcsplit import cli
-from lcsplit.graphs import SimpleGraph, _bits, apply_sequence, local_complement, neighborhood
+from lcsplit.graphs import SimpleGraph, _bits, apply_sequence, induced_subgraph, local_complement, neighborhood
 from lcsplit.qasst_ops import EXTENSION_KINDS, extend_graph, induced_qasst, lc_propagate, random_dh
 from lcsplit.qasst import (
     COMPLETE,
@@ -46,6 +47,7 @@ from lcsplit.qasst import (
     is_split,
     is_strong,
     join_validity,
+    node_sort_key,
     reconstruct,
     _all_split_masks,
     _extend,
@@ -893,3 +895,90 @@ class TestPruneThenReplay:
         q = compute_qasst(g)
         assert time.monotonic() - start < 10.0
         assert len(q.quotients) == 6398
+
+
+class TestReconstructByPaths:
+    """``reconstruct`` reads the graph off the accessibility fold; the path oracle walks it path by path."""
+
+    @staticmethod
+    def _same(q, g):
+        assert reconstruct(q) == graph_by_paths(q) == g
+
+    def test_every_connected_graph_up_to_six_and_one_local_complement(self):
+        for n in range(1, 7):
+            for k, g in enumerate(all_connected_graphs(n)):
+                q = compute_qasst(g)
+                self._same(q, g)
+                v = k % n + 1
+                self._same(lc_propagate(q, v), local_complement(g, v))
+
+    def test_split_off_pieces_of_complete_and_star_quotients(self):
+        kinds = set()
+        for g in (complete_graph(6), star_graph(6), complete_bipartite_graph(3, 4), random_dh(30, 5)[0]):
+            q = compute_qasst(g)
+            for i, quot in q.quotients.items():
+                if quot.kind == PRIME or len(quot.nodes) < 4:
+                    continue
+                kinds.add(quot.kind)
+                nodes = sorted(quot.nodes, key=lambda v: (v == quot.center, node_sort_key(v)))
+                for side in (nodes[:2], nodes[-2:]):  # two spokes, or a spoke and the centre
+                    derived = q.copy()
+                    derived.split_off(i, side)
+                    self._same(derived, g)
+        assert kinds == {COMPLETE, STAR}
+
+    def test_one_and_two_node_quotients_left_by_remove_node(self):
+        small = set()
+        for g in (path_graph(7), complete_bipartite_graph(2, 4), random_dh(25, 8)[0], random_dh(25, 9)[0]):
+            q = compute_qasst(g).copy()
+            for n in range(g.n, 1, -1):
+                q._edit(q._home.pop(n)).remove_node(n)
+                self._same(q, induced_subgraph(g, range(1, n))[0])
+                small |= {len(quot.nodes) for quot in q.quotients.values()} & {1, 2}
+        assert small == {1, 2}
+
+    def test_merged_trees(self):
+        for g in (path_graph(8), random_dh(20, 3)[0], _hung(cycle_graph(6), random.Random(4), 12)):
+            q = compute_qasst(g)
+            for s, _ in q.tree_edges():
+                derived = q.copy()
+                derived.merge(s)
+                self._same(derived, g)
+            merged = q.copy()
+            for s, _ in q.tree_edges():
+                merged.merge(s)
+            assert len(merged.quotients) == 1
+            self._same(merged, g)
+
+    def test_seeded_random_and_prime_kernel_trees(self):
+        rng = random.Random(2500)
+        primes = 0
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            g = random_dh(n, rng.random())[0] if rng.random() < 0.5 else _hung(
+                random_connected_graph(min(n, rng.randint(4, 9)), rng, rng.uniform(0.3, 0.6)), rng, max(0, n - 9))
+            q = compute_qasst(g)
+            self._same(q, g)
+            v = rng.randint(1, g.n)
+            self._same(lc_propagate(q, v), local_complement(g, v))
+            primes += any(quot.kind == PRIME for quot in q.quotients.values())
+        assert primes >= 10
+
+    def test_reads_the_tree_without_merging_or_copying(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reconstruct edited a tree")
+
+        trees = [compute_qasst(g) for g in (path_graph(9), complete_graph(5), cycle_graph(6), random_dh(30, 1)[0])]
+        monkeypatch.setattr(Qasst, "merge", refuse)
+        monkeypatch.setattr(Qasst, "copy", refuse)
+        for q in trees:
+            assert reconstruct(q) == graph_by_paths(q)
+
+    def test_path_of_twenty_thousand_within_two_seconds(self):
+        g = path_graph(20000)
+        q = compute_qasst(g)
+        start = time.perf_counter()
+        got = reconstruct(q)
+        elapsed = time.perf_counter() - start
+        assert got == g
+        assert elapsed < 2, elapsed
