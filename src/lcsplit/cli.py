@@ -143,14 +143,8 @@ def _table(rows: list[list], header: list[str]) -> str:
     return "\n".join(lines)
 
 
+# The orbit families' CLI names; argparse ``choices`` admit no other.
 _ORBIT_TAGS = {"kpartite": families.KPARTITE, "clique_star": families.CLIQUE_STAR}
-
-
-def _orbit_tag(name: str) -> str:
-    try:
-        return _ORBIT_TAGS[name]
-    except KeyError:
-        raise InvalidSpecError(f"family must be kpartite or clique_star, got {name!r}")
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -249,17 +243,15 @@ def cmd_count(args) -> int:
         if args.family is None or args.params is None:
             raise InvalidSpecError(f"count {args.what} needs --family and --params")
         params = _parse_ints(args.params)
-        if args.family == "bipartite" and len(params) != 2:
-            raise InvalidSpecError("bipartite takes exactly two parameters")
-        if args.what == "orbit":
-            if args.family == "bipartite":
-                value = counting.bipartite_orbit_size(*params)
-            else:
-                value = counting.orbit_size(_orbit_tag(args.family), params)
-        elif args.family == "bipartite":  # iso-classes
-            value = counting.bipartite_iso_class_count(*params)
-        else:
-            value = counting.iso_class_count(_orbit_tag(args.family), len(params))
+        if args.family == "bipartite":
+            if len(params) != 2:
+                raise InvalidSpecError("bipartite takes exactly two parameters")
+            fn = counting.bipartite_orbit_size if args.what == "orbit" else counting.bipartite_iso_class_count
+            value = fn(*params)
+        elif args.what == "orbit":
+            value = counting.orbit_size(_ORBIT_TAGS[args.family], params)
+        else:  # iso-classes
+            value = counting.iso_class_count(_ORBIT_TAGS[args.family], len(params))
     _write_text(_decimal(value), args.output)
     return EXIT_OK
 
@@ -278,7 +270,7 @@ def _rep_rows(reps) -> list[dict]:
 
 
 def cmd_rep(args) -> int:
-    tag = _orbit_tag(args.family)
+    tag = _ORBIT_TAGS[args.family]
     params = _parse_ints(args.params)
     fn = counting.min_edge_rep if args.what == "min-edge" else counting.min_max_degree_rep
     rows = _rep_rows(fn(tag, params))
@@ -295,7 +287,7 @@ def cmd_rep(args) -> int:
 
 
 def cmd_sym(args) -> int:
-    tag = _orbit_tag(args.family)
+    tag = _ORBIT_TAGS[args.family]
     params = _parse_ints(args.params)
     if args.action == "enumerate":
         cases = symmetry.enumerate_cases(tag, params)

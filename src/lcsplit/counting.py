@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidAssignmentError, InvalidSpecError, SizeLimitError, UnsupportedQasstError
-from .families import CLIQUE_STAR, KPARTITE, check_blocks, orbit_of
+from .families import CLIQUE_STAR, KPARTITE, check_blocks, check_tag, orbit_of
 from .qasst import (
     COMPLETE,
     PRIME,
@@ -55,8 +55,8 @@ def bouchet_path_count(n: int) -> int:
     """Closed-form orbit count for the path on n vertices, 1 <= n <= :data:`MAX_COUNT_N`.
 
     Equals (sqrt(3)/6)((1+sqrt(3))^(n+1) - (1-sqrt(3))^(n+1)), evaluated
-    exactly.  Known to exceed the labeled-orbit oracle on small n; see the
-    README notes on the recorded discrepancy.
+    exactly.  Against the labelled orbit of P_n, by BFS: four times its
+    size for n = 3..10, and 2 and 6 at n = 1, 2, whose orbits have one member.
     """
     _check_count_n(n, 1, "path")
     return _sqrt3_power(n + 1)[1]
@@ -66,6 +66,8 @@ def bouchet_cycle_count(n: int) -> int:
     """Closed-form orbit count for the cycle on n vertices, 3 <= n <= :data:`MAX_COUNT_N`.
 
     Equals (1+sqrt(3))^n + (1-sqrt(3))^n - 4(2^(n-1) + (-1)^n)/3.
+    Against the labelled orbit of C_n, by BFS: four times its size for
+    n = 3, 4 (as for paths), and exactly its size for n = 5..9.
     """
     _check_count_n(n, 3, "cycle")
     return 2 * _sqrt3_power(n)[0] - 4 * (2 ** (n - 1) + (-1) ** n) // 3
@@ -125,72 +127,64 @@ def kpartite_phi(n_list: Sequence[int]) -> int:
     return prod + 2 * sum(prod // (n + 1) for n in n_list)
 
 
+def _check_sides(n: int, m: int, lead: str = "need") -> None:
+    if n < 2 or m < 2:
+        raise InvalidSpecError(f"{lead} n, m >= 2")
+
+
 def bipartite_orbit_size(n: int, m: int) -> int:
     """|O(K_{n,m})| = nm + n + m + 3 for n, m >= 2."""
-    if n < 2 or m < 2:
-        raise InvalidSpecError("bipartite orbit formula needs n, m >= 2")
+    _check_sides(n, m, "bipartite orbit formula needs")
     return n * m + n + m + 3
 
 
-def _even_odd_products(n_list: Sequence[int]) -> tuple[int, int]:
-    """Sums of prod_{i in I} n_i over even-size and odd-size subsets I."""
+def orbit_size(tag: str, n_list: Sequence[int]) -> int:
+    """|O| of the k-partite or clique-star orbit on these blocks.
+
+    The subset products prod_{i in I} n_i over even-size I (k-partite) or
+    odd-size I (clique-star), read off prod(1 + n_i) and prod(1 - n_i),
+    plus the cross-term sum_j prod_{i!=j}(n_i+1).
+    """
+    check_tag(tag)
+    check_blocks(n_list)
     plus = math.prod(1 + n for n in n_list)
     minus = math.prod(1 - n for n in n_list)
-    return (plus + minus) // 2, (plus - minus) // 2
+    subsets = (plus + minus if tag == KPARTITE else plus - minus) // 2
+    return subsets + sum(plus // (n + 1) for n in n_list)
 
 
 def kpartite_orbit_size(n_list: Sequence[int]) -> int:
     """|O(K_{n_1..n_k})|: even subset products plus sum_j prod_{i!=j}(n_i+1)."""
-    check_blocks(n_list)
-    even, _ = _even_odd_products(n_list)
-    prod = math.prod(n + 1 for n in n_list)
-    return even + sum(prod // (n + 1) for n in n_list)
+    return orbit_size(KPARTITE, n_list)
 
 
 def clique_star_orbit_size(n_list: Sequence[int]) -> int:
     """|O(CS^r)|: odd subset products plus the same cross-term sum."""
-    check_blocks(n_list)
-    _, odd = _even_odd_products(n_list)
-    prod = math.prod(n + 1 for n in n_list)
-    return odd + sum(prod // (n + 1) for n in n_list)
-
-
-def orbit_size(tag: str, n_list: Sequence[int]) -> int:
-    if tag == KPARTITE:
-        return kpartite_orbit_size(n_list)
-    if tag == CLIQUE_STAR:
-        return clique_star_orbit_size(n_list)
-    raise InvalidSpecError(f"unknown orbit tag {tag!r}")
+    return orbit_size(CLIQUE_STAR, n_list)
 
 
 def iso_class_count(tag: str, k: int) -> int:
     """Isomorphism classes in the orbit when all n_i are equal."""
     if k < 3:
         raise InvalidSpecError("need k >= 3")
-    if tag == KPARTITE:
-        return k // 2 + k + 1
-    if tag == CLIQUE_STAR:
-        return (k + 1) // 2 + k
-    raise InvalidSpecError(f"unknown orbit tag {tag!r}")
+    check_tag(tag)
+    return k // 2 + k + 1 if tag == KPARTITE else (k + 1) // 2 + k
 
 
 def bipartite_iso_class_count(n: int, m: int) -> int:
-    if n < 2 or m < 2:
-        raise InvalidSpecError("need n, m >= 2")
+    _check_sides(n, m)
     return 4 if n == m else 6
 
 
 def bipartite_min_edge_count(n: int, m: int) -> int:
     """Fewest edges over O(K_{n,m}): the binary star, n+m-1 edges."""
-    if n < 2 or m < 2:
-        raise InvalidSpecError("need n, m >= 2")
+    _check_sides(n, m)
     return n + m - 1
 
 
 def bipartite_min_max_degree(n: int, m: int) -> int:
     """Smallest maximum degree over O(K_{n,m}): max(n, m)."""
-    if n < 2 or m < 2:
-        raise InvalidSpecError("need n, m >= 2")
+    _check_sides(n, m)
     return max(n, m)
 
 
@@ -203,54 +197,46 @@ def bipartite_min_max_degree(n: int, m: int) -> int:
 # The class model (cases, their kinds, Q0's shape) lives in lcsplit.symmetry.
 
 
-def _validate_assignment(n_list, q0_kind, kinds):
-    k = len(n_list)
+def _degrees(n_list, q0_kind, kinds) -> list[tuple[int, int]]:
+    """(degree, vertex count) pairs, block by block, of the graph a star-shaped assignment reconstructs to.
+
+    The assignment is checked first.  A block shows all n of its vertices
+    across Q0, or only its star centre when star-spoke; it sees what every
+    other block shows when Q0 is complete or points at it, and what the
+    pointed block shows otherwise.  Within a block, c adds n - 1 to each
+    vertex, sc nothing, and ss n - 1 to its centre; each ss spoke has degree 1.
+    """
     check_blocks(n_list)
     kinds = tuple(kinds)
-    if len(kinds) != k or any(kind not in (COMPLETE, STAR_CENTER, STAR_SPOKE) for kind in kinds):
+    if len(kinds) != len(n_list) or any(kind not in (COMPLETE, STAR_CENTER, STAR_SPOKE) for kind in kinds):
         raise InvalidAssignmentError("need one of c/sc/ss per block")
-    edges, at = q0_shape(q0_kind, k)
-    for i in range(1, k + 1):
-        if not join_validity(at[i], kinds[i - 1]):
-            raise InvalidAssignmentError(
-                f"invalid join {at[i]}-{kinds[i - 1]} at block {i}"
-            )
-    return kinds, edges
+    at = q0_shape(q0_kind, len(n_list))
+    for i, (a, kind) in enumerate(zip(at, kinds), start=1):
+        if not join_validity(a, kind):
+            raise InvalidAssignmentError(f"invalid join {a}-{kind} at block {i}")
+    shown = [1 if kind == STAR_SPOKE else n for n, kind in zip(n_list, kinds)]
+    total = sum(shown)
+    pointed = None if q0_kind == COMPLETE else shown[q0_kind[1] - 1]
+    out = []
+    for n, kind, a, own in zip(n_list, kinds, at, shown):
+        ext = pointed if a == STAR_SPOKE else total - own
+        if kind == COMPLETE:
+            out.append((n - 1 + ext, n))
+        elif kind == STAR_CENTER:
+            out.append((ext, n))
+        else:
+            out += [(n - 1 + ext, 1), (1, n - 1)]
+    return out
 
 
 def edge_count_from_assignment(n_list, q0_kind, kinds) -> int:
-    """Edge count of the graph a star-shaped QASST assignment reconstructs to.
-
-    Internal edges per block: c -> n(n-1)/2, sc -> 0, ss -> n-1.  Crossing
-    edges per Q0 edge (i,j): a_i * a_j where a = n for c/sc and 1 for ss
-    (only a star-spoke quotient hides all but its center from the split).
-    """
-    kinds, edges = _validate_assignment(n_list, q0_kind, kinds)
-    internal = {COMPLETE: lambda n: n * (n - 1) // 2, STAR_CENTER: lambda n: 0, STAR_SPOKE: lambda n: n - 1}
-    a = [1 if kind == STAR_SPOKE else n for n, kind in zip(n_list, kinds)]
-    total = sum(internal[kind](n) for n, kind in zip(n_list, kinds))
-    total += sum(a[i - 1] * a[j - 1] for i, j in edges)
-    return total
+    """Edge count of the graph a star-shaped QASST assignment reconstructs to: half its degree sum."""
+    return sum(d * count for d, count in _degrees(n_list, q0_kind, kinds)) // 2
 
 
 def max_degree_from_assignment(n_list, q0_kind, kinds) -> int:
     """Maximum degree of the graph the assignment reconstructs to."""
-    kinds, edges = _validate_assignment(n_list, q0_kind, kinds)
-    k = len(n_list)
-    a = [1 if kind == STAR_SPOKE else n for n, kind in zip(n_list, kinds)]
-    ext = [0] * (k + 1)
-    for i, j in edges:
-        ext[i] += a[j - 1]
-        ext[j] += a[i - 1]
-    best = 0
-    for idx, (n, kind) in enumerate(zip(n_list, kinds), start=1):
-        if kind == COMPLETE:
-            best = max(best, n - 1 + ext[idx])
-        elif kind == STAR_CENTER:
-            best = max(best, ext[idx])
-        else:  # ss: the center leaf carries everything, spokes have degree 1
-            best = max(best, n - 1 + ext[idx], 1)
-    return best
+    return max(d for d, _ in _degrees(n_list, q0_kind, kinds))
 
 
 @dataclass(frozen=True)
@@ -269,8 +255,7 @@ class RepSpec:
 def _blocks_by_size(tag: str, n_list: Sequence[int]) -> list[int]:
     """Block indices from the smallest block up (ties by index), once the query is checked."""
     check_blocks(n_list)
-    if tag not in (KPARTITE, CLIQUE_STAR):
-        raise InvalidSpecError(f"unknown orbit tag {tag!r}")
+    check_tag(tag)
     return sorted(range(1, len(n_list) + 1), key=lambda i: (n_list[i - 1], i))
 
 

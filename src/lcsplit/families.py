@@ -200,6 +200,12 @@ def check_blocks(n_list: Sequence[int]) -> None:
         raise InvalidSpecError("need k >= 3 blocks with all n_i >= 2")
 
 
+def check_tag(tag: str, error: type = InvalidSpecError) -> None:
+    """An orbit tag: :data:`KPARTITE` or :data:`CLIQUE_STAR`."""
+    if tag not in (KPARTITE, CLIQUE_STAR):
+        raise error(f"unknown orbit tag {tag!r}")
+
+
 def orbit_of(case_id: int, spokes: int) -> str:
     """The orbit holding a symmetry class, from its case and |I| (star-spoke blocks).
 

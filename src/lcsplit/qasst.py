@@ -313,10 +313,10 @@ class Qasst:
     :func:`compute_qasst` and :func:`from_json_dict`, and those the ops of
     ``qasst_ops`` derive from them, carry a record (``_checked``) that the
     tree is valid and reduced (:func:`_earns_record`).  Ops trust it: a
-    deletion then tests only the quotients it changed, and one that loses
-    a single vertex is not validated.  A tree from ``Qasst(quotients)``,
-    :meth:`split_off` or :meth:`merge` has no record and is checked in
-    full.  :meth:`normalize` sets a second, canonical record.
+    deletion then tests only the quotients it changed and is not
+    validated.  A tree from ``Qasst(quotients)``, :meth:`split_off` or
+    :meth:`merge` has no record and is checked in full.  :meth:`normalize`
+    sets a second, canonical record.
     """
 
     def __init__(self, quotients: dict[int, QuotientGraph]):
@@ -1191,8 +1191,13 @@ def to_json_text(q: Qasst) -> str:
 
 def _node_key(nj):
     """A JSON node: a leaf-node's int, or a split-node's (i, j) pair, which equals and hashes as the split-node."""
-    if isinstance(nj, dict):
-        return json_int(nj["i"]), json_int(nj["j"])
+    if type(nj) is dict:
+        i = nj["i"]
+        if type(i) is int:
+            j = nj["j"]
+            if type(j) is int:
+                return i, j
+        return json_int(nj["i"]), json_int(nj["j"])  # raises, checking i before j is read
     return json_int(nj)
 
 

@@ -104,9 +104,9 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
     all.  The split search needs connected quotients, so the changed ones
     are re-split and the tree reduced again only then
     (``qasst._resplit``).  A tree is validated first unless it has the
-    record and loses exactly one vertex.  The result is the strong split
-    tree of the induced subgraph; quotients are not renumbered and
-    vertices keep their labels, so it can be induced again.
+    record.  The result is the strong split tree of the induced subgraph;
+    quotients are not renumbered and vertices keep their labels, so it can
+    be induced again.
     """
     keep = list(keep)
     home = q._home
@@ -117,7 +117,7 @@ def induced_qasst(q: Qasst, keep) -> Qasst:
         strays = set(keep) - home.keys()
         if strays:
             raise InvalidVertexError(f"keep set contains non-vertices: {sorted(strays)}")
-    if not (q._checked and len(gone) == 1):
+    if not q._checked:
         q.validate()
 
     out = q.copy()

@@ -14,10 +14,10 @@ case 2 take even |I| and case 3 odd; for the clique-star orbit the
 parities flip.  That rule is :func:`lcsplit.families.orbit_of`, and every
 parity test here and in :mod:`lcsplit.counting` goes through it.  This
 module owns the class model (:class:`SymmetryCase`, the case -> kinds map
-:func:`case_assignment` and Q0's shape :func:`q0_shape`), enumerates the
-classes, realizes them as labeled graphs, synthesizes explicit LC
-sequences from the base graph, and classifies how a single local
-complement moves between classes (the closure rules behind the
+:func:`case_assignment` and Q0's kind at each block's end :func:`q0_shape`),
+enumerates the classes, realizes them as labeled graphs, synthesizes
+explicit LC sequences from the base graph, and classifies how a single
+local complement moves between classes (the closure rules behind the
 non-equivalence of the two orbits).
 """
 
@@ -31,10 +31,11 @@ from typing import Optional, Sequence
 from .errors import (
     InvalidAssignmentError, InvalidCaseError, InvalidSpecError, MalformedQasstError, SizeLimitError,
 )
-from .families import CLIQUE_STAR, KPARTITE, block_ranges, check_blocks, orbit_of
+from .families import KPARTITE, block_ranges, check_blocks, check_tag, orbit_of
 from .graphs import SimpleGraph
 from .qasst import (
     COMPLETE,
+    PRIME,
     STAR,
     STAR_CENTER,
     STAR_SPOKE,
@@ -62,8 +63,7 @@ class SymmetryCase:
     centers: Optional[dict] = None  # block -> chosen star-center vertex
 
     def __post_init__(self):
-        if self.tag not in (KPARTITE, CLIQUE_STAR):
-            raise InvalidCaseError(f"unknown orbit tag {self.tag!r}")
+        check_tag(self.tag, InvalidCaseError)
         if self.case_id not in (1, 2, 3):
             raise InvalidCaseError(f"case id must be 1, 2 or 3, got {self.case_id}")
         if self.case_id == 1:
@@ -99,22 +99,19 @@ def case_assignment(case: SymmetryCase, k: int):
     return (STAR_CENTER, case.j), kinds
 
 
-def q0_shape(q0_kind, k: int):
-    """Q0's edges over block indices 1..k, and its kind at each block's end.
+def q0_shape(q0_kind, k: int) -> tuple:
+    """Q0's kind at each block's end, blocks 1..k in order.
 
-    ``q0_kind`` is "c" (complete) or ("sc", j) (a star centred toward Q_j).
+    ``q0_kind`` is "c" (complete: every block joins every other) or
+    ("sc", j) (a star centred toward Q_j: Q_j joins each other block).
     """
     if q0_kind == COMPLETE:
-        edges = list(itertools.combinations(range(1, k + 1), 2))
-        return edges, dict.fromkeys(range(1, k + 1), COMPLETE)
+        return (COMPLETE,) * k
     if isinstance(q0_kind, tuple) and len(q0_kind) == 2 and q0_kind[0] == STAR_CENTER:
         j = q0_kind[1]
         if not isinstance(j, int) or not 1 <= j <= k:
             raise InvalidAssignmentError(f"Q0 center index {j!r} out of 1..{k}")
-        edges = [(min(i, j), max(i, j)) for i in range(1, k + 1) if i != j]
-        at = dict.fromkeys(range(1, k + 1), STAR_SPOKE)
-        at[j] = STAR_CENTER
-        return edges, at
+        return (STAR_SPOKE,) * (j - 1) + (STAR_CENTER,) + (STAR_SPOKE,) * (k - j)
     raise InvalidAssignmentError(f"Q0 kind must be 'c' or ('sc', j), got {q0_kind!r}")
 
 
@@ -131,8 +128,7 @@ def enumerate_cases(
     :class:`SizeLimitError`.
     """
     check_blocks(n_list)
-    if tag not in (KPARTITE, CLIQUE_STAR):
-        raise InvalidCaseError(f"unknown orbit tag {tag!r}")
+    check_tag(tag, InvalidCaseError)
     k = len(n_list)
     if (k + 1) << (k - 1) > MAX_CASES:
         raise SizeLimitError(f"symmetry classes are limited to {MAX_CASES}; {k} blocks give (k+1)*2^(k-1)")
@@ -296,20 +292,14 @@ def analyze_star_member(
     kinds: dict[int, str] = {}
     centers: dict[int, int] = {}
     for b, quot in outer.items():
-        s = next(iter(quot.split_nodes()))
-        kind = kinds[b] = quot.kind_at(s)
+        kind = kinds[b] = quot.kind_at(next(iter(quot.split_nodes())))
+        if kind == PRIME:
+            raise MalformedQasstError("prime outer quotient")
         if kind == STAR_SPOKE:
             centers[b] = quot.center
+        role = {COMPLETE: C_NODE, STAR_CENTER: SC_NODE}.get(kind)  # None: ss, a centre or a spoke
         for v in quot.leaf_nodes():
-            if kind == STAR_SPOKE:
-                role = SS_CENTER if v == quot.center else SS_SPOKE
-            elif kind == STAR_CENTER:
-                role = SC_NODE
-            elif kind == COMPLETE:
-                role = C_NODE
-            else:
-                raise MalformedQasstError("prime outer quotient")
-            roles[v] = (role, b)
+            roles[v] = (role or (SS_CENTER if v == quot.center else SS_SPOKE), b)
 
     I = frozenset(centers)
     if central.kind == COMPLETE:
@@ -364,22 +354,15 @@ def closure_step(tag: str, case: SymmetryCase, role: tuple[str, int]) -> tuple[i
         if kind == SC_NODE and i not in I:
             return (2, i)
         raise InvalidCaseError(f"role {role} impossible in case 1")
-    if cid == 2:
-        if kind == SC_NODE and i == j:
+    # Cases 2(j) and 3(j) mirror each other: Q_j's kind and the target case swap.
+    if i == j:
+        if kind == (SC_NODE if cid == 2 else C_NODE):
             return (1, None)
-        if kind == SS_CENTER and i in I:
-            return (3, j)
-        if kind == SS_SPOKE and i in I:
-            return (2, j)
-        if kind == C_NODE and i not in I and i != j:
-            return (3, j)
-        raise InvalidCaseError(f"role {role} impossible in case 2({j})")
-    if kind == C_NODE and i == j:
-        return (1, None)
-    if kind == SS_CENTER and i in I:
-        return (2, j)
-    if kind == SS_SPOKE and i in I:
-        return (3, j)
-    if kind == C_NODE and i not in I and i != j:
-        return (2, j)
-    raise InvalidCaseError(f"role {role} impossible in case 3({j})")
+    elif i in I:
+        if kind == SS_SPOKE:
+            return (cid, j)
+        if kind == SS_CENTER:
+            return (5 - cid, j)
+    elif kind == C_NODE:
+        return (5 - cid, j)
+    raise InvalidCaseError(f"role {role} impossible in case {cid}({j})")

@@ -1105,3 +1105,28 @@ class TestReadmeExamples:
             code, out = run(capsys, *argv[1:])
             assert code == cli.EXIT_OK, stage
         assert out == f"{value}\n"
+
+
+class TestUsageErrors:
+    """A command without an option it needs exits 2 with one line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lc", "--input", "{graph}"], "lc needs --vertex or --sequence"),
+        (["orbit", "transform", "--input", "{graph}"], "orbit transform needs --to <graph.json>"),
+        (["qasst", "lc", "--input", "{tree}"], "qasst lc needs --vertex"),
+        (["qasst", "induce", "--input", "{tree}"], "qasst induce needs --keep"),
+        (["qasst", "extend", "--kind", "pendant", "--input", "{tree}"], "qasst extend needs --kind and --anchor"),
+        (["count", "path"], "count path needs --n"),
+        (["count", "orbit", "--params", "2,2,2"], "count orbit needs --family and --params"),
+        (["count", "orbit", "--family", "bipartite", "--params", "2,2,2"], "bipartite takes exactly two parameters"),
+        (["sym", "transform", "--family", "kpartite", "--params", "2,2,2"], "sym transform needs --case"),
+    ], ids=["lc", "orbit-transform", "qasst-lc", "qasst-induce", "qasst-extend", "count-path", "count-orbit",
+            "bipartite-params", "sym-transform"])
+    def test_missing_option(self, tmp_path, capsys, argv, message):
+        graph = tmp_path / "g.json"
+        graph.write_text(graphs.to_json_text(families.path_graph(4)))
+        tree = tmp_path / "q.json"
+        tree.write_text(qasst.to_json_text(qasst.compute_qasst(families.path_graph(4))))
+        code = cli.main([a.format(graph=graph, tree=tree) for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"lcsplit: {message}\n")

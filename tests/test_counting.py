@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,7 @@ from lcsplit.counting import (
     orbit_size,
     phi_count,
 )
-from lcsplit.errors import InvalidSpecError, SizeLimitError, UnsupportedQasstError
+from lcsplit.errors import InvalidAssignmentError, InvalidSpecError, SizeLimitError, UnsupportedQasstError
 from lcsplit.families import (
     CLIQUE_STAR,
     KPARTITE,
@@ -37,7 +38,8 @@ from lcsplit.families import (
 )
 from lcsplit.graphs import edge_count, max_degree
 from lcsplit.orbit import enumerate_orbit, min_edge_member, min_max_degree_member
-from lcsplit.qasst import Qasst, QuotientGraph, compute_qasst
+from lcsplit.qasst import Qasst, QuotientGraph, compute_qasst, join_validity, reconstruct
+from lcsplit.symmetry import build_star_qasst, q0_shape
 
 
 class TestBouchet:
@@ -46,6 +48,16 @@ class TestBouchet:
 
     def test_cycle_values(self):
         assert [bouchet_cycle_count(n) for n in (3, 4, 5)] == [16, 44, 132]
+
+    def test_exact_relation_to_the_labelled_orbit(self):
+        # The path formula is four times the orbit for n >= 3, and so is the
+        # cycle formula on C3 and C4 (K3 and K2,2, in the orbits of P3 and P4);
+        # from C5 on, a cycle is one prime quotient and the formula is its orbit.
+        for n in range(3, 10):
+            assert bouchet_path_count(n) == 4 * len(enumerate_orbit(path_graph(n))), n
+        for n in range(3, 9):
+            factor = 4 if n <= 4 else 1
+            assert bouchet_cycle_count(n) == factor * len(enumerate_orbit(cycle_graph(n))), n
 
     def test_rejects_tiny_cases(self):
         with pytest.raises(InvalidSpecError):
@@ -154,22 +166,50 @@ class TestIsoClasses:
 
 class TestAssignments:
     def test_edge_and_degree_match_realized_graphs(self):
-        from lcsplit.symmetry import build_star_qasst
-        from lcsplit.qasst import reconstruct
+        for n_list in ((2, 3, 2), (3, 2, 4, 2), (2, 2, 3, 2, 5)):
+            k = len(n_list)
+            realized = 0
+            for q0 in ["c"] + [("sc", j) for j in range(1, k + 1)]:
+                at = q0_shape(q0, k)
+                for kinds in itertools.product(("c", "sc", "ss"), repeat=k):
+                    if not all(map(join_validity, at, kinds)):
+                        with pytest.raises(InvalidAssignmentError, match="invalid join"):
+                            edge_count_from_assignment(n_list, q0, kinds)
+                        continue
+                    g = reconstruct(build_star_qasst(n_list, q0, kinds))
+                    assert edge_count(g) == edge_count_from_assignment(n_list, q0, kinds), (n_list, q0, kinds)
+                    assert max_degree(g) == max_degree_from_assignment(n_list, q0, kinds), (n_list, q0, kinds)
+                    realized += 1
+            # A complete Q0 joins sc or ss at each block; a star Q0 joins c or
+            # sc at its centre's block and c or ss at each other block.
+            assert realized == (k + 1) * 2 ** k, n_list
 
-        n_list = (2, 3, 2)
-        k = len(n_list)
-        q0_kinds = ["c"] + [("sc", j) for j in range(1, k + 1)]
-        for q0 in q0_kinds:
-            for kinds in itertools.product(("c", "sc", "ss"), repeat=k):
-                try:
-                    edges = edge_count_from_assignment(n_list, q0, kinds)
-                    delta = max_degree_from_assignment(n_list, q0, kinds)
-                except Exception:
-                    continue  # invalid joins are rejected; shape tested elsewhere
-                g = reconstruct(build_star_qasst(n_list, q0, kinds))
-                assert edge_count(g) == edges, (q0, kinds)
-                assert max_degree(g) == delta, (q0, kinds)
+    @pytest.mark.parametrize(
+        "q0, kinds, message",
+        [
+            ("c", ("c", "c"), "need one of c/sc/ss per block"),
+            ("c", ("c", "c", "x"), "need one of c/sc/ss per block"),
+            (("sc", 4), ("c", "c", "c"), r"Q0 center index 4 out of 1\.\.3"),
+            ("x", ("c", "c", "c"), "Q0 kind must be"),
+            ("c", ("sc", "c", "ss"), "invalid join c-c at block 2"),
+            (("sc", 2), ("sc", "c", "c"), "invalid join ss-sc at block 1"),
+        ],
+    )
+    def test_malformed_assignments_refused(self, q0, kinds, message):
+        for measure in (edge_count_from_assignment, max_degree_from_assignment):
+            with pytest.raises(InvalidAssignmentError, match=message):
+                measure((2, 3, 2), q0, kinds)
+
+    def test_linear_in_the_block_count(self):
+        # Q0 on 2000 blocks has about two million pairs; the degree profile lists none of them.
+        tracemalloc.start()
+        try:
+            assert len(min_max_degree_rep(KPARTITE, [2] * 2000)) >= 1
+            edge_count_from_assignment([2] * 2000, "c", ("sc",) * 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
 
 class TestRepresentatives:

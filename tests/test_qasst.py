@@ -609,6 +609,23 @@ class TestSerialization:
         dot = to_dot(compute_qasst(path_graph(4)))
         assert dot.startswith("graph") and "shape=box" in dot
 
+    @pytest.mark.parametrize("where", ["edge", "tree_edges"])
+    @pytest.mark.parametrize("end, message", [
+        ({"i": True, "j": 1}, "TypeError: expected an integer, got True"),
+        ({"j": 1}, "KeyError: 'i'"),
+        ({"i": 1, "j": "2"}, "TypeError: expected an integer, got '2'"),
+        ({"i": "x"}, "TypeError: expected an integer, got 'x'"),  # i is checked before j is read
+    ])
+    def test_malformed_split_node_end(self, where, end, message):
+        data = to_json_dict(compute_qasst(path_graph(4)))
+        if where == "edge":
+            data["quotients"][0]["edges"][1][1] = end  # [2, s_0^1]
+        else:
+            data["tree_edges"][0][0] = end
+        with pytest.raises(MalformedQasstError) as info:
+            from_json_dict(data)
+        assert str(info.value) == f"malformed QASST JSON: {message}"
+
     def test_validate_catches_unmatched_split_node(self):
         broken = Qasst(
             {

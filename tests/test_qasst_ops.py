@@ -21,6 +21,7 @@ from lcsplit.graphs import (
 from lcsplit.qasst import (
     COMPLETE,
     PRIME,
+    Qasst,
     QuotientGraph,
     STAR,
     SplitNode,
@@ -186,9 +187,9 @@ def _tree_says_connected(q, keep):
     return True
 
 
-def _connected_without(g, v):
-    """Whether g minus vertex v is connected, by a search over neighbourhood bitmasks."""
-    rest = ((1 << (g.n + 1)) - 2) & ~(1 << v)
+def _connected_without(g, *vs):
+    """Whether g minus the vertices vs is connected, by a search over neighbourhood bitmasks."""
+    rest = ((1 << (g.n + 1)) - 2) & ~sum(1 << v for v in vs)
     seen = todo = rest & -rest
     while todo:
         low = todo & -todo
@@ -228,10 +229,11 @@ class TestConnectivityFromTree:
 
     def test_malformed_tree_is_refused(self):
         # Validation used to come with rebuilding the graph; it must stay.
+        # Edited by hand, the quotients make a tree with no check record.
         def broken(edit):
             q = compute_qasst(path_graph(6))
             edit(q)
-            return q
+            return Qasst(q.quotients)
 
         def unmatched(q):
             _, t = q.tree_edges()[0]
@@ -857,7 +859,7 @@ class TestTreesWithoutTheRecord:
 
 
 class TestOpsStayLocal:
-    """One-vertex ops on a checked tree never walk the whole tree."""
+    """One-vertex ops, and deletions of a few vertices, on a checked tree never walk the whole tree."""
 
     @pytest.fixture(scope="class")
     def trees(self):
@@ -877,10 +879,16 @@ class TestOpsStayLocal:
         g, both = trees
         kept = next(v for v in range(1, g.n + 1) if _connected_without(g, v))
         cut = next(v for v in range(1, g.n + 1) if not _connected_without(g, v))
+        three = [kept]
+        for v in range(kept + 1, g.n + 1):
+            if len(three) < 3 and _connected_without(g, *three, v):
+                three.append(v)
         for q in both:
             assert q._checked
             out = induced_qasst(q, [u for u in range(1, g.n + 1) if u != kept])
             assert out._checked and len(out.leaves()) == g.n - 1
+            out = induced_qasst(q, [u for u in range(1, g.n + 1) if u not in three])
+            assert out._checked and len(out.leaves()) == g.n - 3
             with pytest.raises(NotConnectedError):
                 induced_qasst(q, [u for u in range(1, g.n + 1) if u != cut])
             assert lc_propagate(q, 1500)._checked

@@ -232,6 +232,15 @@ class TestSynthesis:
                 )
 
 
+def _assert_closure_predicts(tag, base, n_list):
+    for g in enumerate_orbit(base).sorted_members():
+        case, roles = analyze_star_member(g, n_list, tag)
+        for v in range(1, g.n + 1):
+            predicted = closure_step(tag, case, roles[v])
+            got = classify_star_member(local_complement(g, v), n_list, tag)
+            assert (got.case_id, got.j) == predicted
+
+
 class TestClosure:
     @pytest.mark.parametrize(
         "tag,base",
@@ -241,13 +250,13 @@ class TestClosure:
         ],
     )
     def test_predicts_every_lc_image(self, tag, base):
-        n_list = (2, 2, 2)
-        for g in enumerate_orbit(base).sorted_members():
-            case, roles = analyze_star_member(g, n_list, tag)
-            for v in range(1, g.n + 1):
-                predicted = closure_step(tag, case, roles[v])
-                got = classify_star_member(local_complement(g, v), n_list, tag)
-                assert (got.case_id, got.j) == predicted
+        _assert_closure_predicts(tag, base, (2, 2, 2))
+
+    @pytest.mark.parametrize("n_list", [(2, 2, 2, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("tag", [KPARTITE, CLIQUE_STAR])
+    def test_predicts_every_lc_image_past_k3(self, tag, n_list):
+        base = complete_multipartite_graph(n_list) if tag == KPARTITE else clique_star_graph(n_list, 1)
+        _assert_closure_predicts(tag, base, n_list)
 
     def test_impossible_roles_rejected(self):
         case1 = SymmetryCase(KPARTITE, 1, None, frozenset())
@@ -255,6 +264,19 @@ class TestClosure:
             closure_step(KPARTITE, case1, ("c", 1))
         with pytest.raises(InvalidCaseError):
             closure_step(KPARTITE, case1, ("ss_center", 1))  # 1 not in I
+
+    @pytest.mark.parametrize("case, role", [
+        (SymmetryCase(KPARTITE, 2, 1, frozenset()), ("c", 1)),  # Q_1 is sc
+        (SymmetryCase(KPARTITE, 2, 1, frozenset({2, 3})), ("sc", 2)),
+        (SymmetryCase(KPARTITE, 2, 1, frozenset()), ("ss_spoke", 2)),  # 2 not in I
+        (SymmetryCase(KPARTITE, 3, 2, frozenset({1})), ("sc", 2)),  # Q_2 is c
+        (SymmetryCase(KPARTITE, 3, 2, frozenset({1})), ("c", 1)),  # 1 in I
+        (SymmetryCase(KPARTITE, 3, 2, frozenset({1})), ("ss_center", 3)),
+    ])
+    def test_impossible_roles_rejected_in_cases_2_and_3(self, case, role):
+        with pytest.raises(InvalidCaseError) as info:
+            closure_step(KPARTITE, case, role)
+        assert str(info.value) == f"role {role} impossible in case {case.case_id}({case.j})"
 
 
 class TestSynthesisIndexRange:

@@ -3,16 +3,26 @@
 ``tests/test_python_floor.py`` only parses the source in the grammar of
 the oldest Python that ``pyproject.toml`` admits.  This runs it: under each
 interpreter given, with ``PYTHONPATH`` set to the source, it runs
-``lcsplit verify --suite desk`` and four pipelines, one process per stage:
-``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
-reconstruct``; ``gen repeater --params 6 | decompose | qasst extend
---kind false_twin --anchor 1 | reconstruct``, which takes pruning, the
-kernel split search, replay and the extension step; ``gen cycle --params
-6 | orbit list``, which writes each member by the direct graph writer;
-and ``gen path --params 2000 | decompose | reconstruct``, which reads a
-graph off a deep tree by the accessibility fold.  It prints one line per
-interpreter and check, and exits 1 unless every run exits 0 and every
-interpreter prints the same bytes for each check as the first one.
+``lcsplit verify --suite desk``, four pipelines and three single
+commands, one process per stage:
+
+- ``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
+  reconstruct``;
+- ``gen repeater --params 6 | decompose | qasst extend --kind false_twin
+  --anchor 1 | reconstruct``, which takes pruning, the kernel split
+  search, replay and the extension step;
+- ``gen cycle --params 6 | orbit list``, which writes each member by the
+  direct graph writer;
+- ``gen path --params 2000 | decompose | reconstruct``, which reads a
+  graph off a deep tree by the accessibility fold;
+- ``rep min-degree --family kpartite --params 2,3,2,4 --format table``,
+  ``count orbit --family clique_star --params 2,3,2`` and ``sym enumerate
+  --family kpartite --params 2,2,3``, the star-shaped class model's
+  degree profile, orbit size and class listing.
+
+It prints one line per interpreter and check, and exits 1 unless every
+run exits 0 and every interpreter prints the same bytes for each check as
+the first one.
 
 Example, from the root of the repository (or with ``--src`` pointing at
 another checkout's ``src``)::
@@ -54,6 +64,9 @@ CHECKS = {
         ["decompose"],
         ["reconstruct"],
     ],
+    "rep min-degree": [["rep", "min-degree", "--family", "kpartite", "--params", "2,3,2,4", "--format", "table"]],
+    "count orbit": [["count", "orbit", "--family", "clique_star", "--params", "2,3,2"]],
+    "sym enumerate": [["sym", "enumerate", "--family", "kpartite", "--params", "2,2,3"]],
 }
 
 

@@ -1,7 +1,8 @@
 """Time one-vertex induce, lc and extend on small and large quotient trees.
 
-The scaling gate of ROADMAP's Recent section: each op on ``random_dh(1600)`` trees should
-take at most 3x its time on ``random_dh(100)`` trees.  For each size, the
+It prints, for each op, the median time per op on the small and the large
+trees (``random_dh(100)`` and ``random_dh(1600)`` by default) and their
+ratio: how an op's cost grows with the tree it edits.  For each size, the
 trees are ``random_dh(n, 1000 + t)`` for t < --trees, each round-tripped
 through ``to_json_dict`` / ``from_json_dict`` as the CLI and the benchmark
 load them.  Each op is timed --reps times and its median kept; the figure
