@@ -250,7 +250,10 @@ def cmd_count(args) -> int:
             value = fn(*params)
         elif args.what == "orbit":
             value = counting.orbit_size(_ORBIT_TAGS[args.family], params)
-        else:  # iso-classes
+        else:  # iso-classes; the formula holds for equal blocks only
+            families.check_blocks(params)
+            if len(set(params)) > 1:
+                raise InvalidSpecError("count iso-classes needs equal blocks")
             value = counting.iso_class_count(_ORBIT_TAGS[args.family], len(params))
     _write_text(_decimal(value), args.output)
     return EXIT_OK

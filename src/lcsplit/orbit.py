@@ -7,8 +7,10 @@ each held as one flat integer (row u of the adjacency matrix at bit
 those integers: its size, membership, shortest LC sequences and edge or
 degree minima are read from them, and members are decoded to
 :class:`SimpleGraph` and given their canonical keys only on first read of
-``members`` or ``parent``, once.  The search serves as the ground-truth
-oracle for every closed-form count in :mod:`lcsplit.counting`.
+``members`` or ``parent``, once; :func:`orbit_iso_classes` keys every
+member from its flat integer and decodes only those it searches.  The
+search serves as the ground-truth oracle for every closed-form count in
+:mod:`lcsplit.counting`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError, SizeLimitError
 from .graphs import SimpleGraph, _bits, _flat, _iso_plan, _iso_search, _key_fragment, _vertex_invariants
@@ -126,31 +128,42 @@ def enumerate_orbit(
 
 
 def _decode(n: int, flats: Iterable[int]) -> list[tuple[bytes, SimpleGraph]]:
-    """(canonical key, graph) of each flat n-vertex graph, in the order given.
-
-    Row integers are shared between the graphs, and each key is joined
-    from cached per-row byte fragments, equal to
-    :func:`lcsplit.graphs.canonical_key` of the graph.
-    """
+    """(canonical key, graph) of each flat n-vertex graph, in the order given; rows are shared between the graphs."""
+    key = _keyer(n)
     width = n + 1
     row = (1 << width) - 1
-    # Per vertex u: row integer -> (shared row, key fragment for its edges u-w, w > u).
+    shifts = range(width, width * width, width)
     rows: dict[int, int] = {}
-    decode = [(u, u * width, {}) for u in range(1, n + 1)]
-    head = str(n).encode("ascii")
     out = []
     for flat in flats:
         adj = [0]
-        parts = [head]
-        for u, shift, cache in decode:
-            r = flat >> shift & row
-            hit = cache.get(r)
-            if hit is None:
-                hit = cache[r] = (rows.setdefault(r, r), _key_fragment(u, r))
-            adj.append(hit[0])
-            parts.append(hit[1])
-        out.append((b"".join(parts), SimpleGraph._from_adj(n, adj)))
+        for s in shifts:
+            r = flat >> s & row
+            adj.append(rows.setdefault(r, r))
+        out.append((key(flat), SimpleGraph._from_adj(n, adj)))
     return out
+
+
+def _keyer(n: int) -> Callable[[int], bytes]:
+    """The function taking a flat n-vertex graph to :func:`lcsplit.graphs.canonical_key` of it.
+
+    A key is joined from per-row byte fragments, memoized per vertex u on
+    the row's bits above u; row n has none.
+    """
+    width = n + 1
+    rows = [(u, u * width + u + 1, (1 << n - u) - 1, {}) for u in range(1, n)]
+    head = str(n).encode("ascii")
+
+    def key(flat: int) -> bytes:
+        parts = [head]
+        for u, shift, above, memo in rows:
+            r = flat >> shift & above
+            part = memo.get(r)
+            if part is None:
+                part = memo[r] = _key_fragment(u, r << u + 1)
+            parts.append(part)
+        return b"".join(parts)
+    return key
 
 
 def _clique_mask(nb: int, width: int) -> int:
@@ -191,26 +204,78 @@ def transformation_between(
     return steps
 
 
+class _RowImage(dict):
+    """Row bitmask -> its image under a vertex map, each filled on first read from the row less its lowest vertex."""
+
+    def __init__(self, sigma: dict[int, int]):
+        super().__init__({0: 0})
+        self.sigma = sigma
+
+    def __missing__(self, r: int) -> int:
+        low = r & -r
+        image = self[r] = self[r ^ low] | 1 << self.sigma[low.bit_length() - 1]
+        return image
+
+
 def orbit_iso_classes(o: Orbit) -> list[tuple[SimpleGraph, int]]:
     """Partition orbit members into isomorphism classes.
 
     Returns (representative, multiplicity) pairs; representatives are the
-    canonical-key-least member of each class, listed in key order.  A member
-    is searched for against the plan of each class in its invariant bucket.
+    canonical-key-least member of each class, listed in key order.
+
+    A relabelling s commutes with local complements, s(LC_v(G)) =
+    LC_s(v)(s(G)), so one mapping a member onto a member maps the orbit onto
+    itself: the classes are the orbits, on the members, of those
+    relabellings.  Members are walked in key order; one not yet reached from
+    a representative is searched against the representatives in its
+    invariant bucket.  A hit is a new generator, at least doubling the group
+    (so at most log2(n!) hit), and every class is closed under it; a miss
+    starts a class, closed under the generators so far.
     """
-    # A class is [key, rep, rep's search plan, count].
-    buckets: dict[tuple, list[list]] = {}
-    for key, g in sorted(o.members.items()):
+    n = o.base.n
+    _vertex_invariants(o.base)  # refuses more than 16 vertices before any keying
+    width = n + 1
+    row = (1 << width) - 1
+    shifts = range(width, width * width, width)
+    # Per generator: (row shift, image row shift) per vertex, and row -> image row.
+    gens: list[tuple[list[tuple[int, int]], _RowImage]] = []
+    home: dict[int, list[int]] = {}  # member -> the members of its class
+    classes: list[tuple[SimpleGraph, list[int]]] = []  # in key order
+    buckets: dict[tuple, list[tuple[SimpleGraph, list[int]]]] = {}  # invariant multiset -> (rep, invariants)
+
+    def close(members: list[int], first: int) -> None:
+        """Add the images of members under every generator; those there already have theirs under gens[:first]."""
+        done = len(members)
+        i = 0
+        while i < len(members):
+            flat = members[i]
+            for moves, image in gens[first if i < done else 0:]:
+                out = 0
+                for s, t in moves:
+                    out |= image[flat >> s & row] << t
+                if out not in home:
+                    home[out] = members
+                    members.append(out)
+            i += 1
+
+    for flat in sorted(o.flats, key=_keyer(n)):
+        if flat in home:
+            continue
+        g = SimpleGraph._from_adj(n, [0] + [flat >> s & row for s in shifts])
         inv = _vertex_invariants(g)
         reps = buckets.setdefault(tuple(sorted(inv)), [])
-        for rep in reps:
-            if _iso_search(rep[2], g, inv) is not None:
-                rep[3] += 1
-                break
+        plan = _iso_plan(g, inv) if reps else None
+        sigma = next(filter(None, (_iso_search(plan, rep, rep_inv) for rep, rep_inv in reps)), None)
+        if sigma:
+            gens.append(([(v * width, w * width) for v, w in sigma.items()], _RowImage(sigma)))
+            for _, members in classes:
+                close(members, len(gens) - 1)
         else:
-            reps.append([key, g, _iso_plan(g, inv), 1])
-    classes = sorted((rep for reps in buckets.values() for rep in reps), key=lambda rep: rep[0])
-    return [(rep, count) for _, rep, _, count in classes]
+            home[flat] = members = [flat]
+            close(members, 0)
+            reps.append((g, inv))
+            classes.append((g, members))
+    return [(rep, len(members)) for rep, members in classes]
 
 
 def min_edge_member(o: Orbit) -> tuple[SimpleGraph, int]:

@@ -7,7 +7,16 @@ import itertools
 from collections import deque
 
 from lcsplit.errors import NotConnectedError, SizeLimitError
-from lcsplit.graphs import SimpleGraph, induced_subgraph, is_connected, neighborhood
+from lcsplit.graphs import (
+    SimpleGraph,
+    _iso_plan,
+    _iso_search,
+    _vertex_invariants,
+    induced_subgraph,
+    is_connected,
+    neighborhood,
+)
+from lcsplit.orbit import Orbit
 from lcsplit.qasst import (
     COMPLETE,
     PRIME,
@@ -78,6 +87,28 @@ def iso_form(g: SimpleGraph) -> int:
     pairs = itertools.combinations(range(1, g.n + 1), 2)
     edges = [k for k, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
     return min(sum(map(table.__getitem__, edges)) for table in _relabellings(g.n))
+
+
+def iso_classes_by_search(o: Orbit) -> list[tuple[SimpleGraph, int]]:
+    """``orbit_iso_classes`` by one isomorphism search per member.
+
+    Every member is decoded and searched, in key order, against the plan
+    of each class in its invariant bucket; representatives are the
+    key-least member of each class, listed in key order.
+    """
+    # A class is [key, rep, rep's search plan, count].
+    buckets: dict[tuple, list[list]] = {}
+    for key, g in sorted(o.members.items()):
+        inv = _vertex_invariants(g)
+        reps = buckets.setdefault(tuple(sorted(inv)), [])
+        for rep in reps:
+            if _iso_search(rep[2], g, inv) is not None:
+                rep[3] += 1
+                break
+        else:
+            reps.append([key, g, _iso_plan(g, inv), 1])
+    classes = sorted((rep for reps in buckets.values() for rep in reps), key=lambda rep: rep[0])
+    return [(rep, count) for _, rep, _, count in classes]
 
 
 def split_node_quotients(q: Qasst) -> dict:

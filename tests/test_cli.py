@@ -180,6 +180,28 @@ class TestCounts:
         code, out = run(capsys, "count", "cycle", "--n", "5")
         assert (code, out.strip()) == (0, "132")
 
+    @pytest.mark.parametrize("family, make", [("kpartite", families.complete_multipartite_graph),
+                                              ("clique_star", lambda blocks: families.clique_star_graph(blocks, 1))])
+    @pytest.mark.parametrize("params", ["2,2,2", "3,3,3"])
+    def test_count_iso_classes_equals_the_bfs(self, capsys, family, make, params):
+        blocks = [int(x) for x in params.split(",")]
+        classes = orbit.orbit_iso_classes(orbit.enumerate_orbit(make(blocks)))
+        assert run(capsys, "count", "iso-classes", "--family", family, "--params", params) == (0, f"{len(classes)}\n")
+        assert len(classes) == 5
+
+    @pytest.mark.parametrize("params, message", [
+        ("2,3,4", "count iso-classes needs equal blocks"),  # the BFS finds 16 classes
+        ("2,2,3", "count iso-classes needs equal blocks"),  # and 10 here
+        ("1,1,1", "need k >= 3 blocks with all n_i >= 2"),
+        ("0,-5,7", "need k >= 3 blocks with all n_i >= 2"),
+        ("2,2", "need k >= 3 blocks with all n_i >= 2"),
+    ])
+    @pytest.mark.parametrize("family", ["kpartite", "clique_star"])
+    def test_count_iso_classes_refuses_blocks_its_formula_does_not_cover(self, capsys, family, params, message):
+        code = cli.main(["count", "iso-classes", "--family", family, "--params", params])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"lcsplit: {message}\n")
+
     def test_counts_past_the_int_str_digit_limit(self, capsys):
         # About 4366 digits, past str()'s default limit of 4300.  The expected
         # values come from powers of 1 + sqrt(3) in Z[sqrt(3)], not from the

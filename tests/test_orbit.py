@@ -1,6 +1,7 @@
 """Brute-force orbit oracle: enumeration, equivalence, representatives."""
 
 import itertools
+import math
 import random
 import time
 from collections import deque
@@ -8,7 +9,8 @@ from collections import deque
 import pytest
 
 from helpers import all_connected_graphs, all_graphs, random_connected_graph
-from oracles import iso_form
+from oracles import iso_classes_by_search, iso_form
+from lcsplit import orbit
 from lcsplit.counting import CLIQUE_STAR, KPARTITE, bouchet_cycle_count, iso_class_count
 from lcsplit.errors import BudgetExceededError, NotEquivalentError, SizeLimitError
 from lcsplit.families import (
@@ -17,6 +19,7 @@ from lcsplit.families import (
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    path_graph,
     star_graph,
 )
 from lcsplit.graphs import (
@@ -137,9 +140,11 @@ class TestRepresentatives:
             for b in range(a + 1, len(reps)):
                 assert not is_isomorphic(reps[a], reps[b])
 
-    def test_iso_classes_refuse_more_than_sixteen_vertices(self):
-        with pytest.raises(SizeLimitError):
-            orbit_iso_classes(enumerate_orbit(star_graph(16)))
+    def test_iso_classes_refuse_more_than_sixteen_vertices_before_keying(self, monkeypatch):
+        o = enumerate_orbit(star_graph(16))
+        monkeypatch.setattr(orbit, "_keyer", lambda n: pytest.fail("members keyed"))
+        with pytest.raises(SizeLimitError, match="^isomorphism search limited to 16 vertices, got 17$"):
+            orbit_iso_classes(o)
 
     def test_minima_are_attained(self):
         o = enumerate_orbit(complete_bipartite_graph(2, 3))
@@ -456,6 +461,50 @@ class TestIsoClassesAgainstBruteForce:
                     assert phi is None or _is_isomorphism(group[i], group[j], phi)
                     refused += phi is None
         assert refused > 1000
+
+
+class TestIsoClassesAgainstSearch:
+    """orbit_iso_classes against one isomorphism search per member (tests/oracles.py)."""
+
+    def test_family_orbits(self, monkeypatch):
+        hits = []
+
+        def search(plan, h, inv):
+            phi = _iso_search(plan, h, inv)
+            hits.append(phi is not None)
+            return phi
+
+        monkeypatch.setattr(orbit, "_iso_search", search)
+        found = {}
+        for name, g in (("C9", cycle_graph(9)), ("P10", path_graph(10)), ("K2^5", complete_multipartite_graph([2] * 5)),
+                        ("CS2,2,2,2", clique_star_graph((2, 2, 2, 2), 1))):
+            hits.clear()
+            o = enumerate_orbit(g)
+            classes = orbit_iso_classes(o)
+            assert "members" not in vars(o)
+            assert classes == iso_classes_by_search(o)
+            # Each hit at least doubles the group of relabellings found.
+            found[name] = sum(hits)
+            assert found[name] <= math.log2(math.factorial(g.n))
+        # K2^5 finds 5 generators one at a time, so classes are closed again under each later one.
+        assert found == {"C9": 2, "P10": 2, "K2^5": 5, "CS2,2,2,2": 5}
+
+    def test_seeded_orbits_off_the_distance_hereditary_class(self):
+        rng = random.Random(27)
+        orbits = []
+        while len(orbits) < 10:
+            g = random_connected_graph(8, rng, rng.choice([0.2, 0.3, 0.5]))
+            if is_distance_hereditary(g):
+                continue
+            try:
+                orbits.append(enumerate_orbit(g, limit=2000))
+            except BudgetExceededError:
+                continue
+        assert sum(len(o) > 500 for o in orbits) >= 3
+        for o in orbits:
+            classes = orbit_iso_classes(o)
+            assert "members" not in vars(o)
+            assert classes == iso_classes_by_search(o)
 
 
 def _eager(o):

@@ -3,7 +3,7 @@
 ``tests/test_python_floor.py`` only parses the source in the grammar of
 the oldest Python that ``pyproject.toml`` admits.  This runs it: under each
 interpreter given, with ``PYTHONPATH`` set to the source, it runs
-``lcsplit verify --suite desk``, four pipelines and three single
+``lcsplit verify --suite desk``, four pipelines and four single
 commands, one process per stage:
 
 - ``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
@@ -16,9 +16,10 @@ commands, one process per stage:
 - ``gen path --params 2000 | decompose | reconstruct``, which reads a
   graph off a deep tree by the accessibility fold;
 - ``rep min-degree --family kpartite --params 2,3,2,4 --format table``,
-  ``count orbit --family clique_star --params 2,3,2`` and ``sym enumerate
-  --family kpartite --params 2,2,3``, the star-shaped class model's
-  degree profile, orbit size and class listing.
+  ``count orbit --family clique_star --params 2,3,2``, ``count iso-classes
+  --family kpartite --params 3,3,3`` and ``sym enumerate --family kpartite
+  --params 2,2,3``, the star-shaped class model's degree profile, orbit
+  size, class count and class listing.
 
 It prints one line per interpreter and check, and exits 1 unless every
 run exits 0 and every interpreter prints the same bytes for each check as
@@ -66,6 +67,7 @@ CHECKS = {
     ],
     "rep min-degree": [["rep", "min-degree", "--family", "kpartite", "--params", "2,3,2,4", "--format", "table"]],
     "count orbit": [["count", "orbit", "--family", "clique_star", "--params", "2,3,2"]],
+    "count iso-classes": [["count", "iso-classes", "--family", "kpartite", "--params", "3,3,3"]],
     "sym enumerate": [["sym", "enumerate", "--family", "kpartite", "--params", "2,2,3"]],
 }
 
