@@ -513,8 +513,6 @@ def _extended_checks(orbits, seed: int):
             assert got == graphs.local_complement(g, v), f"propagate trial {trial}"
             kind = rng.choice(qasst_ops.EXTENSION_KINDS)
             anchor = rng.randint(1, n)
-            if kind == qasst_ops.FALSE_TWIN and not graphs.neighborhood(g, anchor):
-                kind = qasst_ops.PENDANT
             ext = qasst_ops.extend(q, qasst_ops.ExtensionKind(kind, anchor), n + 1)
             assert qasst.reconstruct(ext) == qasst_ops.extend_graph(g, kind, anchor)
         return "200 seeded trials"

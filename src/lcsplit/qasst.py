@@ -312,11 +312,11 @@ class Qasst:
     A tree is checked once, where it enters.  Trees from
     :func:`compute_qasst` and :func:`from_json_dict`, and those the ops of
     ``qasst_ops`` derive from them, carry a record (``_checked``) that the
-    tree is valid and reduced (:func:`_earns_record`).  Ops trust it: a
-    deletion then tests only the quotients it changed and is not
-    validated.  A tree from ``Qasst(quotients)``, :meth:`split_off` or
-    :meth:`merge` has no record and is checked in full.  :meth:`normalize`
-    sets a second, canonical record.
+    tree is valid and reduced (:func:`_earns_record`).  Ops and
+    :func:`reconstruct` trust it: a deletion then tests only the quotients
+    it changed, and nothing is validated.  A tree from ``Qasst(quotients)``,
+    :meth:`split_off` or :meth:`merge` has no record and is checked in
+    full.  :meth:`normalize` sets a second, canonical record.
     """
 
     def __init__(self, quotients: dict[int, QuotientGraph]):
@@ -403,8 +403,7 @@ class Qasst:
                 rest[w].add(s_im)
             quot._settle()
             piece = QuotientGraph._of(part)
-        elif quot.kind == COMPLETE:
-            quot._set_kind(COMPLETE)
+        elif quot.kind == COMPLETE:  # stays complete
             piece = QuotientGraph._of(part, COMPLETE)
         else:
             c = quot.center
@@ -467,24 +466,15 @@ class Qasst:
     def strong_split_sides(self) -> set[frozenset]:
         """One side (the far side, per tree edge) of each collapsed split."""
         far = _far_sides(self)
-        return {far[s] for s, _ in self.tree_edges()}
+        return {frozenset(_bits(far[s])) for s, _ in self.tree_edges()}
 
-    def structure_key(self):
-        """Canonical encoding, independent of quotient numbering.
+    def structure_key(self) -> str:
+        """The normalized JSON text (:func:`to_json_text`), independent of quotient numbering.
 
-        Split-nodes are identified by the original-vertex set behind them,
-        which determines the decomposition uniquely.
+        :meth:`normalize` is the one canonical form, so two trees have equal
+        keys exactly when they are the same decomposition.
         """
-        label = {s: ("S", tuple(sorted(side))) for s, side in _far_sides(self).items()}
-        quots = []
-        for q in self.quotients.values():
-            nodes = frozenset(label.get(v, ("L", v)) for v in q.nodes)
-            edges = frozenset(
-                frozenset((label.get(a, ("L", a)), label.get(b, ("L", b))))
-                for a, b in (tuple(e) for e in q.edges)
-            )
-            quots.append((nodes, edges))
-        return frozenset(quots)
+        return to_json_text(self)
 
     def validate(self) -> tuple[list[int], dict[int, Optional[SplitNode]]]:
         """Raise :class:`MalformedQasstError` unless this is a well-formed tree.
@@ -625,26 +615,26 @@ def _earns_record(q: Qasst, edges: list[tuple[SplitNode, SplitNode]]) -> bool:
     return not any(_not_strong(q, q._where[s], s) for s, _ in edges)
 
 
-def _far_sides(q: Qasst) -> dict[SplitNode, frozenset]:
-    """The original vertices on the partner side of every split-node, from one post-order pass.
+def _far_sides(q: Qasst) -> dict[SplitNode, int]:
+    """The original vertices on the partner side of every split-node, as a bitmask, from one post-order pass.
 
     Below a downward split-node lies its child's subtree; behind an upward
-    one, every leaf outside its own quotient's subtree.
+    one, every leaf outside its own quotient's subtree (one xor).
     """
     order, up = _orient(q)
-    below: dict[int, frozenset] = {}
+    below: dict[int, int] = {}
     for i in reversed(order):
-        sub: set[int] = set()
+        sub = 0
         for v in q.quotients[i]._adj:
             if not isinstance(v, SplitNode):
-                sub.add(v)
+                sub |= 1 << v
             elif v != up[i]:
                 sub |= below[q.across(v)]
-        below[i] = frozenset(sub)
-    far: dict[SplitNode, frozenset] = {}
+        below[i] = sub
+    far: dict[SplitNode, int] = {}
     for i in order[1:]:
         far[up[i].partner] = below[i]
-        far[up[i]] = below[order[0]] - below[i]
+        far[up[i]] = below[order[0]] ^ below[i]
     return far
 
 
@@ -720,10 +710,10 @@ def is_strong(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[int]) -> b
     """
     if not is_connected(g):
         raise NotConnectedError("strong-split test requires a connected graph")
-    a, b = frozenset(side_a), frozenset(side_b)
-    if not is_split(g, a, b):
+    amask, bmask = _check_bipartition(g, side_a, side_b)
+    if not _mask_is_split(g._adj, amask, bmask):
         return False
-    return min(len(a), len(b)) == 1 or bool({a, b} & compute_qasst(g).strong_split_sides())
+    return min(amask.bit_count(), bmask.bit_count()) == 1 or amask in _far_sides(compute_qasst(g)).values()
 
 
 # -- reconstruction ----------------------------------------------------------
@@ -733,12 +723,13 @@ def reconstruct(q: Qasst) -> SimpleGraph:
     """The graph of a tree, read off the fold :func:`_reach` with the bit ``1 << v`` for each leaf v.
 
     The leaf-nodes must be 1..n; the tree edges need not be strong splits.
-    A graph of over ``families.MAX_EDGES`` edges (:func:`_edge_count`) is
-    refused with :class:`SizeLimitError` first.  A pass from the root down
-    adds ``outside[i]``, the vertices joined to all that quotient i's entry
+    A tree is validated first unless it has the check record.  A graph of
+    over ``families.MAX_EDGES`` edges (:func:`_edge_count`) is refused with
+    :class:`SizeLimitError` first.  A pass from the root down adds
+    ``outside[i]``, the vertices joined to all that quotient i's entry
     reaches, to what each node adjacent to that entry sees, ``behind[x]``.
     """
-    order, up = q.validate()
+    order, up = _orient(q) if q._checked else q.validate()
     n = len(q._home)
     if max(q._home) != n:  # distinct positive leaf-nodes are 1..n iff the largest is n
         raise MalformedQasstError("leaf-nodes do not cover 1..n")
@@ -905,9 +896,10 @@ def _extend(q: Qasst, tag: str, a: int, p: int) -> None:
     p joins a's quotient Q, only added to its node list, when Q keeps its
     stored kind: Q complete and p a true twin, Q a star centred at a and p
     a pendant, or Q a star with a as a spoke and p a false twin.
-    Otherwise {a, p} is a strong split (Bandelt & Mulder 1986): a moves
-    into a new quotient with the partner of the split-node that takes its
-    place (and role) in Q, and p joins that quotient.  A quotient of one
+    Otherwise {a, p} is a strong split (Bandelt & Mulder 1986): a is split
+    off (:meth:`Qasst.split_off`, which drops the check record) into a new
+    quotient with the partner of the split-node that takes its place (and
+    role) in Q, and p joins that quotient.  A quotient of one
     or two nodes takes p whatever it is: with a pendant it becomes the star
     centred at a, with a false twin the star centred at a's neighbour, and
     with a true twin it stays complete.  On a strong split tree the result
@@ -925,13 +917,8 @@ def _extend(q: Qasst, tag: str, a: int, p: int) -> None:
             q._edit(i)._adj[p] = None
             q._home[p] = i
             return
-        m = q._fresh
-        q._fresh += 1
-        s, t = SplitNode(i, m), SplitNode(m, i)
-        q._edit(i).rename(a, s)
-        q._where[s], q._where[t] = i, m
-        i, quot = m, QuotientGraph._of({a: None, t: None}, COMPLETE)
-        q._home[a] = m
+        i = q.split_off(i, (a,))
+        quot = q.quotients[i]
     if quot.kind == PRIME:  # two nodes and no edge: p joins a alone
         adj = {v: set() for v in quot.nodes}
         adj[a].add(p)

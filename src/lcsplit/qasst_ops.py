@@ -67,20 +67,18 @@ def lc_propagate(q: Qasst, v: int) -> Qasst:
 
     Complements v's quotient at v (:meth:`QuotientGraph.complemented_at`);
     every split-node adjacent to the complemented node transmits the
-    complement to its partner, recursively.  The tree structure guarantees
-    termination; the visited set is a defensive guard.  No node moves, so
+    complement to its partner, recursively, entering each quotient once: a
+    tree without the check record is validated first.  No node moves, so
     the result keeps q's canonical record.
     """
+    start = q.leaf_quotient(v)  # raises if v is not a leaf-node
+    if not q._checked:
+        q.validate()
     out = q.copy()
     quots, where = out.quotients, out._where
-    start = out.leaf_quotient(v)  # raises if v is not a leaf-node
-    visited: set[tuple[int, object]] = set()
     stack: list[tuple[int, object]] = [(start, v)]
     while stack:
-        i, node = entered = stack.pop()
-        if entered in visited:
-            continue
-        visited.add(entered)
+        i, node = stack.pop()
         quot = quots[i] = quots[i].complemented_at(node)
         for s in quot.neighbours(node):
             if type(s) is SplitNode:
@@ -150,6 +148,7 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
     out = q.copy()
     out.leaf_quotient(e.anchor)  # raises if the anchor is not a leaf-node
     _extend(out, e.tag, e.anchor, p)
+    out._checked = q._checked
     return out
 
 

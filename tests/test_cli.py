@@ -762,6 +762,79 @@ class TestVerifyContract:
         assert len(seen) == len(set(seen)) == graphs_enumerated
 
 
+class TestRefusalsPinned:
+    """Refusals no other test reaches: each CLI one exits 2 with its message, each library one raises its type."""
+
+    INPUTS = {"n0": '{"n": 0, "edges": []}', "p3": graphs.to_json_text(families.path_graph(3)),
+              "p4": graphs.to_json_text(families.path_graph(4))}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "complete", "--params", "0"], "complete graph needs n >= 1"),
+            (["gen", "star", "--params", "0"], "star graph needs n >= 1 spokes"),
+            (["gen", "path", "--params", "0"], "path graph needs n >= 1"),
+            (["gen", "cycle", "--params", "2"], "cycle graph needs n >= 3"),
+            (["gen", "complete_multipartite", "--params", "3"], "complete multipartite needs k >= 2 blocks of size >= 1"),
+            (["gen", "repeater", "--params", "2"], "repeater needs n >= 3"),
+            (["orbit", "size", "--input", "{n0}"], "orbit enumeration needs n >= 1"),
+            (["orbit", "transform", "--input", "{p3}", "--to", "{p4}"], "graphs have different vertex counts"),
+            (["count", "orbit", "--family", "bipartite", "--params", "1,3"], "bipartite orbit formula needs n, m >= 2"),
+            (["count", "iso-classes", "--family", "bipartite", "--params", "2,1"], "need n, m >= 2"),
+            (["sym", "transform", "--family", "clique_star", "--params", "2,2,2", "--case", "1", "--I", "1", "--r", "4"],
+             "base center r must be in 1..3"),
+        ],
+    )
+    def test_cli_exits_two(self, tmp_path, capsys, argv, message):
+        for name, text in self.INPUTS.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        code = cli.main([a.format(**{name: str(tmp_path / f"{name}.json") for name in self.INPUTS}) for a in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"lcsplit: {message}\n")
+
+    def test_sym_transform_base_center_defaults_to_one(self, capsys):
+        argv = ["sym", "transform", "--family", "clique_star", "--params", "2,2,2", "--case", "1", "--I", "1"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--r", "1")
+        assert run(capsys, *argv)[0] == cli.EXIT_OK
+
+    @staticmethod
+    def _library_calls():
+        from lcsplit import symmetry
+        from lcsplit.errors import InvalidCaseError, InvalidSpecError, MalformedQasstError, NotConnectedError, SizeLimitError
+
+        p3 = families.path_graph(3)
+        other = symmetry.SymmetryCase(families.CLIQUE_STAR, 1, None, frozenset({1}))
+        spokes = (qasst.STAR_SPOKE,) * 3
+        return [
+            (lambda: orbit.enumerate_orbit(p3, limit=0), ValueError, "budget must be >= 1"),
+            (lambda: qasst_ops.ExtensionKind("bogus", 1), ValueError, "unknown extension kind 'bogus'"),
+            (lambda: qasst_ops.extend_graph(p3, "bogus", 1), ValueError, "unknown extension kind 'bogus'"),
+            (lambda: qasst_ops.random_dh(0, 1), ValueError, "need n >= 1"),
+            (lambda: qasst.is_distance_hereditary(SimpleGraph(4, [(1, 2), (3, 4)])), NotConnectedError,
+             "distance-hereditary test requires a connected graph"),
+            (lambda: qasst.compute_qasst_by_splits(families.cycle_graph(19)), SizeLimitError,
+             "split enumeration limited to 18 vertices, got 19"),
+            (lambda: symmetry.SymmetryCase(families.KPARTITE, 4, None, frozenset()), InvalidCaseError,
+             "case id must be 1, 2 or 3, got 4"),
+            (lambda: symmetry.build_star_qasst((2, 2, 2), qasst.COMPLETE, spokes, {1: 5}), InvalidCaseError,
+             "center 5 not in block 1"),
+            (lambda: symmetry.closure_step(families.KPARTITE, other, (symmetry.SS_CENTER, 1)), InvalidCaseError,
+             "case belongs to a different orbit"),
+            (lambda: symmetry.synthesize_transformation(families.KPARTITE, other, (2, 2, 2)), InvalidCaseError,
+             "case belongs to a different orbit"),
+            (lambda: symmetry.analyze_star_member(families.cycle_graph(6), (2, 2, 2)), MalformedQasstError,
+             "graph does not have the star-shaped QASST"),
+            (lambda: families.check_tag("bogus"), InvalidSpecError, "unknown orbit tag 'bogus'"),
+            (lambda: families.mlr_orbit_home(2), InvalidSpecError, "multi-leaf repeater needs k >= 3"),
+        ]
+
+    def test_library_raises(self):
+        for call, error, message in self._library_calls():
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message
+
+
 class TestSymTransformRange:
     """Every block index given to sym transform must lie in 1..k."""
 

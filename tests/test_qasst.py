@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -140,6 +141,28 @@ class TestSplits:
         g = path_graph(4)
         with pytest.raises(ValueError):
             is_split(g, {1, 2}, {2, 3, 4})
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWholeTreeReadsStaySmall:
+    """Far sides are bitmasks from one rooted pass, and the key is the normalized JSON: no set per split-node."""
+
+    def test_structure_key_of_a_long_path(self):
+        q = compute_qasst(path_graph(4000))
+        assert _peak_bytes(q.structure_key) < 50_000_000
+
+    def test_is_strong_on_a_long_path(self):
+        g = path_graph(4000)
+        assert _peak_bytes(lambda: is_strong(g, set(range(1, 2001)), set(range(2001, 4001)))) < 50_000_000
+        assert is_strong(g, set(range(1, 2001)), set(range(2001, 4001)))
 
 
 class TestComputeQasst:
@@ -285,6 +308,12 @@ def _structure_key_by_far_leaves(q):
     )
 
 
+def _assert_keys_partition_alike(trees):
+    """``structure_key``'s contract: two trees have equal keys iff their far-leaves keys are equal."""
+    pairs = {(tree.structure_key(), _structure_key_by_far_leaves(tree)) for tree in trees}
+    assert len({key for key, _ in pairs}) == len({far for _, far in pairs}) == len(pairs)
+
+
 class TestTreeReadsAgainstFarLeaves:
     """normalize, structure_key and strong_split_sides against per-split-node ``far_leaves`` walks."""
 
@@ -304,18 +333,21 @@ class TestTreeReadsAgainstFarLeaves:
     def test_reads_match(self):
         rng = random.Random(92)
         leafless_counts = []
+        trees = []
         for q in self.sample_trees():
             leafless_counts.append(sum(not quot.leaf_nodes() for quot in q.quotients.values()))
             for tree in (q, _shuffled(q, rng)):
                 normalized = tree.normalize()
                 assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
-                assert tree.structure_key() == _structure_key_by_far_leaves(tree)
                 assert tree.strong_split_sides() == {far_leaves(tree, s) for s, _ in tree.tree_edges()}
+                trees.append(tree)
         assert sum(count >= 2 for count in leafless_counts) >= 5
+        _assert_keys_partition_alike(trees)
 
     def test_reads_match_after_dynamic_ops(self):
         # lc_propagate and induced_qasst leave quotients unnumbered.
         rng = random.Random(93)
+        keyed = []
         for n in (30, 120):
             for seed in range(3):
                 g = random_dh(n, seed)[0]
@@ -329,13 +361,13 @@ class TestTreeReadsAgainstFarLeaves:
                 for tree in trees:
                     normalized = tree.normalize()
                     assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
-                    assert tree.structure_key() == _structure_key_by_far_leaves(tree)
+                    keyed += [tree, _shuffled(tree, rng)]
+        _assert_keys_partition_alike(keyed)
 
     @staticmethod
     def assert_normalize_matches(tree):
         normalized = tree.normalize()
         assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
-        assert tree.structure_key() == _structure_key_by_far_leaves(tree)
 
     def test_least_leaf_far_from_least_quotient(self):
         # normalize roots its pass at the least leaf's quotient; here that
@@ -343,6 +375,7 @@ class TestTreeReadsAgainstFarLeaves:
         rng = random.Random(94)
         far = {"induced": 0, "shuffled": 0}
         trees = []
+        keyed = []
         for n, seed in itertools.product((80, 200), range(6)):
             q = compute_qasst(random_dh(n, seed)[0])
             for k in (1, 3):
@@ -359,7 +392,9 @@ class TestTreeReadsAgainstFarLeaves:
                     depth[i] = depth[where[up[i].partner]] + 1
                 far[how] += depth[tree.leaf_quotient(min(tree.leaves()))] >= 3
                 self.assert_normalize_matches(tree)
+                keyed.append(tree)
         assert min(far.values()) >= 5
+        _assert_keys_partition_alike(keyed)
 
     def test_chain_of_leafless_quotients(self):
         # Leafless quotients 0 - 1 - 2 in a row, each with one or two leaf-bearing neighbours.
@@ -379,9 +414,11 @@ class TestTreeReadsAgainstFarLeaves:
         tree.validate()
         assert tree.structure_key() == compute_qasst(reconstruct(tree)).structure_key()
         rng = random.Random(95)
-        for t in [tree] + [_shuffled(tree, rng) for _ in range(20)]:
+        shuffles = [_shuffled(tree, rng) for _ in range(20)]
+        for t in [tree] + shuffles:
             self.assert_normalize_matches(t)
             assert to_json_dict(t) == to_json_dict(tree)
+        _assert_keys_partition_alike([tree, *shuffles, compute_qasst(path_graph(10))])
 
     def test_tree_without_leaves(self):
         tree = Qasst({0: QuotientGraph([])})
@@ -390,6 +427,7 @@ class TestTreeReadsAgainstFarLeaves:
         assert normalized.quotients[0].adj == {}
         assert normalized.leaves() == set()
         self.assert_normalize_matches(tree)
+        _assert_keys_partition_alike([tree, Qasst({5: QuotientGraph([])}), Qasst({0: QuotientGraph([1])})])
 
 
 class TestRename:

@@ -908,3 +908,46 @@ class TestOpsStayLocal:
         assert not broken._checked
         with pytest.raises(MalformedQasstError, match="is unmatched"):
             induced_qasst(broken, [1, 2])
+
+
+class TestCheckedOnceAtEntry:
+    """A tree with the check record is trusted; one without it is validated before it is read."""
+
+    @staticmethod
+    def _cycle_of_quotients():
+        # Three complete quotients whose split-node pairs close a cycle: not a tree.
+        def s(i, j):
+            return SplitNode(i, j)
+
+        return Qasst({
+            0: QuotientGraph([1, s(0, 1), s(0, 2)], [(1, s(0, 1)), (1, s(0, 2)), (s(0, 1), s(0, 2))]),
+            1: QuotientGraph([2, s(1, 0), s(1, 2)], [(2, s(1, 0)), (2, s(1, 2)), (s(1, 0), s(1, 2))]),
+            2: QuotientGraph([3, s(2, 0), s(2, 1)], [(3, s(2, 0)), (3, s(2, 1)), (s(2, 0), s(2, 1))]),
+        })
+
+    def test_lc_propagate_refuses_a_cycle_of_quotients(self):
+        cycle = self._cycle_of_quotients()
+        with pytest.raises(InvalidVertexError, match="vertex 9 is not a leaf-node"):  # the leaf check comes first
+            lc_propagate(cycle, 9)
+        for v in (1, 2, 3):
+            with pytest.raises(MalformedQasstError, match=r"tree-edge count is not \(quotients - 1\)"):
+                lc_propagate(cycle, v)
+
+    def test_reconstruct_validates_only_without_the_record(self, monkeypatch):
+        calls = []
+        validate = Qasst.validate
+
+        def counted(q):
+            calls.append(q)
+            return validate(q)
+
+        g = random_dh(40, 28)[0]
+        q = compute_qasst(g)
+        loaded = from_json_dict(to_json_dict(q))
+        monkeypatch.setattr(Qasst, "validate", counted)
+        for tree in (q, loaded, lc_propagate(q, 7), extend(q, ExtensionKind(TRUE_TWIN, 3), g.n + 1)):
+            assert tree._checked
+            reconstruct(tree)
+        assert calls == []
+        bare = _unchecked(q)
+        assert reconstruct(bare) == g and calls == [bare]

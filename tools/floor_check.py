@@ -3,7 +3,7 @@
 ``tests/test_python_floor.py`` only parses the source in the grammar of
 the oldest Python that ``pyproject.toml`` admits.  This runs it: under each
 interpreter given, with ``PYTHONPATH`` set to the source, it runs
-``lcsplit verify --suite desk``, four pipelines and four single
+``lcsplit verify --suite desk``, five pipelines and four single
 commands, one process per stage:
 
 - ``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
@@ -11,6 +11,8 @@ commands, one process per stage:
 - ``gen repeater --params 6 | decompose | qasst extend --kind false_twin
   --anchor 1 | reconstruct``, which takes pruning, the kernel split
   search, replay and the extension step;
+- ``gen repeater --params 6 | decompose | qasst lc --vertex 2 |
+  reconstruct``, which passes a local complement across the tree;
 - ``gen cycle --params 6 | orbit list``, which writes each member by the
   direct graph writer;
 - ``gen path --params 2000 | decompose | reconstruct``, which reads a
@@ -54,6 +56,12 @@ CHECKS = {
         ["gen", "repeater", "--params", "6"],
         ["decompose"],
         ["qasst", "extend", "--kind", "false_twin", "--anchor", "1"],
+        ["reconstruct"],
+    ],
+    "lc pipeline": [
+        ["gen", "repeater", "--params", "6"],
+        ["decompose"],
+        ["qasst", "lc", "--vertex", "2"],
         ["reconstruct"],
     ],
     "orbit list pipeline": [
