@@ -22,7 +22,7 @@ import random
 import sys
 
 from . import counting, families, graphs, orbit, qasst, qasst_ops, symmetry
-from .errors import BudgetExceededError, InvalidSpecError, LcsplitError
+from .errors import BudgetExceededError, InvalidSpecError, LcsplitError, check
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -325,7 +325,7 @@ def _orbit_pair(orbits, n_list):
     ok = orbits(families.complete_multipartite_graph(n_list))
     oc = orbits(families.clique_star_graph(n_list, 1))
     # Both graphs have sum(n_list) vertices, so equal flats are equal members.
-    assert ok.flats.keys().isdisjoint(oc.flats), "orbits intersect"
+    check(ok.flats.keys().isdisjoint(oc.flats), "orbits intersect")
     return ok, oc
 
 
@@ -335,10 +335,10 @@ def _reps_vs_oracle(orbits, n_list) -> str:
     for tag, o in zip((families.KPARTITE, families.CLIQUE_STAR), _orbit_pair(orbits, n_list)):
         _, edges = orbit.min_edge_member(o)
         reps = counting.min_edge_rep(tag, n_list)
-        assert reps[0].value == edges, f"{tag} edges {edges} vs {reps[0].value}"
+        check(reps[0].value == edges, f"{tag} edges {edges} vs {reps[0].value}")
         _, delta = orbit.min_max_degree_member(o)
         dreps = counting.min_max_degree_rep(tag, n_list)
-        assert dreps[0].value == delta, f"{tag} degree {delta} vs {dreps[0].value}"
+        check(dreps[0].value == delta, f"{tag} degree {delta} vs {dreps[0].value}")
         details.append(f"{tag}:{edges}e/{delta}d")
     return " ".join(details)
 
@@ -349,7 +349,7 @@ def _desk_checks(orbits):
         for n, m in ((2, 2), (2, 3), (3, 3)):
             got = len(orbits(families.complete_bipartite_graph(n, m)))
             want = counting.bipartite_orbit_size(n, m)
-            assert got == want, f"|O(K_{n},{m})| = {got}, formula {want}"
+            check(got == want, f"|O(K_{n},{m})| = {got}, formula {want}")
             details.append(f"K{n},{m}:{got}")
         return " ".join(details)
 
@@ -359,26 +359,26 @@ def _desk_checks(orbits):
             o = orbits(families.complete_bipartite_graph(n, m))
             best, edges = orbit.min_edge_member(o)
             want = counting.bipartite_min_edge_count(n, m)
-            assert edges == want, f"min edges {edges}, formula {want}"
+            check(edges == want, f"min edges {edges}, formula {want}")
             # a binary star: two adjacent centers with n-1 and m-1 leaves
             star = graphs.SimpleGraph(
                 n + m,
                 [(1, 2)] + [(1, v) for v in range(3, n + 2)]
                 + [(2, v) for v in range(n + 2, n + m + 1)],
             )
-            assert graphs.is_isomorphic(best, star), "min-edge member is not a binary star"
+            check(graphs.is_isomorphic(best, star), "min-edge member is not a binary star")
             bd, delta = orbit.min_max_degree_member(o)
             wantd = counting.bipartite_min_max_degree(n, m)
-            assert delta == wantd, f"min max-degree {delta}, formula {wantd}"
+            check(delta == wantd, f"min max-degree {delta}, formula {wantd}")
             details.append(f"K{n},{m}:{edges}e/{delta}d")
         return " ".join(details)
 
     def k3_orbits():
         ok, oc = _orbit_pair(orbits, (2, 2, 2))
-        assert len(ok) == 40, f"|O(K222)| = {len(ok)}"
-        assert len(oc) == 41, f"|O(CS222)| = {len(oc)}"
+        check(len(ok) == 40, f"|O(K222)| = {len(ok)}")
+        check(len(oc) == 41, f"|O(CS222)| = {len(oc)}")
         phi = counting.kpartite_phi((2, 2, 2))
-        assert len(ok) + len(oc) == phi == 81, f"sum {len(ok) + len(oc)}, phi {phi}"
+        check(len(ok) + len(oc) == phi == 81, f"sum {len(ok) + len(oc)}, phi {phi}")
         return "40 + 41 = 81, disjoint"
 
     def iso_classes():
@@ -391,17 +391,17 @@ def _desk_checks(orbits):
         ]
         for g, want, name in targets:
             got = len(orbit.orbit_iso_classes(orbits(g)))
-            assert got == want, f"{name}: {got} classes, want {want}"
+            check(got == want, f"{name}: {got} classes, want {want}")
             details.append(f"{name}:{got}")
         fk = counting.iso_class_count(families.KPARTITE, 3)
         fc = counting.iso_class_count(families.CLIQUE_STAR, 3)
-        assert (fk, fc) == (5, 5), f"formulas {fk}/{fc}"
+        check((fk, fc) == (5, 5), f"formulas {fk}/{fc}")
         return " ".join(details)
 
     def repeater_membership():
         o = orbits(families.clique_star_graph((2, 2, 2), 1))
-        assert families.repeater_graph(3) in o, "R3 not in O(CS222)"
-        assert families.mlr_orbit_home(3) == families.CLIQUE_STAR
+        check(families.repeater_graph(3) in o, "R3 not in O(CS222)")
+        check(families.mlr_orbit_home(3) == families.CLIQUE_STAR)
         return "R3 in O(CS1_2,2,2)"
 
     def closure_tables():
@@ -415,7 +415,7 @@ def _desk_checks(orbits):
                     got = symmetry.classify_star_member(
                         graphs.local_complement(g, v), (2, 2, 2), tag
                     )
-                    assert (got.case_id, got.j) == pred, f"{tag} {case} v={v}"
+                    check((got.case_id, got.j) == pred, f"{tag} {case} v={v}")
                     checks += 1
         return f"{checks} vertex steps verified"
 
@@ -428,16 +428,16 @@ def _desk_checks(orbits):
         ]
         for g in samples:
             q = qasst.compute_qasst(g)
-            assert qasst.reconstruct(q) == g, "reconstruct mismatch"
+            check(qasst.reconstruct(q) == g, "reconstruct mismatch")
             q2 = qasst.from_json_dict(json.loads(json.dumps(qasst.to_json_dict(q))))
-            assert qasst.reconstruct(q2) == g, "JSON round-trip mismatch"
+            check(qasst.reconstruct(q2) == g, "JSON round-trip mismatch")
         return f"{len(samples)} graphs"
 
     def bouchet():
         paths = [counting.bouchet_path_count(n) for n in (3, 4, 5)]
         cycles = [counting.bouchet_cycle_count(n) for n in (4, 5)]
-        assert paths == [16, 44, 120], f"paths {paths}"
-        assert cycles == [44, 132], f"cycles {cycles}"
+        check(paths == [16, 44, 120], f"paths {paths}")
+        check(cycles == [44, 132], f"cycles {cycles}")
         op3 = len(orbits(families.path_graph(3)))
         oc4 = len(orbits(families.cycle_graph(4)))
         return (
@@ -452,7 +452,7 @@ def _desk_checks(orbits):
                 for n_list in ((2,) * k, (3,) * k, (2, 3) + (2,) * (k - 2)):
                     total = sum(m for _, m in symmetry.enumerate_cases(tag, n_list))
                     want = counting.orbit_size(tag, n_list)
-                    assert total == want, f"{tag} {n_list}: {total} vs {want}"
+                    check(total == want, f"{tag} {n_list}: {total} vs {want}")
                     checked += 1
         return f"{checked} (tag, n_list) pairs"
 
@@ -474,31 +474,31 @@ def _desk_checks(orbits):
 def _extended_checks(orbits, seed: int):
     def k4_orbits():
         ok, oc = _orbit_pair(orbits, (2, 2, 2, 2))
-        assert len(ok) == 149, f"|O(K2222)| = {len(ok)}"
-        assert len(oc) == 148, f"|O(CS2222)| = {len(oc)}"
-        assert families.repeater_graph(4) in ok, "R4 not in O(K2222)"
-        assert families.mlr_orbit_home(4) == families.KPARTITE
+        check(len(ok) == 149, f"|O(K2222)| = {len(ok)}")
+        check(len(oc) == 148, f"|O(CS2222)| = {len(oc)}")
+        check(families.repeater_graph(4) in ok, "R4 not in O(K2222)")
+        check(families.mlr_orbit_home(4) == families.KPARTITE)
         return "149 + 148, disjoint, R4 in the k-partite orbit"
 
     def k4_reps():
         details = _reps_vs_oracle(orbits, (2, 2, 2, 2))
         tie = counting.min_edge_rep(families.KPARTITE, (2, 2, 2, 2))
-        assert len(tie) == 2 and {r.case_id for r in tie} == {1, 3}, "expected a case 1/3 tie"
+        check(len(tie) == 2 and {r.case_id for r in tie} == {1, 3}, "expected a case 1/3 tie")
         return details + "; k=4 edge-count tie confirmed"
 
     def k5_degree():
         o = orbits(families.complete_multipartite_graph((2,) * 5))
         _, delta = orbit.min_max_degree_member(o)
         dreps = counting.min_max_degree_rep(families.KPARTITE, (2,) * 5)
-        assert delta == 4 and dreps[0].value == 4, f"k=5 degree {delta} vs {dreps[0].value}"
+        check(delta == 4 and dreps[0].value == 4, f"k=5 degree {delta} vs {dreps[0].value}")
         return "min max-degree 4"
 
     def formula_vs_oracle_223():
         ok, oc = _orbit_pair(orbits, (2, 2, 3))
         fk = counting.kpartite_orbit_size((2, 2, 3))
         fc = counting.clique_star_orbit_size((2, 2, 3))
-        assert (len(ok), len(oc)) == (fk, fc), f"({len(ok)},{len(oc)}) vs ({fk},{fc})"
-        assert fk + fc == counting.kpartite_phi((2, 2, 3))
+        check((len(ok), len(oc)) == (fk, fc), f"({len(ok)},{len(oc)}) vs ({fk},{fc})")
+        check(fk + fc == counting.kpartite_phi((2, 2, 3)))
         return f"(2,2,3): {fk} + {fc}"
 
     def random_properties():
@@ -507,14 +507,14 @@ def _extended_checks(orbits, seed: int):
             n = rng.randint(4, 10)
             g, _ = qasst_ops.random_dh(n, rng.random())
             v = rng.randint(1, n)
-            assert graphs.local_complement(graphs.local_complement(g, v), v) == g
+            check(graphs.local_complement(graphs.local_complement(g, v), v) == g)
             q = qasst.compute_qasst(g)
             got = qasst.reconstruct(qasst_ops.lc_propagate(q, v))
-            assert got == graphs.local_complement(g, v), f"propagate trial {trial}"
+            check(got == graphs.local_complement(g, v), f"propagate trial {trial}")
             kind = rng.choice(qasst_ops.EXTENSION_KINDS)
             anchor = rng.randint(1, n)
             ext = qasst_ops.extend(q, qasst_ops.ExtensionKind(kind, anchor), n + 1)
-            assert qasst.reconstruct(ext) == qasst_ops.extend_graph(g, kind, anchor)
+            check(qasst.reconstruct(ext) == qasst_ops.extend_graph(g, kind, anchor))
         return "200 seeded trials"
 
     return [

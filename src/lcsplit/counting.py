@@ -81,27 +81,23 @@ def phi_count(q: Qasst) -> int:
 
     Counts assignments of orbit members to quotients (a star/complete
     quotient on m >= 3 nodes has m+1 members: the complete graph plus one
-    star per choice of center) such that every tree edge joins a valid kind
-    pair.  Computed by dynamic programming over the tree, children before
-    parents, each child's table once: the rooted pass
+    star per choice of center; a tree of one quotient on fewer nodes has
+    one, the complete graph) such that every tree edge joins a valid kind
+    pair.  One dynamic program over the tree, one quotient or more,
+    children before parents, each child's table once: the rooted pass
     :func:`lcsplit.qasst._orient` gives that order, reversed, and each
     quotient's entry split-node, the one facing its parent.  Prime
     quotients are rejected: their orbit sizes have no closed form here.
     """
     quots = q.quotients
-    for quot in quots.values():
-        if quot.kind == PRIME and len(quot.nodes) > 2:  # two nodes and no edge count as complete
-            raise UnsupportedQasstError("phi requires star/complete quotients only")
-    if len(quots) == 1:
-        m = len(next(iter(quots.values())).nodes)
-        return m + 1 if m >= 3 else 1
-
     order, up = _orient(q)
     # valid[i][a]: ways to fill quotient i's subtree when its parent's
     # member has kind a at the split-node facing i; children come first.
     valid: dict[int, dict[str, int]] = {}
     for i in reversed(order):
         quot, entry = quots[i], up[i]
+        if quot.kind == PRIME and len(quot.nodes) > 2:  # two nodes and no edge count as complete
+            raise UnsupportedQasstError("phi requires star/complete quotients only")
         child = [valid[q.across(s)] for s in quot.split_nodes() if s != entry]
         c_ways = math.prod(ways[COMPLETE] for ways in child)
         ss_ways = math.prod(ways[STAR_SPOKE] for ways in child)  # every factor > 0
@@ -114,8 +110,8 @@ def phi_count(q: Qasst) -> int:
             STAR_CENTER: ss_ways,
             STAR_SPOKE: leaves * ss_ways + sum(ss_ways // ways[STAR_SPOKE] * ways[STAR_CENTER] for ways in child),
         }
-        if entry is None:  # the root: no entry, every member counts
-            return at_entry[COMPLETE] + at_entry[STAR_SPOKE]
+        if entry is None:  # the root: every member counts, but a lone quotient of two nodes or fewer is only complete
+            return at_entry[COMPLETE] + (at_entry[STAR_SPOKE] if child or len(quot.nodes) >= 3 else 0)
         valid[i] = {a: sum(cnt for b, cnt in at_entry.items() if join_validity(a, b)) for a in at_entry}
     raise UnsupportedQasstError("phi requires a nonempty tree")
 

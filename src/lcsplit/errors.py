@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that raises a failed one."""
 
 
 class LcsplitError(Exception):
@@ -58,3 +58,9 @@ class InvalidCaseError(LcsplitError, ValueError):
 
 class InvalidAssignmentError(LcsplitError, ValueError):
     """A quotient-kind assignment violates the join-validity rules."""
+
+
+def check(ok: bool, message: str = "") -> None:
+    """Raise :class:`AssertionError` with ``message`` unless ``ok``: an ``assert`` that ``python -O`` keeps."""
+    if not ok:
+        raise AssertionError(message)

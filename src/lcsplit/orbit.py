@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError, SizeLimitError
+from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError, SizeLimitError, check
 from .graphs import SimpleGraph, _bits, _flat, _iso_plan, _iso_search, _key_fragment, _vertex_invariants
 from .graphs import apply_sequence
 from .graphs import canonical_key  # noqa: F401  the member key; callers also reach it as orbit.canonical_key
@@ -200,7 +200,7 @@ def transformation_between(
         flat, v = entry
         steps.append(v)
     steps.reverse()
-    assert apply_sequence(g, steps) == h
+    check(apply_sequence(g, steps) == h)
     return steps
 
 

@@ -377,7 +377,7 @@ class Qasst:
         the old centre and one at the split-node facing it.  In a prime
         quotient a moved node trades its neighbours left behind for s_m^i,
         a node left behind its neighbours in ``side`` for s_i^m, and each
-        piece is classified afresh.
+        piece is classified afresh, save what one moved node leaves behind.
         """
         quot = self._edit(i)
         side = set(side)
@@ -401,7 +401,8 @@ class Qasst:
             for w in across:
                 rest[w] -= side
                 rest[w].add(s_im)
-            quot._settle()
+            if len(side) > 1:  # one moved node leaves the same graph, the node renamed s_i^m
+                quot._settle()
             piece = QuotientGraph._of(part)
         elif quot.kind == COMPLETE:  # stays complete
             piece = QuotientGraph._of(part, COMPLETE)
@@ -535,15 +536,14 @@ class Qasst:
         quotient holding the least leaf m gives each subtree's least leaf;
         a leafless quotient is never that root, so m lies behind its upward
         split-node.  Split-nodes get location names: s_i^j in quotient i.
-        The result iterates its quotients 0..m-1, keeps the check record
-        and has the canonical record (``_canonical``), which :meth:`copy`
-        and ``lc_propagate`` keep and any edit that adds, moves or deletes
-        a node drops.  Given a canonical tree, it is a :meth:`copy`.
+        The result iterates its quotients 0..m-1, keeps the check record and
+        has the canonical record (``_canonical``), which :meth:`copy` and
+        ``lc_propagate`` keep and any edit that adds, moves or deletes a node
+        drops.  Given a tree with the canonical record, it is a :meth:`copy`.
         """
         if self._canonical:
             return self.copy()
-        leaves = {i: q.leaf_nodes() for i, q in self.quotients.items()}
-        least = {i: min(ls) for i, ls in leaves.items() if ls}
+        least = {i: min(ls) for i, q in self.quotients.items() if (ls := q.leaf_nodes())}
         m = min(least.values(), default=math.inf)
         order, up = _orient(self, min(least, key=least.get, default=None))
         low = {i: least.get(i, math.inf) for i in self.quotients}  # made each subtree's least leaf
@@ -552,22 +552,16 @@ class Qasst:
             low[parent] = min(low[parent], low[i])
 
         def order_key(i: int):
-            if leaves[i]:
+            if i in least:
                 return (1, least[i])
             behind = (m if s == up[i] else low[self.across(s)] for s in self.quotients[i].split_nodes())
             return (0, tuple(sorted(behind)))
 
         old_order = sorted(self.quotients, key=order_key)
-        if old_order == list(range(len(old_order))) == list(self.quotients) and all(
-            s.i == i for s, i in self._where.items()
-        ):
-            out = self.copy()
-            out._fresh = len(out.quotients)
-        else:
-            remap = {old: new for new, old in enumerate(old_order)}
-            names = {s: SplitNode(remap[i], remap[self.across(s)]) for s, i in self._where.items()}
-            out = Qasst({new: self.quotients[old].relabelled(names) for new, old in enumerate(old_order)})
-            out._checked = self._checked
+        remap = {old: new for new, old in enumerate(old_order)}
+        names = {s: SplitNode(remap[i], remap[self.across(s)]) for s, i in self._where.items()}
+        out = Qasst({new: self.quotients[old].relabelled(names) for new, old in enumerate(old_order)})
+        out._checked = self._checked
         out._canonical = True
         return out
 

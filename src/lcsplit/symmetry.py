@@ -261,11 +261,10 @@ def _block_quotients(
         leaves = frozenset(quot.leaf_nodes())
         if not leaves:
             leafless.append(quot)
-            continue
-        block = block_of_leafset.get(leaves)
-        if block is None:
+        elif (block := block_of_leafset.get(leaves)) is None:
             raise MalformedQasstError(f"leaf block {sorted(leaves)} unexpected")
-        outer[block] = quot
+        else:
+            outer[block] = quot
     return leafless, outer
 
 
@@ -283,11 +282,10 @@ def analyze_star_member(
     if len(q.quotients) != k + 1:
         raise MalformedQasstError("graph does not have the star-shaped QASST")
     leafless, outer = _block_quotients(q, block_ranges(n_list))
-    if len(leafless) != 1:
+    if [len(quot.split_nodes()) for quot in leafless] != [k]:  # one centre, joined to every block's quotient
         raise MalformedQasstError("graph does not have the star-shaped QASST")
     (central,) = leafless
 
-    block_across = {next(iter(quot.split_nodes())).partner: b for b, quot in outer.items()}
     roles: dict[int, tuple[str, int]] = {}
     kinds: dict[int, str] = {}
     centers: dict[int, int] = {}
@@ -305,13 +303,8 @@ def analyze_star_member(
     if central.kind == COMPLETE:
         case_id, j = 1, None
     elif central.kind == STAR:
-        j = block_across[central.center]
-        if kinds[j] == STAR_CENTER:
-            case_id = 2
-        elif kinds[j] == COMPLETE:
-            case_id = 3
-        else:
-            raise MalformedQasstError("pointed quotient is star-spoke")
+        j = next(b for b, quot in outer.items() if central.center.partner in quot.nodes)
+        case_id = 2 if kinds[j] == STAR_CENTER else 3  # Q_j faces Q0's centre, so is never star-spoke
     else:
         raise MalformedQasstError("central quotient is neither star nor complete")
     if tag is None:

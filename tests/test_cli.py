@@ -1225,3 +1225,75 @@ class TestUsageErrors:
         code = cli.main([a.format(graph=graph, tree=tree) for a in argv])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (cli.EXIT_USAGE, "", f"lcsplit: {message}\n")
+
+
+class TestVerifyUnderOptimize:
+    """``verify`` judges the same when Python strips ``assert`` statements (``-O``)."""
+
+    def test_a_wrong_formula_fails_under_dash_o(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("LCSPLIT_BUDGET", None)
+        code = (
+            "import sys; from lcsplit import counting; from lcsplit.cli import main; "
+            "counting.bipartite_orbit_size = lambda n, m: n * m + n + m + 4; sys.exit(main(['verify']))"
+        )
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == cli.EXIT_VERIFY, done.stderr
+        (row,) = [line for line in done.stdout.splitlines() if line.startswith("D01")]
+        assert "FAIL" in row and "|O(K_2,2)| = 11, formula 12" in row
+        assert "9/10 checks passed" in done.stdout
+
+    def test_the_package_holds_no_assert_statement(self):
+        import ast
+
+        package = pathlib.Path(cli.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+
+class TestLibraryRefusalsPinned:
+    """Library refusals that no other test reaches, each pinned by type and message."""
+
+    @staticmethod
+    def _library_calls():
+        from lcsplit.errors import InvalidCaseError, InvalidSpecError, MalformedQasstError
+        from lcsplit import symmetry
+
+        # Block {1,2,3,4} is a C5 with its split-node (1-2-3-4-s-1), hung off a
+        # complete centre with two star-centre blocks {5,6} and {7,8}.
+        prime_block = SimpleGraph(
+            8, [(1, 2), (2, 3), (3, 4)] + [(a, b) for a in (1, 4) for b in (5, 6, 7, 8)]
+            + [(a, b) for a in (5, 6) for b in (7, 8)]
+        )
+        # Five twin pairs joined in a cycle: the centre is a C5 on five split-nodes.
+        pairs = [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)]
+        ring = SimpleGraph(10, [(a, b) for i in range(4) for a in pairs[i] for b in pairs[i + 1]]
+                           + [(a, b) for a in pairs[0] for b in pairs[4]])
+        return [
+            (lambda: counting.iso_class_count(families.KPARTITE, 2), InvalidSpecError, "need k >= 3"),
+            (lambda: qasst.QuotientGraph([1, 2], [(1, 3)]), MalformedQasstError, "bad quotient edge {1, 3}"),
+            (lambda: symmetry.build_star_qasst((2, 2, 2), qasst.COMPLETE, (qasst.COMPLETE, qasst.COMPLETE, "x")),
+             InvalidCaseError, "unknown quotient kind 'x'"),
+            (lambda: symmetry.classify_bipartite_member(families.cycle_graph(5), 2, 3), MalformedQasstError,
+             "graph does not have the two-quotient QASST"),
+            (lambda: symmetry.analyze_star_member(prime_block, (4, 2, 2)), MalformedQasstError,
+             "prime outer quotient"),
+            (lambda: symmetry.analyze_star_member(ring, (2,) * 5), MalformedQasstError,
+             "central quotient is neither star nor complete"),
+        ]
+
+    def test_library_raises(self):
+        for call, error, message in self._library_calls():
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message
+
+    def test_graph_equality_and_repr(self):
+        assert (SimpleGraph(2) == 3) is False
+        assert repr(families.path_graph(3)) == "SimpleGraph(n=3, edges=[(1, 2), (2, 3)])"

@@ -293,3 +293,18 @@ class TestPhiRooting:
     def test_empty_tree_rejected(self):
         with pytest.raises(UnsupportedQasstError):
             phi_count(Qasst({}))
+
+
+class TestPhiOneDynamicProgram:
+    def test_a_two_node_quotient_counts_the_same_from_either_root(self):
+        # An unreduced tree, as from_json_dict accepts one: a two-node
+        # complete quotient {1, s} joined to the star {2, 3, t} centred at t.
+        from lcsplit.qasst import SplitNode
+
+        counts = []
+        for a, b in ((0, 1), (1, 0)):  # the two-node quotient is the root, then a child
+            s, t = SplitNode(a, b), SplitNode(b, a)
+            tree = Qasst({a: QuotientGraph([1, s], [(1, s)]), b: QuotientGraph([2, 3, t], [(2, t), (3, t)])})
+            tree.validate()
+            counts.append(phi_count(tree))
+        assert counts == [8, 8]

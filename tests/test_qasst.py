@@ -1037,3 +1037,24 @@ class TestReconstructByPaths:
         elapsed = time.perf_counter() - start
         assert got == g
         assert elapsed < 2, elapsed
+
+
+class TestSplitOffOneNode:
+    def test_moving_one_node_of_a_prime_quotient_reads_no_kind_of_the_rest(self, monkeypatch):
+        # The rest is the same graph with the node renamed s_0^1, so it stays prime unread.
+        q = Qasst({0: QuotientGraph(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])})
+        settled = []
+        settle = QuotientGraph._settle
+
+        def counting(quot):
+            settled.append(quot)
+            settle(quot)
+
+        monkeypatch.setattr(QuotientGraph, "_settle", counting)
+        m = q.split_off(0, [1])
+        rest, piece = q.quotients[0], q.quotients[m]
+        assert settled == [piece]
+        assert rest.kind == PRIME
+        s = SplitNode(0, m)
+        assert rest.edges == {frozenset(e) for e in ((s, 2), (2, 3), (3, 4), (4, 5), (5, s))}
+        assert piece.kind == COMPLETE and set(piece.nodes) == {1, SplitNode(m, 0)}

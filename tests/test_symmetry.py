@@ -295,3 +295,32 @@ class TestSynthesisIndexRange:
         with pytest.raises(InvalidCaseError) as info:
             synthesize_transformation(tag, case, (2, 2, 2))
         assert str(info.value) == message
+
+
+class TestStarShapeRefused:
+    def test_a_block_quotient_hung_off_another_block_is_refused(self):
+        # Q0 complete on three split-nodes, joined to star-centre quotients over
+        # {1,2}, {3,4} and {5,6}; the {1,2} quotient also carries a complete {7,8}.
+        from lcsplit.graphs import SimpleGraph
+        from lcsplit.qasst import compute_qasst
+
+        blocks = [(1, 2), (3, 4), (5, 6)]
+        edges = [(a, b) for i, j in ((0, 1), (0, 2), (1, 2)) for a in blocks[i] for b in blocks[j]]
+        g = SimpleGraph(8, edges + [(7, 8)] + [(a, b) for a in (3, 4, 5, 6) for b in (7, 8)])
+        q = compute_qasst(g)
+        assert len(q.quotients) == 5
+        assert sorted(len(quot.split_nodes()) for quot in q.quotients.values()) == [1, 1, 1, 2, 3]
+        with pytest.raises(MalformedQasstError) as info:
+            analyze_star_member(g, (2, 2, 2, 2))
+        assert str(info.value) == "graph does not have the star-shaped QASST"
+
+    def test_two_leafless_quotients_are_refused_not_unpacked(self):
+        # Eight vertices read on five blocks of two: the tree has k + 1 = 6
+        # quotients, four blocks' and two leafless ones.
+        from lcsplit.graphs import SimpleGraph
+
+        edges = [(a, b) for a in (1, 2) for b in (3, 4)] + [(a, b) for a in (1, 2, 3, 4) for b in (5, 6, 7, 8)]
+        g = SimpleGraph(8, edges + [(5, 6), (7, 8)])
+        with pytest.raises(MalformedQasstError) as info:
+            analyze_star_member(g, (2,) * 5)
+        assert str(info.value) == "graph does not have the star-shaped QASST"
