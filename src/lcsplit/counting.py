@@ -24,6 +24,7 @@ from .qasst import (
     STAR_SPOKE,
     Qasst,
     _orient,
+    _reduce,
     join_validity,
 )
 from .symmetry import SymmetryCase, case_assignment, q0_shape
@@ -86,9 +87,17 @@ def phi_count(q: Qasst) -> int:
     pair.  One dynamic program over the tree, one quotient or more,
     children before parents, each child's table once: the rooted pass
     :func:`lcsplit.qasst._orient` gives that order, reversed, and each
-    quotient's entry split-node, the one facing its parent.  Prime
-    quotients are rejected: their orbit sizes have no closed form here.
+    quotient's entry split-node, the one facing its parent.  A tree
+    without the check record may not be reduced, and a quotient of two
+    nodes or a join that is not a strong split would be counted as more
+    members than it has, so the count reads a reduced copy
+    (:func:`lcsplit.qasst._reduce`); the caller's tree is left as it is.
+    Prime quotients are rejected: their orbit sizes have no closed form
+    here.
     """
+    if not q._checked:
+        q = q.copy()
+        _reduce(q, list(q.quotients))
     quots = q.quotients
     order, up = _orient(q)
     # valid[i][a]: ways to fill quotient i's subtree when its parent's

@@ -18,10 +18,12 @@ local complement flips a complete or star quotient in O(1).
 A tree is split by :meth:`Qasst.split_off` and merged back by its
 inverse, :meth:`Qasst.merge`.  :func:`compute_qasst` prunes pendants
 and twins off the graph's bit rows (:func:`_prune`), splits the kernel
-left along any split (:func:`_split_side`) until every quotient is
-complete, a star or has no split, merges back across every tree edge
-that is not a strong split (:func:`_reduce`), then replays the pruned
-vertices in reverse by the one-vertex extension step :func:`_extend`.
+along any split until every quotient is complete, a star or has no
+split, each k-node quotient searched with at most k closures
+(:func:`_split_side`, :func:`_close_side`), merges back across every
+tree edge that is not a strong split (:func:`_reduce`), then replays the
+pruned vertices in reverse by the one-vertex extension step
+:func:`_extend`.
 By Cunningham's uniqueness theorem (1982) the result is the strong split
 tree; a distance-hereditary graph leaves a one-vertex kernel
 (:func:`is_distance_hereditary`).  Brute-force strong-split search is
@@ -358,7 +360,7 @@ class Qasst:
 
     def across(self, s: SplitNode) -> int:
         """The quotient on the other side of split-node s: the one holding its partner."""
-        return self._where[s.partner]
+        return self._where[s[1], s[0]]
 
     def leaves(self) -> set[int]:
         return set(self._home)
@@ -505,7 +507,7 @@ class Qasst:
             if not splits:
                 bare.append(i)
         for s, i in where.items():
-            j = where.get(s.partner)
+            j = where.get((s[1], s[0]))
             if j is None:
                 raise MalformedQasstError(f"split-node {s} is unmatched")
             if j == i:  # in s's own quotient, or s itself
@@ -949,48 +951,71 @@ def _strong_side(quot: QuotientGraph) -> Optional[set[Node]]:
     return None
 
 
-def _close_side(adj: list[int], a: int, b: int, seed: int) -> int:
-    """The least split side A holding ``seed`` (which holds a) but not b, for an edge a–b.
+def _close_side(adj: list[int], seed: int, b: int) -> int:
+    """The least set S holding ``seed`` but not node b that obeys two rules.
 
-    For a crossing edge a–b, (A, B) is a split iff every w in B has
-    N(w) & A equal to N(b) & A when w ~ a, and empty otherwise.  A node u
-    in A rules out exactly the w in N(u) ^ N(a) when u ~ b, and in N(u)
-    when not; every ruled-out node must join A, so each node of the
-    closure is visited once.  Stops once only b is left outside, the
-    trivial split that always holds.
+    Every u in S not adjacent to b has N(u) inside S, and every u in S
+    adjacent to b has the same N(u) outside S.  A set that obeys both is
+    one side of a split: its crossing edges join the nodes adjacent to b
+    to that common row.  Conversely, a side A of any split whose other
+    side's frontier holds b obeys both rules, so the closure of a seed
+    inside A lies inside A.  The first node adjacent to b that the loop
+    meets fixes the reference row; a later one pulls in every node where
+    its row differs from it, and a node not adjacent to b pulls in all of
+    its row, so each node of the closure is visited once.  Stops once only
+    b is left outside, the trivial split that always holds.
     """
-    na = adj[a]
     full = (1 << len(adj)) - 1
     rest = full ^ seed ^ (1 << b)
     todo = seed
+    ref = None
     while todo and rest:
         low = todo & -todo
         todo ^= low
         nu = adj[low.bit_length() - 1]
-        new = (nu ^ na if nu >> b & 1 else nu) & rest
+        if nu >> b & 1:
+            if ref is None:
+                ref = nu
+            nu ^= ref
+        new = nu & rest
         rest ^= new
         todo |= new
     return full ^ rest ^ (1 << b)
 
 
 def _split_side(bit_adj: list[int], k: int) -> int:
-    """One side of some nontrivial split (both sides >= 2 nodes), or 0.
+    """One side of some nontrivial split (both sides >= 2 nodes), or 0, in at most k closures.
 
-    ``bit_adj`` is a connected quotient on local nodes 0..k-1.  For any
-    nontrivial split take its side A holding node 0 and a crossing edge
-    a–b with a in A.  A contains the closure of {a, 0} when a != 0, and of
-    {0, x} for every other x in A when a = 0, so closing those seeds finds
-    a split whenever one exists: O((m + k * deg 0) * k) bit operations
-    for m edges.
+    ``bit_adj`` is a connected quotient on local nodes 0..k-1, k >= 4
+    (fewer nodes have no nontrivial split).  Let v0 be a node of least
+    degree and z the least node not adjacent to v0.  Take any nontrivial
+    split (A, B) with v0 in A, and let A', B' be the nodes of A and B that
+    have a neighbour across.  If v0 is not in A', every b in B' is a
+    non-neighbour of v0, and the closure of {v0} against b lies inside A.
+    If v0 is in A', then B' lies inside N(v0), so z is either in B but
+    not B', where the closure of {z} against v0 lies inside B, or in A,
+    where the closure of {v0, z} against each b in B' lies inside A.  So
+    the k closures of {v0} against each non-neighbour, {z} against v0 and
+    {v0, z} against each neighbour find a split whenever one exists; each
+    has at least two nodes, and one that leaves out two is a nontrivial
+    side.  A quotient where v0 has no non-neighbour is complete, and any
+    two nodes form a side.
     """
     if k < 4:
         return 0
+    v0 = min(range(k), key=lambda v: bit_adj[v].bit_count())
+    near = bit_adj[v0]
+    far = ((1 << k) - 1) ^ near ^ (1 << v0)
+    if not far:
+        return 0b11
+    z = (far & -far).bit_length() - 1
     seeds = itertools.chain(
-        ((a, b, 1 | 1 << a) for a in range(1, k) for b in _bits(bit_adj[a] & ~1)),
-        ((0, b, 1 | 1 << x) for b in _bits(bit_adj[0]) for x in range(1, k) if x != b),
+        ((1 << v0, b) for b in _bits(far)),
+        ((1 << z, v0),),
+        ((1 << v0 | 1 << z, b) for b in _bits(near)),
     )
-    for a, b, seed in seeds:
-        side = _close_side(bit_adj, a, b, seed)
+    for seed, b in seeds:
+        side = _close_side(bit_adj, seed, b)
         if side.bit_count() <= k - 2:
             return side
     return 0
@@ -1008,7 +1033,7 @@ def _split_primes(q: Qasst, find, work: Optional[Iterable[int]] = None) -> set[i
 
     ``find(quot)`` returns one side of a nontrivial split or None: the
     brute-force :func:`_strong_side`, whose strong splits give the strong
-    split tree directly, or the polynomial :func:`_any_split`, whose result
+    split tree directly, or the k-closure :func:`_any_split`, whose result
     :func:`_reduce` must then merge back across splits that are not strong.
     ``work`` limits the search to the given quotients and their pieces
     (default: all).  The smaller side is moved.  Returns the quotients

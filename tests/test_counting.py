@@ -299,12 +299,17 @@ class TestPhiOneDynamicProgram:
     def test_a_two_node_quotient_counts_the_same_from_either_root(self):
         # An unreduced tree, as from_json_dict accepts one: a two-node
         # complete quotient {1, s} joined to the star {2, 3, t} centred at t.
-        from lcsplit.qasst import SplitNode
+        # It is a tree of P3, counted on a reduced copy, which leaves the
+        # tree itself as it was.
+        from lcsplit.qasst import SplitNode, to_json_text
 
         counts = []
         for a, b in ((0, 1), (1, 0)):  # the two-node quotient is the root, then a child
             s, t = SplitNode(a, b), SplitNode(b, a)
             tree = Qasst({a: QuotientGraph([1, s], [(1, s)]), b: QuotientGraph([2, 3, t], [(2, t), (3, t)])})
             tree.validate()
+            before = to_json_text(tree)
             counts.append(phi_count(tree))
-        assert counts == [8, 8]
+            assert to_json_text(tree) == before
+            assert sorted(map(len, (quot.nodes for quot in tree.quotients.values()))) == [2, 3]
+        assert counts == [4, 4] == [len(enumerate_orbit(path_graph(3)))] * 2

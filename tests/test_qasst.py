@@ -29,6 +29,7 @@ from lcsplit.families import (
     star_graph,
 )
 from lcsplit import cli
+from lcsplit import qasst as qasst_module
 from lcsplit.graphs import SimpleGraph, _bits, apply_sequence, induced_subgraph, local_complement, neighborhood
 from lcsplit.qasst_ops import EXTENSION_KINDS, extend_graph, induced_qasst, lc_propagate, random_dh
 from lcsplit.qasst import (
@@ -679,6 +680,30 @@ def _bit_adjacency(g):
     return [g.neighborhood_mask(v) >> 1 for v in range(1, g.n + 1)]
 
 
+def _has_split(adj, n):
+    """Whether a graph on local nodes 0..n-1 has a nontrivial split, by brute force."""
+    return any(2 <= a.bit_count() <= n - 2 for a in _all_split_masks(adj, (1 << n) - 1))
+
+
+def _wheel(k):
+    """Hub 1 joined to the cycle 2..k: a universal node of degree k - 1 above the rim's 3."""
+    rim = list(range(2, k + 1))
+    return SimpleGraph(k, [(1, v) for v in rim] + [(v, v + 1) for v in rim[:-1]] + [(2, k)])
+
+
+def _planted_split(rng, k):
+    """Two random connected parts joined across random frontiers, relabelled at random."""
+    a = rng.randint(2, k - 2)
+    left = random_connected_graph(a, rng, rng.uniform(0.2, 0.7))
+    right = random_connected_graph(k - a, rng, rng.uniform(0.2, 0.7))
+    edges = list(left.edges()) + [(x + a, y + a) for x, y in right.edges()]
+    near = rng.sample(range(1, a + 1), rng.randint(1, a))
+    far = rng.sample(range(a + 1, k + 1), rng.randint(1, k - a))
+    edges += [(x, y) for x in near for y in far]
+    perm = dict(zip(range(1, k + 1), rng.sample(range(1, k + 1), k)))
+    return SimpleGraph(k, [(perm[x], perm[y]) for x, y in edges])
+
+
 def _random_reduced_tree(rng, count, primes):
     """A random reduced split tree of ``count`` quotients: ``primes``, complete graphs and stars.
 
@@ -722,14 +747,41 @@ class TestPolynomialSplitSearch:
         rng = random.Random(500)
         graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
         graphs += [random_connected_graph(rng.randint(6, 10), rng, rng.uniform(0.15, 0.7)) for _ in range(150)]
+        graphs += [complete_graph(k) for k in range(4, 9)]
+        graphs += [_wheel(k) for k in range(5, 10)]
         for g in graphs:
             adj, full = _bit_adjacency(g), (1 << g.n) - 1
-            exists = any(2 <= a.bit_count() <= g.n - 2 for a in _all_split_masks(adj, full))
             side = _split_side(adj, g.n)
-            assert bool(side) == exists, g.edges()
+            assert bool(side) == _has_split(adj, g.n), g.edges()
             if side:
                 assert 2 <= side.bit_count() <= g.n - 2
                 assert _mask_is_split(adj, side, full ^ side)
+        for k in range(5, 21):
+            assert _split_side(_bit_adjacency(cycle_graph(k)), k) == 0, k
+        rng = random.Random(504)
+        for _ in range(200):
+            g = _planted_split(rng, rng.randint(10, 18))
+            adj, full = _bit_adjacency(g), (1 << g.n) - 1
+            side = _split_side(adj, g.n)
+            assert 2 <= side.bit_count() <= g.n - 2, g.edges()
+            assert _mask_is_split(adj, side, full ^ side)
+
+    def test_finder_closes_at_most_k_seeds(self, monkeypatch):
+        # v0 of least degree against each non-neighbour, the least
+        # non-neighbour z against v0, {v0, z} against each neighbour.
+        calls = []
+        close = qasst_module._close_side
+        monkeypatch.setattr(qasst_module, "_close_side", lambda *args: calls.append(1) or close(*args))
+        rng = random.Random(505)
+        primes = [cycle_graph(k) for k in range(5, 21)]
+        while len(primes) < 16 + 50:
+            g = random_connected_graph(rng.randint(5, 12), rng, rng.uniform(0.3, 0.7))
+            if not _has_split(_bit_adjacency(g), g.n):
+                primes.append(g)
+        for g in primes:
+            calls.clear()
+            assert _split_side(_bit_adjacency(g), g.n) == 0
+            assert len(calls) <= g.n, (g.n, len(calls), g.edges())
 
     def test_all_small_graphs_match_oracle(self):
         for n in range(1, 6):

@@ -1,6 +1,6 @@
 """Check the decomposition and the tree ops against the oracles on every small connected graph.
 
-ROADMAP item 16's differential gate, kept off the tier-1 clock.  For n
+A differential gate too slow for the tier-1 tests.  For n
 up to ``--max-n`` every labelled connected graph on 1..n is checked; at
 n = max-n + 1, one graph per isomorphism class, under three seeded
 relabellings.  On each graph g, with q = ``compute_qasst(g)``:

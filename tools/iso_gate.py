@@ -1,6 +1,7 @@
 """Time orbit enumeration and isomorphism classification on family orbits.
 
-ROADMAP item 9's layer figure: for each graph, the median time of
+What classifying an orbit's members up to isomorphism costs against
+enumerating the orbit: for each graph, the median time of
 ``enumerate_orbit`` and the median time of ``orbit_iso_classes`` on that
 orbit, and their ratio.  Each ``orbit_iso_classes`` timing starts from the
 fresh orbit just enumerated, so it includes the keying of every member and
