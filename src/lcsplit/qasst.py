@@ -8,12 +8,12 @@ quotients plus the pairing losslessly encode the graph.
 
 Quotient nodes are leaf-nodes (vertex ids, plain ints) or
 :class:`SplitNode` markers, ``SplitNode(a, b)`` paired with
-``SplitNode(b, a)`` under a name no edit rewrites; the tree indexes the
-quotient that holds each (:meth:`Qasst.across`), and only
-:meth:`Qasst.normalize` renames, to the location names JSON and DOT
-write.  A quotient is held as its kind (:class:`QuotientGraph`):
-complete, a star with its centre, or prime with adjacency sets, so a
-local complement flips a complete or star quotient in O(1).
+``SplitNode(b, a)`` under a name nothing renames; the tree indexes the
+quotient that holds each (:meth:`Qasst.across`), and JSON and DOT name
+each by its location as they write it.  A quotient is held as its kind
+(:class:`QuotientGraph`): complete, a star with its centre, or prime with
+adjacency sets, so a local complement flips a complete or star quotient
+in O(1).
 
 A tree is split by :meth:`Qasst.split_off` and merged back by its
 inverse, :meth:`Qasst.merge`.  :func:`compute_qasst` prunes pendants
@@ -75,8 +75,8 @@ _SPLIT_ENUM_MAX = 18
 class SplitNode(NamedTuple):
     """Marker node s_i^j, paired with s_j^i: a label fixed when :meth:`Qasst.split_off` makes the pair.
 
-    Where it lives is read from the tree (:meth:`Qasst.across`); after
-    :meth:`Qasst.normalize`, and in JSON, s_i^j lives in quotient i.
+    It says nothing of where the node lives, which the tree's index holds
+    (:meth:`Qasst.across`); only in JSON and DOT does s_i^j live in quotient i.
     """
 
     i: int
@@ -88,12 +88,6 @@ class SplitNode(NamedTuple):
 
 
 Node = Union[int, SplitNode]
-
-
-def node_sort_key(node: Node) -> tuple:
-    if isinstance(node, SplitNode):
-        return (1, node.i, node.j)
-    return (0, node, 0)
 
 
 class QuotientGraph:
@@ -263,31 +257,32 @@ class QuotientGraph:
         return {v for v in self._adj if isinstance(v, SplitNode)}
 
     def __repr__(self) -> str:
-        nodes, _, edges = _listed(self)
+        nodes, _, edges = _listed(self, {})
         return f"QuotientGraph(nodes={nodes}, edges={[[nodes[a], nodes[b]] for a, b in edges]})"
 
 
-def _listed(quot: QuotientGraph) -> tuple[list[Node], int, list[tuple[int, int]]]:
+def _listed(quot: QuotientGraph, names: dict) -> tuple[list[Node], int, list[tuple[int, int]]]:
     """A quotient in output order, as JSON, DOT and ``repr`` print it: nodes, leaf count, edges.
 
-    The nodes are the leaf-nodes ascending, then the split-nodes ascending
-    (:func:`node_sort_key`); each edge is listed once, as positions (a, b)
-    with a < b, sorted; a complete or star quotient's edges come from its kind.
+    The nodes are the leaf-nodes ascending, then the split-nodes ascending,
+    each under its name in ``names`` (:func:`_listing`) if it has one, else
+    its label; each edge is listed once, as positions (a, b) with a < b,
+    sorted; a complete or star quotient's edges come from its kind.
     """
-    adj = quot._adj
+    adj, name = quot._adj, names.get
     leaves = [v for v in adj if type(v) is not SplitNode]
-    splits = [v for v in adj if type(v) is SplitNode]
+    splits = [name(v, v) for v in adj if type(v) is SplitNode]
     leaves.sort()
     splits.sort()
     nodes = leaves + splits
     if quot.kind == COMPLETE:
         edges = list(itertools.combinations(range(len(nodes)), 2))
     elif quot.kind == STAR:
-        c = nodes.index(quot.center)
+        c = nodes.index(name(quot.center, quot.center))
         edges = [(k, c) for k in range(c)] + [(c, k) for k in range(c + 1, len(nodes))]
     else:
         pos = dict(zip(nodes, range(len(nodes))))
-        edges = [(k, b) for k, v in enumerate(nodes) for w in adj[v] if (b := pos[w]) > k]
+        edges = [(k, b) for v, nb in adj.items() for w in nb if (b := pos[name(w, w)]) > (k := pos[name(v, v)])]
         edges.sort()
     return nodes, len(leaves), edges
 
@@ -356,7 +351,7 @@ class Qasst:
     def _place(self, nodes: Iterable[Node], i: int) -> None:
         """Index ``nodes`` under quotient i, each in the leaf or the split-node index."""
         for v in nodes:
-            (self._where if isinstance(v, SplitNode) else self._home)[v] = i
+            (self._where if type(v) is SplitNode else self._home)[v] = i
 
     def across(self, s: SplitNode) -> int:
         """The quotient on the other side of split-node s: the one holding its partner."""
@@ -385,7 +380,7 @@ class Qasst:
         side = set(side)
         m = self._fresh
         self._fresh += 1
-        s_im, s_mi = SplitNode(i, m), SplitNode(m, i)
+        s_im, s_mi = tuple.__new__(SplitNode, (i, m)), tuple.__new__(SplitNode, (m, i))
         rest = quot._adj
         part = {s_mi: None if quot.kind != PRIME else set()}
         for v in side:
@@ -463,13 +458,10 @@ class Qasst:
         self.quotients[i] = QuotientGraph._of(adj)
 
     def tree_edges(self) -> list[tuple[SplitNode, SplitNode]]:
-        """Every split-node pair once, as (s, s.partner) with s.i < s.j, sorted by s."""
-        return [(s, s.partner) for s in sorted(self._where) if s.i < s.j]
-
-    def strong_split_sides(self) -> set[frozenset]:
-        """One side (the far side, per tree edge) of each collapsed split."""
-        far = _far_sides(self)
-        return {frozenset(_bits(far[s])) for s, _ in self.tree_edges()}
+        """Every split-node pair once, as (s, s.partner) with s in the lower-numbered quotient, sorted by the two."""
+        where = self._where
+        ends = sorted((i, j, s) for s, i in where.items() if i < (j := where[s[1], s[0]]))
+        return [(s, s.partner) for _, _, s in ends]
 
     def structure_key(self) -> str:
         """The normalized JSON text (:func:`to_json_text`), independent of quotient numbering.
@@ -485,9 +477,9 @@ class Qasst:
         Every split-node name is used once and its partner lives in another
         quotient; the leaf-nodes are distinct positive integers, not
         necessarily 1..n; the pairs join the quotients into one tree, read
-        by a pass over the nodes, not the index, then one BFS
-        (:func:`_orient`), whose result is returned.  A tree with no
-        quotients or no leaf-nodes stands for no graph and is refused.
+        by a pass over the nodes, not the index, then one BFS (:func:`_orient`)
+        from the least leaf's quotient, whose result is returned.  A tree with
+        no quotients or no leaf-nodes stands for no graph and is refused.
         """
         if not self.quotients:
             raise MalformedQasstError("tree has no quotients")
@@ -516,55 +508,66 @@ class Qasst:
             raise MalformedQasstError("tree has no leaf-nodes")
         if len(seen_leaves) != len(set(seen_leaves)):
             raise MalformedQasstError("a vertex appears in two quotients")
-        if min(seen_leaves) < 1:
-            raise MalformedQasstError(f"leaf-node {min(seen_leaves)} is below 1")
+        least = min(seen_leaves)
+        if least < 1:
+            raise MalformedQasstError(f"leaf-node {least} is below 1")
         m = len(self.quotients)
         if m > 1 and bare:
             raise MalformedQasstError(f"quotient {bare[0]} has no split-node")
         # Tree check: connected with exactly m-1 edges.
         if len(where) != 2 * (m - 1):  # two split-nodes per pair
             raise MalformedQasstError("tree-edge count is not (quotients - 1)")
-        oriented = _orient(self)
+        oriented = _orient(self, next(i for i, q in self.quotients.items() if least in q._adj))
         if len(oriented[0]) != m:
             raise MalformedQasstError("quotient tree is disconnected")
         return oriented
 
     def normalize(self) -> "Qasst":
-        """Renumber quotients canonically, independent of the input numbering.
+        """Renumber quotients canonically, independent of the input numbering; rename no node.
 
         Leafless quotients come first, ordered by the sorted tuple of the
         least vertex behind each of their split-nodes (no two share it),
-        then the others by least leaf.  One post-order pass rooted at the
-        quotient holding the least leaf m gives each subtree's least leaf;
-        a leafless quotient is never that root, so m lies behind its upward
-        split-node.  Split-nodes get location names: s_i^j in quotient i.
-        The result iterates its quotients 0..m-1, keeps the check record and
-        has the canonical record (``_canonical``), which :meth:`copy` and
-        ``lc_propagate`` keep and any edit that adds, moves or deletes a node
-        drops.  Given a tree with the canonical record, it is a :meth:`copy`.
+        then the others by least leaf.  The result holds the same quotients
+        under their new numbers, shared as after :meth:`copy`, and the
+        indexes remapped (:meth:`_numbered`).  It iterates its quotients
+        0..m-1, keeps the check record and has the canonical record
+        (``_canonical``), which :meth:`copy` and ``lc_propagate`` keep and
+        any edit that adds, moves or deletes a node drops.  Given a tree
+        with the canonical record, it is a :meth:`copy`.
         """
-        if self._canonical:
-            return self.copy()
-        least = {i: min(ls) for i, q in self.quotients.items() if (ls := q.leaf_nodes())}
-        m = min(least.values(), default=math.inf)
-        order, up = _orient(self, min(least, key=least.get, default=None))
-        low = {i: least.get(i, math.inf) for i in self.quotients}  # made each subtree's least leaf
-        for i in reversed(order[1:]):
-            parent = self.across(up[i])
-            low[parent] = min(low[parent], low[i])
+        return self.copy() if self._canonical else self._numbered()
 
-        def order_key(i: int):
-            if i in least:
-                return (1, least[i])
-            behind = (m if s == up[i] else low[self.across(s)] for s in self.quotients[i].split_nodes())
-            return (0, tuple(sorted(behind)))
+    def _numbered(self, oriented: Optional[tuple[list[int], dict]] = None) -> "Qasst":
+        """:meth:`normalize`'s numbering, the least leaves read off the leaf index in one sorted pass.
 
-        old_order = sorted(self.quotients, key=order_key)
+        A leafless quotient needs the pass ``oriented`` (else :func:`_orient`)
+        rooted at the least leaf m's quotient, or with no leaf the least one:
+        its post-order gives each subtree's least leaf, and m lies behind a
+        leafless quotient's upward split-node.
+        """
+        quots, home = self.quotients, self._home
+        least: dict[int, int] = {}
+        for v in sorted(home):
+            least.setdefault(home[v], v)
+        old_order = list(least)
+        if len(least) < len(quots):
+            m = next(iter(least.values()), math.inf)
+            order, up = oriented or _orient(self, next(iter(least), None))
+            low = {i: least.get(i, math.inf) for i in quots}  # made each subtree's least leaf
+            for i in reversed(order[1:]):
+                parent = self.across(up[i])
+                low[parent] = min(low[parent], low[i])
+            behind = {i: sorted(m if s == up[i] else low[self.across(s)] for s in quots[i]._adj)
+                      for i in quots if i not in least}
+            old_order[:0] = sorted(behind, key=behind.__getitem__)
         remap = {old: new for new, old in enumerate(old_order)}
-        names = {s: SplitNode(remap[i], remap[self.across(s)]) for s, i in self._where.items()}
-        out = Qasst({new: self.quotients[old].relabelled(names) for new, old in enumerate(old_order)})
-        out._checked = self._checked
-        out._canonical = True
+        out = Qasst.__new__(Qasst)
+        out.quotients = {new: quots[old] for new, old in enumerate(old_order)}
+        out._owned = set()
+        self._owned.clear()
+        out._home = {v: remap[i] for v, i in home.items()}
+        out._where = {s: remap[i] for s, i in self._where.items()}
+        out._checked, out._canonical, out._fresh = self._checked, True, max(self._fresh, len(old_order))
         return out
 
     def __repr__(self) -> str:
@@ -582,10 +585,11 @@ def _orient(
     """
     order = [min(q.quotients) if root is None else root] if q.quotients else []
     up: dict[int, Optional[SplitNode]] = dict.fromkeys(order)
+    quots, where = q.quotients, q._where
     for i in order:
-        for s in q.quotients[i]._adj:
-            if isinstance(s, SplitNode):
-                j = q.across(s)
+        for s in quots[i]._adj:
+            if type(s) is SplitNode:
+                j = where[s[1], s[0]]
                 if j not in up:
                     up[j] = s.partner
                     order.append(j)
@@ -895,7 +899,7 @@ def _extend(q: Qasst, tag: str, a: int, p: int) -> None:
     Otherwise {a, p} is a strong split (Bandelt & Mulder 1986): a is split
     off (:meth:`Qasst.split_off`, which drops the check record) into a new
     quotient with the partner of the split-node that takes its place (and
-    role) in Q, and p joins that quotient.  A quotient of one
+    role) in Q, and p joins that quotient, in place.  A quotient of one
     or two nodes takes p whatever it is: with a pendant it becomes the star
     centred at a, with a false twin the star centred at a's neighbour, and
     with a true twin it stays complete.  On a strong split tree the result
@@ -914,16 +918,14 @@ def _extend(q: Qasst, tag: str, a: int, p: int) -> None:
             q._home[p] = i
             return
         i = q.split_off(i, (a,))
-        quot = q.quotients[i]
+    quot = q._edit(i)
     if quot.kind == PRIME:  # two nodes and no edge: p joins a alone
-        adj = {v: set() for v in quot.nodes}
-        adj[a].add(p)
-        adj[p] = {a}
-        q.quotients[i] = QuotientGraph._of(adj)
+        quot._adj[a].add(p)
+        quot._adj[p] = {a}
     else:
-        center = a if tag == PENDANT else next((v for v in quot.nodes if v != a), None)
-        q.quotients[i] = QuotientGraph._of({**quot._adj, p: None}, COMPLETE if tag == TRUE_TWIN else STAR, center)
-    q._owned.add(i)
+        center = a if tag == PENDANT else next((v for v in quot._adj if v != a), None)
+        quot._adj[p] = None
+        quot._set_kind(COMPLETE if tag == TRUE_TWIN else STAR, center)
     q._home[p] = i
 
 
@@ -1104,9 +1106,7 @@ def compute_qasst_by_splits(g: SimpleGraph) -> Qasst:
     _check_decomposable(g)
     q = _single_quotient(dict(zip(range(1, g.n + 1), g._adj[1:])))
     _split_primes(q, _strong_side)
-    q = q.normalize()
-    q.validate()
-    return q
+    return q._numbered(q.validate())
 
 
 def compute_qasst(g: SimpleGraph) -> Qasst:
@@ -1114,7 +1114,7 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
 
     Prune pendants and twins (:func:`_prune`), split the kernel that is left
     as one quotient (:func:`_resplit`), then replay the pruned vertices in
-    reverse, in place (:func:`_extend`).
+    reverse, in place (:func:`_extend`); ``validate``'s one rooted pass also numbers it.
     """
     _check_decomposable(g)
     kernel, steps = _prune(g)
@@ -1122,8 +1122,7 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
     _resplit(q)
     for tag, a, p in reversed(steps):
         _extend(q, tag, a, p)
-    q = q.normalize()
-    q.validate()
+    q = q._numbered(q.validate())
     q._checked = True
     return q
 
@@ -1135,11 +1134,15 @@ def _listing(q: Qasst) -> tuple[list[tuple], list[tuple[SplitNode, SplitNode]]]:
     """What every writer prints of a tree, in order: each quotient by number (:func:`_listed`), then the tree edges.
 
     A tree without the canonical record (:meth:`Qasst.normalize`) is
-    normalized first.
+    normalized first.  Split-nodes are named by location once, off the
+    index, and the tree edges listed by those names, as in :meth:`Qasst.tree_edges`.
     """
     if not q._canonical:
         q = q.normalize()
-    return [_listed(q.quotients[i]) for i in sorted(q.quotients)], q.tree_edges()
+    where = q._where
+    names = {s: tuple.__new__(SplitNode, (i, where[s[1], s[0]])) for s, i in where.items()}
+    listed = [_listed(q.quotients[i], names) for i in sorted(q.quotients)]
+    return listed, [(s, s.partner) for s in sorted(s for s in names.values() if s[0] < s[1])]
 
 
 def to_json_dict(q: Qasst) -> dict:

@@ -32,12 +32,8 @@ from dataclasses import dataclass
 from .errors import InvalidSpecError, InvalidVertexError, NotConnectedError
 from .graphs import SimpleGraph
 from .qasst import (
-    COMPLETE,
     FALSE_TWIN,
     PENDANT,
-    PRIME,
-    STAR_CENTER,
-    STAR_SPOKE,
     TRUE_TWIN,
     Qasst,
     SplitNode,
@@ -150,23 +146,6 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
     _extend(out, e.tag, e.anchor, p)
     out._checked = q._checked
     return out
-
-
-_SHAPE_DIGIT = {STAR_CENTER: "1", STAR_SPOKE: "2", COMPLETE: "3", PRIME: "4"}
-
-
-def extension_subcase(q: Qasst, e: ExtensionKind) -> str:
-    """The subcase id of extension e of q, read off the anchor's quotient.
-
-    Ids follow the quotient shape at the anchor: 1 = star center, 2 = star
-    spoke, 3 = complete, 4 = prime; a/b/c = pendant / false twin / true
-    twin.  One- and two-node quotients (necessarily the whole tree) give
-    ``degenerate-1`` / ``degenerate-2``.
-    """
-    quot = q.quotients[q.leaf_quotient(e.anchor)]
-    if len(quot.nodes) <= 2:
-        return f"degenerate-{len(quot.nodes)}"
-    return _SHAPE_DIGIT[quot.kind_at(e.anchor)] + "abc"[EXTENSION_KINDS.index(e.tag)]
 
 
 def extend_graph(g: SimpleGraph, kind: str, anchor: int) -> SimpleGraph:

@@ -318,15 +318,6 @@ def classify_star_member(
     return analyze_star_member(g, n_list, tag)[0]
 
 
-def classify_bipartite_member(g: SimpleGraph, n: int, m: int) -> tuple[str, str]:
-    """Kind pair (block-1 quotient, block-2 quotient) of a K_{n,m} orbit member."""
-    q = compute_qasst(g)
-    if len(q.quotients) != 2:
-        raise MalformedQasstError("graph does not have the two-quotient QASST")
-    _, outer = _block_quotients(q, block_ranges((n, m)))
-    return tuple(quot.kind_at(next(iter(quot.split_nodes()))) for quot in (outer[1], outer[2]))
-
-
 def closure_step(tag: str, case: SymmetryCase, role: tuple[str, int]) -> tuple[int, Optional[int]]:
     """Resulting (case id, pointer) after one LC at a vertex with this role.
 

@@ -1,14 +1,17 @@
-"""Test-only oracles: brute-force definitions the library is checked against."""
+"""Test-only oracles: brute-force definitions the library is checked against, and reads only tests make."""
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import deque
 
-from lcsplit.errors import NotConnectedError, SizeLimitError
+from lcsplit.errors import MalformedQasstError, NotConnectedError, SizeLimitError
+from lcsplit.families import block_ranges
 from lcsplit.graphs import (
     SimpleGraph,
+    _bits,
     _iso_plan,
     _iso_search,
     _vertex_invariants,
@@ -27,9 +30,14 @@ from lcsplit.qasst import (
     QuotientGraph,
     SplitNode,
     _any_split,
+    _far_sides,
+    _orient,
+    compute_qasst,
     join_validity,
     reconstruct,
 )
+from lcsplit.qasst_ops import EXTENSION_KINDS, ExtensionKind
+from lcsplit.symmetry import _block_quotients
 
 
 def dh_definition_oracle(g: SimpleGraph) -> bool:
@@ -213,3 +221,78 @@ def assert_kinds_stored(q: Qasst) -> None:
         assert (quot.kind, quot.center) == read, (i, quot)
         for v in quot.nodes:
             assert quot.kind_at(v) == _seen_from(*read, v), (i, v, quot)
+
+
+def node_sort_key(node) -> tuple:
+    """Leaf-nodes first, by value, then split-nodes by label: the order ``repr`` lists a quotient's nodes in."""
+    if isinstance(node, SplitNode):
+        return (1, node.i, node.j)
+    return (0, node, 0)
+
+
+def location_names(q: Qasst) -> dict:
+    """Each split-node's location name, as JSON and DOT write it: s_i^j in quotient i, its partner in quotient j."""
+    return {s: SplitNode(i, q.across(s)) for s, i in q._where.items()}
+
+
+def normalized_by_relabelling(q: Qasst) -> Qasst:
+    """Reference ``normalize``: the canonical numbering, each quotient rebuilt with location names.
+
+    Leafless quotients come first, ordered by the sorted tuple of the least
+    vertex behind each of their split-nodes, then the others by least leaf;
+    one post-order pass rooted at the quotient of the least leaf gives each
+    subtree's least leaf.
+    """
+    least = {i: min(ls) for i, quot in q.quotients.items() if (ls := quot.leaf_nodes())}
+    m = min(least.values(), default=math.inf)
+    order, up = _orient(q, min(least, key=least.get, default=None))
+    low = {i: least.get(i, math.inf) for i in q.quotients}
+    for i in reversed(order[1:]):
+        parent = q.across(up[i])
+        low[parent] = min(low[parent], low[i])
+
+    def order_key(i: int):
+        if i in least:
+            return (1, least[i])
+        behind = (m if s == up[i] else low[q.across(s)] for s in q.quotients[i].split_nodes())
+        return (0, tuple(sorted(behind)))
+
+    old_order = sorted(q.quotients, key=order_key)
+    remap = {old: new for new, old in enumerate(old_order)}
+    names = {s: SplitNode(remap[i], remap[q.across(s)]) for s, i in q._where.items()}
+    out = Qasst({new: q.quotients[old].relabelled(names) for new, old in enumerate(old_order)})
+    out._checked = q._checked
+    out._canonical = True
+    return out
+
+
+def strong_split_sides(q: Qasst) -> set[frozenset]:
+    """One side (the far side, per tree edge) of each collapsed split."""
+    far = _far_sides(q)
+    return {frozenset(_bits(far[s])) for s, _ in q.tree_edges()}
+
+
+_SHAPE_DIGIT = {STAR_CENTER: "1", STAR_SPOKE: "2", COMPLETE: "3", PRIME: "4"}
+
+
+def extension_subcase(q: Qasst, e: ExtensionKind) -> str:
+    """The subcase id of extension e of q, read off the anchor's quotient.
+
+    Ids follow the quotient shape at the anchor: 1 = star center, 2 = star
+    spoke, 3 = complete, 4 = prime; a/b/c = pendant / false twin / true
+    twin.  One- and two-node quotients (necessarily the whole tree) give
+    ``degenerate-1`` / ``degenerate-2``.
+    """
+    quot = q.quotients[q.leaf_quotient(e.anchor)]
+    if len(quot.nodes) <= 2:
+        return f"degenerate-{len(quot.nodes)}"
+    return _SHAPE_DIGIT[quot.kind_at(e.anchor)] + "abc"[EXTENSION_KINDS.index(e.tag)]
+
+
+def classify_bipartite_member(g: SimpleGraph, n: int, m: int) -> tuple[str, str]:
+    """Kind pair (block-1 quotient, block-2 quotient) of a K_{n,m} orbit member."""
+    q = compute_qasst(g)
+    if len(q.quotients) != 2:
+        raise MalformedQasstError("graph does not have the two-quotient QASST")
+    _, outer = _block_quotients(q, block_ranges((n, m)))
+    return tuple(quot.kind_at(next(iter(quot.split_nodes()))) for quot in (outer[1], outer[2]))

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_connected_graph
+from oracles import classify_bipartite_member
 from lcsplit import cli, counting, families, graphs, orbit, qasst, qasst_ops
 from lcsplit.errors import BudgetExceededError
 from lcsplit.graphs import SimpleGraph, from_json_dict
@@ -1280,7 +1281,7 @@ class TestLibraryRefusalsPinned:
             (lambda: qasst.QuotientGraph([1, 2], [(1, 3)]), MalformedQasstError, "bad quotient edge {1, 3}"),
             (lambda: symmetry.build_star_qasst((2, 2, 2), qasst.COMPLETE, (qasst.COMPLETE, qasst.COMPLETE, "x")),
              InvalidCaseError, "unknown quotient kind 'x'"),
-            (lambda: symmetry.classify_bipartite_member(families.cycle_graph(5), 2, 3), MalformedQasstError,
+            (lambda: classify_bipartite_member(families.cycle_graph(5), 2, 3), MalformedQasstError,
              "graph does not have the two-quotient QASST"),
             (lambda: symmetry.analyze_star_member(prime_block, (4, 2, 2)), MalformedQasstError,
              "prime outer quotient"),

@@ -13,6 +13,7 @@ import json
 import random
 
 from helpers import random_connected_graph
+from oracles import strong_split_sides
 from lcsplit.errors import LcsplitError
 from lcsplit.families import cycle_graph, path_graph
 from lcsplit.qasst import compute_qasst, to_dot, to_json_dict, to_json_text
@@ -47,7 +48,7 @@ def _outputs(write=to_json_text):
         q = compute_qasst(g)
         yield write(q)
         yield to_dot(q)
-        yield repr(sorted(sorted(side) for side in q.strong_split_sides()))
+        yield repr(sorted(sorted(side) for side in strong_split_sides(q)))
         vertices = range(1, g.n + 1)
         for v in rng.sample(vertices, 2):
             out = lc_propagate(q, v)

@@ -18,12 +18,17 @@ from oracles import (
     edge_kind_at,
     far_leaves,
     graph_by_paths,
+    location_names,
+    node_sort_key,
+    normalized_by_relabelling,
     split_node_quotients,
+    strong_split_sides,
 )
 from lcsplit.errors import MalformedQasstError, NotConnectedError
 from lcsplit.families import (
     complete_bipartite_graph,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     path_graph,
     star_graph,
@@ -49,7 +54,6 @@ from lcsplit.qasst import (
     is_split,
     is_strong,
     join_validity,
-    node_sort_key,
     reconstruct,
     _all_split_masks,
     _extend,
@@ -207,17 +211,17 @@ class TestComputeQasst:
             g = random_connected_graph(rng.randint(4, 10), rng)
             q = compute_qasst(g)
             for sa, sb in q.tree_edges():
-                ka = edge_kind_at(q.quotients[sa.i], sa)
-                kb = edge_kind_at(q.quotients[sb.i], sb)
+                ka = edge_kind_at(q.quotients[q._where[sa]], sa)
+                kb = edge_kind_at(q.quotients[q._where[sb]], sb)
                 assert join_validity(ka, kb), (ka, kb)
 
     def test_strong_splits_invariant_under_lc(self):
         rng = random.Random(17)
         for _ in range(40):
             g = random_connected_graph(rng.randint(4, 9), rng)
-            sides = compute_qasst(g).strong_split_sides()
+            sides = strong_split_sides(compute_qasst(g))
             h = apply_sequence(g, [rng.randint(1, g.n) for _ in range(4)])
-            assert compute_qasst(h).strong_split_sides() == sides
+            assert strong_split_sides(compute_qasst(h)) == sides
 
 
 class TestNormalize:
@@ -255,7 +259,7 @@ class TestNormalize:
             shuffled = _shuffled(q, rng)
             if len(q.quotients) > 1:
                 renumbered = shuffled.normalize()
-                assert not any(quot is shuffled.quotients.get(i) for i, quot in renumbered.quotients.items())
+                assert sorted(map(id, renumbered.quotients.values())) == sorted(map(id, shuffled.quotients.values()))
                 assert to_json_dict(renumbered) == to_json_dict(q)
 
     def test_quotients_iterate_in_canonical_order(self):
@@ -269,6 +273,156 @@ class TestNormalize:
             backwards = Qasst(dict(reversed(list(q.quotients.items()))))
             assert list(backwards.normalize().quotients) == list(range(m))
             assert to_json_dict(backwards) == to_json_dict(q)
+
+
+def _count_quotients_made(monkeypatch) -> list:
+    """Every ``QuotientGraph`` made from now on, appended to the list returned.
+
+    A quotient is made by the constructor, by ``_of`` or by ``copy``, and
+    none of the three calls another.
+    """
+    made = []
+    of, copy, init = QuotientGraph._of, QuotientGraph.copy, QuotientGraph.__init__
+
+    def counted_of(cls, *args, **kwargs):
+        made.append(of(*args, **kwargs))
+        return made[-1]
+
+    def counted_copy(quot):
+        made.append(copy(quot))
+        return made[-1]
+
+    def counted_init(quot, *args, **kwargs):
+        init(quot, *args, **kwargs)
+        made.append(quot)
+
+    monkeypatch.setattr(QuotientGraph, "_of", classmethod(counted_of))
+    monkeypatch.setattr(QuotientGraph, "copy", counted_copy)
+    monkeypatch.setattr(QuotientGraph, "__init__", counted_init)
+    return made
+
+
+class TestNumberingWithoutRebuild:
+    """``normalize`` renumbers and renames nothing; the writers name split-nodes by location."""
+
+    @staticmethod
+    def sample_trees():
+        rng = random.Random(3201)
+        for n in (5, 12, 30, 80):
+            for seed in range(3):
+                g = random_dh(n, seed)[0]
+                q = compute_qasst(g)
+                yield q
+                yield lc_propagate(q, rng.randint(1, n))
+                try:
+                    yield induced_qasst(q, [v for v in range(1, n + 1) if v != rng.randint(1, n)])
+                except NotConnectedError:
+                    pass
+        for k in (3, 5):
+            yield compute_qasst(complete_multipartite_graph([2] * k))  # one leafless quotient
+        for _ in range(20):
+            yield compute_qasst(random_connected_graph(rng.randint(6, 14), rng, rng.uniform(0.1, 0.6)))
+
+    def test_normalize_builds_no_quotient(self, monkeypatch):
+        rng = random.Random(3202)
+        trees = []
+        for q in self.sample_trees():
+            trees += [q, _shuffled(q, rng), Qasst(dict(reversed(list(q.quotients.items()))))]
+        made = _count_quotients_made(monkeypatch)
+        for tree in trees:
+            before = list(tree.quotients.values())
+            normalized = tree.normalize()
+            assert made == []
+            assert all(any(quot is old for old in before) for quot in normalized.quotients.values())
+            assert len(normalized.quotients) == len(before)
+
+    def test_compute_qasst_roots_the_tree_once(self, monkeypatch):
+        rng = random.Random(3203)
+        graphs = [complete_multipartite_graph([2, 2, 2]), path_graph(9), cycle_graph(9)]
+        graphs += [random_dh(rng.randint(5, 40), rng.random())[0] for _ in range(20)]
+        graphs += [random_connected_graph(rng.randint(6, 14), rng, rng.uniform(0.1, 0.6)) for _ in range(20)]
+        calls = []
+        orient = qasst_module._orient
+
+        def counting(q, root=None):
+            calls.append(root)
+            return orient(q, root)
+
+        monkeypatch.setattr(qasst_module, "_orient", counting)
+        leafless = 0
+        for g in graphs:
+            calls.clear()
+            q = compute_qasst(g)
+            assert len(calls) == 1, g
+            leafless += any(not quot.leaf_nodes() for quot in q.quotients.values())
+        assert leafless >= 10  # trees whose numbering needs the rooted pass
+
+    def test_replay_makes_one_quotient_per_split(self, monkeypatch):
+        rng = random.Random(3204)
+        graphs = [random_dh(rng.randint(5, 60), rng.random())[0] for _ in range(20)]
+        graphs += [random_connected_graph(rng.randint(8, 16), rng, rng.uniform(0.1, 0.4)) for _ in range(20)]
+        splits = 0
+        for g in graphs:
+            kernel, steps = qasst_module._prune(g)
+            q = qasst_module._single_quotient(kernel)
+            qasst_module._resplit(q)
+            count = len(q.quotients)
+            with monkeypatch.context() as patch:
+                made = _count_quotients_made(patch)
+                for tag, a, p in reversed(steps):
+                    _extend(q, tag, a, p)
+            assert len(made) == len(q.quotients) - count
+            splits += len(made)
+            assert reconstruct(q.normalize()) == g
+        assert splits >= 300
+
+    def test_tree_without_leaves_is_renumbered_in_place(self):
+        s = SplitNode
+        tree = Qasst({
+            7: QuotientGraph([s(7, 3)]),
+            3: QuotientGraph([s(3, 7), s(3, 5)], [(s(3, 7), s(3, 5))]),
+            5: QuotientGraph([s(5, 3)]),
+        })
+        normalized = tree.normalize()  # validate refuses a tree without leaf-nodes; normalize does not
+        assert list(normalized.quotients) == [0, 1, 2]
+        assert sorted(map(id, normalized.quotients.values())) == sorted(map(id, tree.quotients.values()))
+        assert normalized.leaves() == set() and normalized._fresh >= 8
+        assert to_json_text(normalized) == to_json_text(normalized_by_relabelling(tree))
+
+    @staticmethod
+    def assert_written_as_relabelled(q):
+        reference = normalized_by_relabelling(q)
+        assert to_json_text(q) == to_json_text(reference)
+        assert to_dot(q) == to_dot(reference)
+
+    def test_writers_match_a_relabelled_tree_on_small_graphs(self):
+        renamed = 0
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                q = compute_qasst(g)
+                self.assert_written_as_relabelled(q)
+                renamed += any(name != s for s, name in location_names(q).items())
+        assert renamed >= 10_000  # trees whose labels are not their location names
+
+    def test_writers_match_a_relabelled_tree_on_random_graphs(self):
+        rng = random.Random(3205)
+        kinds = {True: 0, False: 0}
+        renamed = 0
+        while min(kinds.values()) < 150:
+            n = rng.randint(7, 18)
+            if kinds[True] < 150:
+                g = random_dh(n, rng.random())[0]
+            else:
+                g = random_connected_graph(n, rng, rng.uniform(0.1, 0.6))
+            dh = is_distance_hereditary(g)
+            if kinds[dh] == 150:
+                continue
+            kinds[dh] += 1
+            q = compute_qasst(g)
+            for tree in (q, lc_propagate(q, rng.randint(1, n)), _shuffled(q, rng)):
+                self.assert_written_as_relabelled(tree)
+            renamed += any(name != s for s, name in location_names(q).items())
+        assert renamed >= 120
 
 
 def _shuffled(q, rng):
@@ -338,9 +492,8 @@ class TestTreeReadsAgainstFarLeaves:
         for q in self.sample_trees():
             leafless_counts.append(sum(not quot.leaf_nodes() for quot in q.quotients.values()))
             for tree in (q, _shuffled(q, rng)):
-                normalized = tree.normalize()
-                assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
-                assert tree.strong_split_sides() == {far_leaves(tree, s) for s, _ in tree.tree_edges()}
+                self.assert_normalize_matches(tree)
+                assert strong_split_sides(tree) == {far_leaves(tree, s) for s, _ in tree.tree_edges()}
                 trees.append(tree)
         assert sum(count >= 2 for count in leafless_counts) >= 5
         _assert_keys_partition_alike(trees)
@@ -360,15 +513,15 @@ class TestTreeReadsAgainstFarLeaves:
                     except NotConnectedError:
                         pass
                 for tree in trees:
-                    normalized = tree.normalize()
-                    assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
+                    self.assert_normalize_matches(tree)
                     keyed += [tree, _shuffled(tree, rng)]
         _assert_keys_partition_alike(keyed)
 
     @staticmethod
     def assert_normalize_matches(tree):
         normalized = tree.normalize()
-        assert {i: quot.adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
+        names = location_names(normalized)  # the names _normalized_by_far_leaves gives
+        assert {i: quot.relabelled(names).adj for i, quot in normalized.quotients.items()} == _normalized_by_far_leaves(tree)
 
     def test_least_leaf_far_from_least_quotient(self):
         # normalize roots its pass at the least leaf's quotient; here that
@@ -386,7 +539,8 @@ class TestTreeReadsAgainstFarLeaves:
                     pass
         for dropped in trees:
             for how, tree in (("induced", dropped), ("shuffled", _shuffled(dropped, rng))):
-                order, up = tree.validate()
+                tree.validate()
+                order, up = qasst_module._orient(tree)  # rooted at the least-numbered quotient
                 where = split_node_quotients(tree)
                 depth = {order[0]: 0}
                 for i in order[1:]:
@@ -550,7 +704,7 @@ class TestTreeBookkeeping:
         q = compute_qasst(path_graph(7))
         order, up = q.validate()
         assert sorted(order) == sorted(q.quotients) and up[order[0]] is None
-        assert all(up[i].j in order[:order.index(i)] for i in order[1:])
+        assert all(q.across(up[i]) in order[:order.index(i)] for i in order[1:])
 
 
 class TestSplitNodeLabels:
@@ -837,8 +991,8 @@ class TestLargePrimeKernels:
         # The tree does not depend on the vertex order the split search sees.
         perm = dict(zip(range(1, 61), rng.sample(range(1, 61), 60)))
         h = SimpleGraph(60, [(perm[u], perm[v]) for u, v in g.edges()])
-        sides = {frozenset(perm[v] for v in side) for side in q.strong_split_sides()}
-        assert compute_qasst(h).strong_split_sides() == sides
+        sides = {frozenset(perm[v] for v in side) for side in strong_split_sides(q)}
+        assert strong_split_sides(compute_qasst(h)) == sides
         for _ in range(3):
             built = _random_reduced_tree(rng, 15, _CYCLES)
             assert compute_qasst(reconstruct(built)).structure_key() == built.structure_key()
@@ -874,13 +1028,15 @@ class TestOneCopyOfEachJob:
             q = compute_qasst(g)
             data = to_json_dict(q)
             dot = to_dot(q)
-            for i, quot in q.normalize().quotients.items():
+            normalized = q.normalize()
+            names = location_names(normalized)
+            for i, quot in normalized.quotients.items():
                 edges = data["quotients"][i]["edges"]
                 as_nodes = [
                     [SplitNode(v["i"], v["j"]) if isinstance(v, dict) else v for v in e]
                     for e in edges
                 ]
-                assert f"edges={as_nodes})" in repr(quot)
+                assert f"edges={as_nodes})" in repr(quot.relabelled(names))
                 dot_ids = [
                     [f"s_{v['i']}_{v['j']}" if isinstance(v, dict) else f"q{i}_{v}" for v in e]
                     for e in edges

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from helpers import all_connected_graphs, graphs_up_to_isomorphism, random_connected_graph
-from oracles import edge_kind, split_node_quotients
+from oracles import edge_kind, extension_subcase, node_sort_key, split_node_quotients
 from lcsplit.errors import InvalidVertexError, MalformedQasstError, NotConnectedError
 from lcsplit.families import clique_star_graph, complete_graph, cycle_graph, path_graph, star_graph
 from lcsplit.graphs import (
@@ -28,7 +28,6 @@ from lcsplit.qasst import (
     compute_qasst,
     compute_qasst_by_splits,
     from_json_dict,
-    node_sort_key,
     reconstruct,
     to_json_dict,
 )
@@ -40,7 +39,6 @@ from lcsplit.qasst_ops import (
     ExtensionKind,
     extend,
     extend_graph,
-    extension_subcase,
     induced_qasst,
     lc_propagate,
     random_dh,
@@ -237,7 +235,7 @@ class TestConnectivityFromTree:
 
         def unmatched(q):
             _, t = q.tree_edges()[0]
-            q.quotients[t.i].remove_node(t)
+            q.quotients[q._where[t]].remove_node(t)
 
         def with_node(q, i, v):
             q.quotients[i] = QuotientGraph([*q.quotients[i].nodes, v], q.quotients[i].edges)
@@ -490,7 +488,7 @@ def _complemented(q, v):
         nb = q.quotients[i].adj[node]
         if len(nb) >= 2:
             out.add(i)
-        todo += [(s.j, s.partner) for s in nb if isinstance(s, SplitNode)]
+        todo += [(q.across(s), s.partner) for s in nb if isinstance(s, SplitNode)]
     return out
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from oracles import classify_bipartite_member
 from lcsplit import symmetry
 from lcsplit.counting import orbit_size
 from lcsplit.errors import InvalidAssignmentError, InvalidCaseError, MalformedQasstError, SizeLimitError
@@ -23,7 +24,6 @@ from lcsplit.symmetry import (
     SymmetryCase,
     analyze_star_member,
     build_star_qasst,
-    classify_bipartite_member,
     classify_star_member,
     closure_step,
     enumerate_cases,

@@ -3,7 +3,7 @@
 ``tests/test_python_floor.py`` only parses the source in the grammar of
 the oldest Python that ``pyproject.toml`` admits.  This runs it: under each
 interpreter given, with ``PYTHONPATH`` set to the source, it runs
-``lcsplit verify --suite desk``, five pipelines and four single
+``lcsplit verify --suite desk``, six pipelines and four single
 commands, one process per stage:
 
 - ``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
@@ -17,6 +17,8 @@ commands, one process per stage:
   direct graph writer;
 - ``gen path --params 2000 | decompose | reconstruct``, which reads a
   graph off a deep tree by the accessibility fold;
+- ``gen path --params 10 | decompose --format dot``, a chain of quotients
+  whose split-nodes DOT names by location;
 - ``rep min-degree --family kpartite --params 2,3,2,4 --format table``,
   ``count orbit --family clique_star --params 2,3,2``, ``count iso-classes
   --family kpartite --params 3,3,3`` and ``sym enumerate --family kpartite
@@ -72,6 +74,10 @@ CHECKS = {
         ["gen", "path", "--params", "2000"],
         ["decompose"],
         ["reconstruct"],
+    ],
+    "dot pipeline": [
+        ["gen", "path", "--params", "10"],
+        ["decompose", "--format", "dot"],
     ],
     "rep min-degree": [["rep", "min-degree", "--family", "kpartite", "--params", "2,3,2,4", "--format", "table"]],
     "count orbit": [["count", "orbit", "--family", "clique_star", "--params", "2,3,2"]],
