@@ -310,6 +310,32 @@ def json_int(x) -> int:
 
 
 def from_json_dict(data: dict) -> SimpleGraph:
+    """The graph a :func:`to_json_dict` payload describes, its rows built in one loop over the edges.
+
+    Each edge gets one type, range and self-loop test.  At the first edge
+    the loop cannot take, or on a payload that is not a dict with an int
+    ``n`` in range and an ``edges`` list, the whole payload goes to
+    :func:`_checked_from_json_dict`, the one path that words a refusal.
+    """
+    if type(data) is dict:
+        n, edges = data.get("n"), data.get("edges")
+        if type(n) is int and 0 <= n <= MAX_VERTICES and type(edges) is list:
+            adj = [0] * (n + 1)
+            try:
+                for u, v in edges:
+                    if type(u) is not int or type(v) is not int or not 0 < u <= n or not 0 < v <= n or u == v:
+                        break
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                else:
+                    return SimpleGraph._from_adj(n, adj)
+            except (TypeError, ValueError):  # an edge that does not unpack into two
+                pass
+    return _checked_from_json_dict(data)
+
+
+def _checked_from_json_dict(data) -> SimpleGraph:
+    """:func:`from_json_dict` checking in turn n's size, n's type, every edge's types, then each edge's range."""
     try:
         n = data["n"]
         # The cap is checked before the type: a count above it is refused as

@@ -32,13 +32,16 @@ read from the whole tree comes from one rooted pass, :func:`_orient`, and
 the graph from one fold over it, :func:`_reach`.  A tree is checked once,
 where it enters (:func:`compute_qasst`, :func:`from_json_dict`).  JSON
 (:func:`to_json_dict`, :func:`to_json_text`) and DOT (:func:`to_dot`)
-print one listing of the normalized tree, :func:`_listing`.
+print one listing of the normalized tree, :func:`_listing`, read off its
+leaf and split-node indexes; :func:`to_json_text` writes a small quotient
+as one ``%`` of a template kept per shape (:func:`_template`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from typing import Collection, Iterable, NamedTuple, Optional, Union
 
@@ -257,34 +260,29 @@ class QuotientGraph:
         return {v for v in self._adj if isinstance(v, SplitNode)}
 
     def __repr__(self) -> str:
-        nodes, _, edges = _listed(self, {})
+        nodes = sorted(v for v in self._adj if type(v) is not SplitNode)
+        nodes += sorted(v for v in self._adj if type(v) is SplitNode)
+        pos = dict(zip(nodes, range(len(nodes))))
+        detail = pos[self.center] if self.kind == STAR else _prime_edges(self, pos) if self.kind == PRIME else None
+        edges = _edge_positions(self.kind, len(nodes), detail)
         return f"QuotientGraph(nodes={nodes}, edges={[[nodes[a], nodes[b]] for a, b in edges]})"
 
 
-def _listed(quot: QuotientGraph, names: dict) -> tuple[list[Node], int, list[tuple[int, int]]]:
-    """A quotient in output order, as JSON, DOT and ``repr`` print it: nodes, leaf count, edges.
+def _prime_edges(quot: QuotientGraph, pos: dict) -> tuple[tuple[int, int], ...]:
+    """A prime quotient's edges, its nodes placed at ``pos``: each once, as positions (a, b) with a < b, sorted."""
+    return tuple(sorted((a, b) for v, nb in quot._adj.items() for w in nb if (a := pos[v]) < (b := pos[w])))
 
-    The nodes are the leaf-nodes ascending, then the split-nodes ascending,
-    each under its name in ``names`` (:func:`_listing`) if it has one, else
-    its label; each edge is listed once, as positions (a, b) with a < b,
-    sorted; a complete or star quotient's edges come from its kind.
+
+def _edge_positions(kind: str, m: int, detail) -> Iterable[tuple[int, int]]:
+    """The edges of an m-node shape as positions (a, b), a < b, sorted: all pairs if complete, else from ``detail``.
+
+    A star's detail is its centre's position and a prime's its edges (:func:`_prime_edges`).
     """
-    adj, name = quot._adj, names.get
-    leaves = [v for v in adj if type(v) is not SplitNode]
-    splits = [name(v, v) for v in adj if type(v) is SplitNode]
-    leaves.sort()
-    splits.sort()
-    nodes = leaves + splits
-    if quot.kind == COMPLETE:
-        edges = list(itertools.combinations(range(len(nodes)), 2))
-    elif quot.kind == STAR:
-        c = nodes.index(name(quot.center, quot.center))
-        edges = [(k, c) for k in range(c)] + [(c, k) for k in range(c + 1, len(nodes))]
-    else:
-        pos = dict(zip(nodes, range(len(nodes))))
-        edges = [(k, b) for v, nb in adj.items() for w in nb if (b := pos[name(w, w)]) > (k := pos[name(v, v)])]
-        edges.sort()
-    return nodes, len(leaves), edges
+    if kind == COMPLETE:
+        return itertools.combinations(range(m), 2)
+    if kind == STAR:
+        return [(k, detail) for k in range(detail)] + [(detail, k) for k in range(detail + 1, m)]
+    return detail
 
 
 class Qasst:
@@ -1130,34 +1128,60 @@ def compute_qasst(g: SimpleGraph) -> Qasst:
 # -- serialization -----------------------------------------------------------
 
 
-def _listing(q: Qasst) -> tuple[list[tuple], list[tuple[SplitNode, SplitNode]]]:
-    """What every writer prints of a tree, in order: each quotient by number (:func:`_listed`), then the tree edges.
+def _listing(q: Qasst) -> tuple[list[tuple], list[tuple[int, int]]]:
+    """What every writer prints of a tree, read off its indexes: each quotient by number, then the tree edges.
 
     A tree without the canonical record (:meth:`Qasst.normalize`) is
-    normalized first.  Split-nodes are named by location once, off the
-    index, and the tree edges listed by those names, as in :meth:`Qasst.tree_edges`.
+    normalized first.  Quotient i is listed as ``(kind, leaves, i, js,
+    detail)``: its leaf-nodes ascending, from one pass over the sorted leaf
+    index; the numbers j of the quotients across its split-nodes ascending,
+    from one pass over the split-node index, s_i^j named (i, j) by its
+    location; and its shape detail (:func:`_edge_positions`), nodes placed
+    leaves first.  The tree edges are the pairs (i, j), i < j, ascending.
     """
     if not q._canonical:
         q = q.normalize()
-    where = q._where
-    names = {s: tuple.__new__(SplitNode, (i, where[s[1], s[0]])) for s, i in where.items()}
-    listed = [_listed(q.quotients[i], names) for i in sorted(q.quotients)]
-    return listed, [(s, s.partner) for s in sorted(s for s in names.values() if s[0] < s[1])]
+    quots, home, where = q.quotients, q._home, q._where
+    leaves: list[list[int]] = [[] for _ in quots]
+    across: list[list[int]] = [[] for _ in quots]
+    for v in sorted(home):
+        leaves[home[v]].append(v)
+    for s, i in where.items():
+        across[i].append(where[s[1], s[0]])
+    listed = []
+    for i, (ls, js) in enumerate(zip(leaves, across)):
+        quot = quots[i]
+        js.sort()
+        detail = None
+        if quot.kind == STAR:
+            c = quot.center
+            detail = len(ls) + js.index(where[c[1], c[0]]) if type(c) is SplitNode else ls.index(c)
+        elif quot.kind == PRIME:
+            pos = dict(zip(ls, range(len(ls))))
+            rank = dict(zip(js, itertools.count(len(ls))))
+            for s in quot._adj:
+                if type(s) is SplitNode:
+                    pos[s] = rank[where[s[1], s[0]]]
+            detail = _prime_edges(quot, pos)
+        listed.append((quot.kind, ls, i, js, detail))
+    return listed, [(i, j) for i, js in enumerate(across) for j in js if i < j]
 
 
 def to_json_dict(q: Qasst) -> dict:
     """The tree as JSON data, listed by :func:`_listing`; :func:`to_json_text` writes it as text."""
     listed, tree_edges = _listing(q)
     quotients = []
-    for nodes, leaves, edges in listed:
+    for kind, leaves, i, js, detail in listed:
+        nodes = leaves + [SplitNode(i, j) for j in js]
+        edges = _edge_positions(kind, len(nodes), detail)
         quotients.append(
             {
-                "leaf_nodes": nodes[:leaves],
-                "split_nodes": [_node_json(s) for s in nodes[leaves:]],
+                "leaf_nodes": leaves,
+                "split_nodes": [_node_json(s) for s in nodes[len(leaves):]],
                 "edges": [[_node_json(nodes[a]), _node_json(nodes[b])] for a, b in edges],
             }
         )
-    return {"quotients": quotients, "tree_edges": [[_node_json(a), _node_json(b)] for a, b in tree_edges]}
+    return {"quotients": quotients, "tree_edges": [[{"i": i, "j": j}, {"i": j, "j": i}] for i, j in tree_edges]}
 
 
 def _node_json(node: Node):
@@ -1166,36 +1190,76 @@ def _node_json(node: Node):
     return node
 
 
-def _split_texts(splits: Iterable[SplitNode], d: int) -> list[str]:
-    """Each split-node as a JSON object at depth d."""
+def _split_texts(splits: Iterable[tuple], d: int) -> list[str]:
+    """Each split-node (i, j) as a JSON object at depth d."""
     start, mid, end = "{" + _PAD[d + 1] + '"i": ', "," + _PAD[d + 1] + '"j": ', _PAD[d] + "}"
     return [f"{start}{i}{mid}{j}{end}" for i, j in splits]
+
+
+def _quotient_text(kind: str, leaves: int, detail, texts: list[str]) -> str:
+    """A listed quotient (:func:`_listing`) as JSON text at depth 2, from its values' texts: its leaves, i, then each j.
+
+    Each node's text is made once (a split-node's once more for
+    ``split_nodes``) and each edge is one f-string over two of them; keys
+    are written in sorted order.
+    """
+    i, leaf_texts = texts[leaves], texts[:leaves]
+    splits = [(i, j) for j in texts[leaves + 1:]]
+    nodes = leaf_texts + _split_texts(splits, 5)
+    start, mid, end = "[" + _PAD[5], "," + _PAD[5], _PAD[4] + "]"  # an edge pair at depth 4
+    pairs = [f"{start}{nodes[a]}{mid}{nodes[b]}{end}" for a, b in _edge_positions(kind, len(nodes), detail)]
+    return (
+        f'{{{_PAD[3]}"edges": {_list_text(pairs, 3)},'
+        f'{_PAD[3]}"leaf_nodes": {_list_text(leaf_texts, 3)},'
+        f'{_PAD[3]}"split_nodes": {_list_text(_split_texts(splits, 4), 3)}{_PAD[2]}}}'
+    )
+
+
+# A quotient's text is fixed by its shape, (kind, leaf count, split-node count,
+# detail), up to its values: for a shape of at most _TEMPLATE_NODES nodes,
+# _quotient_text's output over %d placeholders is kept, with the itemgetter
+# that puts (*leaves, i, *js) in text order.  The oldest shape goes first once
+# _TEMPLATES_MAX are kept.
+_TEMPLATE_NODES = 16
+_TEMPLATES_MAX = 1024
+_templates: dict[tuple, tuple[str, operator.itemgetter]] = {}
+
+
+def _template(shape: tuple) -> tuple[str, operator.itemgetter]:
+    """The template and value order of a shape of at most _TEMPLATE_NODES nodes, made once and kept."""
+    kind, leaves, splits, detail = shape
+    parts = _quotient_text(kind, leaves, detail, [f"\0{k}\0" for k in range(leaves + 1 + splits)]).split("\0")
+    if len(_templates) >= _TEMPLATES_MAX:
+        del _templates[next(iter(_templates))]
+    entry = _templates[shape] = "%d".join(parts[::2]), operator.itemgetter(*map(int, parts[1::2]))
+    return entry
 
 
 def to_json_text(q: Qasst) -> str:
     """``json.dumps(to_json_dict(q), indent=2, sort_keys=True)``, byte for byte, written directly.
 
-    No dict is built and no text is scanned again: each node's text is made
-    once per quotient (a split-node's once more for ``split_nodes``), and
-    each edge is one f-string over two of them.  Keys are written in
-    sorted order.
+    No dict is built and no text is scanned again.  A quotient of at most
+    _TEMPLATE_NODES nodes is one ``%`` of its shape's template
+    (:func:`_template`) over its values; a larger one is written by the
+    same builder, :func:`_quotient_text`, straight from its values.  The
+    tree edges are one ``%`` over a repeated pair template.
     """
     listed, tree_edges = _listing(q)
-    start, mid, end = "[" + _PAD[5], "," + _PAD[5], _PAD[4] + "]"  # an edge pair at depth 4
-    quotients = []
-    for nodes, leaves, edges in listed:
-        leaf_texts = list(map(str, nodes[:leaves]))
-        texts = leaf_texts + _split_texts(nodes[leaves:], 5)
-        pairs = [f"{start}{texts[a]}{mid}{texts[b]}{end}" for a, b in edges]
-        quotients.append(
-            f'{{{_PAD[3]}"edges": {_list_text(pairs, 3)},'
-            f'{_PAD[3]}"leaf_nodes": {_list_text(leaf_texts, 3)},'
-            f'{_PAD[3]}"split_nodes": {_list_text(_split_texts(nodes[leaves:], 4), 3)}{_PAD[2]}}}'
-        )
-    start, mid, end = "[" + _PAD[3], "," + _PAD[3], _PAD[2] + "]"  # a tree-edge pair at depth 2
-    ends = _split_texts(itertools.chain.from_iterable(tree_edges), 3)
-    pairs = [f"{start}{s}{mid}{t}{end}" for s, t in zip(ends[::2], ends[1::2])]
-    return f'{{{_PAD[1]}"quotients": {_list_text(quotients, 1)},{_PAD[1]}"tree_edges": {_list_text(pairs, 1)}{_PAD[0]}}}'
+    texts = []
+    for kind, leaves, i, js, detail in listed:
+        values = (*leaves, i, *js)
+        if 0 < len(leaves) + len(js) <= _TEMPLATE_NODES:  # a node-less quotient has no value to order
+            shape = (kind, len(leaves), len(js), detail)
+            template, order = _templates.get(shape) or _template(shape)
+            texts.append(template % order(values))
+        else:
+            texts.append(_quotient_text(kind, len(leaves), detail, list(map(str, values))))
+    pair = _list_text(_split_texts([("%d", "%d")] * 2, 3), 2)  # a tree-edge pair at depth 2
+    ends = tuple(itertools.chain.from_iterable((i, j, j, i) for i, j in tree_edges))
+    return (
+        f'{{{_PAD[1]}"quotients": {_list_text(texts, 1)},'
+        f'{_PAD[1]}"tree_edges": {_list_text([pair] * len(tree_edges), 1) % ends}{_PAD[0]}}}'
+    )
 
 
 def _node_key(nj):
@@ -1277,24 +1341,18 @@ def to_dot(q: Qasst) -> str:
     """Quotient tree as DOT: leaf-nodes circles, split-nodes boxes."""
     listed, tree_edges = _listing(q)
     lines = ["graph QASST {"]
-    for i, (nodes, leaves, edges) in enumerate(listed):
+    for kind, leaves, i, js, detail in listed:
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="Q{i}";')
-        for v in nodes[:leaves]:
+        for v in leaves:
             lines.append(f'    q{i}_{v} [label="{v}", shape=circle];')
-        for s in nodes[leaves:]:
-            lines.append(f'    {_dot_id(i, s)} [label="s{s.i}^{s.j}", shape=box];')
-        ids = [_dot_id(i, v) for v in nodes]
-        for a, b in edges:
+        for j in js:
+            lines.append(f'    s_{i}_{j} [label="s{i}^{j}", shape=box];')
+        ids = [f"q{i}_{v}" for v in leaves] + [f"s_{i}_{j}" for j in js]
+        for a, b in _edge_positions(kind, len(ids), detail):
             lines.append(f"    {ids[a]} -- {ids[b]};")
         lines.append("  }")
-    for a, b in tree_edges:
-        lines.append(f"  {_dot_id(a.i, a)} -- {_dot_id(b.i, b)} [style=bold, color=red];")
+    for i, j in tree_edges:
+        lines.append(f"  s_{i}_{j} -- s_{j}_{i} [style=bold, color=red];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _dot_id(i: int, node: Node) -> str:
-    if isinstance(node, SplitNode):
-        return f"s_{node.i}_{node.j}"
-    return f"q{i}_{node}"

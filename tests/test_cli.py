@@ -393,7 +393,17 @@ class TestParserReuse:
 _BAD_GRAPHS = ['{}', '{"n": 3}', '[1, 2]', '{"n": "x", "edges": []}', '{"n": 3, "edges": [[1]]}',
                # Non-integer numbers are refused, not truncated.
                '{"n": 3.7, "edges": [[1, 2], [2, 3]]}', '{"n": true, "edges": []}',
-               '{"n": 3, "edges": [[1.9, 2], [2, 3]]}', '{"n": 2, "edges": [["1", 2]]}']
+               '{"n": 3, "edges": [[1.9, 2], [2, 3]]}', '{"n": 2, "edges": [["1", 2]]}',
+               # Every edge's types are checked before any edge's range.
+               '{"n": 3, "edges": [[1, 4], [2, 1.5]]}', '{"n": 3, "edges": [[true, 2]]}']
+# What decompose says to each of _BAD_GRAPHS, in order, after "lcsplit: malformed graph JSON: ".
+_BAD_GRAPH_MESSAGES = [
+    "KeyError: 'n'", "KeyError: 'edges'", "TypeError: list indices must be integers or slices, not str",
+    "ValueError: could not convert string to float: 'x'", "ValueError: not enough values to unpack (expected 2, got 1)",
+    "TypeError: expected an integer, got 3.7", "TypeError: expected an integer, got True",
+    "TypeError: expected an integer, got 1.9", "TypeError: expected an integer, got '1'",
+    "TypeError: expected an integer, got 1.5", "TypeError: expected an integer, got True",
+]
 _P4_TREE = (
     '{"quotients": [{"leaf_nodes": [1, 2], "split_nodes": [{"i": 0, "j": 1}],'
     ' "edges": [[1, 2], [2, {"i": 0, "j": 1}]]}, {"leaf_nodes": [3, 4], "split_nodes": [{"i": 1, "j": 0}],'
@@ -458,6 +468,36 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert (code, captured.out) == (cli.EXIT_USAGE, "")
         assert captured.err.startswith("lcsplit: ") and captured.err.count("\n") == 1
+
+
+class TestGraphReaderRefusals:
+    """The one-loop graph reader hands every payload it cannot take to the checked path, which words the refusal."""
+
+    @pytest.mark.parametrize("text, message", list(zip(_BAD_GRAPHS, _BAD_GRAPH_MESSAGES, strict=True)))
+    def test_message_is_the_checked_paths(self, tmp_path, capsys, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert cli.main(["decompose", "--input", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"lcsplit: malformed graph JSON: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 3, "edges": [[1, 2], [0, 3]]}', "edge (0,3) out of range 1..3"),
+        ('{"n": 3, "edges": [[1, 2], [3, 3]]}', "self-loop at vertex 3"),
+        ('{"n": 100001, "edges": []}', "graphs are limited to 100000 vertices"),
+        ('{"n": -1, "edges": []}', "malformed graph JSON: ValueError: vertex count must be non-negative, got -1"),
+    ])
+    def test_range_and_size_refusals(self, tmp_path, capsys, text, message):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert cli.main(["decompose", "--input", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"lcsplit: {message}\n"
+
+    def test_repeated_and_reversed_edges_are_accepted(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text('{"n": 3, "edges": [[1, 2], [2, 1], [2, 3], [1, 2], [3, 2]]}')
+        assert from_json_dict(json.loads(path.read_text())) == families.path_graph(3)
+        code, out = run(capsys, "decompose", "--input", str(path))
+        assert (code, out) == (cli.EXIT_OK, qasst.to_json_text(qasst.compute_qasst(families.path_graph(3))) + "\n")
 
 
 class TestRepeatedQuotientEdge:

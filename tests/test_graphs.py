@@ -204,6 +204,26 @@ class TestSerialization:
     def test_json_round_trip(self, g):
         assert from_json_dict(json.loads(json.dumps(to_json_dict(g)))) == g
 
+    def test_one_loop_reader_agrees_with_the_checked_path(self):
+        def outcome(read, data):
+            try:
+                return read(data)
+            except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+                return type(exc), str(exc)
+
+        rng = random.Random(33)
+        ends = [1, 2, 3, 4, 0, 5, -1, True, 2.0, 1.5, "2", None]
+        for _ in range(4000):
+            n = rng.choice([0, 1, 4, 4, 4, -1, 4.0, "4", True, None, MAX_VERTICES + 1])
+            edges = [[rng.choice(ends[:4]) if rng.random() < 0.9 else rng.choice(ends) for _ in range(2)]
+                     for _ in range(rng.randint(0, 4))]
+            if edges and rng.random() < 0.1:
+                edges[rng.randrange(len(edges))] = rng.choice([[1], [1, 2, 3], "12", {"1": 2}, 7, (2, 3)])
+            data = {"n": n, "edges": edges if rng.random() < 0.95 else rng.choice([None, 5, "12", (edges,)])}
+            if rng.random() < 0.05:
+                data = rng.choice([{"n": 4}, {"edges": edges}, [4, edges], None])
+            assert outcome(from_json_dict, data) == outcome(graphs._checked_from_json_dict, data)
+
     def test_dot_mentions_all_edges(self):
         g = SimpleGraph(3, [(1, 2), (2, 3)])
         dot = to_dot(g)

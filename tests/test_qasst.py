@@ -787,6 +787,12 @@ class TestSerialization:
         trees = [compute_qasst(g) for g in one_quotient + [path_graph(7), complete_bipartite_graph(3, 4)]]
         trees.append(compute_qasst(random_dh(40, 3)[0]))
         trees.append(lc_propagate(trees[-1], 7))
+        # Past the template cap (qasst._TEMPLATE_NODES), a prime kernel hung with
+        # pendants and twins, and local complements of both.
+        capped = [compute_qasst(g) for g in (complete_graph(20), star_graph(20), cycle_graph(20))]
+        kernel = compute_qasst(_hung(cycle_graph(7), random.Random(33), 30))
+        assert capped[2].quotients[0].kind == PRIME and any(quot.kind == PRIME for quot in kernel.quotients.values())
+        trees += capped + [kernel, lc_propagate(kernel, 3), lc_propagate(capped[0], 1), lc_propagate(capped[1], 1)]
         split = compute_qasst(path_graph(9)).copy()
         split.split_off(split.leaf_quotient(5), {5})
         trees += [split, Qasst({})]
@@ -797,6 +803,23 @@ class TestSerialization:
         assert all(data["tree_edges"] == [] and data["quotients"][0]["split_nodes"] == [] for data in listed[:5])
         assert listed[0]["quotients"][0]["edges"] == [] and listed[-1]["quotients"] == []
         assert any(not quot["leaf_nodes"] for data in listed for quot in data["quotients"])
+
+    def test_template_cache_is_bounded(self, monkeypatch):
+        from test_output_digest import _graphs
+
+        monkeypatch.setattr(qasst_module, "_templates", {})
+        for g in itertools.chain(_graphs(), [complete_graph(20)]):
+            to_json_text(compute_qasst(g))
+        shapes = qasst_module._templates
+        assert 0 < len(shapes) <= qasst_module._TEMPLATES_MAX
+        assert all(leaves + splits <= qasst_module._TEMPLATE_NODES for _, leaves, splits, _ in shapes)
+        # Past the bound the oldest shapes go, and what is written stays the same.
+        monkeypatch.setattr(qasst_module, "_templates", {})
+        monkeypatch.setattr(qasst_module, "_TEMPLATES_MAX", 5)
+        for g in (random_dh(60, 5)[0], complete_graph(7), star_graph(9)):
+            q = compute_qasst(g)
+            assert to_json_text(q) == json.dumps(to_json_dict(q), indent=2, sort_keys=True)
+            assert len(qasst_module._templates) == 5
 
     def test_dot_output(self):
         dot = to_dot(compute_qasst(path_graph(4)))

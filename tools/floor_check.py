@@ -3,7 +3,7 @@
 ``tests/test_python_floor.py`` only parses the source in the grammar of
 the oldest Python that ``pyproject.toml`` admits.  This runs it: under each
 interpreter given, with ``PYTHONPATH`` set to the source, it runs
-``lcsplit verify --suite desk``, six pipelines and four single
+``lcsplit verify --suite desk``, seven pipelines and four single
 commands, one process per stage:
 
 - ``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
@@ -19,6 +19,8 @@ commands, one process per stage:
   graph off a deep tree by the accessibility fold;
 - ``gen path --params 10 | decompose --format dot``, a chain of quotients
   whose split-nodes DOT names by location;
+- ``gen complete --params 20 | decompose``, one quotient past the size up
+  to which JSON is written from a template per shape;
 - ``rep min-degree --family kpartite --params 2,3,2,4 --format table``,
   ``count orbit --family clique_star --params 2,3,2``, ``count iso-classes
   --family kpartite --params 3,3,3`` and ``sym enumerate --family kpartite
@@ -78,6 +80,10 @@ CHECKS = {
     "dot pipeline": [
         ["gen", "path", "--params", "10"],
         ["decompose", "--format", "dot"],
+    ],
+    "untemplated quotient pipeline": [
+        ["gen", "complete", "--params", "20"],
+        ["decompose"],
     ],
     "rep min-degree": [["rep", "min-degree", "--family", "kpartite", "--params", "2,3,2,4", "--format", "table"]],
     "count orbit": [["count", "orbit", "--family", "clique_star", "--params", "2,3,2"]],
