@@ -183,18 +183,13 @@ def cmd_orbit(args) -> int:
     elif args.action == "list":
         members = [graphs.to_json_text(m, 1) for m in o.sorted_members()]
         _write_text(graphs._list_text(members, 0), args.output)
-    elif args.action == "min-edge":
-        best, edges = orbit.min_edge_member(o)
-        _write_text(
-            _dump_json({"edge_count": edges, "graph": graphs.to_json_dict(best)}),
-            args.output,
+    else:  # min-edge | min-degree
+        key, fn = (
+            ("edge_count", orbit.min_edge_member) if args.action == "min-edge"
+            else ("max_degree", orbit.min_max_degree_member)
         )
-    else:  # min-degree
-        best, delta = orbit.min_max_degree_member(o)
-        _write_text(
-            _dump_json({"max_degree": delta, "graph": graphs.to_json_dict(best)}),
-            args.output,
-        )
+        best, value = fn(o)
+        _write_text(_dump_json({key: value, "graph": graphs.to_json_dict(best)}), args.output)
     return EXIT_OK
 
 
@@ -312,7 +307,7 @@ def cmd_sym(args) -> int:
         raise InvalidSpecError("sym transform needs --case")
     I = frozenset(_parse_ints(args.I)) if args.I is not None else frozenset()
     case = symmetry.SymmetryCase(tag, args.case, args.j, I)
-    seq = symmetry.synthesize_transformation(tag, case, params, r=args.r)
+    seq = symmetry.synthesize_transformation(case, params, r=args.r)
     _write_text(_dump_json({"sequence": seq}), args.output)
     return EXIT_OK
 
@@ -409,13 +404,12 @@ def _desk_checks(orbits):
         pair = _orbit_pair(orbits, (2, 2, 2))
         for tag, o in zip((families.KPARTITE, families.CLIQUE_STAR), pair):
             for g in o.sorted_members():
-                case, roles = symmetry.analyze_star_member(g, (2, 2, 2), tag)
+                case, roles = symmetry.analyze_star_member(g, (2, 2, 2))
+                check(case.tag == tag, f"{tag} member classified as {case}")
                 for v in range(1, g.n + 1):
-                    pred = symmetry.closure_step(tag, case, roles[v])
-                    got = symmetry.classify_star_member(
-                        graphs.local_complement(g, v), (2, 2, 2), tag
-                    )
-                    check((got.case_id, got.j) == pred, f"{tag} {case} v={v}")
+                    pred = symmetry.closure_step(case, roles[v])
+                    got = symmetry.classify_star_member(graphs.local_complement(g, v), (2, 2, 2))
+                    check((got.tag, got.case_id, got.j) == (tag, *pred), f"{tag} {case} v={v}")
                     checks += 1
         return f"{checks} vertex steps verified"
 

@@ -39,6 +39,7 @@ as one ``%`` of a template kept per shape (:func:`_template`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -474,26 +475,28 @@ class Qasst:
 
         Every split-node name is used once and its partner lives in another
         quotient; the leaf-nodes are distinct positive integers, not
-        necessarily 1..n; the pairs join the quotients into one tree, read
-        by a pass over the nodes, not the index, then one BFS (:func:`_orient`)
-        from the least leaf's quotient, whose result is returned.  A tree with
-        no quotients or no leaf-nodes stands for no graph and is refused.
+        necessarily 1..n; the pairs join the quotients into one tree.
+        Split-nodes are read by a pass over the nodes, as the index cannot
+        show a name used twice; that pass counts the leaf-nodes, and the
+        rest is read off the leaf index.  One BFS (:func:`_orient`) from the
+        least leaf's quotient follows, and its result is returned.  A tree
+        with no quotients or no leaf-nodes stands for no graph and is refused.
         """
         if not self.quotients:
             raise MalformedQasstError("tree has no quotients")
-        seen_leaves: list[int] = []
+        home = self._home
+        leaves = 0
         bare: list[int] = []
         where: dict[SplitNode, int] = {}
         for i, q in self.quotients.items():
             splits = 0
             for s in q._adj:
-                if not isinstance(s, SplitNode):
-                    seen_leaves.append(s)
-                    continue
-                splits += 1
-                if s in where:
-                    raise MalformedQasstError(f"split-node {s} appears in two quotients")
-                where[s] = i
+                if isinstance(s, SplitNode):
+                    splits += 1
+                    if s in where:
+                        raise MalformedQasstError(f"split-node {s} appears in two quotients")
+                    where[s] = i
+            leaves += len(q._adj) - splits
             if not splits:
                 bare.append(i)
         for s, i in where.items():
@@ -502,11 +505,11 @@ class Qasst:
                 raise MalformedQasstError(f"split-node {s} is unmatched")
             if j == i:  # in s's own quotient, or s itself
                 raise MalformedQasstError(f"split-node {s} is paired with itself")
-        if not seen_leaves:
+        if not home:
             raise MalformedQasstError("tree has no leaf-nodes")
-        if len(seen_leaves) != len(set(seen_leaves)):
+        if leaves != len(home):
             raise MalformedQasstError("a vertex appears in two quotients")
-        least = min(seen_leaves)
+        least = min(home)
         if least < 1:
             raise MalformedQasstError(f"leaf-node {least} is below 1")
         m = len(self.quotients)
@@ -515,7 +518,7 @@ class Qasst:
         # Tree check: connected with exactly m-1 edges.
         if len(where) != 2 * (m - 1):  # two split-nodes per pair
             raise MalformedQasstError("tree-edge count is not (quotients - 1)")
-        oriented = _orient(self, next(i for i, q in self.quotients.items() if least in q._adj))
+        oriented = _orient(self, home[least])
         if len(oriented[0]) != m:
             raise MalformedQasstError("quotient tree is disconnected")
         return oriented
@@ -597,18 +600,14 @@ def _orient(
 def _earns_record(q: Qasst, edges: list[tuple[SplitNode, SplitNode]]) -> bool:
     """Whether a valid tree is reduced, as a strong split tree is: what its check record states.
 
-    Every quotient is connected with three or more nodes, or there is one;
-    a prime quotient has no nontrivial split (:func:`_any_split`); and each
-    tree edge in ``edges`` is a strong split (:func:`_not_strong`,
-    Cunningham 1982).  Only prime quotients are searched; the rest is read
-    off stored kinds.
+    Every quotient is connected; a prime quotient has no nontrivial split
+    (:func:`_any_split`); and each tree edge in ``edges`` is a strong split
+    (:func:`_not_strong`, Cunningham 1982), which also refuses a quotient of
+    one or two nodes in a tree of more than one.  Only prime quotients are
+    searched; the rest is read off stored kinds.
     """
-    one = len(q.quotients) == 1
     for quot in q.quotients.values():
-        small = len(quot.nodes) < 3
-        if small and not one or not quot.connected():
-            return False
-        if not small and quot.kind == PRIME and _any_split(quot) is not None:
+        if not quot.connected() or quot.kind == PRIME and _any_split(quot) is not None:
             return False
     return not any(_not_strong(q, q._where[s], s) for s, _ in edges)
 
@@ -1218,21 +1217,16 @@ def _quotient_text(kind: str, leaves: int, detail, texts: list[str]) -> str:
 # A quotient's text is fixed by its shape, (kind, leaf count, split-node count,
 # detail), up to its values: for a shape of at most _TEMPLATE_NODES nodes,
 # _quotient_text's output over %d placeholders is kept, with the itemgetter
-# that puts (*leaves, i, *js) in text order.  The oldest shape goes first once
-# _TEMPLATES_MAX are kept.
+# that puts (*leaves, i, *js) in text order.
 _TEMPLATE_NODES = 16
-_TEMPLATES_MAX = 1024
-_templates: dict[tuple, tuple[str, operator.itemgetter]] = {}
 
 
+@functools.lru_cache(maxsize=1024)
 def _template(shape: tuple) -> tuple[str, operator.itemgetter]:
-    """The template and value order of a shape of at most _TEMPLATE_NODES nodes, made once and kept."""
+    """The template and value order of a shape of at most _TEMPLATE_NODES nodes."""
     kind, leaves, splits, detail = shape
     parts = _quotient_text(kind, leaves, detail, [f"\0{k}\0" for k in range(leaves + 1 + splits)]).split("\0")
-    if len(_templates) >= _TEMPLATES_MAX:
-        del _templates[next(iter(_templates))]
-    entry = _templates[shape] = "%d".join(parts[::2]), operator.itemgetter(*map(int, parts[1::2]))
-    return entry
+    return "%d".join(parts[::2]), operator.itemgetter(*map(int, parts[1::2]))
 
 
 def to_json_text(q: Qasst) -> str:
@@ -1250,7 +1244,7 @@ def to_json_text(q: Qasst) -> str:
         values = (*leaves, i, *js)
         if 0 < len(leaves) + len(js) <= _TEMPLATE_NODES:  # a node-less quotient has no value to order
             shape = (kind, len(leaves), len(js), detail)
-            template, order = _templates.get(shape) or _template(shape)
+            template, order = _template(shape)
             texts.append(template % order(values))
         else:
             texts.append(_quotient_text(kind, len(leaves), detail, list(map(str, values))))

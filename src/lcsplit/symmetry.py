@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
@@ -60,7 +60,7 @@ class SymmetryCase:
     case_id: int  # 1 | 2 | 3
     j: Optional[int]  # pointer block for cases 2/3
     I: frozenset  # star-spoke blocks
-    centers: Optional[dict] = None  # block -> chosen star-center vertex
+    centers: Optional[dict] = field(default=None, compare=False)  # block -> star centre of one member
 
     def __post_init__(self):
         check_tag(self.tag, InvalidCaseError)
@@ -181,26 +181,19 @@ def _complete_or_star(nodes: list, center) -> QuotientGraph:
     return QuotientGraph._of(dict.fromkeys(nodes), COMPLETE if center is None else STAR, center)
 
 
-def realize(
-    case: SymmetryCase, n_list: Sequence[int], centers: Optional[dict] = None
-) -> SimpleGraph:
-    """The labeled graph of a symmetry class (default centers: first of block)."""
+def realize(case: SymmetryCase, n_list: Sequence[int]) -> SimpleGraph:
+    """The labeled member of a symmetry class picked by ``case.centers`` (default: first of block)."""
     q0_kind, kinds = case_assignment(case, len(n_list))
-    return reconstruct(
-        build_star_qasst(n_list, q0_kind, kinds, centers or case.centers)
-    )
+    return reconstruct(build_star_qasst(n_list, q0_kind, kinds, case.centers))
 
 
 # -- transformations -----------------------------------------------------------
 
 
 def synthesize_transformation(
-    tag: str,
-    case: SymmetryCase,
-    n_list: Sequence[int],
-    r: Optional[int] = None,
+    case: SymmetryCase, n_list: Sequence[int], r: Optional[int] = None
 ) -> list[int]:
-    """An LC sequence from the base graph into the symmetry class.
+    """An LC sequence from the base graph of ``case``'s orbit into the class.
 
     The base is K_{n_1..n_k} for the k-partite orbit and CS^r (default
     r = 1) for the clique-star orbit.  Star centers default to the first
@@ -208,8 +201,6 @@ def synthesize_transformation(
     over consecutive pairs of I in ascending order.  The pointer and every
     index in I must name a block (:func:`case_assignment` checks them).
     """
-    if case.tag != tag:
-        raise InvalidCaseError("case belongs to a different orbit")
     k = len(n_list)
     case_assignment(case, k)
     blocks = block_ranges(n_list)
@@ -221,7 +212,7 @@ def synthesize_transformation(
     def first_of(i: int) -> int:
         return blocks[i - 1][0]
 
-    if tag == KPARTITE:
+    if case.tag == KPARTITE:
         I = sorted(case.I)
         if case.case_id == 1:
             seq: list[int] = []
@@ -268,14 +259,12 @@ def _block_quotients(
     return leafless, outer
 
 
-def analyze_star_member(
-    g: SimpleGraph, n_list: Sequence[int], tag: Optional[str] = None
-) -> tuple[SymmetryCase, dict]:
+def analyze_star_member(g: SimpleGraph, n_list: Sequence[int]) -> tuple[SymmetryCase, dict]:
     """Classify an orbit member into its symmetry class.
 
     Also returns the role of every vertex: a map v -> (role, block) with
-    role one of ss_center / ss_spoke / sc / c.  The orbit tag can be
-    supplied or inferred from the |I| parity.
+    role one of ss_center / ss_spoke / sc / c.  The orbit follows from the
+    |I| parity; the class's ``centers`` are this member's.
     """
     k = len(n_list)
     q = compute_qasst(g)
@@ -307,18 +296,14 @@ def analyze_star_member(
         case_id = 2 if kinds[j] == STAR_CENTER else 3  # Q_j faces Q0's centre, so is never star-spoke
     else:
         raise MalformedQasstError("central quotient is neither star nor complete")
-    if tag is None:
-        tag = orbit_of(case_id, len(I))
-    return SymmetryCase(tag, case_id, j, I, centers), roles
+    return SymmetryCase(orbit_of(case_id, len(I)), case_id, j, I, centers), roles
 
 
-def classify_star_member(
-    g: SimpleGraph, n_list: Sequence[int], tag: Optional[str] = None
-) -> SymmetryCase:
-    return analyze_star_member(g, n_list, tag)[0]
+def classify_star_member(g: SimpleGraph, n_list: Sequence[int]) -> SymmetryCase:
+    return analyze_star_member(g, n_list)[0]
 
 
-def closure_step(tag: str, case: SymmetryCase, role: tuple[str, int]) -> tuple[int, Optional[int]]:
+def closure_step(case: SymmetryCase, role: tuple[str, int]) -> tuple[int, Optional[int]]:
     """Resulting (case id, pointer) after one LC at a vertex with this role.
 
     ``role`` is (role kind, block index) as produced by
@@ -327,8 +312,6 @@ def closure_step(tag: str, case: SymmetryCase, role: tuple[str, int]) -> tuple[i
     provably disjoint.
     """
     kind, i = role
-    if case.tag != tag:
-        raise InvalidCaseError("case belongs to a different orbit")
     cid, j, I = case.case_id, case.j, case.I
     if cid == 1:
         if kind == SS_CENTER and i in I:

@@ -327,10 +327,12 @@ class TestCriterion9ClosureTables:
         o = orbit_k222 if tag == KPARTITE else orbit_cs222
         n_list = (2, 2, 2)
         for g in o.sorted_members():
-            case, roles = analyze_star_member(g, n_list, tag)
+            case, roles = analyze_star_member(g, n_list)
+            assert case.tag == tag
             for v in range(1, g.n + 1):
-                predicted = closure_step(tag, case, roles[v])
-                got = classify_star_member(local_complement(g, v), n_list, tag)
+                predicted = closure_step(case, roles[v])
+                got = classify_star_member(local_complement(g, v), n_list)
+                assert got.tag == tag
                 assert (got.case_id, got.j) == predicted
 
 

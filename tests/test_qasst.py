@@ -1,5 +1,6 @@
 """Split decomposition, quotient trees, and distance-hereditary recognition."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -807,19 +808,25 @@ class TestSerialization:
     def test_template_cache_is_bounded(self, monkeypatch):
         from test_output_digest import _graphs
 
-        monkeypatch.setattr(qasst_module, "_templates", {})
+        build = qasst_module._template.__wrapped__
+        maxsize = qasst_module._template.cache_info().maxsize
+        monkeypatch.setattr(qasst_module, "_template", functools.lru_cache(maxsize=maxsize)(build))
+        shapes = set()
         for g in itertools.chain(_graphs(), [complete_graph(20)]):
-            to_json_text(compute_qasst(g))
-        shapes = qasst_module._templates
-        assert 0 < len(shapes) <= qasst_module._TEMPLATES_MAX
-        assert all(leaves + splits <= qasst_module._TEMPLATE_NODES for _, leaves, splits, _ in shapes)
-        # Past the bound the oldest shapes go, and what is written stays the same.
-        monkeypatch.setattr(qasst_module, "_templates", {})
-        monkeypatch.setattr(qasst_module, "_TEMPLATES_MAX", 5)
+            q = compute_qasst(g)
+            to_json_text(q)
+            shapes |= {
+                (kind, len(leaves), len(js), detail) for kind, leaves, _, js, detail in qasst_module._listing(q)[0]
+                if 0 < len(leaves) + len(js) <= qasst_module._TEMPLATE_NODES
+            }
+        kept = qasst_module._template.cache_info().currsize
+        assert 0 < kept == len(shapes) <= maxsize
+        # Past the bound shapes go, and what is written stays the same.
+        monkeypatch.setattr(qasst_module, "_template", functools.lru_cache(maxsize=5)(build))
         for g in (random_dh(60, 5)[0], complete_graph(7), star_graph(9)):
             q = compute_qasst(g)
             assert to_json_text(q) == json.dumps(to_json_dict(q), indent=2, sort_keys=True)
-            assert len(qasst_module._templates) == 5
+            assert qasst_module._template.cache_info().currsize == 5
 
     def test_dot_output(self):
         dot = to_dot(compute_qasst(path_graph(4)))

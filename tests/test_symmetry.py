@@ -2,6 +2,8 @@
 
 import itertools
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -134,7 +136,7 @@ class TestRealize:
                 combos = itertools.product(*[blocks[i - 1] for i in I]) if I else [()]
                 count = 0
                 for centers in combos:
-                    g = realize(case, n_list, dict(zip(I, centers)))
+                    g = realize(replace(case, centers=dict(zip(I, centers))), n_list)
                     key = canonical_key(g)
                     assert key not in built
                     built.add(key)
@@ -158,7 +160,7 @@ class TestClassification:
                 combos = itertools.product(*[blocks[i - 1] for i in I]) if I else [()]
                 for centers in combos:
                     cdict = dict(zip(I, centers))
-                    got = classify_star_member(realize(case, n_list, cdict), n_list)
+                    got = classify_star_member(realize(replace(case, centers=cdict), n_list), n_list)
                     assert (got.tag, got.case_id, got.j, got.I, got.centers) == (
                         tag,
                         case.case_id,
@@ -166,6 +168,21 @@ class TestClassification:
                         case.I,
                         cdict,
                     )
+
+    @pytest.mark.parametrize("n_list, sizes", [
+        ((2, 2, 2), (40, 41)), ((2, 3, 2), (50, 52)), ((2, 2, 2, 2), (149, 148)),
+    ])
+    def test_orbit_members_per_class(self, n_list, sizes):
+        # The enumeration checked directly: the BFS orbit's members, counted
+        # per class they classify into, are the classes with their multiplicities.
+        bases = (complete_multipartite_graph(n_list), clique_star_graph(n_list, 1))
+        for tag, base, size in zip((KPARTITE, CLIQUE_STAR), bases, sizes):
+            members = enumerate_orbit(base).sorted_members()
+            assert len(members) == size
+            assert Counter(classify_star_member(g, n_list) for g in members) == dict(enumerate_cases(tag, n_list))
+            for case, _ in enumerate_cases(tag, n_list):
+                got = classify_star_member(realize(case, n_list), n_list)
+                assert got == case and hash(got) == hash(case)
 
     def test_bipartite_blocks_must_match(self):
         with pytest.raises(MalformedQasstError, match="unexpected"):
@@ -197,16 +214,16 @@ class TestSynthesis:
     def test_documented_sequences(self):
         n_list = (2, 2, 2, 2)
         assert synthesize_transformation(
-            KPARTITE, SymmetryCase(KPARTITE, 3, 1, frozenset({2})), n_list
+            SymmetryCase(KPARTITE, 3, 1, frozenset({2})), n_list
         ) == [1, 3]
         assert synthesize_transformation(
-            KPARTITE, SymmetryCase(KPARTITE, 1, None, frozenset({1, 2})), n_list
+            SymmetryCase(KPARTITE, 1, None, frozenset({1, 2})), n_list
         ) == [1, 3, 1]
         assert synthesize_transformation(
-            CLIQUE_STAR, SymmetryCase(CLIQUE_STAR, 2, 1, frozenset({2})), n_list, r=1
+            SymmetryCase(CLIQUE_STAR, 2, 1, frozenset({2})), n_list, r=1
         ) == [3]
         assert synthesize_transformation(
-            CLIQUE_STAR, SymmetryCase(CLIQUE_STAR, 1, None, frozenset({1, 2, 3})),
+            SymmetryCase(CLIQUE_STAR, 1, None, frozenset({1, 2, 3})),
             n_list, r=1,
         ) == [3, 5, 1]
 
@@ -222,7 +239,7 @@ class TestSynthesis:
             for case, _ in enumerate_cases(tag, n_list):
                 I = sorted(case.I)
                 centers = {i: blocks[i - 1][0] for i in I}
-                seq = synthesize_transformation(tag, case, n_list, r=1)
+                seq = synthesize_transformation(case, n_list, r=1)
                 got = classify_star_member(apply_sequence(base, seq), n_list)
                 assert (got.case_id, got.j, got.I, got.centers) == (
                     case.case_id,
@@ -234,10 +251,12 @@ class TestSynthesis:
 
 def _assert_closure_predicts(tag, base, n_list):
     for g in enumerate_orbit(base).sorted_members():
-        case, roles = analyze_star_member(g, n_list, tag)
+        case, roles = analyze_star_member(g, n_list)
+        assert case.tag == tag
         for v in range(1, g.n + 1):
-            predicted = closure_step(tag, case, roles[v])
-            got = classify_star_member(local_complement(g, v), n_list, tag)
+            predicted = closure_step(case, roles[v])
+            got = classify_star_member(local_complement(g, v), n_list)
+            assert got.tag == tag
             assert (got.case_id, got.j) == predicted
 
 
@@ -261,9 +280,9 @@ class TestClosure:
     def test_impossible_roles_rejected(self):
         case1 = SymmetryCase(KPARTITE, 1, None, frozenset())
         with pytest.raises(InvalidCaseError):
-            closure_step(KPARTITE, case1, ("c", 1))
+            closure_step(case1, ("c", 1))
         with pytest.raises(InvalidCaseError):
-            closure_step(KPARTITE, case1, ("ss_center", 1))  # 1 not in I
+            closure_step(case1, ("ss_center", 1))  # 1 not in I
 
     @pytest.mark.parametrize("case, role", [
         (SymmetryCase(KPARTITE, 2, 1, frozenset()), ("c", 1)),  # Q_1 is sc
@@ -275,7 +294,7 @@ class TestClosure:
     ])
     def test_impossible_roles_rejected_in_cases_2_and_3(self, case, role):
         with pytest.raises(InvalidCaseError) as info:
-            closure_step(KPARTITE, case, role)
+            closure_step(case, role)
         assert str(info.value) == f"role {role} impossible in case {case.case_id}({case.j})"
 
 
@@ -293,7 +312,7 @@ class TestSynthesisIndexRange:
     def test_out_of_range_index(self, tag, case_id, j, I, message):
         case = SymmetryCase(tag, case_id, j, frozenset(I))
         with pytest.raises(InvalidCaseError) as info:
-            synthesize_transformation(tag, case, (2, 2, 2))
+            synthesize_transformation(case, (2, 2, 2))
         assert str(info.value) == message
 
 

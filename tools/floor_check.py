@@ -3,7 +3,7 @@
 ``tests/test_python_floor.py`` only parses the source in the grammar of
 the oldest Python that ``pyproject.toml`` admits.  This runs it: under each
 interpreter given, with ``PYTHONPATH`` set to the source, it runs
-``lcsplit verify --suite desk``, seven pipelines and four single
+``lcsplit verify --suite desk``, seven pipelines and five single
 commands, one process per stage:
 
 - ``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
@@ -23,9 +23,10 @@ commands, one process per stage:
   to which JSON is written from a template per shape;
 - ``rep min-degree --family kpartite --params 2,3,2,4 --format table``,
   ``count orbit --family clique_star --params 2,3,2``, ``count iso-classes
-  --family kpartite --params 3,3,3`` and ``sym enumerate --family kpartite
-  --params 2,2,3``, the star-shaped class model's degree profile, orbit
-  size, class count and class listing.
+  --family kpartite --params 3,3,3``, ``sym enumerate --family kpartite
+  --params 2,2,3`` and ``sym transform --family kpartite --params 2,2,2,2
+  --case 3 --j 1 --I 2``, the star-shaped class model's degree profile,
+  orbit size, class count, class listing and an LC sequence into a class.
 
 It prints one line per interpreter and check, and exits 1 unless every
 run exits 0 and every interpreter prints the same bytes for each check as
@@ -89,6 +90,8 @@ CHECKS = {
     "count orbit": [["count", "orbit", "--family", "clique_star", "--params", "2,3,2"]],
     "count iso-classes": [["count", "iso-classes", "--family", "kpartite", "--params", "3,3,3"]],
     "sym enumerate": [["sym", "enumerate", "--family", "kpartite", "--params", "2,2,3"]],
+    "sym transform": [["sym", "transform", "--family", "kpartite", "--params", "2,2,2,2", "--case", "3", "--j", "1",
+                       "--I", "2"]],
 }
 
 
