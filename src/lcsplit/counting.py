@@ -88,14 +88,17 @@ def phi_count(q: Qasst) -> int:
     children before parents, each child's table once: the rooted pass
     :func:`lcsplit.qasst._orient` gives that order, reversed, and each
     quotient's entry split-node, the one facing its parent.  A tree
-    without the check record may not be reduced, and a quotient of two
-    nodes or a join that is not a strong split would be counted as more
-    members than it has, so the count reads a reduced copy
-    (:func:`lcsplit.qasst._reduce`); the caller's tree is left as it is.
-    Prime quotients are rejected: their orbit sizes have no closed form
-    here.
+    without the check record is validated first, and it may not be
+    reduced: a quotient of two nodes or a join that is not a strong split
+    would be counted as more members than it has, so the count reads a
+    reduced copy (:func:`lcsplit.qasst._reduce`); the caller's tree is
+    left as it is.  An empty tree and prime quotients are rejected: the
+    latter's orbit sizes have no closed form here.
     """
+    if not q.quotients:
+        raise UnsupportedQasstError("phi requires a nonempty tree")
     if not q._checked:
+        q.validate()
         q = q.copy()
         _reduce(q, list(q.quotients))
     quots = q.quotients
@@ -122,7 +125,6 @@ def phi_count(q: Qasst) -> int:
         if entry is None:  # the root: every member counts, but a lone quotient of two nodes or fewer is only complete
             return at_entry[COMPLETE] + (at_entry[STAR_SPOKE] if child or len(quot.nodes) >= 3 else 0)
         valid[i] = {a: sum(cnt for b, cnt in at_entry.items() if join_validity(a, b)) for a in at_entry}
-    raise UnsupportedQasstError("phi requires a nonempty tree")
 
 
 def kpartite_phi(n_list: Sequence[int]) -> int:

@@ -26,16 +26,29 @@ class SimpleGraph:
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        """The graph on 1..n with these edges, its rows built in one loop.
+
+        An end that is not an int raises at once (:func:`json_int`), u
+        before v.  A negative n, then the first edge out of range or
+        looping, is refused only once every end's type has been read.
+        """
         adj = [0] * (n + 1)
+        bad = None
         for u, v in edges:
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise InvalidVertexError(f"edge ({u},{v}) out of range 1..{n}")
-            if u == v:
-                raise InvalidVertexError(f"self-loop at vertex {u}")
+            if type(u) is not int or type(v) is not int or not 0 < u <= n or not 0 < v <= n or u == v:
+                json_int(u)
+                json_int(v)
+                bad = bad or (u, v)
+                continue
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        if bad:
+            u, v = bad
+            if u == v and 0 < u <= n:
+                raise InvalidVertexError(f"self-loop at vertex {u}")
+            raise InvalidVertexError(f"edge ({u},{v}) out of range 1..{n}")
         self.n = n
         self._adj = tuple(adj)
 
@@ -310,32 +323,7 @@ def json_int(x) -> int:
 
 
 def from_json_dict(data: dict) -> SimpleGraph:
-    """The graph a :func:`to_json_dict` payload describes, its rows built in one loop over the edges.
-
-    Each edge gets one type, range and self-loop test.  At the first edge
-    the loop cannot take, or on a payload that is not a dict with an int
-    ``n`` in range and an ``edges`` list, the whole payload goes to
-    :func:`_checked_from_json_dict`, the one path that words a refusal.
-    """
-    if type(data) is dict:
-        n, edges = data.get("n"), data.get("edges")
-        if type(n) is int and 0 <= n <= MAX_VERTICES and type(edges) is list:
-            adj = [0] * (n + 1)
-            try:
-                for u, v in edges:
-                    if type(u) is not int or type(v) is not int or not 0 < u <= n or not 0 < v <= n or u == v:
-                        break
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                else:
-                    return SimpleGraph._from_adj(n, adj)
-            except (TypeError, ValueError):  # an edge that does not unpack into two
-                pass
-    return _checked_from_json_dict(data)
-
-
-def _checked_from_json_dict(data) -> SimpleGraph:
-    """:func:`from_json_dict` checking in turn n's size, n's type, every edge's types, then each edge's range."""
+    """The graph a :func:`to_json_dict` payload describes: n's size, then n's type, then :class:`SimpleGraph` reads the edges."""
     try:
         n = data["n"]
         # The cap is checked before the type: a count above it is refused as
@@ -343,8 +331,7 @@ def _checked_from_json_dict(data) -> SimpleGraph:
         size = n if type(n) is int else float(n) if isinstance(n, (float, str)) else 0
         if size > MAX_VERTICES:
             raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices")
-        n = json_int(n)
-        return SimpleGraph(n, [(json_int(u), json_int(v)) for u, v in data["edges"]])
+        return SimpleGraph(json_int(n), data["edges"])
     except LcsplitError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -440,7 +440,7 @@ class Qasst:
                     q2.rename(n2, x)
                 self.quotients[i] = q2
                 return
-        if qa.kind == qb.kind != PRIME and (qa.kind == COMPLETE or (qa.center == s) != (qb.center == t)):
+        if not join_validity(qa.kind_at(s), qb.kind_at(t)):
             del qa._adj[s], qb._adj[t]
             qa._adj.update(qb._adj)
             qa._set_kind(qa.kind, qb.center if qa.center == s else qa.center)
@@ -1259,12 +1259,7 @@ def to_json_text(q: Qasst) -> str:
 def _node_key(nj):
     """A JSON node: a leaf-node's int, or a split-node's (i, j) pair, which equals and hashes as the split-node."""
     if type(nj) is dict:
-        i = nj["i"]
-        if type(i) is int:
-            j = nj["j"]
-            if type(j) is int:
-                return i, j
-        return json_int(nj["i"]), json_int(nj["j"])  # raises, checking i before j is read
+        return json_int(nj["i"]), json_int(nj["j"])  # i is checked before j is read
     return json_int(nj)
 
 

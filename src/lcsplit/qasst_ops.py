@@ -136,11 +136,14 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
     """Quotient tree after the one-vertex extension e, adding vertex p.
 
     p is any positive integer the tree lacks (an induced tree may hold
-    n + 1).  A copy of the tree takes the step the decomposition replays
+    n + 1).  A tree without the check record is validated first.  A copy
+    of the tree takes the step the decomposition replays
     (``qasst._extend``), read off the anchor quotient's stored kind.
     """
     if type(p) is not int or p < 1 or p in q._home:
         raise InvalidVertexError(f"new vertex must be a positive integer the tree lacks, got {p!r}")
+    if not q._checked:
+        q.validate()
     out = q.copy()
     out.leaf_quotient(e.anchor)  # raises if the anchor is not a leaf-node
     _extend(out, e.tag, e.anchor, p)

@@ -7,9 +7,10 @@ import itertools
 import math
 from collections import deque
 
-from lcsplit.errors import MalformedQasstError, NotConnectedError, SizeLimitError
+from lcsplit.errors import InvalidSpecError, LcsplitError, MalformedQasstError, NotConnectedError, SizeLimitError
 from lcsplit.families import block_ranges
 from lcsplit.graphs import (
+    MAX_VERTICES,
     SimpleGraph,
     _bits,
     _iso_plan,
@@ -17,6 +18,7 @@ from lcsplit.graphs import (
     _vertex_invariants,
     induced_subgraph,
     is_connected,
+    json_int,
     neighborhood,
 )
 from lcsplit.orbit import Orbit
@@ -73,6 +75,23 @@ def dh_definition_oracle(g: SimpleGraph) -> bool:
                 if base[(labels[u], labels[v])] != d:
                     return False
     return True
+
+
+def checked_graph_from_json_dict(data) -> SimpleGraph:
+    """:func:`lcsplit.graphs.from_json_dict` checking in turn n's size, n's type, every edge's types, then each edge's range."""
+    try:
+        n = data["n"]
+        # The cap is checked before the type: a count above it is refused as
+        # too large even when it is not an integer.
+        size = n if type(n) is int else float(n) if isinstance(n, (float, str)) else 0
+        if size > MAX_VERTICES:
+            raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices")
+        n = json_int(n)
+        return SimpleGraph(n, [(json_int(u), json_int(v)) for u, v in data["edges"]])
+    except LcsplitError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc
 
 
 @functools.cache

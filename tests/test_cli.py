@@ -471,7 +471,7 @@ class TestMalformedInput:
 
 
 class TestGraphReaderRefusals:
-    """The one-loop graph reader hands every payload it cannot take to the checked path, which words the refusal."""
+    """The graph reader words each refusal as the checked reference path does: n's size, n's type, every edge's types, then each edge's range."""
 
     @pytest.mark.parametrize("text, message", list(zip(_BAD_GRAPHS, _BAD_GRAPH_MESSAGES, strict=True)))
     def test_message_is_the_checked_paths(self, tmp_path, capsys, text, message):

@@ -3,12 +3,14 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_connected_graph
+from oracles import checked_graph_from_json_dict
 from lcsplit import graphs
 from lcsplit.errors import InvalidVertexError, NotAnEdgeError, SizeLimitError
 from lcsplit.families import path_graph, star_graph
@@ -58,6 +60,24 @@ class TestSimpleGraph:
             SimpleGraph(3, [(0, 1)])
         with pytest.raises(InvalidVertexError):
             SimpleGraph(3, [(2, 2)])
+
+    @pytest.mark.parametrize("end", [True, 2.0, "2", None])
+    def test_an_end_that_is_not_an_int_is_refused(self, end):
+        for edges in ([(1, 2), (end, 3)], [(1, end)]):
+            with pytest.raises(TypeError, match=rf"^expected an integer, got {re.escape(repr(end))}$"):
+                SimpleGraph(3, edges)
+
+    def test_every_end_type_is_read_before_any_range(self):
+        with pytest.raises(TypeError, match=r"^expected an integer, got 'x'$"):
+            SimpleGraph(3, [(1, 9), (2, "x")])
+        with pytest.raises(TypeError, match=r"^expected an integer, got True$"):
+            SimpleGraph(-1, [(1, 2), (True, 2)])
+        with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -2$"):
+            SimpleGraph(-2, [(1, 2)])
+        with pytest.raises(InvalidVertexError, match=r"^edge \(1,9\) out of range 1..3$"):
+            SimpleGraph(3, [(1, 2), (1, 9), (2, 2)])
+        with pytest.raises(InvalidVertexError, match=r"^self-loop at vertex 2$"):
+            SimpleGraph(3, [(1, 2), (2, 2), (0, 1)])
 
     def test_equality_and_hash(self):
         g = SimpleGraph(3, [(1, 2), (2, 3)])
@@ -222,7 +242,7 @@ class TestSerialization:
             data = {"n": n, "edges": edges if rng.random() < 0.95 else rng.choice([None, 5, "12", (edges,)])}
             if rng.random() < 0.05:
                 data = rng.choice([{"n": 4}, {"edges": edges}, [4, edges], None])
-            assert outcome(from_json_dict, data) == outcome(graphs._checked_from_json_dict, data)
+            assert outcome(from_json_dict, data) == outcome(checked_graph_from_json_dict, data)
 
     def test_dot_mentions_all_edges(self):
         g = SimpleGraph(3, [(1, 2), (2, 3)])

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import all_connected_graphs, graphs_up_to_isomorphism, random_connected_graph
 from oracles import edge_kind, extension_subcase, node_sort_key, split_node_quotients
+from lcsplit.counting import phi_count
 from lcsplit.errors import InvalidVertexError, MalformedQasstError, NotConnectedError
 from lcsplit.families import clique_star_graph, complete_graph, cycle_graph, path_graph, star_graph
 from lcsplit.graphs import (
@@ -930,6 +931,22 @@ class TestCheckedOnceAtEntry:
         for v in (1, 2, 3):
             with pytest.raises(MalformedQasstError, match=r"tree-edge count is not \(quotients - 1\)"):
                 lc_propagate(cycle, v)
+
+    def test_every_entry_refuses_an_unmatched_split_node(self):
+        def unmatched():
+            s = SplitNode(0, 1)
+            return Qasst({0: QuotientGraph([1, 2, s], [(1, 2), (2, s)])})
+
+        calls = [
+            lambda q: extend(q, ExtensionKind(TRUE_TWIN, 1), 3),
+            phi_count,
+            lambda q: lc_propagate(q, 1),
+            lambda q: induced_qasst(q, [1, 2]),
+            reconstruct,
+        ]
+        for call in calls:
+            with pytest.raises(MalformedQasstError, match=r"split-node SplitNode\(i=0, j=1\) is unmatched"):
+                call(unmatched())
 
     def test_reconstruct_validates_only_without_the_record(self, monkeypatch):
         calls = []
