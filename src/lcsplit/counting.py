@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidAssignmentError, InvalidSpecError, SizeLimitError, UnsupportedQasstError
 from .families import CLIQUE_STAR, KPARTITE, check_blocks, check_tag, orbit_of
+from .graphs import json_int
 from .qasst import (
     COMPLETE,
     PRIME,
@@ -46,7 +47,7 @@ def _sqrt3_power(m: int) -> tuple[int, int]:
 
 
 def _check_count_n(n: int, least: int, what: str) -> None:
-    if n < least:
+    if json_int(n) < least:
         raise InvalidSpecError(f"{what} count needs n >= {least}")
     if n > MAX_COUNT_N:
         raise SizeLimitError(f"{what} count limited to n <= {MAX_COUNT_N}, got {n}")
@@ -135,7 +136,7 @@ def kpartite_phi(n_list: Sequence[int]) -> int:
 
 
 def _check_sides(n: int, m: int, lead: str = "need") -> None:
-    if n < 2 or m < 2:
+    if min(json_int(n), json_int(m)) < 2:
         raise InvalidSpecError(f"{lead} n, m >= 2")
 
 
@@ -172,7 +173,7 @@ def clique_star_orbit_size(n_list: Sequence[int]) -> int:
 
 def iso_class_count(tag: str, k: int) -> int:
     """Isomorphism classes in the orbit when all n_i are equal."""
-    if k < 3:
+    if json_int(k) < 3:
         raise InvalidSpecError("need k >= 3")
     check_tag(tag)
     return k // 2 + k + 1 if tag == KPARTITE else (k + 1) // 2 + k

@@ -33,7 +33,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_TAGS:
             raise InvalidSpecError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(map(graphs.json_int, self.params)))
 
 
 def block_ranges(n_list: Sequence[int]) -> list[range]:
@@ -195,8 +195,8 @@ def build(spec: FamilySpec) -> SimpleGraph:
 
 
 def check_blocks(n_list: Sequence[int]) -> None:
-    """The block list of a star-shaped tree: k >= 3 blocks, every n_i >= 2."""
-    if len(n_list) < 3 or any(n < 2 for n in n_list):
+    """The block list of a star-shaped tree: k >= 3 blocks, every n_i >= 2 and an int (:func:`graphs.json_int`)."""
+    if min(map(graphs.json_int, n_list), default=0) < 2 or len(n_list) < 3:
         raise InvalidSpecError("need k >= 3 blocks with all n_i >= 2")
 
 

@@ -28,11 +28,11 @@ class SimpleGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         """The graph on 1..n with these edges, its rows built in one loop.
 
-        An end that is not an int raises at once (:func:`json_int`), u
-        before v.  A negative n, then the first edge out of range or
-        looping, is refused only once every end's type has been read.
+        An n or an end that is not an int raises at once (:func:`json_int`),
+        n before any row is made, u before v.  A negative n, then the first
+        edge out of range or looping, is refused once every end is read.
         """
-        adj = [0] * (n + 1)
+        adj = [0] * (json_int(n) + 1)
         bad = None
         for u, v in edges:
             if type(u) is not int or type(v) is not int or not 0 < u <= n or not 0 < v <= n or u == v:
@@ -82,7 +82,8 @@ class SimpleGraph:
         return self._adj[v]
 
     def _check_vertex(self, v: int) -> None:
-        if not (1 <= v <= self.n):
+        """A v that is not an int raises TypeError (:func:`json_int`), one out of range InvalidVertexError."""
+        if not 1 <= json_int(v) <= self.n:
             raise InvalidVertexError(f"vertex {v} out of range 1..{self.n}")
 
     def __eq__(self, other: object) -> bool:
@@ -323,7 +324,7 @@ def json_int(x) -> int:
 
 
 def from_json_dict(data: dict) -> SimpleGraph:
-    """The graph a :func:`to_json_dict` payload describes: n's size, then n's type, then :class:`SimpleGraph` reads the edges."""
+    """The graph a :func:`to_json_dict` payload describes: n's size, then :class:`SimpleGraph` reads n and the edges."""
     try:
         n = data["n"]
         # The cap is checked before the type: a count above it is refused as
@@ -331,7 +332,7 @@ def from_json_dict(data: dict) -> SimpleGraph:
         size = n if type(n) is int else float(n) if isinstance(n, (float, str)) else 0
         if size > MAX_VERTICES:
             raise SizeLimitError(f"graphs are limited to {MAX_VERTICES} vertices")
-        return SimpleGraph(json_int(n), data["edges"])
+        return SimpleGraph(n, data["edges"])
     except LcsplitError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

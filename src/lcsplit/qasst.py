@@ -112,16 +112,39 @@ class QuotientGraph:
     __slots__ = ("_adj", "kind", "center")
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Iterable[Node]] = ()):
-        adj: dict[Node, set[Node]] = {v: set() for v in nodes}
-        for e in edges:
-            e = frozenset(e)
-            if len(e) != 2 or not all(v in adj for v in e):
-                raise MalformedQasstError(f"bad quotient edge {set(e)}")
-            a, b = e
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = adj
+        """Each node and edge end a :class:`SplitNode` or an int (:func:`json_int`), built by :meth:`_build`."""
+        nodes = [v if type(v) is SplitNode else json_int(v) for v in nodes]
+        ends = [[v if type(v) is SplitNode else json_int(v) for v in e] for e in edges]
+        self._build(nodes, ends, "a quotient")
+
+    def _build(self, nodes: list, ends: list, name: str) -> "QuotientGraph":
+        """Fill this quotient, called ``name`` in a refusal, from ``nodes`` and edge ``ends``; returns it.
+
+        Refused in order: a node listed twice, an edge not two distinct
+        nodes (each end looked up once, a split-node's (i, j) pair as it),
+        and an edge listed twice either way.  A complete quotient is known
+        by its edge count and holds no sets; any other is read off its sets.
+        """
+        m = len(nodes)
+        pos = dict(zip(nodes, range(m)))
+        if len(pos) != m:
+            raise MalformedQasstError(f"{name} lists a node twice")
+        at = [(pos.get(e[0]), pos.get(e[1])) if len(e) == 2 else (None, None) for e in ends]
+        bad = next((k for k, (x, y) in enumerate(at) if x is None or y is None or x == y), None)
+        if bad is not None:
+            named = {SplitNode(*v) if type(v) is tuple else v for v in ends[bad]}
+            raise MalformedQasstError(f"bad quotient edge {named}")
+        if len({x * m + y if x < y else y * m + x for x, y in at}) != len(at):
+            raise MalformedQasstError(f"{name} lists an edge twice")
+        if len(at) == m * (m - 1) // 2:
+            self._adj, self.kind, self.center = dict.fromkeys(nodes), COMPLETE, None
+            return self
+        adj = self._adj = {v: set() for v in nodes}
+        for x, y in at:
+            adj[nodes[x]].add(nodes[y])
+            adj[nodes[y]].add(nodes[x])
         self._settle()
+        return self
 
     @classmethod
     def _of(cls, adj: dict, kind: Optional[str] = None, center: Optional[Node] = None) -> "QuotientGraph":
@@ -360,7 +383,8 @@ class Qasst:
         return set(self._home)
 
     def leaf_quotient(self, v: int) -> int:
-        if isinstance(v, int) and v in self._home:
+        """The quotient holding leaf-node v; a v that is not an int raises TypeError (:func:`json_int`)."""
+        if json_int(v) in self._home:
             return self._home[v]
         raise InvalidVertexError(f"vertex {v} is not a leaf-node of any quotient")
 
@@ -1264,12 +1288,12 @@ def _node_key(nj):
 
 
 def _quotient_from_json(i: int, qd: dict) -> QuotientGraph:
-    """Quotient i of a JSON payload, each edge end looked up once and the kind read once.
+    """Quotient i of a JSON payload, built by :meth:`QuotientGraph._build`.
 
-    A split-node end is looked up by its (i, j) pair, so no node is built
-    per end.  Once no edge is bad or listed twice, a complete quotient is
-    known by its edge count and never holds sets; any other is classified
-    from its sets.
+    A split-node must be listed under the quotient its name locates, and
+    every edge end is read (:func:`_node_key`) before any is looked up, so
+    a malformed edge is reported before a bad one.  A split-node end is
+    looked up by its (i, j) pair, so no node is built per end.
     """
     nodes: list[Node] = [json_int(v) for v in qd["leaf_nodes"]]
     for sd in qd["split_nodes"]:
@@ -1277,26 +1301,8 @@ def _quotient_from_json(i: int, qd: dict) -> QuotientGraph:
         if s.i != i:  # JSON names split-nodes by location
             raise MalformedQasstError(f"split-node {s} stored in quotient {i}")
         nodes.append(s)
-    m = len(nodes)
-    pos = dict(zip(nodes, range(m)))
-    if len(pos) != m:
-        raise MalformedQasstError(f"quotient {i} lists a node twice")
-    # Every edge is read before any is looked up, so a malformed one is reported before a bad one.
     ends = [(a if type(a) is int else _node_key(a), b if type(b) is int else _node_key(b)) for a, b in qd["edges"]]
-    at = [(pos.get(a), pos.get(b)) for a, b in ends]
-    bad = next((k for k, (x, y) in enumerate(at) if x is None or y is None or x == y), None)
-    if bad is not None:
-        named = {SplitNode(*v) if isinstance(v, tuple) else v for v in ends[bad]}
-        raise MalformedQasstError(f"bad quotient edge {named}")
-    if len({x * m + y if x < y else y * m + x for x, y in at}) != len(at):
-        raise MalformedQasstError(f"quotient {i} lists an edge twice")
-    if len(at) == m * (m - 1) // 2:
-        return QuotientGraph._of(dict.fromkeys(nodes), COMPLETE)
-    adj = {v: set() for v in nodes}
-    for x, y in at:
-        adj[nodes[x]].add(nodes[y])
-        adj[nodes[y]].add(nodes[x])
-    return QuotientGraph._of(adj)
+    return QuotientGraph.__new__(QuotientGraph)._build(nodes, ends, f"quotient {i}")
 
 
 def from_json_dict(data: dict) -> Qasst:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import random_connected_graph
 from oracles import checked_graph_from_json_dict
-from lcsplit import graphs
-from lcsplit.errors import InvalidVertexError, NotAnEdgeError, SizeLimitError
+from lcsplit import counting, families, graphs, symmetry
+from lcsplit.errors import InvalidSpecError, InvalidVertexError, NotAnEdgeError, SizeLimitError
 from lcsplit.families import path_graph, star_graph
 from lcsplit.graphs import (
     MAX_VERTICES,
@@ -33,6 +33,8 @@ from lcsplit.graphs import (
     to_dot,
     to_json_dict,
 )
+from lcsplit.qasst import compute_qasst
+from lcsplit.qasst_ops import ExtensionKind, extend, extend_graph, lc_propagate
 
 
 @st.composite
@@ -66,6 +68,16 @@ class TestSimpleGraph:
         for edges in ([(1, 2), (end, 3)], [(1, end)]):
             with pytest.raises(TypeError, match=rf"^expected an integer, got {re.escape(repr(end))}$"):
                 SimpleGraph(3, edges)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "3"])
+    def test_an_n_that_is_not_an_int_is_refused(self, n):
+        with pytest.raises(TypeError) as info:
+            SimpleGraph(n)
+        assert str(info.value) == f"expected an integer, got {n!r}"
+
+    def test_path_graph_takes_no_bool(self):
+        with pytest.raises(TypeError, match=r"^expected an integer, got True$"):
+            path_graph(True)
 
     def test_every_end_type_is_read_before_any_range(self):
         with pytest.raises(TypeError, match=r"^expected an integer, got 'x'$"):
@@ -279,5 +291,80 @@ class TestSizeCap:
             with pytest.raises(SizeLimitError):
                 from_json_dict({"n": n, "edges": []})
 
+    def test_a_non_int_n_is_refused_after_the_cap(self):
+        with pytest.raises(InvalidSpecError) as info:
+            from_json_dict({"n": 3.5, "edges": []})
+        assert str(info.value) == "malformed graph JSON: TypeError: expected an integer, got 3.5"
+        for n in (float(MAX_VERTICES + 1), str(MAX_VERTICES + 1), 1e300):
+            with pytest.raises(SizeLimitError, match=rf"^graphs are limited to {MAX_VERTICES} vertices$"):
+                from_json_dict({"n": n, "edges": []})
+
     def test_limit_itself_is_accepted(self):
         assert from_json_dict({"n": MAX_VERTICES, "edges": [[1, MAX_VERTICES]]}).n == MAX_VERTICES
+
+
+def _integer_slot_calls():
+    """(label, call) per integer slot of a library entry point: ``call(x)`` puts x in that slot of a valid call."""
+    p4, tree = path_graph(4), compute_qasst(path_graph(4))
+    calls = [
+        ("SimpleGraph n", SimpleGraph),
+        ("FamilySpec params", lambda x: families.FamilySpec("cycle", (x,))),
+        ("bouchet_path_count n", counting.bouchet_path_count),
+        ("bouchet_cycle_count n", counting.bouchet_cycle_count),
+        ("iso_class_count k", lambda x: counting.iso_class_count(families.KPARTITE, x)),
+        ("has_edge u", lambda x: p4.has_edge(x, 3)),
+        ("has_edge v", lambda x: p4.has_edge(1, x)),
+        ("neighborhood_mask v", p4.neighborhood_mask),
+        ("neighborhood v", lambda x: neighborhood(p4, x)),
+        ("degree v", lambda x: degree(p4, x)),
+        ("local_complement v", lambda x: local_complement(p4, x)),
+        ("apply_sequence f", lambda x: apply_sequence(p4, [2, x])),
+        ("edge_pivot i", lambda x: edge_pivot(p4, x, 4)),
+        ("edge_pivot j", lambda x: edge_pivot(p4, 4, x)),
+        ("extend_graph anchor", lambda x: extend_graph(p4, "pendant", x)),
+        ("leaf_quotient v", tree.leaf_quotient),
+        ("lc_propagate v", lambda x: lc_propagate(tree, x)),
+        ("extend anchor", lambda x: extend(tree, ExtensionKind("pendant", x), 5)),
+    ]
+    for f in (counting.bipartite_orbit_size, counting.bipartite_iso_class_count,
+              counting.bipartite_min_edge_count, counting.bipartite_min_max_degree):
+        calls += [(f"{f.__name__} n", lambda x, f=f: f(x, 3)), (f"{f.__name__} m", lambda x, f=f: f(3, x))]
+    block_calls = {
+        "check_blocks": families.check_blocks,
+        "multi_leaf_repeater_graph": families.multi_leaf_repeater_graph,
+        "clique_star_graph": lambda b: families.clique_star_graph(b, 1),
+        "FamilySpec blocks": lambda b: families.FamilySpec("complete_multipartite", b),
+        "kpartite_phi": counting.kpartite_phi,
+        "kpartite_orbit_size": counting.kpartite_orbit_size,
+        "clique_star_orbit_size": counting.clique_star_orbit_size,
+        "orbit_size": lambda b: counting.orbit_size(families.CLIQUE_STAR, b),
+        "min_edge_rep": lambda b: counting.min_edge_rep(families.KPARTITE, b),
+        "min_max_degree_rep": lambda b: counting.min_max_degree_rep(families.KPARTITE, b),
+        "edge_count_from_assignment": lambda b: counting.edge_count_from_assignment(b, "c", ("ss",) * 3),
+        "max_degree_from_assignment": lambda b: counting.max_degree_from_assignment(b, "c", ("ss",) * 3),
+        "enumerate_cases": lambda b: symmetry.enumerate_cases(families.KPARTITE, b),
+    }
+    for name, f in block_calls.items():
+        for slot in range(3):
+            calls.append((f"{name} block {slot}", lambda x, f=f, slot=slot: f([2] * slot + [x] + [2] * (2 - slot))))
+    return calls
+
+
+class TestIntegerSlots:
+    """Each integer slot of these entry points reads its value through ``json_int``: a bool, float or str raises."""
+
+    def test_each_call_is_valid_with_an_int(self):
+        for label, call in _integer_slot_calls():
+            call(3)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_a_value_that_is_not_an_int_is_refused(self, bad):
+        returned = []
+        for label, call in _integer_slot_calls():
+            try:
+                call(bad)
+            except TypeError as exc:
+                assert str(exc) == f"expected an integer, got {bad!r}", label
+            else:
+                returned.append(label)
+        assert returned == []

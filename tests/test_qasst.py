@@ -629,6 +629,66 @@ class TestClassification:
         assert join_validity(PRIME, COMPLETE)
 
 
+class TestQuotientConstructor:
+    """``QuotientGraph(nodes, edges)`` refuses what the tree reader refuses, through the same loop."""
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_a_node_or_end_that_is_not_an_int_is_refused(self, bad):
+        for nodes, edges in (([1, bad, 3], []), ([1, 2, 3], [(1, 2), (bad, 3)]), ([1, 2, 3], [(1, bad)])):
+            with pytest.raises(TypeError) as info:
+                QuotientGraph(nodes, edges)
+            assert str(info.value) == f"expected an integer, got {bad!r}"
+
+    def test_a_split_node_is_not_read_as_an_int(self):
+        s = SplitNode(0, 1)
+        assert QuotientGraph([1, s], [(1, s)]).kind == COMPLETE
+        with pytest.raises(TypeError, match=r"^expected an integer, got \(0, 1\)$"):
+            QuotientGraph([1, (0, 1)], [(1, s)])
+
+    @pytest.mark.parametrize("nodes, edges, message", [
+        ([1, 1, 2], [(1, 2)], "a quotient lists a node twice"),
+        ([1, 2, 3], [(1, 2), (2, 1), (2, 3)], "a quotient lists an edge twice"),
+        ([1, 2, 3], [(1, 2), (2, 3), (2, 3)], "a quotient lists an edge twice"),
+        ([1, 2], [(1, 3)], "bad quotient edge {1, 3}"),
+        ([1, 2], [(1, 1)], "bad quotient edge {1}"),
+        ([1, 2, 3], [(1, 2, 3)], "bad quotient edge {1, 2, 3}"),
+        ([1, SplitNode(0, 2)], [(1, SplitNode(0, 5))], "bad quotient edge {1, SplitNode(i=0, j=5)}"),
+        ([1, 1], [(1, 3)], "a quotient lists a node twice"),  # a node listed twice is found first
+        ([1, 2, 3], [(1, 2), (2, 1), (1, 4)], "bad quotient edge {1, 4}"),  # then a bad edge
+    ])
+    def test_refusals_in_order(self, nodes, edges, message):
+        with pytest.raises(MalformedQasstError) as info:
+            QuotientGraph(nodes, edges)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("nodes, edges, kind, center, adj", [
+        ([1], [], COMPLETE, None, {1: set()}),
+        ([1, 2], [(2, 1)], COMPLETE, None, {1: {2}, 2: {1}}),
+        ([1, 2], [], PRIME, None, {1: set(), 2: set()}),
+        ([1, 2, 3, 4], [(1, 2), (3, 1), (1, 4)], STAR, 1, {1: {2, 3, 4}, 2: {1}, 3: {1}, 4: {1}}),
+        ([1, 2, 3, 4], list(itertools.combinations(range(1, 5), 2)), COMPLETE, None,
+         {1: {2, 3, 4}, 2: {1, 3, 4}, 3: {1, 2, 4}, 4: {1, 2, 3}}),
+        ([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)], PRIME, None,
+         {1: {2, 5}, 2: {1, 3}, 3: {2, 4}, 4: {3, 5}, 5: {1, 4}}),
+    ], ids=["K1", "K2", "two-nodes-no-edge", "star", "K4", "C5"])
+    def test_kind_centre_and_adjacency(self, nodes, edges, kind, center, adj):
+        for given in (edges, [frozenset(e) for e in edges]):
+            quot = QuotientGraph(nodes, given)
+            assert (quot.kind, quot.center, quot.adj, list(quot.nodes)) == (kind, center, adj, nodes)
+
+    def test_a_complete_quotient_holds_no_sets(self):
+        quot = QuotientGraph(range(1, 6), itertools.combinations(range(1, 6), 2))
+        assert quot._adj == dict.fromkeys(range(1, 6))
+
+    def test_the_reader_and_the_constructor_share_one_loop(self, monkeypatch):
+        built = []
+        build = QuotientGraph._build
+        monkeypatch.setattr(QuotientGraph, "_build", lambda self, *args: built.append(args[-1]) or build(self, *args))
+        QuotientGraph([1, 2], [(1, 2)])
+        from_json_dict(to_json_dict(compute_qasst(path_graph(4))))
+        assert built == ["a quotient", "quotient 0", "quotient 1"]
+
+
 class TestDistanceHereditary:
     def test_known_families(self):
         assert is_distance_hereditary(star_graph(4))
