@@ -143,9 +143,10 @@ def induced_subgraph(g: SimpleGraph, keep: Iterable[int]) -> tuple[SimpleGraph, 
     Returns the subgraph and the map new-label -> original label.
     Relabeling preserves the original vertex order.
     """
-    kept = sorted(set(keep))
-    for v in kept:
+    keep = list(keep)
+    for v in keep:  # before sorted, so a str among ints raises json_int's TypeError
         g._check_vertex(v)
+    kept = sorted(set(keep))
     new_of_old = {old: i + 1 for i, old in enumerate(kept)}
     edges = [(new_of_old[u], new_of_old[v]) for u, v in g.edges() if u in new_of_old and v in new_of_old]
     return SimpleGraph(len(kept), edges), {i + 1: old for i, old in enumerate(kept)}

@@ -21,15 +21,15 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError, SizeLimitError, check
-from .graphs import SimpleGraph, _bits, _flat, _iso_plan, _iso_search, _key_fragment, _vertex_invariants
+from .graphs import SimpleGraph, _bits, _flat, _iso_plan, _iso_search, _key_fragment, _vertex_invariants, json_int
 from .graphs import apply_sequence
 from .graphs import canonical_key  # noqa: F401  the member key; callers also reach it as orbit.canonical_key
 
 DEFAULT_BUDGET = 10**6
 # Bytes the BFS's member store may take, charged at (n+1)*n/8 + 128 per member, within 10% of the
 # peak tracemalloc bytes per member on P40, P80 and P160 (309, 964, 3559); every n <= 86 keeps the
-# default budget.  It bounds the store, not the process: the interpreter and the clique-mask cache
-# fall outside the charge.
+# default budget.  It bounds the store, not the process: the interpreter and the clique-mask and
+# pivot-plan caches fall outside the charge.
 MAX_ORBIT_BYTES = 2**30
 
 
@@ -38,9 +38,10 @@ class Orbit:
     """A fully enumerated LC orbit.
 
     ``flats`` maps each member, as a flat integer (row u at bit
-    ``u*(n+1)``), to (predecessor flat, pivot vertex), in BFS order; the
-    base maps to None, and so does every member unless parents were
-    tracked.  Two flats of the same n are equal iff the graphs are.
+    ``u*(n+1)``), to (predecessor flat, pivot vertex), in BFS order; unless
+    parents were tracked, it maps to the pivot vertex alone, the one that
+    first reached it.  The base maps to None.  Two flats of the same n are
+    equal iff the graphs are.
 
     ``members`` maps canonical key -> graph, in BFS order.  ``parent``
     (None unless parents were tracked) maps a member's key to
@@ -49,7 +50,7 @@ class Orbit:
     """
 
     base: SimpleGraph
-    flats: dict[int, Optional[tuple[int, int]]]
+    flats: dict[int, Optional[int | tuple[int, int]]]
     track_parents: bool = False
 
     def __len__(self) -> int:
@@ -85,18 +86,28 @@ def enumerate_orbit(
     vertex order.  Raises :class:`BudgetExceededError` if the member count
     would exceed ``limit``, lowered so that the member store fits in
     :data:`MAX_ORBIT_BYTES`, and :class:`SizeLimitError` before anything is
-    built if not even one member fits.
+    built if not even one member fits.  ``limit`` is read through
+    :func:`lcsplit.graphs.json_int`: a bool, float or str raises TypeError.
 
     Each graph is one integer with row u at bit ``u*(n+1)``.  A local
     complement at v reads N(v) with one shift and mask and xors in the
     clique mask of N(v), cached per call; a pivot with fewer than two
     neighbours is the identity and is skipped, and an isolated vertex is
     never tried.  Nothing is decoded here.
+
+    A member M first reached by pivot p is expanded only at the pivots
+    above p and those in N(p); every other lookup would find a member
+    already seen, so skipping it changes neither the members, their order
+    nor the parents.  Local complements at non-adjacent w and p commute
+    (Bouchet 1988): for w < p outside N(p), LC_w(M) = LC_p(LC_w(P)) where
+    M = LC_p(P), and LC_w(P) was seen before M, so its expansion at p
+    (tried, or skipped by the same rule) had already seen LC_w(M).  The
+    pivot plan is cached per allowed-pivot mask.
     """
     n = g.n
     if n < 1:
         raise InvalidSpecError("orbit enumeration needs n >= 1")
-    if limit < 1:
+    if json_int(limit) < 1:
         raise ValueError("budget must be >= 1")
     limit = min(limit, MAX_ORBIT_BYTES // ((n + 1) * n // 8 + 128))
     if limit < 1:
@@ -104,25 +115,42 @@ def enumerate_orbit(
     width = n + 1
     row = (1 << width) - 1
     # An LC toggles edges only among N(v), so an isolated vertex stays isolated and is never a pivot.
-    shifts = [(v, v * width) for v in range(1, n + 1) if g.neighborhood_mask(v)]
+    active = sum(1 << v for v in range(1, n + 1) if g.neighborhood_mask(v))
+    above = [active & -(2 << p) for p in range(n + 1)]  # the pivots above p
+    pairs = [(v, v * width) for v in range(n + 1)]
+    plans: dict[int, list[tuple[int, int]]] = {}  # allowed-pivot mask -> its (v, shift) pairs, ascending
+    # Joining nb's binary digits with n zeros moves bit u to bit u*width, so row u of nb times that
+    # is nb for each u in nb; off_diagonal then drops bit u of row u.
+    gap = "0" * n
+    off_diagonal = sum((row ^ 1 << u) << u * width for u in range(1, n + 1))
     cliques: dict[int, int] = {}
-    # flat graph -> (predecessor, pivot) or None, in BFS order
-    seen: dict[int, Optional[tuple[int, int]]] = {_flat(g): None}
+    # flat graph -> (predecessor, pivot), or the pivot alone without parents; the base maps to None
+    seen: dict[int, Optional[int | tuple[int, int]]] = {_flat(g): None}
     queue = deque(seen)
     while queue:
         cur = queue.popleft()
-        for v, shift in shifts:
+        p = seen[cur]
+        if p is None:
+            allowed = active
+        else:
+            if track_parents:
+                p = p[1]
+            allowed = above[p] | cur >> p * width & row
+        plan = plans.get(allowed)
+        if plan is None:
+            plan = plans[allowed] = [pairs[v] for v in _bits(allowed)]
+        for v, shift in plan:
             nb = cur >> shift & row
             if not nb & (nb - 1):
                 continue
             clique = cliques.get(nb)
             if clique is None:
-                clique = cliques[nb] = _clique_mask(nb, width)
+                clique = cliques[nb] = nb * int(gap.join(bin(nb)[2:]), 2) & off_diagonal
             nxt = cur ^ clique
             if nxt not in seen:
                 if len(seen) >= limit:
                     raise BudgetExceededError(len(seen), limit)
-                seen[nxt] = (cur, v) if track_parents else None
+                seen[nxt] = (cur, v) if track_parents else v
                 queue.append(nxt)
     return Orbit(base=g, flats=seen, track_parents=track_parents)
 
@@ -164,14 +192,6 @@ def _keyer(n: int) -> Callable[[int], bytes]:
             parts.append(part)
         return b"".join(parts)
     return key
-
-
-def _clique_mask(nb: int, width: int) -> int:
-    """The flat mask toggling every edge among the vertices of bitmask nb."""
-    mask = 0
-    for u in _bits(nb):
-        mask |= (nb ^ 1 << u) << (u * width)
-    return mask
 
 
 def are_lc_equivalent(g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGET) -> bool:
@@ -281,31 +301,36 @@ def orbit_iso_classes(o: Orbit) -> list[tuple[SimpleGraph, int]]:
 def min_edge_member(o: Orbit) -> tuple[SimpleGraph, int]:
     """The member with fewest edges; ties broken by canonical key."""
     # A flat graph holds each edge twice, once in each endpoint's row.
-    return _least(o, lambda flat: flat.bit_count() // 2)
+    best = min(map(int.bit_count, o.flats))
+    return _key_least(o, [flat for flat in o.flats if flat.bit_count() == best]), best // 2
 
 
 def min_max_degree_member(o: Orbit) -> tuple[SimpleGraph, int]:
-    """The member with smallest maximum degree; ties broken by canonical key."""
-    width = o.base.n + 1
+    """The member with smallest maximum degree; ties broken by canonical key.
+
+    A member's rows are read until one has more neighbours than the least
+    maximum so far; the members tied at it are collected in the same pass.
+    """
+    n = o.base.n
+    width = n + 1
     row = (1 << width) - 1
     shifts = range(width, width * width, width)
-
-    def max_degree(flat: int) -> int:  # max() over a generator costs about 1.6x this loop
+    best, tied = n, []
+    for flat in o.flats:
         top = 0
         for shift in shifts:
             if (d := (flat >> shift & row).bit_count()) > top:
+                if d > best:
+                    break
                 top = d
-        return top
-    return _least(o, max_degree)
+        else:
+            if top < best:
+                best, tied = top, [flat]
+            else:
+                tied.append(flat)
+    return _key_least(o, tied), best
 
 
-def _least(o: Orbit, measure) -> tuple[SimpleGraph, int]:
-    """The member whose flat is least in ``measure``, and that value.
-
-    Only the members tied at the minimum are decoded; the least canonical
-    key among them wins.
-    """
-    values = {flat: measure(flat) for flat in o.flats}
-    best = min(values.values())
-    tied = [flat for flat, value in values.items() if value == best]
-    return min(_decode(o.base.n, tied), key=lambda item: item[0])[1], best
+def _key_least(o: Orbit, flats: list[int]) -> SimpleGraph:
+    """The member of least canonical key among ``flats``; only those are decoded."""
+    return min(_decode(o.base.n, flats), key=lambda item: item[0])[1]

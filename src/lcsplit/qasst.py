@@ -675,8 +675,9 @@ def _single_quotient(rows: dict[int, int]) -> Qasst:
 
 
 def _check_bipartition(g: SimpleGraph, side_a: Iterable[int], side_b: Iterable[int]):
-    a = set(side_a)
-    b = set(side_b)
+    """Each side's vertex mask; a vertex that is not an int raises TypeError (:func:`json_int`)."""
+    a = set(map(json_int, side_a))
+    b = set(map(json_int, side_b))
     if not a or not b or a & b or a | b != set(range(1, g.n + 1)):
         raise ValueError("sides must be disjoint, nonempty, and cover all vertices")
     return sum(1 << v for v in a), sum(1 << v for v in b)

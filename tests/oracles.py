@@ -13,6 +13,7 @@ from lcsplit.graphs import (
     MAX_VERTICES,
     SimpleGraph,
     _bits,
+    _flat,
     _iso_plan,
     _iso_search,
     _vertex_invariants,
@@ -75,6 +76,37 @@ def dh_definition_oracle(g: SimpleGraph) -> bool:
                 if base[(labels[u], labels[v])] != d:
                     return False
     return True
+
+
+def all_pivot_orbit(g: SimpleGraph) -> tuple[dict, int]:
+    """``enumerate_orbit(g, track_parents=True).flats`` by a BFS trying every pivot at every member.
+
+    Returns those flats and the number of lookups ``enumerate_orbit``'s
+    pivot rule skips: at a member first reached by pivot p, a pivot w <= p
+    outside N(p) (w = p leads back to the member's predecessor).  Asserts
+    that each of those finds a member already seen.
+    Each local complement toggles N(v)'s pairs one row at a time.
+    """
+    width = g.n + 1
+    row = (1 << width) - 1
+    seen = {_flat(g): None}
+    queue = deque(seen)
+    skipped = 0
+    while queue:
+        cur = queue.popleft()
+        entry = seen[cur]
+        for v in range(1, g.n + 1):
+            nb = cur >> v * width & row
+            nxt = cur
+            for u in _bits(nb):
+                nxt ^= (nb ^ 1 << u) << u * width
+            skip = entry is not None and v <= entry[1] and not cur >> entry[1] * width + v & 1
+            skipped += skip
+            if nxt not in seen:
+                assert not skip, (g, cur, v)
+                seen[nxt] = (cur, v)
+                queue.append(nxt)
+    return seen, skipped
 
 
 def checked_graph_from_json_dict(data) -> SimpleGraph:

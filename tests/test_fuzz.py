@@ -13,7 +13,9 @@ graph's induced subgraph.
 ``orbit`` runs on mutated graphs only, whose size the mutations bound: a
 graph takes one or two mutations, each adding at most one vertex ("new
 vertex", or a "bad value" of n + 1), so n never passes the base graph's
-n + 2, which is at most 14.
+n + 2, which is at most 14.  Each ``orbit`` run must end within
+``ORBIT_WALL_S`` of wall time, a bound loose enough for a shared 2-core
+machine, and exactly ``ORBIT_BUDGET_EXITS`` of them spend their budget.
 """
 
 import contextlib
@@ -21,12 +23,17 @@ import copy
 import io
 import json
 import random
+import time
 
 import pytest
 
 from lcsplit import cli, families, graphs, qasst
 from lcsplit.errors import LcsplitError
 from lcsplit.qasst_ops import EXTENSION_KINDS, random_dh
+
+ORBIT_WALL_S = 5.0
+# Orbit runs in test_mutated_graphs that spend their --limit 2000 budget; a faster BFS must keep the count.
+ORBIT_BUDGET_EXITS = 15
 
 
 def _base_trees() -> list[dict]:
@@ -190,5 +197,9 @@ def test_mutated_graphs(files):
         codes.append(_run(["count", "phi"] + common)[0])
         for action in ("size", "list", "min-edge"):
             argv = ["orbit", action, "--limit", "2000"] + common
+            start = time.perf_counter()
             codes.append(_run(argv, (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_BUDGET))[0])
-    assert codes.count(cli.EXIT_OK) >= 50 and codes.count(cli.EXIT_USAGE) >= 50 and cli.EXIT_BUDGET in codes
+            elapsed = time.perf_counter() - start
+            assert elapsed < ORBIT_WALL_S, (argv, data, elapsed)
+    assert codes.count(cli.EXIT_OK) >= 50 and codes.count(cli.EXIT_USAGE) >= 50
+    assert codes.count(cli.EXIT_BUDGET) == ORBIT_BUDGET_EXITS

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import random_connected_graph
 from oracles import checked_graph_from_json_dict
-from lcsplit import counting, families, graphs, symmetry
+from lcsplit import counting, families, graphs, orbit, symmetry
 from lcsplit.errors import InvalidSpecError, InvalidVertexError, NotAnEdgeError, SizeLimitError
 from lcsplit.families import path_graph, star_graph
 from lcsplit.graphs import (
@@ -33,7 +33,7 @@ from lcsplit.graphs import (
     to_dot,
     to_json_dict,
 )
-from lcsplit.qasst import compute_qasst
+from lcsplit.qasst import compute_qasst, is_split, is_strong
 from lcsplit.qasst_ops import ExtensionKind, extend, extend_graph, lc_propagate
 
 
@@ -306,6 +306,7 @@ class TestSizeCap:
 def _integer_slot_calls():
     """(label, call) per integer slot of a library entry point: ``call(x)`` puts x in that slot of a valid call."""
     p4, tree = path_graph(4), compute_qasst(path_graph(4))
+    k2 = SimpleGraph(2, [(1, 2)])  # an orbit of one member, within any limit
     calls = [
         ("SimpleGraph n", SimpleGraph),
         ("FamilySpec params", lambda x: families.FamilySpec("cycle", (x,))),
@@ -325,6 +326,13 @@ def _integer_slot_calls():
         ("leaf_quotient v", tree.leaf_quotient),
         ("lc_propagate v", lambda x: lc_propagate(tree, x)),
         ("extend anchor", lambda x: extend(tree, ExtensionKind("pendant", x), 5)),
+        ("is_split side a", lambda x: is_split(p4, [1, x], [2, 4])),
+        ("is_split side b", lambda x: is_split(p4, [1, 2], [x, 4])),
+        ("is_strong side a", lambda x: is_strong(p4, [1, x], [2, 4])),
+        ("induced_subgraph keep", lambda x: induced_subgraph(p4, [1, x, 4])),
+        ("enumerate_orbit limit", lambda x: orbit.enumerate_orbit(k2, limit=x)),
+        ("are_lc_equivalent limit", lambda x: orbit.are_lc_equivalent(k2, SimpleGraph(2), limit=x)),
+        ("transformation_between limit", lambda x: orbit.transformation_between(k2, k2, limit=x)),
     ]
     for f in (counting.bipartite_orbit_size, counting.bipartite_iso_class_count,
               counting.bipartite_min_edge_count, counting.bipartite_min_max_degree):

@@ -9,7 +9,7 @@ from collections import deque
 import pytest
 
 from helpers import all_connected_graphs, all_graphs, random_connected_graph
-from oracles import iso_classes_by_search, iso_form
+from oracles import all_pivot_orbit, iso_classes_by_search, iso_form
 from lcsplit import orbit
 from lcsplit.counting import CLIQUE_STAR, KPARTITE, bouchet_cycle_count, iso_class_count
 from lcsplit.errors import BudgetExceededError, NotEquivalentError, SizeLimitError
@@ -24,6 +24,7 @@ from lcsplit.families import (
 )
 from lcsplit.graphs import (
     SimpleGraph,
+    _flat,
     _iso_plan,
     _iso_search,
     _vertex_invariants,
@@ -324,6 +325,58 @@ class TestFlatBfsDifferential:
             assert (g.n + 1) ** 2 > 64
             whole += _assert_matches_key_bfs(g)
         assert whole >= 4
+
+
+class TestPivotRule:
+    """The BFS skips pivots that can reach no new member: against the all-pivot BFS, which asserts each skip."""
+
+    @staticmethod
+    def _check(g):
+        """The flats compared and the lookups skipped."""
+        flats, skipped = all_pivot_orbit(g)
+        o = enumerate_orbit(g, track_parents=True)
+        assert list(o.flats.items()) == list(flats.items())
+        untracked = enumerate_orbit(g).flats
+        assert list(untracked.items()) == [(flat, entry and entry[1]) for flat, entry in flats.items()]
+        if len(flats) > 1:
+            with pytest.raises(BudgetExceededError) as got:
+                enumerate_orbit(g, limit=len(flats) - 1)
+            assert got.value.partial_count == len(flats) - 1
+        for value, least in ((edge_count, min_edge_member), (max_degree, min_max_degree_member)):
+            best = min(o.members.items(), key=lambda item: (value(item[1]), item[0]))
+            assert least(o) == (best[1], value(best[1]))
+        return flats, skipped
+
+    def test_every_connected_graph_up_to_six_vertices(self):
+        # Each orbit is checked once, from its first graph; every connected graph is a member of one.
+        for n in range(1, 7):
+            graphs = list(all_connected_graphs(n))
+            covered: set[int] = set()
+            total = 0
+            for g in graphs:
+                if _flat(g) not in covered:
+                    flats, skipped = self._check(g)
+                    covered.update(flats)
+                    total += skipped
+            assert len(covered) == len(graphs)
+            assert n < 4 or total > 0
+
+    def test_seeded_graphs_seven_to_nine_vertices(self):
+        rng = random.Random(31)
+        graphs = _random_graphs(32, (7, 8, 9), 2)
+        for n in (7, 8, 9):
+            # One vertex isolated, relabelled so that it falls among the others.
+            order = rng.sample(range(1, n + 1), n)
+            edges = random_connected_graph(n - 1, rng, 0.3).edges()
+            graphs.append(SimpleGraph(n, [(order[u - 1], order[v - 1]) for u, v in edges]))
+        assert not all(is_distance_hereditary(g) for g in graphs[:6])
+        assert all(0 in [m.bit_count() for m in g._adj[1:]] for g in graphs[6:])
+        assert sum(self._check(g)[1] for g in graphs) > 0
+
+    def test_minima_on_tie_heavy_orbits(self):
+        for g in (complete_multipartite_graph([2] * 5), complete_multipartite_graph([2] * 4), cycle_graph(9)):
+            flats, _ = self._check(g)
+            assert len(flats) > 100
 
 
 def _is_isomorphism(g, h, phi):

@@ -9,10 +9,13 @@ whatever decoding the classification does, as an orbit query would.  Times
 are this process's CPU time, so time a shared machine gives to other
 processes is not counted.
 
-On a shared 2-core VM under Python 3.11.7 the ratios read about 2.2-2.7x
-on C9, 2.2-2.4x on C10, 3.3-3.5x on P10 and 5.1-5.4x on K2^5.  Keying
-every member alone costs about half the BFS, so no classification that
-must name each class's key-least member gets far below 1x.
+On a shared 2-core VM under Python 3.11.7 the ratios read about 3.2-3.4x
+on C9, 3.3-3.7x on C10, 5.3-5.6x on P10 and 6.9-7.2x on K2^5.  They grew
+from 2.2-2.7x, 2.2-2.4x, 3.3-3.5x and 5.1-5.4x when the BFS stopped trying
+the pivots that can reach no new member.  Keying every member alone costs
+about two thirds of the BFS (0.66x on C10, 0.75x on P10), so no
+classification that must name each class's key-least member gets far
+below 1x.
 
 Example, from the root of the repository (or with ``--src`` pointing at
 another checkout's ``src``)::
