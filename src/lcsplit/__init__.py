@@ -12,7 +12,6 @@ complements), :mod:`lcsplit.families` (named graph families),
 
 from .errors import (
     BudgetExceededError,
-    InvalidAssignmentError,
     InvalidCaseError,
     InvalidSpecError,
     InvalidVertexError,

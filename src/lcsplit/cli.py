@@ -254,13 +254,13 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _rep_rows(reps) -> list[dict]:
+def _rep_rows(reps, k: int) -> list[dict]:
     return [
         {
-            "case": rep.case_id,
-            "j": rep.j,
-            "I": sorted(rep.I),
-            "kinds": list(rep.kinds),
+            "case": rep.case.case_id,
+            "j": rep.case.j,
+            "I": sorted(rep.case.I),
+            "kinds": list(symmetry.case_assignment(rep.case, k)[1]),
             "value": rep.value,
         }
         for rep in reps
@@ -271,7 +271,7 @@ def cmd_rep(args) -> int:
     tag = _ORBIT_TAGS[args.family]
     params = _parse_ints(args.params)
     fn = counting.min_edge_rep if args.what == "min-edge" else counting.min_max_degree_rep
-    rows = _rep_rows(fn(tag, params))
+    rows = _rep_rows(fn(tag, params), len(params))
     if args.format == "table":
         table_rows = [
             [r["case"], r["j"] if r["j"] is not None else "-",
@@ -477,7 +477,7 @@ def _extended_checks(orbits, seed: int):
     def k4_reps():
         details = _reps_vs_oracle(orbits, (2, 2, 2, 2))
         tie = counting.min_edge_rep(families.KPARTITE, (2, 2, 2, 2))
-        check(len(tie) == 2 and {r.case_id for r in tie} == {1, 3}, "expected a case 1/3 tie")
+        check(len(tie) == 2 and {r.case.case_id for r in tie} == {1, 3}, "expected a case 1/3 tie")
         return details + "; k=4 edge-count tie confirmed"
 
     def k5_degree():

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import InvalidAssignmentError, InvalidSpecError, SizeLimitError, UnsupportedQasstError
+from .errors import InvalidSpecError, SizeLimitError, UnsupportedQasstError
 from .families import CLIQUE_STAR, KPARTITE, check_blocks, check_tag, orbit_of
 from .graphs import json_int
 from .qasst import (
@@ -28,7 +28,7 @@ from .qasst import (
     _reduce,
     join_validity,
 )
-from .symmetry import SymmetryCase, case_assignment, q0_shape
+from .symmetry import SymmetryCase, case_assignment
 
 # -- path and cycle orbit formulas -------------------------------------------
 
@@ -200,31 +200,24 @@ def bipartite_min_max_degree(n: int, m: int) -> int:
 #
 # The k-partite / clique-star orbits share one QASST: a central quotient Q0
 # on k split-nodes, and an outer quotient per block with n_i leaf-nodes.
-# An assignment fixes Q0's kind ("c", or ("sc", j) star-center toward Q_j)
-# and each outer quotient's kind at its split-node ("c" | "sc" | "ss").
-# The class model (cases, their kinds, Q0's shape) lives in lcsplit.symmetry.
+# A symmetry class (lcsplit.symmetry) fixes Q0's kind and each outer
+# quotient's kind at its split-node; case_assignment reads them off.
 
 
-def _degrees(n_list, q0_kind, kinds) -> list[tuple[int, int]]:
-    """(degree, vertex count) pairs, block by block, of the graph a star-shaped assignment reconstructs to.
+def _degrees(n_list, case: SymmetryCase) -> list[tuple[int, int]]:
+    """(degree, vertex count) pairs, block by block, of the graph a symmetry class's member reconstructs to.
 
-    The assignment is checked first.  A block shows all n of its vertices
+    The blocks are checked first.  A block shows all n of its vertices
     across Q0, or only its star centre when star-spoke; it sees what every
     other block shows when Q0 is complete or points at it, and what the
     pointed block shows otherwise.  Within a block, c adds n - 1 to each
     vertex, sc nothing, and ss n - 1 to its centre; each ss spoke has degree 1.
     """
     check_blocks(n_list)
-    kinds = tuple(kinds)
-    if len(kinds) != len(n_list) or any(kind not in (COMPLETE, STAR_CENTER, STAR_SPOKE) for kind in kinds):
-        raise InvalidAssignmentError("need one of c/sc/ss per block")
-    at = q0_shape(q0_kind, len(n_list))
-    for i, (a, kind) in enumerate(zip(at, kinds), start=1):
-        if not join_validity(a, kind):
-            raise InvalidAssignmentError(f"invalid join {a}-{kind} at block {i}")
+    at, kinds = case_assignment(case, len(n_list))
     shown = [1 if kind == STAR_SPOKE else n for n, kind in zip(n_list, kinds)]
     total = sum(shown)
-    pointed = None if q0_kind == COMPLETE else shown[q0_kind[1] - 1]
+    pointed = None if case.j is None else shown[case.j - 1]
     out = []
     for n, kind, a, own in zip(n_list, kinds, at, shown):
         ext = pointed if a == STAR_SPOKE else total - own
@@ -237,26 +230,21 @@ def _degrees(n_list, q0_kind, kinds) -> list[tuple[int, int]]:
     return out
 
 
-def edge_count_from_assignment(n_list, q0_kind, kinds) -> int:
-    """Edge count of the graph a star-shaped QASST assignment reconstructs to: half its degree sum."""
-    return sum(d * count for d, count in _degrees(n_list, q0_kind, kinds)) // 2
+def edge_count_from_assignment(n_list, case: SymmetryCase) -> int:
+    """Edge count of the graph a symmetry class's member reconstructs to: half its degree sum."""
+    return sum(d * count for d, count in _degrees(n_list, case)) // 2
 
 
-def max_degree_from_assignment(n_list, q0_kind, kinds) -> int:
-    """Maximum degree of the graph the assignment reconstructs to."""
-    return max(d for d, _ in _degrees(n_list, q0_kind, kinds))
+def max_degree_from_assignment(n_list, case: SymmetryCase) -> int:
+    """Maximum degree of the graph a symmetry class's member reconstructs to."""
+    return max(d for d, _ in _degrees(n_list, case))
 
 
 @dataclass(frozen=True)
 class RepSpec:
-    """A candidate optimal representative: one symmetry-class assignment."""
+    """A candidate optimal representative: one symmetry class and its measure."""
 
-    tag: str  # KPartite | CliqueStar
-    case_id: int  # 1 | 2 | 3
-    j: Optional[int]  # pointer index for cases 2/3
-    I: frozenset  # star-spoke block indices
-    q0_kind: object  # "c" or ("sc", j)
-    kinds: tuple  # per-block kind at the split-node
+    case: SymmetryCase
     value: int  # edges or max degree, per the query
 
 
@@ -269,10 +257,9 @@ def _blocks_by_size(tag: str, n_list: Sequence[int]) -> list[int]:
 
 def _rep_spec(tag: str, n_list: Sequence[int], case_id: int, j, fillers, measure) -> RepSpec:
     """The symmetry class with pointer j and every other block but the fillers in I."""
-    k = len(n_list)
-    I = frozenset(i for i in range(1, k + 1) if i != j and i not in fillers)
-    q0, kinds = case_assignment(SymmetryCase(tag, case_id, j, I), k)
-    return RepSpec(tag, case_id, j, I, q0, kinds, measure(n_list, q0, kinds))
+    I = frozenset(i for i in range(1, len(n_list) + 1) if i != j and i not in fillers)
+    case = SymmetryCase(tag, case_id, j, I)
+    return RepSpec(case, measure(n_list, case))
 
 
 def min_edge_hyperbola(k: int, n_j: int) -> int:

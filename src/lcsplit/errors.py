@@ -56,10 +56,6 @@ class InvalidCaseError(LcsplitError, ValueError):
     """A symmetry-case description violates the case rules."""
 
 
-class InvalidAssignmentError(LcsplitError, ValueError):
-    """A quotient-kind assignment violates the join-validity rules."""
-
-
 def check(ok: bool, message: str = "") -> None:
     """Raise :class:`AssertionError` with ``message`` unless ``ok``: an ``assert`` that ``python -O`` keeps."""
     if not ok:

@@ -107,8 +107,7 @@ def enumerate_orbit(
     n = g.n
     if n < 1:
         raise InvalidSpecError("orbit enumeration needs n >= 1")
-    if json_int(limit) < 1:
-        raise ValueError("budget must be >= 1")
+    _check_limit(limit)
     limit = min(limit, MAX_ORBIT_BYTES // ((n + 1) * n // 8 + 128))
     if limit < 1:
         raise SizeLimitError(f"one orbit member of a {n}-vertex graph exceeds the {MAX_ORBIT_BYTES}-byte cap")
@@ -194,12 +193,20 @@ def _keyer(n: int) -> Callable[[int], bytes]:
     return key
 
 
+def _check_limit(limit: int) -> None:
+    """Refuse an orbit budget below 1; a bool, float or str raises TypeError."""
+    if json_int(limit) < 1:
+        raise ValueError("budget must be >= 1")
+
+
 def are_lc_equivalent(g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGET) -> bool:
     """True iff h lies in the orbit of g.
 
+    ``limit`` is checked before any answer, even one that needs no orbit.
     A budget overrun propagates as :class:`BudgetExceededError` (an
     indeterminate outcome, distinct from False).
     """
+    _check_limit(limit)
     if g.n != h.n:
         return False
     return g == h or h in enumerate_orbit(g, limit=limit)
@@ -208,7 +215,8 @@ def are_lc_equivalent(g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGE
 def transformation_between(
     g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGET
 ) -> list[int]:
-    """A primitive LC sequence taking g to h, of minimal BFS depth."""
+    """A primitive LC sequence taking g to h, of minimal BFS depth; ``limit`` is checked first."""
+    _check_limit(limit)
     if g.n != h.n:
         raise NotEquivalentError("graphs have different vertex counts")
     flats = enumerate_orbit(g, limit=limit, track_parents=True).flats

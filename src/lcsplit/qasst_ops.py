@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidSpecError, InvalidVertexError, NotConnectedError
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, json_int
 from .qasst import (
     FALSE_TWIN,
     PENDANT,
@@ -136,11 +136,12 @@ def extend(q: Qasst, e: ExtensionKind, p: int) -> Qasst:
     """Quotient tree after the one-vertex extension e, adding vertex p.
 
     p is any positive integer the tree lacks (an induced tree may hold
-    n + 1).  A tree without the check record is validated first.  A copy
-    of the tree takes the step the decomposition replays
+    n + 1), read through :func:`lcsplit.graphs.json_int`: a bool, float or
+    str raises TypeError.  A tree without the check record is validated
+    first.  A copy of the tree takes the step the decomposition replays
     (``qasst._extend``), read off the anchor quotient's stored kind.
     """
-    if type(p) is not int or p < 1 or p in q._home:
+    if json_int(p) < 1 or p in q._home:
         raise InvalidVertexError(f"new vertex must be a positive integer the tree lacks, got {p!r}")
     if not q._checked:
         q.validate()

@@ -13,12 +13,11 @@ The parity of |I| decides the orbit: for the k-partite orbit case 1 and
 case 2 take even |I| and case 3 odd; for the clique-star orbit the
 parities flip.  That rule is :func:`lcsplit.families.orbit_of`, and every
 parity test here and in :mod:`lcsplit.counting` goes through it.  This
-module owns the class model (:class:`SymmetryCase`, the case -> kinds map
-:func:`case_assignment` and Q0's kind at each block's end :func:`q0_shape`),
-enumerates the classes, realizes them as labeled graphs, synthesizes
-explicit LC sequences from the base graph, and classifies how a single
-local complement moves between classes (the closure rules behind the
-non-equivalence of the two orbits).
+module owns the class model (:class:`SymmetryCase` and the case -> kinds
+map :func:`case_assignment`), enumerates the classes, realizes them as
+labeled graphs, synthesizes explicit LC sequences from the base graph, and
+classifies how a single local complement moves between classes (the
+closure rules behind the non-equivalence of the two orbits).
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import (
-    InvalidAssignmentError, InvalidCaseError, InvalidSpecError, MalformedQasstError, SizeLimitError,
-)
+from .errors import InvalidCaseError, InvalidSpecError, MalformedQasstError, SizeLimitError
 from .families import KPARTITE, block_ranges, check_blocks, check_tag, orbit_of
 from .graphs import SimpleGraph
 from .qasst import (
@@ -50,8 +47,6 @@ MAX_CASES = 1_000_000
 
 SS_CENTER = "ss_center"
 SS_SPOKE = "ss_spoke"
-SC_NODE = "sc"
-C_NODE = "c"
 
 
 @dataclass(frozen=True)
@@ -81,38 +76,21 @@ class SymmetryCase:
             )
 
 
-def case_assignment(case: SymmetryCase, k: int):
-    """(Q0 kind, per-block kinds) for a symmetry case."""
+def case_assignment(case: SymmetryCase, k: int) -> tuple[tuple, tuple]:
+    """(Q0's kind at each block's end, each block's own kind), blocks 1..k; the pointer and I must name blocks."""
     for i in case.I:
         if not (1 <= i <= k):
             raise InvalidCaseError(f"block index {i} out of 1..{k}")
-    if case.case_id == 1:
-        kinds = tuple(STAR_SPOKE if i in case.I else STAR_CENTER for i in range(1, k + 1))
-        return COMPLETE, kinds
-    if case.j is None or not (1 <= case.j <= k):
-        raise InvalidCaseError(f"pointer index {case.j} out of 1..{k}")
-    pointed = STAR_CENTER if case.case_id == 2 else COMPLETE
-    kinds = tuple(
-        pointed if i == case.j else (STAR_SPOKE if i in case.I else COMPLETE)
-        for i in range(1, k + 1)
-    )
-    return (STAR_CENTER, case.j), kinds
-
-
-def q0_shape(q0_kind, k: int) -> tuple:
-    """Q0's kind at each block's end, blocks 1..k in order.
-
-    ``q0_kind`` is "c" (complete: every block joins every other) or
-    ("sc", j) (a star centred toward Q_j: Q_j joins each other block).
-    """
-    if q0_kind == COMPLETE:
-        return (COMPLETE,) * k
-    if isinstance(q0_kind, tuple) and len(q0_kind) == 2 and q0_kind[0] == STAR_CENTER:
-        j = q0_kind[1]
-        if not isinstance(j, int) or not 1 <= j <= k:
-            raise InvalidAssignmentError(f"Q0 center index {j!r} out of 1..{k}")
-        return (STAR_SPOKE,) * (j - 1) + (STAR_CENTER,) + (STAR_SPOKE,) * (k - j)
-    raise InvalidAssignmentError(f"Q0 kind must be 'c' or ('sc', j), got {q0_kind!r}")
+    j = case.j
+    if j is None:
+        at = (COMPLETE,) * k
+    elif 1 <= j <= k:
+        at = (STAR_SPOKE,) * (j - 1) + (STAR_CENTER,) + (STAR_SPOKE,) * (k - j)
+    else:
+        raise InvalidCaseError(f"pointer index {j} out of 1..{k}")
+    rest = STAR_CENTER if case.case_id == 1 else COMPLETE  # a block neither pointed at nor in I
+    pointed = STAR_CENTER if case.case_id == 2 else COMPLETE  # Q_j in cases 2(j) and 3(j)
+    return at, tuple(pointed if i == j else STAR_SPOKE if i in case.I else rest for i in range(1, k + 1))
 
 
 def enumerate_cases(
@@ -145,33 +123,21 @@ def enumerate_cases(
     return out
 
 
-def build_star_qasst(
-    n_list: Sequence[int], q0_kind, kinds, centers: Optional[dict] = None
-) -> Qasst:
-    """The star-shaped QASST for an assignment of quotient kinds, each quotient made as its kind."""
+def build_star_qasst(case: SymmetryCase, n_list: Sequence[int]) -> Qasst:
+    """The star-shaped QASST of a class, each quotient made as its kind; ss centres default to a block's first vertex."""
     k = len(n_list)
-    kinds = tuple(kinds)
-    if len(kinds) != k:
-        raise InvalidAssignmentError(f"need one quotient kind per block, got {len(kinds)}")
-    q0_center = None
-    if q0_kind != COMPLETE:
-        q0_shape(q0_kind, k)  # refuses a malformed Q0 kind
-        q0_center = SplitNode(0, q0_kind[1])
-    blocks = block_ranges(n_list)
-    centers = centers or {}
+    kinds = case_assignment(case, k)[1]
+    centers = case.centers or {}
+    q0_center = None if case.j is None else SplitNode(0, case.j)
     quotients = {0: _complete_or_star([SplitNode(0, i) for i in range(1, k + 1)], q0_center)}
-    for i, (block, kind) in enumerate(zip(blocks, kinds), start=1):
+    for i, (block, kind) in enumerate(zip(block_ranges(n_list), kinds), start=1):
         s = SplitNode(i, 0)
-        if kind == COMPLETE:
-            center = None
-        elif kind == STAR_CENTER:
-            center = s
-        elif kind == STAR_SPOKE:
+        if kind == STAR_SPOKE:
             center = centers.get(i, block[0])
             if center not in block:
                 raise InvalidCaseError(f"center {center} not in block {i}")
         else:
-            raise InvalidCaseError(f"unknown quotient kind {kind!r}")
+            center = s if kind == STAR_CENTER else None
         quotients[i] = _complete_or_star([*block, s], center)
     return Qasst(quotients)
 
@@ -183,8 +149,7 @@ def _complete_or_star(nodes: list, center) -> QuotientGraph:
 
 def realize(case: SymmetryCase, n_list: Sequence[int]) -> SimpleGraph:
     """The labeled member of a symmetry class picked by ``case.centers`` (default: first of block)."""
-    q0_kind, kinds = case_assignment(case, len(n_list))
-    return reconstruct(build_star_qasst(n_list, q0_kind, kinds, case.centers))
+    return reconstruct(build_star_qasst(case, n_list))
 
 
 # -- transformations -----------------------------------------------------------
@@ -284,9 +249,8 @@ def analyze_star_member(g: SimpleGraph, n_list: Sequence[int]) -> tuple[Symmetry
             raise MalformedQasstError("prime outer quotient")
         if kind == STAR_SPOKE:
             centers[b] = quot.center
-        role = {COMPLETE: C_NODE, STAR_CENTER: SC_NODE}.get(kind)  # None: ss, a centre or a spoke
-        for v in quot.leaf_nodes():
-            roles[v] = (role or (SS_CENTER if v == quot.center else SS_SPOKE), b)
+        for v in quot.leaf_nodes():  # a c or sc vertex's role is its quotient's kind; ss splits centre and spokes
+            roles[v] = (kind if kind != STAR_SPOKE else SS_CENTER if v == quot.center else SS_SPOKE, b)
 
     I = frozenset(centers)
     if central.kind == COMPLETE:
@@ -318,18 +282,18 @@ def closure_step(case: SymmetryCase, role: tuple[str, int]) -> tuple[int, Option
             return (3, i)
         if kind == SS_SPOKE and i in I:
             return (1, None)
-        if kind == SC_NODE and i not in I:
+        if kind == STAR_CENTER and i not in I:
             return (2, i)
         raise InvalidCaseError(f"role {role} impossible in case 1")
     # Cases 2(j) and 3(j) mirror each other: Q_j's kind and the target case swap.
     if i == j:
-        if kind == (SC_NODE if cid == 2 else C_NODE):
+        if kind == (STAR_CENTER if cid == 2 else COMPLETE):
             return (1, None)
     elif i in I:
         if kind == SS_SPOKE:
             return (cid, j)
         if kind == SS_CENTER:
             return (5 - cid, j)
-    elif kind == C_NODE:
+    elif kind == COMPLETE:
         return (5 - cid, j)
     raise InvalidCaseError(f"role {role} impossible in case {cid}({j})")

@@ -197,7 +197,7 @@ class TestCriterion7OptimalRepresentatives:
         # f(4,2) = 0: two k-partite cases tie for the edge minimum.
         assert min_edge_hyperbola(4, 2) == 0
         tie = min_edge_rep(KPARTITE, (2, 2, 2, 2))
-        assert [r.case_id for r in tie] == [1, 3] and tie[0].value == tie[1].value
+        assert [r.case.case_id for r in tie] == [1, 3] and tie[0].value == tie[1].value
 
     def test_five_block_degree_target(self):
         o = enumerate_orbit(complete_multipartite_graph((2,) * 5))

@@ -844,7 +844,7 @@ class TestRefusalsPinned:
         from lcsplit.errors import InvalidCaseError, InvalidSpecError, MalformedQasstError, NotConnectedError, SizeLimitError
 
         p3 = families.path_graph(3)
-        spokes = (qasst.STAR_SPOKE,) * 3
+        spokes = symmetry.SymmetryCase(families.CLIQUE_STAR, 1, None, frozenset({1, 2, 3}), {1: 5})
         return [
             (lambda: orbit.enumerate_orbit(p3, limit=0), ValueError, "budget must be >= 1"),
             (lambda: qasst_ops.ExtensionKind("bogus", 1), ValueError, "unknown extension kind 'bogus'"),
@@ -856,7 +856,7 @@ class TestRefusalsPinned:
              "split enumeration limited to 18 vertices, got 19"),
             (lambda: symmetry.SymmetryCase(families.KPARTITE, 4, None, frozenset()), InvalidCaseError,
              "case id must be 1, 2 or 3, got 4"),
-            (lambda: symmetry.build_star_qasst((2, 2, 2), qasst.COMPLETE, spokes, {1: 5}), InvalidCaseError,
+            (lambda: symmetry.build_star_qasst(spokes, (2, 2, 2)), InvalidCaseError,
              "center 5 not in block 1"),
             (lambda: symmetry.analyze_star_member(families.cycle_graph(6), (2, 2, 2)), MalformedQasstError,
              "graph does not have the star-shaped QASST"),
@@ -911,7 +911,7 @@ def _cli_payloads():
         {"sequence": orbit.transformation_between(g, best)},
         {"edge_count": edges, "graph": graphs.to_json_dict(best)},
         {"max_degree": delta, "graph": graphs.to_json_dict(low)},
-        cli._rep_rows(counting.min_edge_rep(families.KPARTITE, [2, 2, 3])),
+        cli._rep_rows(counting.min_edge_rep(families.KPARTITE, [2, 2, 3]), 3),
         {"sequence": symmetry.synthesize_transformation(case, [2, 2, 3])},
         {"sequence": []},
     ]
@@ -1298,7 +1298,7 @@ class TestLibraryRefusalsPinned:
 
     @staticmethod
     def _library_calls():
-        from lcsplit.errors import InvalidCaseError, InvalidSpecError, MalformedQasstError
+        from lcsplit.errors import InvalidSpecError, MalformedQasstError
         from lcsplit import symmetry
 
         # Block {1,2,3,4} is a C5 with its split-node (1-2-3-4-s-1), hung off a
@@ -1314,8 +1314,6 @@ class TestLibraryRefusalsPinned:
         return [
             (lambda: counting.iso_class_count(families.KPARTITE, 2), InvalidSpecError, "need k >= 3"),
             (lambda: qasst.QuotientGraph([1, 2], [(1, 3)]), MalformedQasstError, "bad quotient edge {1, 3}"),
-            (lambda: symmetry.build_star_qasst((2, 2, 2), qasst.COMPLETE, (qasst.COMPLETE, qasst.COMPLETE, "x")),
-             InvalidCaseError, "unknown quotient kind 'x'"),
             (lambda: classify_bipartite_member(families.cycle_graph(5), 2, 3), MalformedQasstError,
              "graph does not have the two-quotient QASST"),
             (lambda: symmetry.analyze_star_member(prime_block, (4, 2, 2)), MalformedQasstError,

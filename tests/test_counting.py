@@ -26,7 +26,7 @@ from lcsplit.counting import (
     orbit_size,
     phi_count,
 )
-from lcsplit.errors import InvalidAssignmentError, InvalidSpecError, SizeLimitError, UnsupportedQasstError
+from lcsplit.errors import InvalidCaseError, InvalidSpecError, SizeLimitError, UnsupportedQasstError
 from lcsplit.families import (
     CLIQUE_STAR,
     KPARTITE,
@@ -38,8 +38,16 @@ from lcsplit.families import (
 )
 from lcsplit.graphs import edge_count, max_degree
 from lcsplit.orbit import enumerate_orbit, min_edge_member, min_max_degree_member
-from lcsplit.qasst import Qasst, QuotientGraph, compute_qasst, join_validity, reconstruct
-from lcsplit.symmetry import build_star_qasst, q0_shape
+from lcsplit.qasst import (
+    COMPLETE,
+    STAR_CENTER,
+    STAR_SPOKE,
+    Qasst,
+    QuotientGraph,
+    compute_qasst,
+    join_validity,
+)
+from lcsplit.symmetry import SymmetryCase, case_assignment, enumerate_cases, realize
 
 
 class TestBouchet:
@@ -168,44 +176,52 @@ class TestAssignments:
     def test_edge_and_degree_match_realized_graphs(self):
         for n_list in ((2, 3, 2), (3, 2, 4, 2), (2, 2, 3, 2, 5)):
             k = len(n_list)
-            realized = 0
-            for q0 in ["c"] + [("sc", j) for j in range(1, k + 1)]:
-                at = q0_shape(q0, k)
-                for kinds in itertools.product(("c", "sc", "ss"), repeat=k):
-                    if not all(map(join_validity, at, kinds)):
-                        with pytest.raises(InvalidAssignmentError, match="invalid join"):
-                            edge_count_from_assignment(n_list, q0, kinds)
-                        continue
-                    g = reconstruct(build_star_qasst(n_list, q0, kinds))
-                    assert edge_count(g) == edge_count_from_assignment(n_list, q0, kinds), (n_list, q0, kinds)
-                    assert max_degree(g) == max_degree_from_assignment(n_list, q0, kinds), (n_list, q0, kinds)
-                    realized += 1
+            classes = [case for tag in (KPARTITE, CLIQUE_STAR) for case, _ in enumerate_cases(tag, n_list)]
+            for case in classes:
+                g = realize(case, n_list)
+                assert edge_count(g) == edge_count_from_assignment(n_list, case), (n_list, case)
+                assert max_degree(g) == max_degree_from_assignment(n_list, case), (n_list, case)
             # A complete Q0 joins sc or ss at each block; a star Q0 joins c or
             # sc at its centre's block and c or ss at each other block.
-            assert realized == (k + 1) * 2 ** k, n_list
+            assert len(classes) == (k + 1) * 2 ** k, n_list
 
     @pytest.mark.parametrize(
-        "q0, kinds, message",
+        "n_list, case, error, message",
         [
-            ("c", ("c", "c"), "need one of c/sc/ss per block"),
-            ("c", ("c", "c", "x"), "need one of c/sc/ss per block"),
-            (("sc", 4), ("c", "c", "c"), r"Q0 center index 4 out of 1\.\.3"),
-            ("x", ("c", "c", "c"), "Q0 kind must be"),
-            ("c", ("sc", "c", "ss"), "invalid join c-c at block 2"),
-            (("sc", 2), ("sc", "c", "c"), "invalid join ss-sc at block 1"),
+            ((2, 3, 2), SymmetryCase(KPARTITE, 2, 4, frozenset()), InvalidCaseError, r"pointer index 4 out of 1\.\.3"),
+            ((2, 3, 2), SymmetryCase(CLIQUE_STAR, 3, 0, frozenset()), InvalidCaseError, r"pointer index 0 out of 1\.\.3"),
+            ((2, 3, 2), SymmetryCase(KPARTITE, 1, None, frozenset({1, 4})), InvalidCaseError, r"block index 4 out of 1\.\.3"),
+            ((2, 3, 2), SymmetryCase(CLIQUE_STAR, 1, None, frozenset({0})), InvalidCaseError, r"block index 0 out of 1\.\.3"),
+            ((2, 3), SymmetryCase(KPARTITE, 1, None, frozenset()), InvalidSpecError, "need k >= 3 blocks"),
+            ((2, 1, 2), SymmetryCase(KPARTITE, 2, 2, frozenset()), InvalidSpecError, "need k >= 3 blocks"),
         ],
     )
-    def test_malformed_assignments_refused(self, q0, kinds, message):
+    def test_malformed_assignments_refused(self, n_list, case, error, message):
+        # A class whose pointer or I names no block is refused, never read off another block.
         for measure in (edge_count_from_assignment, max_degree_from_assignment):
-            with pytest.raises(InvalidAssignmentError, match=message):
-                measure((2, 3, 2), q0, kinds)
+            with pytest.raises(error, match=message):
+                measure(n_list, case)
+
+    @pytest.mark.parametrize("n_list", [(2, 2, 2), (2, 3, 2, 4), (2, 2, 3, 2, 5), (3,) * 6])
+    def test_classes_are_the_join_valid_assignments(self, n_list):
+        # Every join-valid choice of kinds on the star-shaped tree is the image of exactly one class.
+        k = len(n_list)
+        stars = [(STAR_SPOKE,) * (j - 1) + (STAR_CENTER,) + (STAR_SPOKE,) * (k - j) for j in range(1, k + 1)]
+        valid = {
+            (at, kinds)
+            for at in [(COMPLETE,) * k] + stars
+            for kinds in itertools.product((COMPLETE, STAR_CENTER, STAR_SPOKE), repeat=k)
+            if all(map(join_validity, at, kinds))
+        }
+        images = [case_assignment(case, k) for tag in (KPARTITE, CLIQUE_STAR) for case, _ in enumerate_cases(tag, n_list)]
+        assert len(set(images)) == len(images) and set(images) == valid
 
     def test_linear_in_the_block_count(self):
         # Q0 on 2000 blocks has about two million pairs; the degree profile lists none of them.
         tracemalloc.start()
         try:
             assert len(min_max_degree_rep(KPARTITE, [2] * 2000)) >= 1
-            edge_count_from_assignment([2] * 2000, "c", ("sc",) * 2000)
+            edge_count_from_assignment([2] * 2000, SymmetryCase(KPARTITE, 1, None, frozenset()))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,7 +262,7 @@ class TestRepresentatives:
         # f(4, 2) = 0: the k-partite (2,2,2,2) minimum is achieved by two cases.
         assert min_edge_hyperbola(4, 2) == 0
         reps = min_edge_rep(KPARTITE, (2, 2, 2, 2))
-        assert [r.case_id for r in reps] == [1, 3]
+        assert [r.case.case_id for r in reps] == [1, 3]
         assert reps[0].value == reps[1].value == 10
 
     def test_rep_values_are_realizable(self):
@@ -254,12 +270,12 @@ class TestRepresentatives:
             for n_list in ((2, 2, 2), (2, 3, 4), (2, 2, 2, 2, 2)):
                 for rep in min_edge_rep(tag, n_list):
                     assert (
-                        edge_count_from_assignment(n_list, rep.q0_kind, rep.kinds)
+                        edge_count_from_assignment(n_list, rep.case)
                         == rep.value
                     )
                 for rep in min_max_degree_rep(tag, n_list):
                     assert (
-                        max_degree_from_assignment(n_list, rep.q0_kind, rep.kinds)
+                        max_degree_from_assignment(n_list, rep.case)
                         == rep.value
                     )
 

@@ -34,7 +34,7 @@ from lcsplit.graphs import (
     to_json_dict,
 )
 from lcsplit.qasst import compute_qasst, is_split, is_strong
-from lcsplit.qasst_ops import ExtensionKind, extend, extend_graph, lc_propagate
+from lcsplit.qasst_ops import ExtensionKind, extend, extend_graph, induced_qasst, lc_propagate
 
 
 @st.composite
@@ -306,6 +306,7 @@ class TestSizeCap:
 def _integer_slot_calls():
     """(label, call) per integer slot of a library entry point: ``call(x)`` puts x in that slot of a valid call."""
     p4, tree = path_graph(4), compute_qasst(path_graph(4))
+    edge_tree = induced_qasst(tree, [1, 2])  # lacks 3, so 3 is a new vertex
     k2 = SimpleGraph(2, [(1, 2)])  # an orbit of one member, within any limit
     calls = [
         ("SimpleGraph n", SimpleGraph),
@@ -326,17 +327,21 @@ def _integer_slot_calls():
         ("leaf_quotient v", tree.leaf_quotient),
         ("lc_propagate v", lambda x: lc_propagate(tree, x)),
         ("extend anchor", lambda x: extend(tree, ExtensionKind("pendant", x), 5)),
+        ("extend new vertex", lambda x: extend(edge_tree, ExtensionKind("pendant", 1), x)),
         ("is_split side a", lambda x: is_split(p4, [1, x], [2, 4])),
         ("is_split side b", lambda x: is_split(p4, [1, 2], [x, 4])),
         ("is_strong side a", lambda x: is_strong(p4, [1, x], [2, 4])),
         ("induced_subgraph keep", lambda x: induced_subgraph(p4, [1, x, 4])),
         ("enumerate_orbit limit", lambda x: orbit.enumerate_orbit(k2, limit=x)),
         ("are_lc_equivalent limit", lambda x: orbit.are_lc_equivalent(k2, SimpleGraph(2), limit=x)),
+        ("are_lc_equivalent limit, equal graphs", lambda x: orbit.are_lc_equivalent(k2, k2, limit=x)),
+        ("are_lc_equivalent limit, sizes differ", lambda x: orbit.are_lc_equivalent(k2, SimpleGraph(3), limit=x)),
         ("transformation_between limit", lambda x: orbit.transformation_between(k2, k2, limit=x)),
     ]
     for f in (counting.bipartite_orbit_size, counting.bipartite_iso_class_count,
               counting.bipartite_min_edge_count, counting.bipartite_min_max_degree):
         calls += [(f"{f.__name__} n", lambda x, f=f: f(x, 3)), (f"{f.__name__} m", lambda x, f=f: f(3, x))]
+    spokes = symmetry.SymmetryCase(families.CLIQUE_STAR, 1, None, frozenset({1, 2, 3}))  # Q0 complete, every block ss
     block_calls = {
         "check_blocks": families.check_blocks,
         "multi_leaf_repeater_graph": families.multi_leaf_repeater_graph,
@@ -348,8 +353,8 @@ def _integer_slot_calls():
         "orbit_size": lambda b: counting.orbit_size(families.CLIQUE_STAR, b),
         "min_edge_rep": lambda b: counting.min_edge_rep(families.KPARTITE, b),
         "min_max_degree_rep": lambda b: counting.min_max_degree_rep(families.KPARTITE, b),
-        "edge_count_from_assignment": lambda b: counting.edge_count_from_assignment(b, "c", ("ss",) * 3),
-        "max_degree_from_assignment": lambda b: counting.max_degree_from_assignment(b, "c", ("ss",) * 3),
+        "edge_count_from_assignment": lambda b: counting.edge_count_from_assignment(b, spokes),
+        "max_degree_from_assignment": lambda b: counting.max_degree_from_assignment(b, spokes),
         "enumerate_cases": lambda b: symmetry.enumerate_cases(families.KPARTITE, b),
     }
     for name, f in block_calls.items():

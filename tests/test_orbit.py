@@ -130,6 +130,14 @@ class TestEquivalence:
                 complete_graph(5), SimpleGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
             )
 
+    def test_limit_is_read_before_the_vertex_counts(self):
+        # Graphs of different sizes are refused only once the budget is an integer.
+        k2 = SimpleGraph(2, [(1, 2)])
+        with pytest.raises(TypeError, match="expected an integer, got 2.5"):
+            transformation_between(k2, SimpleGraph(3), limit=2.5)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            are_lc_equivalent(k2, k2, limit=0)
+
 
 class TestRepresentatives:
     def test_iso_classes_partition_orbit(self):

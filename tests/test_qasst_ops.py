@@ -349,10 +349,13 @@ class TestExtend:
         assert seen == shapes | {"degenerate-1", "degenerate-2"}
 
     def test_rejects_wrong_new_vertex(self):
-        # A label the tree holds, one below 1, or no int at all.
+        # A label the tree holds or one below 1; no int at all is a TypeError.
         q = compute_qasst(path_graph(3))
-        for p in (3, 0, -2, "4", 4.0, True):
+        for p in (3, 0, -2):
             with pytest.raises(InvalidVertexError, match="new vertex must be a positive integer"):
+                extend(q, ExtensionKind(PENDANT, 1), p)
+        for p in ("4", 4.0, True):
+            with pytest.raises(TypeError, match=f"expected an integer, got {p!r}"):
                 extend(q, ExtensionKind(PENDANT, 1), p)
 
     def test_any_absent_label_is_a_new_vertex(self):

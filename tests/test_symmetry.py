@@ -10,7 +10,7 @@ import pytest
 from oracles import classify_bipartite_member
 from lcsplit import symmetry
 from lcsplit.counting import orbit_size
-from lcsplit.errors import InvalidAssignmentError, InvalidCaseError, MalformedQasstError, SizeLimitError
+from lcsplit.errors import InvalidCaseError, MalformedQasstError, SizeLimitError
 from lcsplit.families import (
     CLIQUE_STAR,
     KPARTITE,
@@ -79,32 +79,47 @@ class TestEnumerateCases:
             enumerate_cases(tag, (2,) * 17)
 
 
+# Classes naming a block outside 1..3, with the refusal each gets on three blocks.
+OUT_OF_RANGE = [
+    (KPARTITE, 1, None, {1, 4}, "block index 4 out of 1..3"),
+    (KPARTITE, 1, None, {-1, 2}, "block index -1 out of 1..3"),
+    (CLIQUE_STAR, 1, None, {4}, "block index 4 out of 1..3"),
+    (KPARTITE, 2, 0, set(), "pointer index 0 out of 1..3"),
+    (CLIQUE_STAR, 2, 0, {1}, "pointer index 0 out of 1..3"),
+    (CLIQUE_STAR, 3, 4, set(), "pointer index 4 out of 1..3"),
+]
+
+
 class TestBuildStarQasst:
-    @pytest.mark.parametrize("q0_kind", [("sc", 9), ("sc", 0), ("sc", "1"), "x", ("c",), ("ss", 1)])
-    def test_malformed_q0_kind_is_assignment_error(self, q0_kind):
-        with pytest.raises(InvalidAssignmentError, match="Q0"):
-            build_star_qasst((2, 2, 2), q0_kind, ("c", "c", "c"))
+    @pytest.mark.parametrize("tag, case_id, j, I, message", OUT_OF_RANGE)
+    def test_out_of_range_index(self, tag, case_id, j, I, message):
+        case = SymmetryCase(tag, case_id, j, frozenset(I))
+        for build in (build_star_qasst, realize):
+            with pytest.raises(InvalidCaseError) as info:
+                build(case, (2, 2, 2))
+            assert str(info.value) == message
 
-    @pytest.mark.parametrize("kinds", [("c", "c"), ("c", "c", "c", "c"), ()])
-    def test_needs_one_kind_per_block(self, kinds):
-        with pytest.raises(InvalidAssignmentError, match="one quotient kind per block"):
-            build_star_qasst((2, 2, 2), ("sc", 1), kinds)
-
-    def test_every_shape_validates(self):
+    def test_every_class_validates(self):
         n_list = (2, 3, 2)
-        for q0 in ["c"] + [("sc", j) for j in range(1, 4)]:
-            for kinds in itertools.product(("c", "sc", "ss"), repeat=3):
-                q = build_star_qasst(n_list, q0, kinds)
+        for tag in (KPARTITE, CLIQUE_STAR):
+            for case, _ in enumerate_cases(tag, n_list):
+                q = build_star_qasst(case, n_list)
                 q.validate()
                 assert len(q.quotients) == 4
 
-    @pytest.mark.parametrize("n_list", [(1000, 1000, 1000), (2,) * 1000])
-    def test_quotients_are_made_as_their_kind(self, n_list):
+    @pytest.mark.parametrize(
+        "case, n_list",
+        [
+            (SymmetryCase(CLIQUE_STAR, 3, 1, frozenset()), (1000, 1000, 1000)),  # every block complete
+            (SymmetryCase(KPARTITE, 1, None, frozenset()), (2,) * 1000),  # Q0 complete
+        ],
+    )
+    def test_quotients_are_made_as_their_kind(self, case, n_list):
         # Made as its kind, a complete quotient of 1000 nodes, a block or Q0,
         # lists none of its half a million edges.
         tracemalloc.start()
         try:
-            build_star_qasst(n_list, "c", ("c",) * len(n_list))
+            build_star_qasst(case, n_list)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,14 +316,7 @@ class TestClosure:
 class TestSynthesisIndexRange:
     """A case naming a block outside 1..k is refused, never read from another block."""
 
-    @pytest.mark.parametrize("tag, case_id, j, I, message", [
-        (KPARTITE, 1, None, {1, 4}, "block index 4 out of 1..3"),
-        (KPARTITE, 1, None, {-1, 2}, "block index -1 out of 1..3"),
-        (CLIQUE_STAR, 1, None, {4}, "block index 4 out of 1..3"),
-        (KPARTITE, 2, 0, set(), "pointer index 0 out of 1..3"),
-        (CLIQUE_STAR, 2, 0, {1}, "pointer index 0 out of 1..3"),
-        (CLIQUE_STAR, 3, 4, set(), "pointer index 4 out of 1..3"),
-    ])
+    @pytest.mark.parametrize("tag, case_id, j, I, message", OUT_OF_RANGE)
     def test_out_of_range_index(self, tag, case_id, j, I, message):
         case = SymmetryCase(tag, case_id, j, frozenset(I))
         with pytest.raises(InvalidCaseError) as info:

@@ -3,7 +3,7 @@
 ``tests/test_python_floor.py`` only parses the source in the grammar of
 the oldest Python that ``pyproject.toml`` admits.  This runs it: under each
 interpreter given, with ``PYTHONPATH`` set to the source, it runs
-``lcsplit verify --suite desk``, seven pipelines and five single
+``lcsplit verify --suite desk``, seven pipelines and six single
 commands, one process per stage:
 
 - ``gen cycle --params 7 | decompose | qasst induce --keep 1,2,3,4,5 |
@@ -22,11 +22,13 @@ commands, one process per stage:
 - ``gen complete --params 20 | decompose``, one quotient past the size up
   to which JSON is written from a template per shape;
 - ``rep min-degree --family kpartite --params 2,3,2,4 --format table``,
-  ``count orbit --family clique_star --params 2,3,2``, ``count iso-classes
-  --family kpartite --params 3,3,3``, ``sym enumerate --family kpartite
-  --params 2,2,3`` and ``sym transform --family kpartite --params 2,2,2,2
-  --case 3 --j 1 --I 2``, the star-shaped class model's degree profile,
-  orbit size, class count, class listing and an LC sequence into a class.
+  ``rep min-edge --family clique_star --params 2,3,2,4``, ``count orbit
+  --family clique_star --params 2,3,2``, ``count iso-classes --family
+  kpartite --params 3,3,3``, ``sym enumerate --family kpartite --params
+  2,2,3`` and ``sym transform --family kpartite --params 2,2,2,2 --case 3
+  --j 1 --I 2``, the star-shaped class model's degree profile (by the
+  table writer), edge count (by the JSON writer), orbit size, class count,
+  class listing and an LC sequence into a class.
 
 It prints one line per interpreter and check, and exits 1 unless every
 run exits 0 and every interpreter prints the same bytes for each check as
@@ -87,6 +89,7 @@ CHECKS = {
         ["decompose"],
     ],
     "rep min-degree": [["rep", "min-degree", "--family", "kpartite", "--params", "2,3,2,4", "--format", "table"]],
+    "rep min-edge": [["rep", "min-edge", "--family", "clique_star", "--params", "2,3,2,4"]],
     "count orbit": [["count", "orbit", "--family", "clique_star", "--params", "2,3,2"]],
     "count iso-classes": [["count", "iso-classes", "--family", "kpartite", "--params", "3,3,3"]],
     "sym enumerate": [["sym", "enumerate", "--family", "kpartite", "--params", "2,2,3"]],
