@@ -34,6 +34,8 @@ class FamilySpec:
         if self.family not in FAMILY_TAGS:
             raise InvalidSpecError(f"unknown family {self.family!r}")
         object.__setattr__(self, "params", tuple(map(graphs.json_int, self.params)))
+        if self.center is not None:
+            graphs.json_int(self.center)
 
 
 def block_ranges(n_list: Sequence[int]) -> list[range]:
@@ -91,7 +93,7 @@ def clique_star_graph(n_list: Sequence[int], r: int) -> SimpleGraph:
     """CS^r: every block a clique, block r fully joined to all other blocks."""
     check_blocks(n_list)
     k = len(n_list)
-    if not (1 <= r <= k):
+    if not (1 <= graphs.json_int(r) <= k):
         raise InvalidSpecError(f"clique-star center r must be in 1..{k}, got {r}")
     blocks = block_ranges(n_list)
     edges = []

@@ -4,10 +4,10 @@ The orbit of a graph is its closure under the n primitive local
 complements.  Enumeration is a breadth-first search over labeled graphs,
 each held as one flat integer (row u of the adjacency matrix at bit
 ``u*(n+1)``) and de-duplicated on that integer.  An :class:`Orbit` keeps
-those integers: its size, membership, shortest LC sequences and edge or
-degree minima are read from them, and members are decoded to
-:class:`SimpleGraph` and given their canonical keys only on first read of
-``members`` or ``parent``, once; :func:`orbit_iso_classes` keys every
+those integers, each with the pivot that first reached it: its size,
+membership and edge or degree minima are read from them, and members are
+decoded to :class:`SimpleGraph` and given their canonical keys only on
+first read of ``members``, once; :func:`orbit_iso_classes` keys every
 member from its flat integer and decodes only those it searches.  The
 search serves as the ground-truth oracle for every closed-form count in
 :mod:`lcsplit.counting`.
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceededError, InvalidSpecError, NotEquivalentError, SizeLimitError, check
 from .graphs import SimpleGraph, _bits, _flat, _iso_plan, _iso_search, _key_fragment, _vertex_invariants, json_int
-from .graphs import apply_sequence
+from .graphs import apply_sequence, local_complement
 from .graphs import canonical_key  # noqa: F401  the member key; callers also reach it as orbit.canonical_key
 
 DEFAULT_BUDGET = 10**6
@@ -38,20 +38,16 @@ class Orbit:
     """A fully enumerated LC orbit.
 
     ``flats`` maps each member, as a flat integer (row u at bit
-    ``u*(n+1)``), to (predecessor flat, pivot vertex), in BFS order; unless
-    parents were tracked, it maps to the pivot vertex alone, the one that
-    first reached it.  The base maps to None.  Two flats of the same n are
-    equal iff the graphs are.
+    ``u*(n+1)``), to the pivot vertex that first reached it, in BFS order;
+    the base maps to None.  Two flats of the same n are equal iff the
+    graphs are.
 
-    ``members`` maps canonical key -> graph, in BFS order.  ``parent``
-    (None unless parents were tracked) maps a member's key to
-    (predecessor key, pivot vertex) for transformation extraction; the
-    base maps to None.  Both are decoded from ``flats`` on first read.
+    ``members`` maps canonical key -> graph, in BFS order, decoded from
+    ``flats`` on first read.
     """
 
     base: SimpleGraph
-    flats: dict[int, Optional[int | tuple[int, int]]]
-    track_parents: bool = False
+    flats: dict[int, Optional[int]]
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -63,23 +59,11 @@ class Orbit:
     def members(self) -> dict[bytes, SimpleGraph]:
         return dict(_decode(self.base.n, self.flats))
 
-    @cached_property
-    def parent(self) -> Optional[dict[bytes, Optional[tuple[bytes, int]]]]:
-        if not self.track_parents:
-            return None
-        key = dict(zip(self.flats, self.members))
-        return {
-            key[flat]: None if entry is None else (key[entry[0]], entry[1])
-            for flat, entry in self.flats.items()
-        }
-
     def sorted_members(self) -> list[SimpleGraph]:
         return [self.members[k] for k in sorted(self.members)]
 
 
-def enumerate_orbit(
-    g: SimpleGraph, limit: int = DEFAULT_BUDGET, track_parents: bool = False
-) -> Orbit:
+def enumerate_orbit(g: SimpleGraph, limit: int = DEFAULT_BUDGET) -> Orbit:
     """BFS closure of g under all primitive local complements.
 
     Deterministic: the frontier is FIFO and pivots are tried in ascending
@@ -98,11 +82,11 @@ def enumerate_orbit(
     A member M first reached by pivot p is expanded only at the pivots
     above p and those in N(p); every other lookup would find a member
     already seen, so skipping it changes neither the members, their order
-    nor the parents.  Local complements at non-adjacent w and p commute
-    (Bouchet 1988): for w < p outside N(p), LC_w(M) = LC_p(LC_w(P)) where
-    M = LC_p(P), and LC_w(P) was seen before M, so its expansion at p
-    (tried, or skipped by the same rule) had already seen LC_w(M).  The
-    pivot plan is cached per allowed-pivot mask.
+    nor the pivots that first reach them.  Local complements at
+    non-adjacent w and p commute (Bouchet 1988): for w < p outside N(p),
+    LC_w(M) = LC_p(LC_w(P)) where M = LC_p(P), and LC_w(P) was seen before
+    M, so its expansion at p (tried, or skipped by the same rule) had
+    already seen LC_w(M).  The pivot plan is cached per allowed-pivot mask.
     """
     n = g.n
     if n < 1:
@@ -123,18 +107,12 @@ def enumerate_orbit(
     gap = "0" * n
     off_diagonal = sum((row ^ 1 << u) << u * width for u in range(1, n + 1))
     cliques: dict[int, int] = {}
-    # flat graph -> (predecessor, pivot), or the pivot alone without parents; the base maps to None
-    seen: dict[int, Optional[int | tuple[int, int]]] = {_flat(g): None}
+    seen: dict[int, Optional[int]] = {_flat(g): None}  # flat graph -> the pivot that first reached it
     queue = deque(seen)
     while queue:
         cur = queue.popleft()
         p = seen[cur]
-        if p is None:
-            allowed = active
-        else:
-            if track_parents:
-                p = p[1]
-            allowed = above[p] | cur >> p * width & row
+        allowed = active if p is None else above[p] | cur >> p * width & row
         plan = plans.get(allowed)
         if plan is None:
             plan = plans[allowed] = [pairs[v] for v in _bits(allowed)]
@@ -149,9 +127,9 @@ def enumerate_orbit(
             if nxt not in seen:
                 if len(seen) >= limit:
                     raise BudgetExceededError(len(seen), limit)
-                seen[nxt] = (cur, v) if track_parents else v
+                seen[nxt] = v
                 queue.append(nxt)
-    return Orbit(base=g, flats=seen, track_parents=track_parents)
+    return Orbit(base=g, flats=seen)
 
 
 def _decode(n: int, flats: Iterable[int]) -> list[tuple[bytes, SimpleGraph]]:
@@ -215,18 +193,26 @@ def are_lc_equivalent(g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGE
 def transformation_between(
     g: SimpleGraph, h: SimpleGraph, limit: int = DEFAULT_BUDGET
 ) -> list[int]:
-    """A primitive LC sequence taking g to h, of minimal BFS depth; ``limit`` is checked first."""
+    """A primitive LC sequence taking g to h, of minimal BFS depth; ``limit`` is checked first.
+
+    Identical graphs need no search.  Otherwise the walk starts at h: a
+    member M first reached from P by pivot v is LC_v(P), and LC_v leaves
+    N(v) as it is and undoes itself, so LC_v(M) = P.  The pivots met on
+    the way back to g, reversed, take g to h.
+    """
     _check_limit(limit)
     if g.n != h.n:
         raise NotEquivalentError("graphs have different vertex counts")
-    flats = enumerate_orbit(g, limit=limit, track_parents=True).flats
-    flat = _flat(h)
-    if flat not in flats:
+    if g == h:
+        return []
+    flats = enumerate_orbit(g, limit=limit).flats
+    if _flat(h) not in flats:
         raise NotEquivalentError("graphs are not LC-equivalent")
     steps: list[int] = []
-    while (entry := flats[flat]) is not None:
-        flat, v = entry
+    cur = h
+    while (v := flats[_flat(cur)]) is not None:
         steps.append(v)
+        cur = local_complement(cur, v)
     steps.reverse()
     check(apply_sequence(g, steps) == h)
     return steps

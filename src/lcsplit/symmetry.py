@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidCaseError, InvalidSpecError, MalformedQasstError, SizeLimitError
 from .families import KPARTITE, block_ranges, check_blocks, check_tag, orbit_of
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, json_int
 from .qasst import (
     COMPLETE,
     PRIME,
@@ -59,6 +59,10 @@ class SymmetryCase:
 
     def __post_init__(self):
         check_tag(self.tag, InvalidCaseError)
+        # Every integer slot is read through json_int before the class is checked: True would pass as 1.
+        centers = self.centers or {}
+        for x in (self.case_id, *(() if self.j is None else (self.j,)), *self.I, *centers, *centers.values()):
+            json_int(x)
         if self.case_id not in (1, 2, 3):
             raise InvalidCaseError(f"case id must be 1, 2 or 3, got {self.case_id}")
         if self.case_id == 1:
@@ -189,7 +193,7 @@ def synthesize_transformation(
 
     if r is None:
         r = 1
-    if not (1 <= r <= k):
+    if not (1 <= json_int(r) <= k):
         raise InvalidSpecError(f"base center r must be in 1..{k}")
     if case.case_id == 1:
         seq = [center_of(i) for i in sorted(case.I) if i != r]

@@ -79,9 +79,11 @@ def dh_definition_oracle(g: SimpleGraph) -> bool:
 
 
 def all_pivot_orbit(g: SimpleGraph) -> tuple[dict, int]:
-    """``enumerate_orbit(g, track_parents=True).flats`` by a BFS trying every pivot at every member.
+    """The orbit of g by a BFS trying every pivot at every member.
 
-    Returns those flats and the number of lookups ``enumerate_orbit``'s
+    Returns flat -> (predecessor flat, pivot) for each member, the base
+    mapping to None, in the order of ``enumerate_orbit(g).flats``, whose
+    values are those pivots; and the number of lookups ``enumerate_orbit``'s
     pivot rule skips: at a member first reached by pivot p, a pivot w <= p
     outside N(p) (w = p leads back to the member's predecessor).  Asserts
     that each of those finds a member already seen.

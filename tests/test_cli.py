@@ -130,6 +130,14 @@ class TestPipelines:
         assert code == 0
         assert json.loads(out)["sequence"]
 
+    def test_orbit_transform_between_identical_graphs(self, tmp_path, capsys):
+        # P30's orbit is far above the limit; an identical pair needs no search.
+        src = self.graph_file(tmp_path, capsys, "gen", "path", "--params", "30")
+        code, out = run(capsys, "orbit", "transform", "--input", src, "--to", src, "--limit", "10")
+        assert (code, out) == (0, '{\n  "sequence": []\n}\n')
+        code, _ = run(capsys, "orbit", "size", "--input", src, "--limit", "10")
+        assert code == cli.EXIT_BUDGET
+
     def test_qasst_lc(self, tmp_path, capsys):
         src = self.graph_file(tmp_path, capsys, "gen", "path", "--params", "4")
         qpath = tmp_path / "q.json"

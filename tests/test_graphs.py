@@ -341,7 +341,21 @@ def _integer_slot_calls():
     for f in (counting.bipartite_orbit_size, counting.bipartite_iso_class_count,
               counting.bipartite_min_edge_count, counting.bipartite_min_max_degree):
         calls += [(f"{f.__name__} n", lambda x, f=f: f(x, 3)), (f"{f.__name__} m", lambda x, f=f: f(3, x))]
-    spokes = symmetry.SymmetryCase(families.CLIQUE_STAR, 1, None, frozenset({1, 2, 3}))  # Q0 complete, every block ss
+    case = symmetry.SymmetryCase
+    kp, cs = families.KPARTITE, families.CLIQUE_STAR
+    calls += [
+        ("SymmetryCase case_id", lambda x: case(cs, x, 1, frozenset())),
+        ("SymmetryCase j", lambda x: case(kp, 2, x, frozenset())),
+        # 4 keeps I two elements long for any x: frozenset({1, True}) would be {1}.
+        ("SymmetryCase I", lambda x: case(kp, 1, None, frozenset({4, x}))),
+        ("SymmetryCase centers block", lambda x: case(kp, 1, None, frozenset({3, 4}), {x: 7})),
+        ("SymmetryCase centers vertex", lambda x: case(kp, 1, None, frozenset({1, 2}), {1: x})),
+        ("FamilySpec center", lambda x: families.FamilySpec("clique_star", (2, 2, 2), x)),
+        ("clique_star_graph r", lambda x: families.clique_star_graph([2, 2, 2], x)),
+        ("synthesize_transformation r",
+         lambda x: symmetry.synthesize_transformation(case(cs, 1, None, frozenset({1})), [2, 2, 2], x)),
+    ]
+    spokes = case(cs, 1, None, frozenset({1, 2, 3}))  # Q0 complete, every block ss
     block_calls = {
         "check_blocks": families.check_blocks,
         "multi_leaf_repeater_graph": families.multi_leaf_repeater_graph,

@@ -138,6 +138,16 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             are_lc_equivalent(k2, k2, limit=0)
 
+    def test_identical_graphs_need_no_search(self):
+        # P30's orbit is far above 10 members; an identical pair is answered before any BFS.
+        p30 = path_graph(30)
+        assert are_lc_equivalent(p30, p30, limit=10)
+        assert transformation_between(p30, SimpleGraph(30, p30.edges()), limit=10) == []
+        with pytest.raises(BudgetExceededError):
+            enumerate_orbit(p30, limit=10)
+        with pytest.raises(TypeError, match="expected an integer, got True"):
+            transformation_between(p30, p30, limit=True)
+
 
 class TestRepresentatives:
     def test_iso_classes_partition_orbit(self):
@@ -206,17 +216,25 @@ def _path_to(parent, key):
     return steps[::-1]
 
 
+def _assert_first_pivots(o, parent):
+    """Each member but the base, complemented at the pivot that first reached it, is its predecessor in ``parent``."""
+    for v, (key, member) in zip(o.flats.values(), o.members.items()):
+        if v is None:
+            assert parent[key] is None
+        else:
+            assert (canonical_key(local_complement(member, v)), v) == parent[key]
+
+
 class TestAdjKeyedBfs:
     """The adjacency-keyed BFS against a canonical-key BFS oracle."""
 
     @staticmethod
     def _check(g, rng):
         members, parent = _key_bfs(g)
-        o = enumerate_orbit(g, track_parents=True)
+        o = enumerate_orbit(g)
         assert list(o.members) == list(members)
         assert list(o.members.values()) == list(members.values())
-        assert o.parent == parent
-        assert list(enumerate_orbit(g).members) == list(members)
+        _assert_first_pivots(o, parent)
         keys = list(members)
         for key in (keys[-1], rng.choice(keys)):
             assert transformation_between(g, members[key]) == _path_to(parent, key)
@@ -261,10 +279,9 @@ def _assert_matches_key_bfs(g, cap=3000):
             enumerate_orbit(g, limit=cap)
         assert got.value.partial_count == overrun.partial_count
         return False
-    o = enumerate_orbit(g, track_parents=True)
+    o = enumerate_orbit(g)
     assert list(o.members) == list(members)
-    assert o.parent == parent
-    assert list(enumerate_orbit(g).members) == list(members)
+    _assert_first_pivots(o, parent)
     for key, member in o.members.items():
         assert member._adj == members[key]._adj
         assert canonical_key(member) == key
@@ -342,10 +359,10 @@ class TestPivotRule:
     def _check(g):
         """The flats compared and the lookups skipped."""
         flats, skipped = all_pivot_orbit(g)
-        o = enumerate_orbit(g, track_parents=True)
-        assert list(o.flats.items()) == list(flats.items())
-        untracked = enumerate_orbit(g).flats
-        assert list(untracked.items()) == [(flat, entry and entry[1]) for flat, entry in flats.items()]
+        o = enumerate_orbit(g)
+        assert list(o.flats.items()) == [(flat, entry and entry[1]) for flat, entry in flats.items()]
+        for (flat, v), member in zip(o.flats.items(), o.members.values()):
+            assert v is None or _flat(local_complement(member, v)) == flats[flat][0]
         if len(flats) > 1:
             with pytest.raises(BudgetExceededError) as got:
                 enumerate_orbit(g, limit=len(flats) - 1)
@@ -569,16 +586,13 @@ class TestIsoClassesAgainstSearch:
 
 
 def _eager(o):
-    """(members, parent) of an orbit decoded eagerly from its flat integers, edge by edge."""
+    """The members of an orbit, key -> graph, decoded eagerly from its flat integers, edge by edge."""
     n, width = o.base.n, o.base.n + 1
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     graphs = {flat: SimpleGraph(n, [(u, w) for u, w in pairs if flat >> (u * width + w) & 1]) for flat in o.flats}
     for flat, g in graphs.items():
         assert sum(g._adj[u] << (u * width) for u in range(1, n + 1)) == flat
-    key = {flat: canonical_key(g) for flat, g in graphs.items()}
-    members = {key[flat]: g for flat, g in graphs.items()}
-    parent = {key[f]: None if entry is None else (key[entry[0]], entry[1]) for f, entry in o.flats.items()}
-    return members, parent
+    return {canonical_key(g): g for g in graphs.values()}
 
 
 class TestLazyOrbitDifferential:
@@ -587,8 +601,8 @@ class TestLazyOrbitDifferential:
     @staticmethod
     def _check(g, strangers, rng):
         """Returns how many members tie at each minimum."""
-        o = enumerate_orbit(g, track_parents=True)
-        members, parent = _eager(o)
+        o = enumerate_orbit(g)
+        members = _eager(o)
         assert len(o) == len(members)
         for h in members.values():
             assert h in o
@@ -602,11 +616,16 @@ class TestLazyOrbitDifferential:
             best = min(members.items(), key=lambda item: (value(item[1]), item[0]))
             assert found == (best[1], value(best[1]))
             ties.append(sum(value(h) == found[1] for h in members.values()))
-        assert "members" not in o.__dict__ and "parent" not in o.__dict__
+        assert "members" not in o.__dict__
 
         keys = list(members)
         for key in (keys[0], keys[-1], rng.choice(keys)):
-            assert transformation_between(g, members[key]) == _path_to(parent, key)
+            # Each step is the pivot that first reached the graph it makes.
+            cur = g
+            for v in transformation_between(g, members[key]):
+                cur = local_complement(cur, v)
+                assert o.flats[_flat(cur)] == v
+            assert cur == members[key]
         for h in strangers:
             if canonical_key(h) not in members:
                 with pytest.raises(NotEquivalentError):
@@ -614,8 +633,7 @@ class TestLazyOrbitDifferential:
                 break
 
         assert list(o.members.items()) == list(members.items())
-        assert o.parent == parent and list(o.parent) == list(parent)
-        assert enumerate_orbit(g).parent is None
+        _assert_first_pivots(o, _key_bfs(g)[1])
         return ties
 
     def test_every_connected_graph_up_to_six_vertices(self):

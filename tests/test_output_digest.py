@@ -1,11 +1,15 @@
-"""Pinned output bytes: one SHA-256 over the tree outputs of a seeded graph set.
+"""Pinned output bytes: SHA-256 digests over the tree and orbit outputs of seeded graph sets.
 
-Covers ``decompose`` JSON and DOT, ``strong_split_sides`` and the JSON of
-``lc_propagate``, ``extend`` and one- and multi-vertex ``induced_qasst``
-results, over random distance-hereditary graphs, paths, cycles and random
-graphs that are not distance-hereditary.  Any change to what these print,
-quotient numbering included, changes the digest.  Tree JSON is written by
-``to_json_text``, as the CLI writes it.
+:data:`DIGEST` covers ``decompose`` JSON and DOT, ``strong_split_sides``
+and the JSON of ``lc_propagate``, ``extend`` and one- and multi-vertex
+``induced_qasst`` results, over random distance-hereditary graphs, paths,
+cycles and random graphs that are not distance-hereditary.  Any change to
+what these print, quotient numbering included, changes the digest.  Tree
+JSON is written by ``to_json_text``, as the CLI writes it.
+
+:data:`ORBIT_DIGEST` covers the orbit layer: ``transformation_between``
+on seeded pairs (g, an LC image of g), the ``orbit list`` text of C6 and
+K2,3, and ``min_edge_member`` and ``min_max_degree_member`` on a few graphs.
 """
 
 import hashlib
@@ -14,12 +18,22 @@ import random
 
 from helpers import random_connected_graph
 from oracles import strong_split_sides
+from lcsplit import cli
 from lcsplit.errors import LcsplitError
-from lcsplit.families import cycle_graph, path_graph
+from lcsplit.families import (
+    clique_star_graph,
+    complete_bipartite_graph,
+    complete_multipartite_graph,
+    cycle_graph,
+    path_graph,
+)
+from lcsplit.graphs import apply_sequence, to_json_text as graph_json_text
+from lcsplit.orbit import enumerate_orbit, min_edge_member, min_max_degree_member, transformation_between
 from lcsplit.qasst import compute_qasst, to_dot, to_json_dict, to_json_text
 from lcsplit.qasst_ops import EXTENSION_KINDS, ExtensionKind, extend, induced_qasst, lc_propagate, random_dh
 
 DIGEST = "f7527a5fab506dc5499bd3acbe79b343e520f60b2cd4a104118292a87754a99c"
+ORBIT_DIGEST = "2383b64981a47bfda25933f5b51f0eb4669e132ee564a00f5f76a3035ba05ee6"
 
 
 def _graphs():
@@ -63,12 +77,41 @@ def _outputs(write=to_json_text):
         yield attempt(induced_qasst, q, [u for u in vertices if u not in gone])
 
 
-def test_output_digest():
+def _digest(texts) -> str:
     h = hashlib.sha256()
-    for text in _outputs():
+    for text in texts:
         h.update(text.encode())
         h.update(b"\0")
-    assert h.hexdigest() == DIGEST
+    return h.hexdigest()
+
+
+def test_output_digest():
+    assert _digest(_outputs()) == DIGEST
+
+
+def _orbit_outputs(tmp_path, capsys):
+    """The orbit layer's outputs, in a fixed order: LC sequences, ``orbit list`` text and orbit minima."""
+    rng = random.Random(123)
+    for _ in range(100):
+        n = rng.randint(3, 8)
+        g = random_connected_graph(n, rng, rng.uniform(0.1, 0.6))
+        seq = [rng.randint(1, n) for _ in range(rng.randint(0, 6))]
+        yield repr(transformation_between(g, apply_sequence(g, seq)))
+    for g in (cycle_graph(6), complete_bipartite_graph(2, 3)):
+        src = tmp_path / "g.json"
+        src.write_text(graph_json_text(g), encoding="utf-8")
+        assert cli.main(["orbit", "list", "--input", str(src)]) == 0
+        yield capsys.readouterr().out
+    for g in (cycle_graph(6), complete_bipartite_graph(2, 3), complete_multipartite_graph([2, 2, 2]),
+              clique_star_graph([2, 2, 2], 1), path_graph(5), random_connected_graph(7, rng, 0.3)):
+        o = enumerate_orbit(g)
+        for least in (min_edge_member, min_max_degree_member):
+            best, value = least(o)
+            yield f"{value} {graph_json_text(best)}"
+
+
+def test_orbit_digest(tmp_path, capsys):
+    assert _digest(_orbit_outputs(tmp_path, capsys)) == ORBIT_DIGEST
 
 
 def test_direct_writer_equals_json_dumps():
